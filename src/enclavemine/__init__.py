@@ -12,7 +12,6 @@ from .model import (
     EventLog,
     EMPTY_LOG,
     DuplicateEvent,
-    canonical_compare,
     canonical_key,
     extract_case,
     group_by_iid,
@@ -31,7 +30,6 @@ __all__ = [
     "EventLog",
     "EMPTY_LOG",
     "DuplicateEvent",
-    "canonical_compare",
     "canonical_key",
     "extract_case",
     "group_by_iid",

@@ -25,7 +25,6 @@ __all__ = [
     "InvalidTimestamp",
     "EMPTY_LOG",
     "canonical_key",
-    "canonical_compare",
     "log_from_events",
     "merge",
     "merge_all",
@@ -82,19 +81,6 @@ class Event:
 def canonical_key(event: Event) -> Tuple[int, str, str]:
     """Total-order key: timestamp first, ties by (provisioner_id, event_id)."""
     return (event.timestamp, event.provisioner_id, event.event_id)
-
-
-def canonical_compare(a: Event, b: Event) -> int:
-    """Three-way comparison under the canonical order.
-
-    Returns 0 only for the same event (keys include the unique event_id).
-    """
-    ka, kb = canonical_key(a), canonical_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
 
 
 @dataclass(frozen=True)

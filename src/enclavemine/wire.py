@@ -1,8 +1,10 @@
 """Canonical binary encoding for event logs.
 
 This encoding is the unit of size accounting: segment budgets and the
-enclave's byte accounting both measure ``len(encode_log(...))``. Layout
-(all integers big-endian):
+enclave's byte accounting both count encoded bytes. They get the count by
+arithmetic over the layout below (:func:`event_size`), never by encoding;
+``EMPTY_LOG_SIZE + sum(event_size(ev) for ev in log)`` equals
+``len(encode_log(log))`` for every log. Layout (all integers big-endian):
 
     u16  version (currently 1)
     u32  event count
@@ -13,6 +15,8 @@ enclave's byte accounting both measure ``len(encode_log(...))``. Layout
 
 Events are written in canonical order, extras sorted by key, so equal logs
 encode to equal bytes. An empty log encodes to exactly EMPTY_LOG_SIZE bytes.
+Because a log's size is the header plus its events' sizes, merging two logs
+with disjoint events gives ``size(a) + size(b) - EMPTY_LOG_SIZE``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "WireError",
     "TruncatedPayload",
     "UnsupportedVersion",
+    "event_size",
     "encode_log",
     "decode_log",
 ]
@@ -35,6 +40,10 @@ __all__ = [
 WIRE_VERSION = 1
 # Version header plus event count; the encoded size of the empty log.
 EMPTY_LOG_SIZE = 6
+# Per event: u64 timestamp, four u16 string lengths, u16 extras count.
+EVENT_FIXED_SIZE = 8 + 2 * 4 + 2
+# Per extras pair: the u16 lengths of key and value.
+EXTRA_FIXED_SIZE = 2 * 2
 
 
 class WireError(Exception):
@@ -69,6 +78,24 @@ def _encode_event(out: List[bytes], ev: Event) -> None:
     for key, value in ev.extras:
         _pack_str(out, key)
         _pack_str(out, value)
+
+
+def event_size(ev: Event) -> int:
+    """Bytes :func:`encode_log` writes for one event, by arithmetic.
+
+    Does not check the u16 limits; encoding a field over them raises
+    :class:`WireError`.
+    """
+    size = (
+        EVENT_FIXED_SIZE
+        + len(ev.event_id.encode("utf-8"))
+        + len(ev.iid.encode("utf-8"))
+        + len(ev.activity.encode("utf-8"))
+        + len(ev.provisioner_id.encode("utf-8"))
+    )
+    for key, value in ev.extras:
+        size += EXTRA_FIXED_SIZE + len(key.encode("utf-8")) + len(value.encode("utf-8"))
+    return size
 
 
 def encode_log(log: EventLog) -> bytes:

@@ -12,7 +12,6 @@ from enclavemine.model import (
     EventLog,
     InvalidTimestamp,
     ModelError,
-    canonical_compare,
     canonical_key,
     extract_case,
     group_by_iid,
@@ -44,12 +43,11 @@ def test_extract_case_hospital(hospital_log):
     assert case.is_case()
 
 
-def test_canonical_compare_cross_partition(hospital_log, pharma_log):
+def test_canonical_key_cross_partition(hospital_log, pharma_log):
     e4 = _by_id(hospital_log, "e4")
     e20 = _by_id(pharma_log, "e20")
-    assert canonical_compare(e4, e20) == -1
-    assert canonical_compare(e20, e4) == 1
-    assert canonical_compare(e4, e4) == 0
+    assert canonical_key(e4) < canonical_key(e20)
+    assert canonical_key(e4) == canonical_key(_by_id(hospital_log, "e4"))
 
 
 def test_canonical_tiebreak_provisioner_then_id():

@@ -1,9 +1,14 @@
 """Miner/provisioner session behavior, including misbehaving peers."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from conftest import make_random_log
+from enclavemine import model, protocol, segmenter
 from enclavemine.enclave import BuildManifest, OrgIdentity, compute_measurement, new_symmetric_key, seal_segment
-from enclavemine.model import EMPTY_LOG, extract_case, iid_set, merge_all
+from enclavemine.model import EMPTY_LOG, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
     KIND_CASES_REF_RES,
     KIND_CASES_RES,
@@ -441,3 +446,72 @@ def test_phase_labels_follow_the_flow(three_partitions):
     assert "attestation" in labels
     assert "transmission" in labels
     assert labels[-1] == "computation"
+
+
+ORGS = ("clinic", "hospital", "pharma")
+
+
+def _random_partitions(seed, n_cases=40):
+    log = make_random_log(random.Random(seed), n_cases, list(ORGS))
+    return {
+        org: log_from_events(ev for ev in log if ev.provisioner_id == org)
+        for org in ORGS
+    }
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize("do_yield", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_accountant_tracks_stored_case_encodings(seed, do_yield):
+    # Oracle: the accountant's figure between deliveries is what re-encoding
+    # every stored case would measure. A small budget spreads each case over
+    # several segments per provisioner, so partial cases pile up.
+    partitions = _random_partitions(seed)
+    net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=do_yield, seed=seed)
+    most_stored = 0
+
+    def check(record):
+        nonlocal most_stored
+        sizes = {iid: len(encode_log(case)) for iid, case in miner.cstor.items()}
+        assert miner.csize == sizes
+        assert miner.accountant.current_bytes == sum(sizes.values())
+        most_stored = max(most_stored, len(sizes))
+
+    net.on_delivered = check
+    net.bootstrap()
+    net.run()
+    assert miner.phase == "done"
+    assert miner.accountant.current_bytes == 0
+    assert most_stored >= 2
+    full = merge_all(partitions.values())
+    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize("do_yield", [True, False])
+def test_session_encodes_once_per_segment(monkeypatch, do_yield):
+    # Sizes come from arithmetic, so the only encodings are the ones sealed,
+    # and ingest splits each segment in one pass instead of per-iid scans.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (protocol, segmenter):
+        monkeypatch.setattr(module, "encode_log", counted("encode_log", module.encode_log))
+    for module in (protocol, model):
+        monkeypatch.setattr(module, "extract_case", counted("extract_case", module.extract_case))
+    net, miner, _, provisioners = _session(
+        _random_partitions(7), seg_size=300, do_yield=do_yield, seed=7
+    )
+    net.bootstrap()
+    net.run()
+    assert miner.phase == "done"
+    sealed = sum(p.segments_sent for p in provisioners.values())
+    assert sealed > len(provisioners)
+    assert calls["encode_log"] == sealed
+    assert calls["extract_case"] == 0

@@ -4,10 +4,14 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enclavemine.enclave import BuildManifest
+from enclavemine.experiment import build_session
 from enclavemine.model import EMPTY_LOG, Event, EventLog, merge
+from enclavemine.protocol import CollectorSink
+from enclavemine.segmenter import size_of
 from enclavemine.wire import (
     EMPTY_LOG_SIZE,
     WIRE_VERSION,
@@ -149,3 +153,44 @@ def test_round_trip_property(log):
 def test_encoding_is_canonical(log):
     # Equal logs give equal bytes; re-encoding a decode is a fixed point.
     assert encode_log(decode_log(encode_log(log))) == encode_log(log)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_logs())
+@example(EMPTY_LOG)
+@example(
+    EventLog(
+        (
+            Event(
+                event_id="é-1",
+                iid="ケース",
+                activity="Ωmega",
+                timestamp=2**63 - 1,
+                provisioner_id="klinik-ø",
+                extras=(("", ""), ("ключ", "значение 🙂")),
+            ),
+        )
+    )
+)
+def test_size_model_matches_encoding(log):
+    assert size_of(log) == len(encode_log(log))
+
+
+def test_oversized_string_field_fails_at_seal_time():
+    # Planning sizes by arithmetic and accepts the case; encoding it for
+    # sealing enforces the u16 length prefix, inside the provisioner's handler.
+    big = Event("e1", "c1", "x" * 0x10000, 5, "p1")
+    net, miner, provisioners = build_session(
+        {"p1": EventLog((big,))},
+        seed=0,
+        seg_size=1_000_000,
+        incremental=True,
+        sink=CollectorSink(),
+        manifest=BuildManifest(component="miner", version="t", algorithm="heuristics"),
+    )
+    net.bootstrap()
+    with pytest.raises(WireError, match="65535") as caught:
+        net.run()
+    assert any(entry.name == "_on_evidence_res" for entry in caught.traceback)
+    assert provisioners[0].segments_sent == 0
+    assert miner.accountant.peak_bytes == 0
