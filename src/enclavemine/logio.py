@@ -30,7 +30,6 @@ __all__ = [
     "UnparsableTimestamp",
     "MissingOrg",
     "parse_timestamp",
-    "format_timestamp",
     "load_csv",
     "save_csv",
     "load_xes",
@@ -78,11 +77,6 @@ def parse_timestamp(value: str) -> int:
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp() * 1000)
-
-
-def format_timestamp(ms: int) -> str:
-    dt = datetime.fromtimestamp(ms / 1000.0, tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
 def load_csv(path, *, iid_column: str = "case", org: Optional[str] = None) -> EventLog:

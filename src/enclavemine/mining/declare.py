@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..model import EventLog
 from .dfg import EmptyCase
@@ -94,19 +94,6 @@ class DeclareModel:
     def __post_init__(self) -> None:
         if not self.constraints:
             raise ValueError("model needs at least one constraint")
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Tuple[str, str, Optional[str]]]) -> "DeclareModel":
-        return cls(tuple(Constraint(t, a, b) for t, a, b in pairs))
-
-    def to_json(self) -> List[Dict[str, Optional[str]]]:
-        return [
-            {"template": c.template, "a": c.a, "b": c.b} for c in self.constraints
-        ]
-
-    @classmethod
-    def from_json(cls, data: Sequence[Dict[str, Optional[str]]]) -> "DeclareModel":
-        return cls(tuple(Constraint(d["template"], d["a"], d.get("b")) for d in data))
 
 
 def _holds(c: Constraint, seq: Sequence[str]) -> bool:

@@ -36,16 +36,6 @@ class DfgState:
     end_counts: CounterT[str] = field(default_factory=Counter)
     cases_seen: int = 0
 
-    def copy(self) -> "DfgState":
-        return DfgState(
-            activity_counts=Counter(self.activity_counts),
-            directly_follows=Counter(self.directly_follows),
-            loop2_counts=Counter(self.loop2_counts),
-            start_counts=Counter(self.start_counts),
-            end_counts=Counter(self.end_counts),
-            cases_seen=self.cases_seen,
-        )
-
 
 def hm_observe(state: DfgState, case: EventLog) -> DfgState:
     """Fold one case into the state (mutates and returns ``state``).

@@ -149,9 +149,6 @@ def merge(a: EventLog, b: EventLog) -> EventLog:
     :class:`DuplicateEvent` when the logs share any event_id. The operation
     is associative and commutative, with the empty log as identity.
     """
-    common = a.event_ids() & b.event_ids()
-    if common:
-        raise DuplicateEvent(common)
     ea, eb = a.events, b.events
     out = []
     i = j = 0

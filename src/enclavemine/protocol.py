@@ -74,7 +74,6 @@ __all__ = [
     "IncompleteDelivery",
     "SessionAborted",
     "Msg",
-    "CollectorSink",
     "MinerConfig",
     "SecureMiner",
     "ProvisionerConfig",
@@ -166,20 +165,6 @@ def _b64(data: bytes) -> str:
 
 def _unb64(text: str) -> bytes:
     return base64.b64decode(text.encode("ascii"))
-
-
-class CollectorSink:
-    """Collects yielded cases and/or the final merged log (test double)."""
-
-    def __init__(self) -> None:
-        self.cases: List[EventLog] = []
-        self.logs: List[EventLog] = []
-
-    def on_case(self, case: EventLog) -> None:
-        self.cases.append(case)
-
-    def on_log(self, log: EventLog) -> None:
-        self.logs.append(log)
 
 
 @dataclass

@@ -70,9 +70,6 @@ class SegmentPlan:
     seg_size: int
     oversized_iids: Tuple[str, ...] = ()
 
-    def total_events(self) -> int:
-        return sum(len(seg) for seg in self.segments)
-
 
 def segment_event_log(
     partition: EventLog,

@@ -1,53 +1,32 @@
-"""Point-to-point message transport between protocol nodes.
+"""Deterministic in-process message transport between protocol nodes.
 
-Both backends present the same contract to the protocol layer: reliable
-FIFO delivery per directed link, each message delivered exactly once, and
-handlers run one at a time (run-to-completion). Nodes are objects with a
-``node_id``, a ``bootstrap()`` producing initial sends, and a
-``handle(sender, payload)`` returning follow-up sends; both return lists of
-``(receiver, payload_bytes)``.
+The network gives the protocol layer reliable FIFO delivery per directed
+link, each message delivered exactly once, and handlers run one at a time
+(run-to-completion). Nodes are objects with a ``node_id``, a
+``bootstrap()`` producing initial sends, and a ``handle(sender, payload)``
+returning follow-up sends; both return lists of ``(receiver,
+payload_bytes)``.
 
-The in-process backend is the unit of determinism: a seeded RNG picks which
-nonempty link delivers next, so one seed fixes the whole interleaving, and
-the recorded delivery order can be replayed verbatim. The TCP backend runs
-the same nodes over loopback sockets with length-prefixed frames and a
-per-org session token checked on connect.
+A seeded RNG picks which nonempty link delivers next, so one seed fixes the
+whole interleaving, and the recorded delivery order can be replayed
+verbatim.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import socket
-import socketserver
-import struct
-import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "TransportError",
-    "LinkClosed",
-    "SessionEnded",
     "DeliveryRecord",
     "InProcessNetwork",
-    "LossyNetwork",
-    "FRAME_VERSION",
-    "TcpEndpoint",
-    "TcpNetwork",
 ]
 
 
 class TransportError(Exception):
-    pass
-
-
-class LinkClosed(TransportError):
-    pass
-
-
-class SessionEnded(TransportError):
     pass
 
 
@@ -66,7 +45,6 @@ class InProcessNetwork:
         self._rng = random.Random(seed)
         self._nodes: Dict[str, object] = {}
         self._queues: Dict[Tuple[str, str], Deque[bytes]] = {}
-        self._closed = False
         self.step = 0
         self.transcript: List[DeliveryRecord] = []
         self.on_delivered: Optional[Callable[[DeliveryRecord], None]] = None
@@ -77,8 +55,6 @@ class InProcessNetwork:
         self._nodes[node.node_id] = node
 
     def send(self, sender: str, receiver: str, payload: bytes) -> None:
-        if self._closed:
-            raise LinkClosed("network closed")
         if receiver not in self._nodes:
             raise TransportError("unknown receiver %s" % receiver)
         self._queues.setdefault((sender, receiver), deque()).append(payload)
@@ -136,183 +112,3 @@ class InProcessNetwork:
         if self.pending():
             raise TransportError("replay order exhausted with %d pending" % self.pending())
         return made
-
-    def close(self) -> None:
-        self._closed = True
-
-
-class LossyNetwork(InProcessNetwork):
-    """Test-only wrapper violating the link guarantees on purpose.
-
-    With probability ``duplicate_prob`` an enqueued message is queued twice;
-    with ``drop_prob`` it is silently discarded. Used to prove the protocol
-    detects what the authenticated link normally rules out.
-    """
-
-    def __init__(self, seed: int = 0, duplicate_prob: float = 0.0, drop_prob: float = 0.0):
-        super().__init__(seed)
-        self.duplicate_prob = duplicate_prob
-        self.drop_prob = drop_prob
-        self._fault_rng = random.Random(seed + 0x5EED)
-
-    def send(self, sender: str, receiver: str, payload: bytes) -> None:
-        if self._fault_rng.random() < self.drop_prob:
-            return
-        super().send(sender, receiver, payload)
-        if self._fault_rng.random() < self.duplicate_prob:
-            super().send(sender, receiver, payload)
-
-
-FRAME_VERSION = 1
-_HELLO_KIND = 0
-_DATA_KIND = 1
-
-
-def _send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
-    sock.sendall(struct.pack(">HBI", FRAME_VERSION, kind, len(payload)) + payload)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise LinkClosed("peer closed mid-frame")
-        buf += chunk
-    return buf
-
-
-def _recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
-    header = _recv_exact(sock, 7)
-    version, kind, length = struct.unpack(">HBI", header)
-    if version != FRAME_VERSION:
-        raise TransportError("frame version %d unsupported" % version)
-    return kind, _recv_exact(sock, length)
-
-
-@dataclass(frozen=True)
-class TcpEndpoint:
-    host: str
-    port: int
-    token: str
-
-
-class TcpNetwork:
-    """Loopback TCP backend with the in-process interface.
-
-    One listener thread per node; a shared lock serializes handler execution
-    so node state sees the same run-to-completion discipline as the
-    in-process backend. Connections open with a hello frame carrying the
-    sender id and its session token; a bad token closes the connection and
-    nothing is delivered.
-    """
-
-    def __init__(self):
-        self._nodes: Dict[str, object] = {}
-        self._endpoints: Dict[str, TcpEndpoint] = {}
-        self._servers: Dict[str, socketserver.ThreadingTCPServer] = {}
-        self._threads: List[threading.Thread] = []
-        self._handler_lock = threading.Lock()
-        self._idle = threading.Condition()
-        self._inflight = 0
-        self.rejected_hellos = 0
-        self.messages_delivered = 0
-
-    def register(self, node, token: str) -> TcpEndpoint:
-        network = self
-
-        class _Handler(socketserver.BaseRequestHandler):
-            def handle(self) -> None:  # noqa: A003 - socketserver API
-                try:
-                    kind, payload = _recv_frame(self.request)
-                except (TransportError, LinkClosed):
-                    return
-                if kind != _HELLO_KIND:
-                    return
-                try:
-                    hello = json.loads(payload.decode("utf-8"))
-                except ValueError:
-                    return
-                sender = hello.get("sender", "")
-                expected = network._endpoints.get(sender)
-                if expected is None or hello.get("token") != expected.token:
-                    network.rejected_hellos += 1
-                    return
-                while True:
-                    try:
-                        kind, payload = _recv_frame(self.request)
-                    except (TransportError, LinkClosed):
-                        return
-                    if kind != _DATA_KIND:
-                        return
-                    network._dispatch(node, sender, payload)
-
-        srv = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _Handler, bind_and_activate=True)
-        srv.daemon_threads = True
-        endpoint = TcpEndpoint("127.0.0.1", srv.server_address[1], token)
-        self._nodes[node.node_id] = node
-        self._endpoints[node.node_id] = endpoint
-        self._servers[node.node_id] = srv
-        thread = threading.Thread(target=srv.serve_forever, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return endpoint
-
-    def _dispatch(self, node, sender: str, payload: bytes) -> None:
-        with self._idle:
-            self._inflight += 1
-        try:
-            with self._handler_lock:
-                outputs = node.handle(sender, payload) or []
-            for receiver, out_payload in outputs:
-                self.send(node.node_id, receiver, out_payload)
-            self.messages_delivered += 1
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
-
-    def send(self, sender: str, receiver: str, payload: bytes, token: Optional[str] = None) -> None:
-        if receiver not in self._endpoints:
-            raise TransportError("unknown receiver %s" % receiver)
-        endpoint = self._endpoints[receiver]
-        if token is None:
-            token = self._endpoints[sender].token
-        with socket.create_connection((endpoint.host, endpoint.port), timeout=10) as sock:
-            hello = json.dumps({"sender": sender, "token": token}).encode("utf-8")
-            _send_frame(sock, _HELLO_KIND, hello)
-            _send_frame(sock, _DATA_KIND, payload)
-
-    def bootstrap(self) -> None:
-        for node_id in sorted(self._nodes):
-            node = self._nodes[node_id]
-            boot = getattr(node, "bootstrap", None)
-            if boot is None:
-                continue
-            with self._handler_lock:
-                outputs = boot() or []
-            for receiver, payload in outputs:
-                self.send(node_id, receiver, payload)
-
-    def wait_idle(self, timeout: float = 30.0, settle: float = 0.05) -> None:
-        """Block until no handler has run for a short settle window."""
-        import time
-
-        deadline = time.monotonic() + timeout
-        last_count = -1
-        while time.monotonic() < deadline:
-            with self._idle:
-                if self._inflight:
-                    self._idle.wait(timeout=0.1)
-                    continue
-            count = self.messages_delivered
-            if count == last_count:
-                return
-            last_count = count
-            time.sleep(settle)
-        raise TransportError("network did not go idle within %.1fs" % timeout)
-
-    def close(self) -> None:
-        for srv in self._servers.values():
-            srv.shutdown()
-            srv.server_close()

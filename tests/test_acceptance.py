@@ -36,7 +36,7 @@ from enclavemine.model import (
     merge,
     merge_all,
 )
-from enclavemine.protocol import CollectorSink, Provisioner, ProvisionerConfig
+from enclavemine.protocol import Provisioner, ProvisionerConfig
 from enclavemine.scenario import (
     ALL_ACTIVITIES,
     generate_scenario_log,
@@ -47,6 +47,8 @@ from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.stats import fit_stats
 from enclavemine.transport import InProcessNetwork
 from enclavemine.wire import EMPTY_LOG_SIZE
+
+from doubles import CollectorSink
 
 CHECKS = []
 

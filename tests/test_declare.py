@@ -101,14 +101,6 @@ def test_empty_model_rejected():
         DeclareModel(())
 
 
-def test_model_json_round_trip():
-    model = scenario_declare_model()
-    again = DeclareModel.from_json(
-        json.loads(json.dumps(model.to_json()))
-    )
-    assert again == model
-
-
 def test_check_case_guards():
     model = DeclareModel((Constraint("existence", "a"),))
     with pytest.raises(EmptyCase):

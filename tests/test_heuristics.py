@@ -4,6 +4,8 @@ Small synthetic traces exercise each structural construct in isolation; the
 scenario check pins the label set the generator is expected to produce.
 """
 
+import copy
+
 import pytest
 
 from enclavemine.mining.dfg import DfgState, hm_observe
@@ -169,7 +171,7 @@ def test_finalize_is_pure():
     state = DfgState()
     for case in group_by_iid(log).values():
         hm_observe(state, case)
-    before = state.copy()
+    before = copy.deepcopy(state)
     a = hm_finalize(state)
     b = hm_finalize(state)
     assert a == b

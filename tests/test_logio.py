@@ -9,7 +9,6 @@ from enclavemine.logio import (
     MissingOrg,
     ProvisionerRef,
     UnparsableTimestamp,
-    format_timestamp,
     load_csv,
     load_log,
     load_provisioner_refs,
@@ -43,10 +42,6 @@ class TestTimestamps:
         for bad in ("", "  ", "yesterday", "2022-13-90T99:00:00"):
             with pytest.raises(UnparsableTimestamp):
                 parse_timestamp(bad)
-
-    def test_format_round_trip(self):
-        for ms in (0, 123, 1657789560000):
-            assert parse_timestamp(format_timestamp(ms)) == ms
 
 
 def test_fixture_files_load(three_partitions):

@@ -115,11 +115,3 @@ def test_counter_conservation():
     assert sum(state.directly_follows.values()) == total_events - state.cases_seen
     assert sum(state.start_counts.values()) == state.cases_seen
     assert sum(state.end_counts.values()) == state.cases_seen
-
-
-def test_copy_is_independent():
-    state = hm_observe(DfgState(), _case(["a", "b"]))
-    clone = state.copy()
-    hm_observe(state, _case(["b", "c"], iid="c2"))
-    assert clone.cases_seen == 1
-    assert ("b", "c") not in clone.directly_follows

@@ -77,8 +77,16 @@ def test_merge_full_traces(hospital_log, pharma_log, clinic_log):
 
 
 def test_merge_rejects_shared_event_ids(hospital_log):
-    with pytest.raises(DuplicateEvent):
-        merge(hospital_log, extract_case(hospital_log, "312"))
+    case = extract_case(hospital_log, "312")
+    with pytest.raises(DuplicateEvent) as exc:
+        merge(hospital_log, case)
+    assert exc.value.event_ids == tuple(sorted(ev.event_id for ev in case))
+    # One id shared by two different events (different timestamps).
+    early = EventLog((Event("e1", "i", "A", 10, "p"), Event("e2", "i", "B", 20, "p")))
+    late = EventLog((Event("e1", "i", "A", 30, "q"),))
+    with pytest.raises(DuplicateEvent) as exc:
+        merge(early, late)
+    assert exc.value.event_ids == ("e1",)
 
 
 def test_merge_identity_and_commutativity(hospital_log, pharma_log):

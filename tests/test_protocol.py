@@ -6,13 +6,13 @@ from collections import Counter
 import pytest
 
 from conftest import make_random_log
+from doubles import CollectorSink, LossyNetwork
 from enclavemine import model, protocol, segmenter
 from enclavemine.enclave import BuildManifest, OrgIdentity, compute_measurement, new_symmetric_key, seal_segment
 from enclavemine.model import EMPTY_LOG, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
     KIND_CASES_REF_RES,
     KIND_CASES_RES,
-    CollectorSink,
     DuplicateResponse,
     IncompleteDelivery,
     Msg,
@@ -28,7 +28,7 @@ from enclavemine.protocol import (
     UnknownProvisioner,
 )
 from enclavemine.segmenter import size_of
-from enclavemine.transport import InProcessNetwork, LossyNetwork
+from enclavemine.transport import InProcessNetwork
 from enclavemine.wire import encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
@@ -399,41 +399,6 @@ def test_capacity_cap_trips_on_batch(three_partitions):
     net2.bootstrap()
     net2.run()
     assert miner2.phase == "done"
-
-
-def test_full_session_over_tcp(three_partitions):
-    from enclavemine.transport import TcpNetwork
-
-    provisioners = {
-        org: _provisioner(org, part) for org, part in three_partitions.items()
-    }
-    sink = CollectorSink()
-    miner = SecureMiner(
-        MinerConfig(
-            miner_id="miner",
-            org_proof=MINER_PROOF,
-            provisioner_ids=tuple(sorted(provisioners)),
-            seg_size=1_000_000,
-            do_yield_cases=True,
-            manifest=MANIFEST,
-            session="s1",
-            provisioner_keys={
-                org: p.config.identity.public_bytes for org, p in provisioners.items()
-            },
-        ),
-        sink,
-    )
-    net = TcpNetwork()
-    net.register(miner, token="tok-miner")
-    for org, p in provisioners.items():
-        net.register(p, token="tok-" + org)
-    try:
-        net.bootstrap()
-        net.wait_idle()
-    finally:
-        net.close()
-    assert miner.phase == "done"
-    assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
 def test_phase_labels_follow_the_flow(three_partitions):

@@ -172,4 +172,4 @@ def test_every_case_lands_exactly_once(seed, n_cases, budget_factor):
             assert iid not in landed, "case split across segments"
             landed[iid] = idx
     assert set(landed) == iid_set(partition)
-    assert plan.total_events() == len(partition)
+    assert sum(len(s) for s in plan.segments) == len(partition)

@@ -1,21 +1,14 @@
-"""Message transport backends.
+"""The deterministic in-process network.
 
 The node used here is a deliberately dumb echo/ping machine, so the tests
-observe pure transport behavior: ordering, determinism, replay, fault
-injection, and the TCP hello handshake.
+observe pure transport behavior: ordering, determinism, replay and fault
+injection.
 """
-
-import threading
 
 import pytest
 
-from enclavemine.transport import (
-    DeliveryRecord,
-    InProcessNetwork,
-    LossyNetwork,
-    TcpNetwork,
-    TransportError,
-)
+from doubles import LossyNetwork
+from enclavemine.transport import DeliveryRecord, InProcessNetwork, TransportError
 
 
 class Chatter:
@@ -26,14 +19,12 @@ class Chatter:
         self.peers = list(peers)
         self.fanout = fanout
         self.inbox = []
-        self.lock = threading.Lock()
 
     def bootstrap(self):
         return [(p, b"ping:%d" % i) for i in range(self.fanout) for p in self.peers]
 
     def handle(self, sender, payload):
-        with self.lock:
-            self.inbox.append((sender, payload))
+        self.inbox.append((sender, payload))
         if payload.startswith(b"ping:"):
             return [(sender, b"pong:" + payload[5:])]
         return []
@@ -182,81 +173,3 @@ def test_lossy_drops_everything():
     assert net.pending() == 0
     assert b.inbox == []
 
-
-class TestTcpBackend:
-    def test_round_trip_and_reply(self):
-        net = TcpNetwork()
-        a = Chatter("a")
-        b = Chatter("b")
-        net.register(a, token="tok-a")
-        net.register(b, token="tok-b")
-        try:
-            net.send("a", "b", b"ping:7")
-            net.wait_idle()
-            assert b.inbox == [("a", b"ping:7")]
-            assert a.inbox == [("b", b"pong:7")]
-        finally:
-            net.close()
-
-    def test_bootstrap_runs_over_sockets(self):
-        net = TcpNetwork()
-        a = Chatter("a", peers=["b"], fanout=2)
-        b = Chatter("b")
-        net.register(a, token="tok-a")
-        net.register(b, token="tok-b")
-        try:
-            net.bootstrap()
-            net.wait_idle()
-            assert sorted(b.inbox) == [("a", b"ping:0"), ("a", b"ping:1")]
-        finally:
-            net.close()
-
-    def test_bad_token_is_rejected_silently(self):
-        net = TcpNetwork()
-        a = Chatter("a")
-        b = Chatter("b")
-        net.register(a, token="tok-a")
-        net.register(b, token="tok-b")
-        try:
-            net.send("a", "b", b"ping:0", token="stolen")
-            net.wait_idle()
-            assert b.inbox == []
-            assert net.rejected_hellos == 1
-        finally:
-            net.close()
-
-    def test_unregistered_sender_identity_rejected(self):
-        net = TcpNetwork()
-        b = Chatter("b")
-        net.register(b, token="tok-b")
-        net._endpoints["ghost"] = net._endpoints["b"]
-        try:
-            net.send("ghost", "b", b"ping:0", token="wrong")
-            net.wait_idle()
-            assert b.inbox == []
-        finally:
-            net.close()
-
-    def test_many_concurrent_senders_serialize(self):
-        net = TcpNetwork()
-        hub = Chatter("hub")
-        spokes = [Chatter("s%d" % i) for i in range(4)]
-        net.register(hub, token="tok-hub")
-        for s in spokes:
-            net.register(s, token="tok-" + s.node_id)
-        try:
-            threads = [
-                threading.Thread(
-                    target=net.send, args=(s.node_id, "hub", b"data-" + s.node_id.encode())
-                )
-                for s in spokes
-                for _ in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            net.wait_idle()
-            assert len(hub.inbox) == 12
-        finally:
-            net.close()

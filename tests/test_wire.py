@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from enclavemine.enclave import BuildManifest
 from enclavemine.experiment import build_session
 from enclavemine.model import EMPTY_LOG, Event, EventLog, merge
-from enclavemine.protocol import CollectorSink
 from enclavemine.segmenter import size_of
 from enclavemine.wire import (
     EMPTY_LOG_SIZE,
@@ -23,6 +22,7 @@ from enclavemine.wire import (
 )
 
 from conftest import make_random_log
+from doubles import CollectorSink
 
 
 def test_empty_log_golden_bytes():
