@@ -32,7 +32,6 @@ from .experiment import (
     write_transcript,
 )
 from .logio import load_log, save_csv, split_log, ProvisionerRef, save_provisioner_refs
-from .model import merge_all
 from .scenario import generate_scenario_log, org_map_for
 from .stats import fit_stats
 

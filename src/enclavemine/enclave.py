@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag

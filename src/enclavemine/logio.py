@@ -20,9 +20,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
-from .model import Event, EventLog, log_from_events, merge_all
+from .model import Event, EventLog, log_from_events
 
 __all__ = [
     "LogIoError",

@@ -14,8 +14,11 @@ identity, so partitions can be folded back together in any order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
 
 __all__ = [
     "Event",
@@ -78,9 +81,10 @@ class Event:
         return dict(self.extras)
 
 
-def canonical_key(event: Event) -> Tuple[int, str, str]:
-    """Total-order key: timestamp first, ties by (provisioner_id, event_id)."""
-    return (event.timestamp, event.provisioner_id, event.event_id)
+# Total-order key of an event: timestamp first, ties by (provisioner_id,
+# event_id). An attrgetter builds the same tuple as a function would, in C.
+canonical_key = attrgetter("timestamp", "provisioner_id", "event_id")
+_event_id = attrgetter("event_id")
 
 
 @dataclass(frozen=True)
@@ -90,21 +94,19 @@ class EventLog:
     events: Tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        prev: Optional[Event] = None
-        seen = set()
-        dupes = set()
-        for ev in self.events:
-            if prev is not None and canonical_key(prev) > canonical_key(ev):
-                raise ModelError(
-                    "events out of canonical order: %s after %s"
-                    % (ev.event_id, prev.event_id)
-                )
-            if ev.event_id in seen:
-                dupes.add(ev.event_id)
-            seen.add(ev.event_id)
-            prev = ev
-        if dupes:
-            raise DuplicateEvent(dupes)
+        # Both checks run in C on valid logs; the offenders are looked up in
+        # Python only when a check fails.
+        events = self.events
+        keys = list(map(canonical_key, events))
+        if keys != sorted(keys):
+            i = next(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
+            raise ModelError(
+                "events out of canonical order: %s after %s"
+                % (events[i].event_id, events[i - 1].event_id)
+            )
+        if len(set(map(_event_id, events))) != len(events):
+            counts = Counter(map(_event_id, events))
+            raise DuplicateEvent(event_id for event_id, n in counts.items() if n > 1)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -145,34 +147,25 @@ def log_from_events(events: Iterable[Event]) -> EventLog:
 def merge(a: EventLog, b: EventLog) -> EventLog:
     """Safe merge of two logs: ordered union of disjoint event sets.
 
-    Linear two-way merge under the canonical key. Raises
-    :class:`DuplicateEvent` when the logs share any event_id. The operation
-    is associative and commutative, with the empty log as identity.
+    Sorts the concatenation of the two already sorted logs under the
+    canonical key; the sort finds the two runs and merges them in linear
+    time. Raises :class:`DuplicateEvent` when the logs share any event_id.
+    The operation is associative and commutative, with the empty log as
+    identity.
     """
-    ea, eb = a.events, b.events
-    out = []
-    i = j = 0
-    while i < len(ea) and j < len(eb):
-        if canonical_key(ea[i]) <= canonical_key(eb[j]):
-            out.append(ea[i])
-            i += 1
-        else:
-            out.append(eb[j])
-            j += 1
-    out.extend(ea[i:])
-    out.extend(eb[j:])
-    return EventLog(tuple(out))
+    return EventLog(tuple(sorted(a.events + b.events, key=canonical_key)))
 
 
 def merge_all(logs: Iterable[EventLog]) -> EventLog:
-    """Fold ``merge`` over any number of logs (empty input gives EMPTY_LOG)."""
-    import heapq
+    """Ordered union of any number of logs (empty input gives the empty log).
 
-    logs = list(logs)
-    if not logs:
-        return EMPTY_LOG
-    merged = list(heapq.merge(*(lg.events for lg in logs), key=canonical_key))
-    return EventLog(tuple(merged))
+    Sorts the concatenation of the already sorted logs under the canonical
+    key; the sort finds the sorted runs and merges them, so k logs of n
+    events in total cost about n log k comparisons rather than n log n.
+    Raises :class:`DuplicateEvent` like :func:`merge`.
+    """
+    events = chain.from_iterable(lg.events for lg in logs)
+    return EventLog(tuple(sorted(events, key=canonical_key)))
 
 
 def extract_case(log: EventLog, iid: str) -> EventLog:

@@ -38,9 +38,8 @@ import base64
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from . import enclave
 from .enclave import (
     AttestationEvidence,
     BuildManifest,

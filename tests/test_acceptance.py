@@ -36,7 +36,6 @@ from enclavemine.model import (
     merge,
     merge_all,
 )
-from enclavemine.protocol import Provisioner, ProvisionerConfig
 from enclavemine.scenario import (
     ALL_ACTIVITIES,
     generate_scenario_log,
@@ -45,7 +44,6 @@ from enclavemine.scenario import (
 )
 from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.stats import fit_stats
-from enclavemine.transport import InProcessNetwork
 from enclavemine.wire import EMPTY_LOG_SIZE
 
 from doubles import CollectorSink

@@ -115,12 +115,27 @@ def test_eventlog_rejects_out_of_order():
     b = Event("b", "i", "B", 5, "p")
     with pytest.raises(ModelError):
         EventLog((a, b))
+    # The message names the first offending pair, not a later one.
+    c = Event("c", "i", "C", 20, "p")
+    d = Event("d", "i", "D", 15, "p")
+    with pytest.raises(ModelError) as exc:
+        EventLog((a, c, d, b))
+    assert str(exc.value) == "events out of canonical order: d after c"
 
 
 def test_eventlog_rejects_duplicate_ids():
     a = Event("a", "i", "A", 1, "p")
     with pytest.raises(DuplicateEvent):
         log_from_events([a, Event("a", "i", "B", 2, "p")])
+    # Each duplicated id is listed once, also one carried three times.
+    events = [
+        Event(event_id, "i", "A", ts, "p")
+        for ts, event_id in enumerate(["x", "y", "x", "z", "x", "y"])
+    ]
+    with pytest.raises(DuplicateEvent) as exc:
+        EventLog(tuple(events))
+    assert exc.value.event_ids == ("x", "y")
+    assert str(exc.value) == "duplicate event ids: x, y"
 
 
 def test_negative_timestamp_rejected():

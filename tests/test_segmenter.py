@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavemine.model import EventLog, extract_case, group_by_iid, iid_set, merge_all
+from enclavemine.model import extract_case, group_by_iid, iid_set, merge_all
 from enclavemine.segmenter import (
     InvalidSegSize,
     OversizedCase,

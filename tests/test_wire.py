@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from enclavemine.enclave import BuildManifest
 from enclavemine.experiment import build_session
-from enclavemine.model import EMPTY_LOG, Event, EventLog, merge
+from enclavemine.model import EMPTY_LOG, Event, EventLog, ModelError, merge
 from enclavemine.segmenter import size_of
 from enclavemine.wire import (
     EMPTY_LOG_SIZE,
@@ -62,6 +62,43 @@ def test_single_event_golden_bytes():
     assert encode_log(EventLog((ev,))) == expected
 
 
+def test_multibyte_event_golden_bytes():
+    # Lengths count UTF-8 bytes, not characters; extras are written sorted by key.
+    ev = Event(
+        event_id="\u00e91",
+        iid="\u30b1",
+        activity="PH",
+        timestamp=7,
+        provisioner_id="klinik-\u00f8",
+        extras=(("\u043a\u043b\u044e\u0447", "\U0001f642"), ("ward", "3A")),
+    )
+    expected = b"".join(
+        [
+            struct.pack(">HI", 1, 1),
+            struct.pack(">Q", 7),
+            struct.pack(">H", 3),
+            bytes.fromhex("c3a931"),
+            struct.pack(">H", 3),
+            bytes.fromhex("e382b1"),
+            struct.pack(">H", 2),
+            b"PH",
+            struct.pack(">H", 9),
+            b"klinik-" + bytes.fromhex("c3b8"),
+            struct.pack(">H", 2),
+            struct.pack(">H", 4),
+            b"ward",
+            struct.pack(">H", 2),
+            b"3A",
+            struct.pack(">H", 8),
+            bytes.fromhex("d0bad0bbd18ed187"),
+            struct.pack(">H", 4),
+            bytes.fromhex("f09f9982"),
+        ]
+    )
+    assert encode_log(EventLog((ev,))) == expected
+    assert decode_log(expected) == EventLog((ev,))
+
+
 def test_round_trip_fixture_partitions(three_partitions):
     for log in three_partitions.values():
         assert decode_log(encode_log(log)) == log
@@ -96,10 +133,30 @@ def test_truncation_everywhere():
             decode_log(blob[:cut])
 
 
+def test_truncation_inside_trailing_extras():
+    # The last field is an extras value, so a cut inside it leaves no later
+    # field whose read would fail; a cut inside "\u00f8" also splits a character.
+    ev = Event("e1", "c1", "A", 5, "p1", extras=(("k", "v\u00f8"),))
+    blob = encode_log(EventLog((ev,)))
+    for cut in range(len(blob)):
+        with pytest.raises(TruncatedPayload):
+            decode_log(blob[:cut])
+
+
 def test_trailing_garbage_rejected():
     blob = encode_log(EMPTY_LOG) + b"\x00"
     with pytest.raises(WireError):
         decode_log(blob)
+
+
+def test_malformed_utf8_field_is_a_wire_error():
+    blob = bytearray(encode_log(EventLog((Event("e1", "c1", "A", 5, "p1"),))))
+    # Header, timestamp, then u16-prefixed "e1" and "c1": "A" starts at 24.
+    assert blob[24:25] == b"A"
+    blob[24] = 0xFF
+    with pytest.raises(WireError) as caught:
+        decode_log(bytes(blob))
+    assert not isinstance(caught.value, TruncatedPayload)
 
 
 def test_size_additivity_under_merge():
@@ -174,6 +231,45 @@ def test_encoding_is_canonical(log):
 )
 def test_size_model_matches_encoding(log):
     assert size_of(log) == len(encode_log(log))
+
+
+@st.composite
+def _malformed_payloads(draw):
+    blob = bytearray(encode_log(draw(_logs())))
+    how = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if how == "flip":
+        blob[draw(st.integers(0, len(blob) - 1))] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)) :]
+    else:
+        blob += draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_payloads())
+def test_malformed_payload_raises_only_typed_errors(blob):
+    # A corrupted payload may still decode to some log; anything else it
+    # raises must be one of the model's or the wire's own errors.
+    try:
+        log = decode_log(blob)
+    except (WireError, ModelError):
+        return
+    assert isinstance(log, EventLog)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        Event("e1", "c1", "x" * 0x10000, 5, "p1"),
+        Event("e1", "c1", "A", 5, "p1", extras=tuple(("k%05d" % i, "") for i in range(0x10000))),
+        Event("e1", "c1", "A", 2**64, "p1"),
+    ],
+    ids=["string", "extras", "timestamp"],
+)
+def test_encode_rejects_fields_over_wire_limits(event):
+    with pytest.raises(WireError, match="wire limit"):
+        encode_log(EventLog((event,)))
 
 
 def test_oversized_string_field_fails_at_seal_time():
