@@ -123,11 +123,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     result = run_experiment(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = "pnml" if result.output_kind == "pnml" else "json"
-    out_name = "model.pnml" if suffix == "pnml" else "fitness.json"
-    (out_dir / out_name).write_bytes(result.output)
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     write_transcript(result.transcript, out_dir / "transcript.jsonl")
+    if result.aborted_reason is not None:
+        print("session aborted: %s: %s" % (result.aborted_reason, result.aborted_message))
+        return 1
+    out_name = "model.pnml" if result.output_kind == "pnml" else "fitness.json"
+    (out_dir / out_name).write_bytes(result.output)
     print(
         "session %s: %d messages, peak %d bytes, %d yields, output %s"
         % (

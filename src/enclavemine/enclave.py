@@ -205,6 +205,8 @@ class AttestationEvidence:
 
     @classmethod
     def from_dict(cls, data: Dict[str, str]) -> "AttestationEvidence":
+        if not isinstance(data["identity_proof"], str):
+            raise TypeError("identity_proof must be a string")
         return cls(
             measurement=bytes.fromhex(data["measurement"]),
             identity_proof=data["identity_proof"],
@@ -268,7 +270,7 @@ def verify_evidence(
         Ed25519PublicKey.from_public_bytes(root_public).verify(
             evidence.signature, evidence.signed_payload()
         )
-    except (InvalidSignature, ValueError):
+    except (InvalidSignature, ValueError, struct.error):  # struct: a field too long to sign
         return TrustDecision(False, REASON_SIGNATURE)
     if evidence.measurement != reference_measurement:
         return TrustDecision(False, REASON_MEASUREMENT)
@@ -363,7 +365,7 @@ def open_segment(envelope: bytes, session: SessionKeys, sender_public: bytes) ->
         raise AuthFailure("ciphertext too short")
     try:
         return AESGCM(k_sym).decrypt(ct[:12], ct[12:], None)
-    except InvalidTag as exc:
+    except (InvalidTag, ValueError) as exc:  # ValueError: a key of the wrong length
         raise AuthFailure("segment ciphertext failed authentication") from exc
 
 

@@ -123,6 +123,8 @@ class ExperimentResult:
     output_kind: str  # "pnml" or "fitness"
     transcript: List[DeliveryRecord]
     miner_phase: str
+    aborted_reason: Optional[str] = None  # an aborted miner's; see protocol
+    aborted_message: str = ""
 
 
 class HeuristicsSink:
@@ -286,14 +288,15 @@ def run_experiment(
     metrics.yield_count = miner.yield_count
     if metrics.samples:
         metrics.mean_bytes = sum(s.current_bytes for s in metrics.samples) / len(metrics.samples)
-    output = sink.finalize_bytes()
     return ExperimentResult(
         config=cfg,
         metrics=metrics,
-        output=output,
+        output=sink.finalize_bytes() if miner.phase == "done" else b"",
         output_kind="pnml" if cfg.algorithm == "heuristics" else "fitness",
         transcript=list(network.transcript),
         miner_phase=miner.phase,
+        aborted_reason=miner.aborted_reason,
+        aborted_message=miner.aborted_message,
     )
 
 

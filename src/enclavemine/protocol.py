@@ -8,7 +8,7 @@ inside sealed envelopes, base64-wrapped at the message layer):
 3. miner -> all provisioners   cases_req {seg_size, iids}   (after all refs)
 4. provisioner -> miner        evidence_req {nonce}
 5. miner -> provisioner        evidence_res {evidence}
-6. provisioner -> miner        cases_res {seq, total, envelope}  (stream)
+6. provisioner -> miner        cases_res {total, envelope}  (stream)
 
 The miner keeps three indexes: cid_map (iid -> provisioners still owing that
 case), pmap (provisioner -> iids still owed), and cstor (iid -> merged case
@@ -30,6 +30,19 @@ header; a zero-case stream is one header-only message with total 0.
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
 issued. Rejected evidence ends the session with nothing sent.
+
+Failure contract: both roles handle a message in :func:`_serve`, which
+decodes it, checks its session and sender, and calls the role's
+``_on_<kind>`` handler (a kind the role does not handle is an
+:class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
+(bad or out-of-order control input, a forged sender, an unowed case), an
+``EnclaveError`` (tampered envelope, capacity cap), a ``WireError`` or
+``ModelError`` (malformed segment, event id carried twice) or a
+``SegmenterError`` (bad ``seg_size``) ends the node in phase ``aborted``,
+with ``aborted_reason`` the fault's class name and ``aborted_message`` its
+text; ``handle`` returns no sends and the scheduler runs on. An aborted node
+drops every later message, and an aborted miner frees its stored cases.
+Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 """
 
 from __future__ import annotations
@@ -38,12 +51,13 @@ import base64
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
     AttestationEvidence,
     BuildManifest,
     EnclaveAccountant,
+    EnclaveError,
     OrgIdentity,
     SessionKeys,
     TrustDecision,
@@ -54,9 +68,9 @@ from .enclave import (
     seal_segment,
     verify_evidence,
 )
-from .model import EventLog, group_by_iid, iid_set, merge, merge_all
-from .segmenter import segment_event_log, size_of
-from .wire import EMPTY_LOG_SIZE, decode_log, encode_log
+from .model import EventLog, ModelError, group_by_iid, iid_set, merge, merge_all
+from .segmenter import SegmenterError, segment_event_log, size_of
+from .wire import EMPTY_LOG_SIZE, WireError, decode_log, encode_log
 
 # Ingest never extracts cases one by one; the name stays bound so that the
 # benchmark's traced run (perfbench/spans.py) can wrap protocol.extract_case
@@ -71,7 +85,6 @@ __all__ = [
     "UnexpectedIid",
     "UnexpectedMessage",
     "IncompleteDelivery",
-    "SessionAborted",
     "Msg",
     "MinerConfig",
     "SecureMiner",
@@ -114,10 +127,6 @@ class IncompleteDelivery(ProtocolError):
     """All declared segments arrived yet some case is still unmerged."""
 
 
-class SessionAborted(ProtocolError):
-    pass
-
-
 KIND_CASES_REF_REQ = "cases_ref_req"
 KIND_CASES_REF_RES = "cases_ref_res"
 KIND_CASES_REQ = "cases_req"
@@ -125,14 +134,14 @@ KIND_EVIDENCE_REQ = "evidence_req"
 KIND_EVIDENCE_RES = "evidence_res"
 KIND_CASES_RES = "cases_res"
 
-_KINDS = {
-    KIND_CASES_REF_REQ,
-    KIND_CASES_REF_RES,
-    KIND_CASES_REQ,
-    KIND_EVIDENCE_REQ,
-    KIND_EVIDENCE_RES,
-    KIND_CASES_RES,
-}
+# Bytes of the freshness nonce a provisioner issues for the miner's evidence.
+_NONCE_SIZE = 16
+
+_MINER_KINDS = frozenset({KIND_CASES_REF_RES, KIND_EVIDENCE_REQ, KIND_CASES_RES})
+_PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ, KIND_EVIDENCE_RES})
+
+# What input from a peer can make a handler raise; see "Failure contract".
+_FAULTS = (ProtocolError, EnclaveError, WireError, ModelError, SegmenterError)
 
 
 @dataclass(frozen=True)
@@ -150,20 +159,55 @@ class Msg:
     def decode(cls, payload: bytes) -> "Msg":
         try:
             doc = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise UnexpectedMessage("unparsable message: %s" % exc) from exc
-        kind = doc.get("kind")
-        if kind not in _KINDS:
-            raise UnexpectedMessage("unknown message kind %r" % kind)
-        return cls(kind=kind, sender=doc["sender"], session=doc["session"], body=doc.get("body", {}))
+        if not isinstance(doc, dict):
+            raise UnexpectedMessage("message is not a JSON object")
+        head = (doc.get("kind"), doc.get("sender"), doc.get("session"))
+        body = doc.get("body", {})
+        if not all(isinstance(f, str) for f in head) or not isinstance(body, dict):
+            raise UnexpectedMessage("message lacks a kind, sender, session or body")
+        return cls(*head, body)
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
+def _serve(
+    node, sender: str, payload: bytes, kinds: FrozenSet[str], release: Optional[Callable] = None
+) -> List[Tuple[str, bytes]]:
+    """Both roles' ``handle``: check, dispatch, abort (see "Failure contract")."""
+    if node.phase == "aborted":
+        return []
+    try:
+        msg = Msg.decode(payload)
+        if msg.session != node.config.session:
+            raise UnexpectedMessage(
+                "session %r does not match %r" % (msg.session, node.config.session)
+            )
+        if msg.sender != sender:
+            raise UnexpectedMessage("sender %r forged as %r" % (sender, msg.sender))
+        if msg.kind not in kinds:
+            raise UnexpectedMessage("%s cannot handle %r" % (node.node_id, msg.kind))
+        return getattr(node, "_on_" + msg.kind)(msg)
+    except _FAULTS as exc:
+        node.phase = "aborted"
+        node.aborted_reason = type(exc).__name__
+        node.aborted_message = str(exc)
+        if release is not None:
+            release()
+        return []
 
 
-def _unb64(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
+def _field(msg: Msg, key: str, kind: type):
+    value = msg.body.get(key)
+    if not isinstance(value, kind):
+        raise UnexpectedMessage("%s without %s" % (msg.kind, key))
+    return value
+
+
+def _iids(msg: Msg) -> List[str]:
+    iids = _field(msg, "iids", list)
+    if not all(isinstance(iid, str) for iid in iids):
+        raise UnexpectedMessage("%s iids must be strings" % msg.kind)
+    return iids
 
 
 @dataclass
@@ -205,26 +249,21 @@ class SecureMiner:
         self.seg_received: Dict[str, int] = {p: 0 for p in config.provisioner_ids}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
+        self.aborted_message = ""
 
     # -- helpers ---------------------------------------------------------
 
     def _msg(self, kind: str, body: Dict[str, object]) -> bytes:
         return Msg(kind, self.node_id, self.config.session, body).encode()
 
-    def _require_session(self, msg: Msg) -> None:
-        if msg.session != self.config.session:
-            raise UnexpectedMessage(
-                "session %r does not match %r" % (msg.session, self.config.session)
-            )
-
     def _require_known(self, sender: str) -> None:
         if sender not in self.config.provisioner_ids:
             raise UnknownProvisioner(sender)
 
-    def _abort(self, exc: ProtocolError) -> None:
-        self.phase = "aborted"
-        self.aborted_reason = type(exc).__name__
-        raise exc
+    def _free_cases(self) -> None:
+        self.accountant.account(-sum(self.csize.values()))
+        self.cstor.clear()
+        self.csize.clear()
 
     # -- lifecycle -------------------------------------------------------
 
@@ -236,19 +275,7 @@ class SecureMiner:
         return [(p, self._msg(KIND_CASES_REF_REQ, body)) for p in self.config.provisioner_ids]
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
-        if self.phase == "aborted":
-            raise SessionAborted(self.aborted_reason or "session aborted")
-        msg = Msg.decode(payload)
-        self._require_session(msg)
-        if msg.sender != sender:
-            raise UnexpectedMessage("sender %r forged as %r" % (sender, msg.sender))
-        if msg.kind == KIND_CASES_REF_RES:
-            return self._on_cases_ref_res(msg)
-        if msg.kind == KIND_EVIDENCE_REQ:
-            return self._on_evidence_req(msg)
-        if msg.kind == KIND_CASES_RES:
-            return self._on_cases_res(msg)
-        raise UnexpectedMessage("miner cannot handle %s" % msg.kind)
+        return _serve(self, sender, payload, _MINER_KINDS, self._free_cases)
 
     # -- handlers --------------------------------------------------------
 
@@ -259,9 +286,7 @@ class SecureMiner:
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
         if msg.sender in self.refs_received:
             raise DuplicateResponse(msg.sender)
-        iids = msg.body.get("iids")
-        if not isinstance(iids, list):
-            raise UnexpectedMessage("cases_ref_res missing iid list")
+        iids = _iids(msg)
         self.refs_received.add(msg.sender)
         self.pmap[msg.sender] = set(iids)
         for iid in iids:
@@ -280,14 +305,17 @@ class SecureMiner:
         self._require_known(msg.sender)
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("evidence_req in phase %s" % self.phase)
-        nonce = msg.body.get("nonce")
-        if not isinstance(nonce, str):
-            raise UnexpectedMessage("evidence_req missing nonce")
+        try:
+            nonce = bytes.fromhex(_field(msg, "nonce", str))
+        except ValueError as exc:
+            raise UnexpectedMessage("evidence_req nonce is not hex") from exc
+        if len(nonce) != _NONCE_SIZE:
+            raise UnexpectedMessage("evidence_req nonce is not %d bytes" % _NONCE_SIZE)
         evidence = build_evidence(
             measurement=self.measurement,
             identity_proof=self.config.org_proof,
             k_pub=self.session_keys.k_pub,
-            nonce=bytes.fromhex(nonce),
+            nonce=nonce,
         )
         self.evidence_served.add(msg.sender)
         return [(msg.sender, self._msg(KIND_EVIDENCE_RES, {"evidence": evidence.to_dict()}))]
@@ -298,28 +326,27 @@ class SecureMiner:
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
         if msg.sender not in self.evidence_served:
-            self._abort(UnexpectedMessage("cases_res from %s before attestation" % msg.sender))
-        total = msg.body.get("total")
-        if not isinstance(total, int) or total < 0:
-            raise UnexpectedMessage("cases_res without declared total")
+            raise UnexpectedMessage("cases_res from %s before attestation" % msg.sender)
+        total = _field(msg, "total", int)
+        if total < 0:
+            raise UnexpectedMessage("cases_res with negative total")
         prior = self.seg_total[msg.sender]
         if prior is None:
             self.seg_total[msg.sender] = total
         elif prior != total:
-            self._abort(UnexpectedMessage("inconsistent segment total from %s" % msg.sender))
+            raise UnexpectedMessage("inconsistent segment total from %s" % msg.sender)
         elif self.seg_received[msg.sender] >= prior:
-            self._abort(UnexpectedMessage("cases_res after completed stream from %s" % msg.sender))
+            raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
         if total > 0:
-            envelope_b64 = msg.body.get("envelope")
-            if not isinstance(envelope_b64, str):
-                raise UnexpectedMessage("cases_res missing envelope")
-            self._ingest_segment(msg.sender, _unb64(envelope_b64))
+            try:
+                envelope = base64.b64decode(_field(msg, "envelope", str), validate=True)
+            except ValueError as exc:
+                raise UnexpectedMessage("cases_res envelope is not base64") from exc
+            self._ingest_segment(msg.sender, envelope)
             self.seg_received[msg.sender] += 1
         elif self.pmap.get(msg.sender):
-            self._abort(
-                IncompleteDelivery("%s declared an empty stream while owing cases" % msg.sender)
-            )
-        if self._all_streams_done():
+            raise IncompleteDelivery("%s declared an empty stream while owing cases" % msg.sender)
+        if all(self.seg_received[p] == self.seg_total[p] for p in self.config.provisioner_ids):
             self._finish()
         return []
 
@@ -331,7 +358,7 @@ class SecureMiner:
             segment = decode_log(plain)
             for iid, incoming in sorted(group_by_iid(segment).items()):
                 if iid not in self.pmap.get(sender, ()):
-                    self._abort(UnexpectedIid("%s from %s" % (iid, sender)))
+                    raise UnexpectedIid("%s from %s" % (iid, sender))
                 old = self.cstor.get(iid)
                 if old is None:
                     merged, delta = incoming, size_of(incoming)
@@ -352,17 +379,11 @@ class SecureMiner:
         finally:
             self.accountant.account(-len(plain))
 
-    def _all_streams_done(self) -> bool:
-        return all(
-            self.seg_total[p] is not None and self.seg_received[p] == self.seg_total[p]
-            for p in self.config.provisioner_ids
-        )
-
     def _finish(self) -> None:
         self.phase_label = "computation"
         if self.cid_map:
             owing = sorted(self.cid_map)
-            self._abort(IncompleteDelivery("cases never completed: %s" % ", ".join(owing)))
+            raise IncompleteDelivery("cases never completed: %s" % ", ".join(owing))
         if not self.config.do_yield_cases:
             final = merge_all([self.cstor[iid] for iid in sorted(self.cstor)])
             final_size = sum(self.csize.values()) - EMPTY_LOG_SIZE * (len(self.csize) - 1)
@@ -370,9 +391,7 @@ class SecureMiner:
             self.yield_count += 1
             self.sink.on_log(final)
             self.accountant.account(-final_size)
-            self.accountant.account(-sum(self.csize.values()))
-            self.cstor.clear()
-            self.csize.clear()
+            self._free_cases()
         self.phase = "done"
 
 
@@ -385,7 +404,6 @@ class ProvisionerConfig:
     identity: OrgIdentity
     session: str
     root_public: Optional[bytes] = None
-    strict_oversize: bool = False
 
 
 class Provisioner:
@@ -402,31 +420,19 @@ class Provisioner:
         self.trust: Optional[TrustDecision] = None
         self.segments_sent = 0
         self.miner_id: Optional[str] = None
+        self.aborted_reason: Optional[str] = None
+        self.aborted_message = ""
 
     def _msg(self, kind: str, body: Dict[str, object]) -> bytes:
         return Msg(kind, self.node_id, self.config.session, body).encode()
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
-        msg = Msg.decode(payload)
-        if msg.session != self.config.session:
-            raise UnexpectedMessage(
-                "session %r does not match %r" % (msg.session, self.config.session)
-            )
-        if msg.sender != sender:
-            raise UnexpectedMessage("sender %r forged as %r" % (sender, msg.sender))
-        if msg.kind == KIND_CASES_REF_REQ:
-            return self._on_cases_ref_req(msg)
-        if msg.kind == KIND_CASES_REQ:
-            return self._on_cases_req(msg)
-        if msg.kind == KIND_EVIDENCE_RES:
-            return self._on_evidence_res(msg)
-        raise UnexpectedMessage("provisioner cannot handle %s" % msg.kind)
+        return _serve(self, sender, payload, _PROVISIONER_KINDS)
 
     def _on_cases_ref_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "idle":
             raise UnexpectedMessage("cases_ref_req in phase %s" % self.phase)
-        proof = msg.body.get("identity_proof")
-        if proof not in self.config.allowed_miners:
+        if _field(msg, "identity_proof", str) not in self.config.allowed_miners:
             self.phase = "refused"
             return []
         self.miner_id = msg.sender
@@ -437,22 +443,18 @@ class Provisioner:
     def _on_cases_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "refs_sent" or msg.sender != self.miner_id:
             raise UnexpectedMessage("cases_req in phase %s" % self.phase)
-        seg_size = msg.body.get("seg_size")
-        iids = msg.body.get("iids")
-        if not isinstance(seg_size, int) or not isinstance(iids, list):
-            raise UnexpectedMessage("cases_req missing seg_size or iids")
-        self.pending = (seg_size, tuple(iids))
-        self.nonce = os.urandom(16)
+        self.pending = (_field(msg, "seg_size", int), tuple(_iids(msg)))
+        self.nonce = os.urandom(_NONCE_SIZE)
         self.phase = "awaiting_evidence"
         return [(msg.sender, self._msg(KIND_EVIDENCE_REQ, {"nonce": self.nonce.hex()}))]
 
     def _on_evidence_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "awaiting_evidence" or msg.sender != self.miner_id:
             raise UnexpectedMessage("evidence_res in phase %s" % self.phase)
-        raw = msg.body.get("evidence")
-        if not isinstance(raw, dict):
-            raise UnexpectedMessage("evidence_res missing evidence")
-        evidence = AttestationEvidence.from_dict(raw)
+        try:
+            evidence = AttestationEvidence.from_dict(_field(msg, "evidence", dict))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UnexpectedMessage("malformed evidence: %r" % exc) from exc
         self.trust = verify_evidence(
             evidence,
             reference_measurement=self.config.reference_measurement,
@@ -465,19 +467,17 @@ class Provisioner:
             return []
         assert self.pending is not None
         seg_size, iids = self.pending
-        plan = segment_event_log(
-            self.config.partition, iids, seg_size, strict=self.config.strict_oversize
-        )
+        plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
         out: List[Tuple[str, bytes]] = []
         total = len(plan.segments)
         if total == 0:
-            out.append((msg.sender, self._msg(KIND_CASES_RES, {"seq": 0, "total": 0})))
-        for seq, segment in enumerate(plan.segments):
+            out.append((msg.sender, self._msg(KIND_CASES_RES, {"total": 0})))
+        for segment in plan.segments:
             envelope = seal_segment(
                 encode_log(segment), k_sym, self.trust.k_pub, self.config.identity
             )
-            body = {"seq": seq, "total": total, "envelope": _b64(envelope)}
+            body = {"total": total, "envelope": base64.b64encode(envelope).decode("ascii")}
             out.append((msg.sender, self._msg(KIND_CASES_RES, body)))
         self.segments_sent = total
         self.phase = "done"

@@ -15,8 +15,7 @@ is linear in the partition: one pass groups it by iid, and each segment is
 sorted once, when sealed.
 
 A single case bigger than the budget still ships, alone, in an over-budget
-segment (a warning is emitted and the iid reported in the plan); with
-``strict=True`` that case raises ``OversizedCase`` instead.
+segment (a warning is emitted and the iid reported in the plan).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .wire import encode_log  # noqa: F401
 __all__ = [
     "SegmenterError",
     "InvalidSegSize",
-    "OversizedCase",
     "SegmentPlan",
     "size_of",
     "segment_event_log",
@@ -47,10 +45,6 @@ class SegmenterError(Exception):
 
 
 class InvalidSegSize(SegmenterError):
-    pass
-
-
-class OversizedCase(SegmenterError):
     pass
 
 
@@ -71,13 +65,7 @@ class SegmentPlan:
     oversized_iids: Tuple[str, ...] = ()
 
 
-def segment_event_log(
-    partition: EventLog,
-    iids: Iterable[str],
-    seg_size: int,
-    *,
-    strict: bool = False,
-) -> SegmentPlan:
+def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -> SegmentPlan:
     """Plan case-complete segments for the requested iids.
 
     ``iids`` must all occur in the partition. Returned segments are nonempty,
@@ -109,10 +97,6 @@ def segment_event_log(
         case = cases[iid]
         case_size = size_of(case)
         if case_size > seg_size:
-            if strict:
-                raise OversizedCase(
-                    "case %s needs %d bytes, budget is %d" % (iid, case_size, seg_size)
-                )
             warnings.warn(
                 "case %s (%d bytes) exceeds seg_size %d; shipping alone over budget"
                 % (iid, case_size, seg_size),

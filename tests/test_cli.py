@@ -103,6 +103,21 @@ def test_run_accepts_config_file_with_overrides(tmp_path):
     assert model == _rerun_model(tmp_path, 6, 4, 3000)
 
 
+def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"incremental": False, "capacity": 2000}))
+    out_dir = tmp_path / "out"
+    rc = run_cli("run", "--config", cfg, "--out-dir", out_dir)
+    assert rc == 1
+    out = capsys.readouterr().out
+    assert out.startswith("session aborted: CapacityExceeded: ")
+    assert "capacity 2000" in out
+    # The trail that explains the abort is written; no mining output is.
+    assert (out_dir / "metrics.csv").exists()
+    assert (out_dir / "transcript.jsonl").exists()
+    assert not (out_dir / "model.pnml").exists()
+
+
 def _rerun_model(tmp_path, cases, seed, seg):
     out_dir = tmp_path / "check"
     run_cli(

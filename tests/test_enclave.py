@@ -1,5 +1,6 @@
 """Attestation, sealing, and byte accounting for the simulated enclave."""
 
+import dataclasses
 import hashlib
 import os
 import struct
@@ -104,6 +105,11 @@ class EvidenceTest(unittest.TestCase):
         decision = self.appraise(forged)
         self.assertFalse(decision.trusted)
         self.assertEqual(decision.reason, REASON_SIGNATURE)
+
+    def test_field_too_long_to_sign_fails_signature(self):
+        forged = dataclasses.replace(self.evidence, identity_proof="x" * 0x10000)
+        decision = self.appraise(forged)
+        self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
 
     def test_wrong_root_rejected(self):
         rogue = HardwareRoot(os.urandom(32))
@@ -222,6 +228,18 @@ class SealingTest(unittest.TestCase):
         )
         with self.assertRaises(AuthFailure):
             open_segment(forged, self.session, self.sender.public_bytes)
+
+    def test_signed_envelope_with_a_bad_key_length_rejected(self):
+        # The genuine sender wrapped a key AES-GCM cannot take: still an
+        # AuthFailure, never the cipher's own ValueError.
+        wrapped = wrap_key(b"k" * 5, self.session.k_pub)
+        ct = os.urandom(12 + 16 + 8)
+        proof = self.sender.sign(wrapped + ct)
+        envelope = struct.pack(">H", ENVELOPE_VERSION) + b"".join(
+            struct.pack(">I", len(f)) + f for f in (wrapped, proof, ct)
+        )
+        with self.assertRaises(AuthFailure):
+            open_segment(envelope, self.session, self.sender.public_bytes)
 
     def test_truncated_envelope_rejected(self):
         envelope = self.seal()

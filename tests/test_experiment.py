@@ -131,8 +131,12 @@ def test_incremental_peak_stays_below_batch():
 
 
 def test_capacity_cap_is_enforced():
-    with pytest.raises(CapacityExceeded):
-        run_experiment(SMALL.with_overrides(incremental=False, capacity=2000))
+    result = run_experiment(SMALL.with_overrides(incremental=False, capacity=2000))
+    assert result.miner_phase == "aborted"
+    assert result.aborted_reason == CapacityExceeded.__name__
+    assert "capacity 2000" in result.aborted_message
+    assert result.output == b""
+    assert result.metrics.samples[-1].current_bytes == 0
 
 
 def test_file_backed_run_matches_generated(tmp_path):

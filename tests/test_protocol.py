@@ -18,11 +18,9 @@ from enclavemine.protocol import (
     Msg,
     MinerConfig,
     NoProvisioners,
-    ProtocolError,
     Provisioner,
     ProvisionerConfig,
     SecureMiner,
-    SessionAborted,
     UnexpectedIid,
     UnexpectedMessage,
     UnknownProvisioner,
@@ -200,8 +198,9 @@ def test_unknown_provisioner_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
     payload = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": ["312"]}).encode()
-    with pytest.raises(UnknownProvisioner):
-        miner.handle("mallory", payload)
+    assert miner.handle("mallory", payload) == []
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == UnknownProvisioner.__name__
 
 
 def test_duplicate_refs_rejected(three_partitions):
@@ -209,24 +208,29 @@ def test_duplicate_refs_rejected(three_partitions):
     miner.bootstrap()
     payload = Msg(KIND_CASES_REF_RES, "hospital", "s1", {"iids": ["312", "711"]}).encode()
     miner.handle("hospital", payload)
-    with pytest.raises(DuplicateResponse):
-        miner.handle("hospital", payload)
+    assert miner.handle("hospital", payload) == []
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == DuplicateResponse.__name__
 
 
 def test_session_mismatch_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
     payload = Msg(KIND_CASES_REF_RES, "hospital", "other", {"iids": []}).encode()
-    with pytest.raises(UnexpectedMessage):
-        miner.handle("hospital", payload)
+    assert miner.handle("hospital", payload) == []
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == UnexpectedMessage.__name__
+    assert "session 'other'" in miner.aborted_message
 
 
 def test_forged_sender_field_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
     payload = Msg(KIND_CASES_REF_RES, "pharma", "s1", {"iids": []}).encode()
-    with pytest.raises(UnexpectedMessage):
-        miner.handle("hospital", payload)
+    assert miner.handle("hospital", payload) == []
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == UnexpectedMessage.__name__
+    assert "forged" in miner.aborted_message
 
 
 def test_cases_res_before_attestation_aborts(three_partitions):
@@ -237,24 +241,33 @@ def test_cases_res_before_attestation_aborts(three_partitions):
             org,
             Msg(KIND_CASES_REF_RES, org, "s1", {"iids": sorted(iid_set(part))}).encode(),
         )
-    early = Msg(KIND_CASES_RES, "hospital", "s1", {"seq": 0, "total": 1}).encode()
-    with pytest.raises(UnexpectedMessage):
-        miner.handle("hospital", early)
+    early = Msg(KIND_CASES_RES, "hospital", "s1", {"total": 1}).encode()
+    assert miner.handle("hospital", early) == []
     assert miner.phase == "aborted"
-    with pytest.raises(SessionAborted):
-        miner.handle("hospital", early)
+    assert miner.aborted_reason == UnexpectedMessage.__name__
+    assert "before attestation" in miner.aborted_message
+    # An aborted miner drops every later message and keeps its first reason.
+    late = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": []}).encode()
+    assert miner.handle("mallory", late) == []
+    assert miner.aborted_reason == UnexpectedMessage.__name__
+    assert "before attestation" in miner.aborted_message
 
 
 def test_duplicated_traffic_detected(three_partitions):
     # A link that duplicates every message must not corrupt the result; the
-    # first replayed control message trips a protocol guard.
-    net, miner, sink, _ = _session(
+    # first replayed control message trips a protocol guard at each node.
+    net, miner, sink, provisioners = _session(
         three_partitions, network_cls=LossyNetwork, seed=3
     )
     net.duplicate_prob = 1.0
     net.bootstrap()
-    with pytest.raises(ProtocolError):
-        net.run()
+    net.run()
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == DuplicateResponse.__name__
+    for p in provisioners.values():
+        assert p.phase == "aborted"
+        assert p.aborted_reason == UnexpectedMessage.__name__
+    assert sink.cases == [] and sink.logs == []
 
 
 class UnderAdvertisingProvisioner(Provisioner):
@@ -275,7 +288,6 @@ class UnderAdvertisingProvisioner(Provisioner):
             self.config.identity,
         )
         body = {
-            "seq": 0,
             "total": 1,
             "envelope": base64.b64encode(envelope).decode("ascii"),
         }
@@ -294,10 +306,9 @@ def test_unrequested_case_aborts_session(three_partitions):
         three_partitions, provisioners=provisioners
     )
     net.bootstrap()
-    with pytest.raises(UnexpectedIid):
-        net.run()
+    net.run()
     assert miner.phase == "aborted"
-    assert miner.aborted_reason == "UnexpectedIid"
+    assert miner.aborted_reason == UnexpectedIid.__name__
 
 
 class SilentStreamProvisioner(Provisioner):
@@ -305,7 +316,7 @@ class SilentStreamProvisioner(Provisioner):
 
     def _on_evidence_res(self, msg):
         super()._on_evidence_res(msg)
-        return [(msg.sender, self._msg(KIND_CASES_RES, {"seq": 0, "total": 0}))]
+        return [(msg.sender, self._msg(KIND_CASES_RES, {"total": 0}))]
 
 
 def test_empty_stream_while_owing_cases_aborts(three_partitions):
@@ -318,9 +329,9 @@ def test_empty_stream_while_owing_cases_aborts(three_partitions):
     }
     net, miner, _, _ = _session(three_partitions, provisioners=provisioners)
     net.bootstrap()
-    with pytest.raises(IncompleteDelivery):
-        net.run()
-    assert miner.aborted_reason == "IncompleteDelivery"
+    net.run()
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == IncompleteDelivery.__name__
 
 
 def test_provisioner_with_empty_partition(three_partitions):
@@ -392,8 +403,12 @@ def test_capacity_cap_trips_on_batch(three_partitions):
     cap = size_of(full) + size_of(three_partitions["hospital"]) + 80
     net, miner, _, _ = _session(three_partitions, do_yield=False, capacity=cap)
     net.bootstrap()
-    with pytest.raises(CapacityExceeded):
-        net.run()
+    net.run()
+    assert miner.phase == "aborted"
+    assert miner.aborted_reason == CapacityExceeded.__name__
+    # The abort frees every stored case.
+    assert miner.cstor == {} and miner.csize == {}
+    assert miner.accountant.current_bytes == 0
     # The same budget is comfortable when cases are yielded as they finish.
     net2, miner2, _, _ = _session(three_partitions, do_yield=True, capacity=cap)
     net2.bootstrap()

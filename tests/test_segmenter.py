@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from enclavemine.model import extract_case, group_by_iid, iid_set, merge_all
 from enclavemine.segmenter import (
     InvalidSegSize,
-    OversizedCase,
     SegmenterError,
     segment_event_log,
     size_of,
@@ -86,11 +85,6 @@ def test_oversized_case_warns_and_ships(hospital_log):
     assert sorted(plan.oversized_iids) == ["312", "711"]
     assert len(plan.segments) == 2
     assert sum("exceeds seg_size" in str(w.message) for w in caught) == 2
-
-
-def test_oversized_case_strict_raises(hospital_log):
-    with pytest.raises(OversizedCase):
-        segment_event_log(hospital_log, ["312"], EMPTY_LOG_SIZE + 1, strict=True)
 
 
 class SegmentPlanInvariants(unittest.TestCase):

@@ -285,8 +285,12 @@ def test_oversized_string_field_fails_at_seal_time():
         manifest=BuildManifest(component="miner", version="t", algorithm="heuristics"),
     )
     net.bootstrap()
-    with pytest.raises(WireError, match="65535") as caught:
-        net.run()
-    assert any(entry.name == "_on_evidence_res" for entry in caught.traceback)
-    assert provisioners[0].segments_sent == 0
+    net.run()
+    prov = provisioners[0]
+    assert prov.phase == "aborted"
+    assert prov.aborted_reason == WireError.__name__
+    assert "65535" in prov.aborted_message
+    # It fails after appraising the evidence, i.e. while encoding to seal.
+    assert prov.trust is not None and prov.trust.trusted
+    assert prov.segments_sent == 0
     assert miner.accountant.peak_bytes == 0
