@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .experiment import (
     ExperimentConfig,
+    _load_inputs,
     run_experiment,
     scale_run,
     standalone_mining,
@@ -31,7 +32,8 @@ from .experiment import (
     write_metrics_csv,
     write_transcript,
 )
-from .logio import load_log, save_csv, split_log, ProvisionerRef, save_provisioner_refs
+from .logio import load_log, save_csv, split_log
+from .model import merge_all
 from .scenario import generate_scenario_log, org_map_for
 from .stats import fit_stats
 
@@ -106,15 +108,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
     parts = split_log(log, org_map)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    refs = []
     for org, partition in sorted(parts.items()):
         save_csv(partition, out_dir / ("%s.csv" % org))
-        refs.append(
-            ProvisionerRef(org_id=org, endpoint=str(out_dir / ("%s.csv" % org)))
-        )
         print("%s: %d events, %d cases" % (org, len(partition), len(set(e.iid for e in partition))))
-    save_provisioner_refs(refs, out_dir / "provisioners.json")
-    print("wrote %s" % (out_dir / "provisioners.json"))
     return 0
 
 
@@ -204,20 +200,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_verify_convergence(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    # The reference is the merge of the partitions the protocol mines: the
+    # split relabels events with their org, which can reorder timestamp ties.
+    log = merge_all(_load_inputs(cfg).values())
     failures = 0
     for algorithm in ("heuristics", "declare"):
-        algo_cfg = cfg.with_overrides(algorithm=algorithm)
-        if algo_cfg.log_path is not None:
-            log = load_log(algo_cfg.log_path, iid_column=algo_cfg.iid_column)
-        else:
-            log = generate_scenario_log(
-                algo_cfg.n_cases,
-                algo_cfg.seed,
-                loop_iterations=algo_cfg.loop_iterations,
-                org_map=org_map_for(algo_cfg.n_orgs),
-            )
         direct = standalone_mining(log, algorithm)
-        via_protocol = run_experiment(algo_cfg).output
+        via_protocol = run_experiment(cfg.with_overrides(algorithm=algorithm)).output
         ok = direct == via_protocol
         failures += 0 if ok else 1
         print("%s: %s (%d bytes)" % (algorithm, "MATCH" if ok else "MISMATCH", len(direct)))

@@ -15,12 +15,10 @@ The XES reader covers the subset needed for public logs: trace-level
 from __future__ import annotations
 
 import csv
-import json
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from .model import Event, EventLog, log_from_events
 
@@ -35,9 +33,6 @@ __all__ = [
     "load_xes",
     "load_log",
     "split_log",
-    "ProvisionerRef",
-    "load_provisioner_refs",
-    "save_provisioner_refs",
 ]
 
 
@@ -215,44 +210,3 @@ def split_log(log: EventLog, org_map: Mapping[str, str]) -> Dict[str, EventLog]:
         )
         buckets.setdefault(org, []).append(moved)
     return {org: log_from_events(evs) for org, evs in sorted(buckets.items())}
-
-
-@dataclass(frozen=True)
-class ProvisionerRef:
-    """Pointer to one provisioner: who it is, where, and how it names cases."""
-
-    org_id: str
-    endpoint: str
-    iid_attribute_label: str = "case"
-
-
-def load_provisioner_refs(path) -> List[ProvisionerRef]:
-    with Path(path).open() as fh:
-        data = json.load(fh)
-    refs = []
-    for entry in data:
-        for key in ("org_id", "endpoint"):
-            if key not in entry:
-                raise MissingAttribute("provisioner reference missing %r" % key)
-        refs.append(
-            ProvisionerRef(
-                org_id=entry["org_id"],
-                endpoint=entry["endpoint"],
-                iid_attribute_label=entry.get("iid_attribute_label", "case"),
-            )
-        )
-    return refs
-
-
-def save_provisioner_refs(refs: Iterable[ProvisionerRef], path) -> None:
-    doc = [
-        {
-            "org_id": r.org_id,
-            "endpoint": r.endpoint,
-            "iid_attribute_label": r.iid_attribute_label,
-        }
-        for r in refs
-    ]
-    with Path(path).open("w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

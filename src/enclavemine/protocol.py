@@ -8,14 +8,14 @@ inside sealed envelopes, base64-wrapped at the message layer):
 3. miner -> all provisioners   cases_req {seg_size, iids}   (after all refs)
 4. provisioner -> miner        evidence_req {nonce}
 5. miner -> provisioner        evidence_res {evidence}
-6. provisioner -> miner        cases_res {total, envelope}  (stream)
+6. provisioner -> miner        cases_res {envelope, last}   (stream)
 
-The miner keeps three indexes: cid_map (iid -> provisioners still owing that
-case), pmap (provisioner -> iids still owed), and cstor (iid -> merged case
-so far), with csize holding each stored case's encoded size. A case is
-complete when its cid_map entry empties; in incremental mode it is yielded
-to the sink immediately and freed, in batch mode all cases are merged into
-one log at the end.
+The miner keeps two indexes: pmap (provisioner -> iids it still owes; its
+keys are the provisioners whose refs arrived and whose stream has not ended)
+and cstor (iid -> merged case so far), with csize holding each stored case's
+encoded size. A case is complete when no pmap entry still holds its iid; in
+incremental mode it is yielded to the sink immediately and freed, in batch
+mode all cases are merged into one log at the end.
 
 The enclave accountant counts wire-encoding bytes without re-encoding
 anything. Each segment is split by iid in one pass; a fragment costs its
@@ -24,8 +24,12 @@ case is already stored, because merging logs with disjoint events gives
 ``size(a) + size(b) - EMPTY_LOG_SIZE``. Freeing a case frees its csize entry,
 and the batch log of n cases costs ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
 
-Segment streams are terminated by a declared total in every cases_res
-header; a zero-case stream is one header-only message with total 0.
+A provisioner sends one cases_res per segment and marks its final one with
+``"last": true``; a provisioner that owes nothing sends the single body
+``{"last": true}``. On ``last`` the miner checks that the sender owes
+nothing (else :class:`IncompleteDelivery`) and removes its pmap entry, so a
+later cases_res from it is an :class:`UnexpectedMessage`. The session
+finishes when every stream has ended.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -124,7 +128,7 @@ class UnexpectedMessage(ProtocolError):
 
 
 class IncompleteDelivery(ProtocolError):
-    """All declared segments arrived yet some case is still unmerged."""
+    """A provisioner ended its stream while still owing cases."""
 
 
 KIND_CASES_REF_REQ = "cases_ref_req"
@@ -239,14 +243,10 @@ class SecureMiner:
         self.accountant = EnclaveAccountant(capacity=config.capacity)
         self.phase = "init"
         self.phase_label = "initialization"
-        self.cid_map: Dict[str, Set[str]] = {}
         self.pmap: Dict[str, Set[str]] = {}
         self.cstor: Dict[str, EventLog] = {}
         self.csize: Dict[str, int] = {}
-        self.refs_received: Set[str] = set()
         self.evidence_served: Set[str] = set()
-        self.seg_total: Dict[str, Optional[int]] = {p: None for p in config.provisioner_ids}
-        self.seg_received: Dict[str, int] = {p: 0 for p in config.provisioner_ids}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
@@ -284,19 +284,15 @@ class SecureMiner:
         self._require_known(msg.sender)
         if self.phase != "awaiting_refs":
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
-        if msg.sender in self.refs_received:
+        if msg.sender in self.pmap:
             raise DuplicateResponse(msg.sender)
-        iids = _iids(msg)
-        self.refs_received.add(msg.sender)
-        self.pmap[msg.sender] = set(iids)
-        for iid in iids:
-            self.cid_map.setdefault(iid, set()).add(msg.sender)
-        if self.refs_received != set(self.config.provisioner_ids):
+        self.pmap[msg.sender] = set(_iids(msg))
+        if set(self.pmap) != set(self.config.provisioner_ids):
             return []
         self.phase = "awaiting_cases"
         out = []
         for p in self.config.provisioner_ids:
-            body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap.get(p, ()))}
+            body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap[p])}
             out.append((p, self._msg(KIND_CASES_REQ, body)))
         return out
 
@@ -327,37 +323,38 @@ class SecureMiner:
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
         if msg.sender not in self.evidence_served:
             raise UnexpectedMessage("cases_res from %s before attestation" % msg.sender)
-        total = _field(msg, "total", int)
-        if total < 0:
-            raise UnexpectedMessage("cases_res with negative total")
-        prior = self.seg_total[msg.sender]
-        if prior is None:
-            self.seg_total[msg.sender] = total
-        elif prior != total:
-            raise UnexpectedMessage("inconsistent segment total from %s" % msg.sender)
-        elif self.seg_received[msg.sender] >= prior:
+        if msg.sender not in self.pmap:
             raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
-        if total > 0:
+        last = msg.body.get("last", False)
+        if not isinstance(last, bool):
+            raise UnexpectedMessage("cases_res last must be a boolean")
+        if "envelope" in msg.body:
             try:
                 envelope = base64.b64decode(_field(msg, "envelope", str), validate=True)
             except ValueError as exc:
                 raise UnexpectedMessage("cases_res envelope is not base64") from exc
             self._ingest_segment(msg.sender, envelope)
-            self.seg_received[msg.sender] += 1
-        elif self.pmap.get(msg.sender):
-            raise IncompleteDelivery("%s declared an empty stream while owing cases" % msg.sender)
-        if all(self.seg_received[p] == self.seg_total[p] for p in self.config.provisioner_ids):
-            self._finish()
+        elif not last:
+            raise UnexpectedMessage("cases_res with neither an envelope nor last")
+        if last:
+            owed = self.pmap.pop(msg.sender)
+            if owed:
+                raise IncompleteDelivery(
+                    "%s ended its stream owing %s" % (msg.sender, ", ".join(sorted(owed)))
+                )
+            if not self.pmap:
+                self._finish()
         return []
 
     def _ingest_segment(self, sender: str, envelope: bytes) -> None:
         sender_key = self.config.provisioner_keys[sender]
         plain = open_segment(envelope, self.session_keys, sender_key)
         self.accountant.account(len(plain))
+        owed = self.pmap[sender]
         try:
             segment = decode_log(plain)
             for iid, incoming in sorted(group_by_iid(segment).items()):
-                if iid not in self.pmap.get(sender, ()):
+                if iid not in owed:
                     raise UnexpectedIid("%s from %s" % (iid, sender))
                 old = self.cstor.get(iid)
                 if old is None:
@@ -367,23 +364,20 @@ class SecureMiner:
                 self.accountant.account(delta)
                 self.cstor[iid] = merged
                 self.csize[iid] = self.csize.get(iid, 0) + delta
-                self.pmap[sender].discard(iid)
-                self.cid_map[iid].discard(sender)
-                if not self.cid_map[iid]:
-                    del self.cid_map[iid]
-                    if self.config.do_yield_cases:
-                        case = self.cstor.pop(iid)
-                        self.accountant.account(-self.csize.pop(iid))
-                        self.yield_count += 1
-                        self.sink.on_case(case)
+                owed.discard(iid)
+                # The case is complete once no provisioner still owes it.
+                if self.config.do_yield_cases and not any(
+                    iid in other for other in self.pmap.values()
+                ):
+                    case = self.cstor.pop(iid)
+                    self.accountant.account(-self.csize.pop(iid))
+                    self.yield_count += 1
+                    self.sink.on_case(case)
         finally:
             self.accountant.account(-len(plain))
 
     def _finish(self) -> None:
         self.phase_label = "computation"
-        if self.cid_map:
-            owing = sorted(self.cid_map)
-            raise IncompleteDelivery("cases never completed: %s" % ", ".join(owing))
         if not self.config.do_yield_cases:
             final = merge_all([self.cstor[iid] for iid in sorted(self.cstor)])
             final_size = sum(self.csize.values()) - EMPTY_LOG_SIZE * (len(self.csize) - 1)
@@ -469,16 +463,14 @@ class Provisioner:
         seg_size, iids = self.pending
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
-        out: List[Tuple[str, bytes]] = []
-        total = len(plan.segments)
-        if total == 0:
-            out.append((msg.sender, self._msg(KIND_CASES_RES, {"total": 0})))
+        bodies: List[Dict[str, object]] = []
         for segment in plan.segments:
             envelope = seal_segment(
                 encode_log(segment), k_sym, self.trust.k_pub, self.config.identity
             )
-            body = {"total": total, "envelope": base64.b64encode(envelope).decode("ascii")}
-            out.append((msg.sender, self._msg(KIND_CASES_RES, body)))
-        self.segments_sent = total
+            bodies.append({"envelope": base64.b64encode(envelope).decode("ascii")})
+        bodies = bodies or [{}]
+        bodies[-1]["last"] = True
+        self.segments_sent = len(plan.segments)
         self.phase = "done"
-        return out
+        return [(msg.sender, self._msg(KIND_CASES_RES, body)) for body in bodies]

@@ -24,8 +24,9 @@ every malformed payload raises a :class:`WireError` subclass
 :class:`UnsupportedVersion` for another version, :class:`WireError` itself
 for trailing bytes or a string that is not UTF-8), or the
 :class:`~enclavemine.model.ModelError` of a well-formed payload whose events
-do not form a log (duplicate ids). Encoding a field over its wire limit
-raises :class:`WireError`.
+do not form a log (events out of canonical order, duplicate ids); decoding
+never reorders events. Encoding a field over its wire limit raises
+:class:`WireError`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from .model import Event, EventLog, log_from_events
+from .model import Event, EventLog
 
 __all__ = [
     "WIRE_VERSION",
@@ -118,8 +119,10 @@ def decode_log(data: bytes) -> EventLog:
     """Inverse of :func:`encode_log`; validates version and exact length.
 
     Raises :class:`TruncatedPayload` when a field runs past the end,
-    :class:`UnsupportedVersion` for another version, and :class:`WireError`
-    for trailing bytes or a string field that is not UTF-8.
+    :class:`UnsupportedVersion` for another version, :class:`WireError`
+    for trailing bytes or a string field that is not UTF-8, and
+    :class:`~enclavemine.model.ModelError` when the events are out of
+    canonical order or share an id.
     """
     unpack_stamp_len, unpack_len = _STAMP_LEN.unpack_from, _LEN.unpack_from
     stamp_len_size = _STAMP_LEN.size
@@ -181,4 +184,4 @@ def decode_log(data: bytes) -> EventLog:
         raise TruncatedPayload("last string field runs past the end of %d bytes" % size)
     if pos != size:
         raise WireError("trailing bytes after log payload")
-    return log_from_events(events)
+    return EventLog(tuple(events))

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from enclavemine.cli import main
-from enclavemine.logio import load_csv, load_provisioner_refs
+from enclavemine.logio import load_csv
 from enclavemine.model import iid_set
 
 
@@ -36,7 +36,7 @@ def test_generate_prints_summary(tmp_path, capsys):
     assert str(out) in text
 
 
-def test_split_writes_partitions_and_refs(tmp_path, generated_log):
+def test_split_writes_partitions(tmp_path, generated_log):
     org_map = tmp_path / "orgs.json"
     from enclavemine.scenario import default_org_map
 
@@ -46,9 +46,8 @@ def test_split_writes_partitions_and_refs(tmp_path, generated_log):
         "split", "--log", generated_log, "--org-map", org_map, "--out-dir", out_dir
     )
     assert rc == 0
-    refs = load_provisioner_refs(out_dir / "provisioners.json")
-    orgs = {r.org_id for r in refs}
-    assert orgs <= {"hospital", "pharma", "clinic"}
+    orgs = {path.stem for path in out_dir.glob("*.csv")}
+    assert orgs and orgs <= {"hospital", "pharma", "clinic"}
     total = 0
     for org in orgs:
         part = load_csv(out_dir / ("%s.csv" % org))
@@ -189,6 +188,25 @@ def test_verify_convergence_both_algorithms(capsys):
     out = capsys.readouterr().out
     assert out.count("MATCH") == 2
     assert "MISMATCH" not in out
+
+
+def test_verify_convergence_mines_the_split_partitions(tmp_path, capsys):
+    # No org column; splitting moves C to org "alpha", which sorts it before
+    # B at the same timestamp. The reference must see that order too.
+    log = tmp_path / "ties.csv"
+    rows = ["case,activity,timestamp"] + [
+        "%s,%s,%d" % (case, activity, stamp)
+        for case in ("c1", "c2", "c3")
+        for activity, stamp in (("A", 1000), ("B", 2000), ("C", 2000), ("D", 3000))
+    ]
+    log.write_text("\n".join(rows) + "\n")
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps({"A": "zeta", "B": "zeta", "C": "alpha", "D": "zeta"}))
+    rc = run_cli("verify-convergence", "--log", log, "--org-map", org_map)
+    out = capsys.readouterr().out
+    assert out.count("MATCH") == 2
+    assert "MISMATCH" not in out
+    assert rc == 0
 
 
 def test_unknown_command_exits_nonzero():

@@ -129,6 +129,10 @@ def _flip_last_envelope_byte(doc):
     return doc
 
 
+def _drop_unless_last(doc):
+    return doc if doc["body"].get("last") else []
+
+
 def _drop_signature(doc):
     del doc["body"]["evidence"]["signature"]
     return doc
@@ -171,6 +175,17 @@ FAULTS = [
      "miner", "UnexpectedIid"),
     ("cases_res after a completed stream",
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda doc: [doc, doc])]),
+     "miner", "UnexpectedMessage"),
+    # seg_size 300 cuts hospital's partition into two segments; the first,
+    # without the end mark, is lost on the link.
+    ("dropped segment",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _drop_unless_last)]),
+     "miner", "IncompleteDelivery"),
+    ("end mark that is not a boolean",
+     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(last="true"))]),
+     "miner", "UnexpectedMessage"),
+    ("cases_res with neither an envelope nor an end mark",
+     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda doc: {**doc, "body": {"last": False}})]),
      "miner", "UnexpectedMessage"),
     ("forged sender",
      dict(edits=[(KIND_CASES_REF_RES, "pharma", "miner", lambda doc: {**doc, "sender": "hospital"})]),
@@ -217,6 +232,7 @@ FAULTS = [
 ]
 
 
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
 @pytest.mark.parametrize(
     "kwargs,faulty,reason", [pytest.param(*row[1:], id=row[0]) for row in FAULTS]
 )

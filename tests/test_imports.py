@@ -1,21 +1,35 @@
-"""Every top-level import in the library is used by the module that makes it.
+"""No dead code in the library: unused imports and unread public definitions.
 
-No linter ships with the project, so this walks each module's AST: a name
-bound by a module-level ``import`` must be read somewhere in that module.
-Exempt are ``__future__`` imports, re-exports that a package ``__init__``
-lists in ``__all__``, and the bindings in ``KEPT_FOR_TRACING``.
+No linter ships with the project, so these checks walk each module's AST.
+
+* A name bound by a module-level ``import`` must be read somewhere in that
+  module. Exempt are ``__future__`` imports, re-exports that a package
+  ``__init__`` lists in ``__all__``, and the bindings in ``KEPT_FOR_TRACING``.
+* A public top-level function or class must be read somewhere in the library
+  or the benchmark, outside its own definition, unless ``UNREAD_ON_PURPOSE``
+  says why it stays. Tests do not count as readers: code that only its own
+  tests use gets deleted. An import or an ``__all__`` entry is not a read.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "enclavemine"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "enclavemine"
 
 # Unused by the library on purpose: the benchmark's traced run
 # (perfbench/spans.py) wraps these module attributes and counts their calls.
 KEPT_FOR_TRACING = {("protocol.py", "extract_case"), ("segmenter.py", "encode_log")}
+
+# Public definitions nothing in the library or the benchmark reads, and why
+# each one stays.
+UNREAD_ON_PURPOSE = {
+    ("model.py", "extract_case"): "perfbench wraps protocol.extract_case by name",
+    ("experiment.py", "read_transcript"): "the replay half of write_transcript",
+}
 
 
 def _bindings(tree):
@@ -72,3 +86,55 @@ def test_the_check_finds_unused_imports():
     assert unused_imports(source) == ["Event", "EventLog", "Tuple", "osp"]
     assert unused_imports(source, package_init=True) == ["EventLog", "Tuple", "osp"]
     assert unused_imports(source, kept={"osp"}) == ["Event", "EventLog", "Tuple"]
+
+
+def _reads(tree):
+    """How often each name is read in ``tree``, as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_definitions(modules, readers):
+    """``(module, name)`` of each public top-level function or class in
+    ``modules`` (name -> source) that no source in ``readers`` reads outside
+    the definition itself."""
+    read = sum((_reads(ast.parse(source)) for source in readers), Counter())
+    found = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and read[node.name] <= _reads(node)[node.name]
+            ):
+                found.append((module, node.name))
+    return sorted(found)
+
+
+def test_every_public_definition_is_read():
+    modules = {str(path.relative_to(SRC)): path.read_text() for path in MODULES}
+    benchmark = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    found = unread_definitions(modules, [*modules.values(), *benchmark])
+    assert found == sorted(UNREAD_ON_PURPOSE)
+
+
+def test_the_check_finds_unread_definitions():
+    lib = (
+        "from .other import helper\n"
+        "__all__ = ['used', 'unused', 'recursive']\n"
+        "def used(): return helper()\n"
+        "def unused(): return 1\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "def _private(): return 2\n"
+        "class Node:\n"
+        "    def copy(self): return Node()\n"
+    )
+    caller = "import lib\nlib.used()\n"
+    assert unread_definitions({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "Node"),
+        ("lib.py", "recursive"),
+        ("lib.py", "unused"),
+    ]

@@ -7,15 +7,12 @@ import pytest
 from enclavemine.logio import (
     MissingAttribute,
     MissingOrg,
-    ProvisionerRef,
     UnparsableTimestamp,
     load_csv,
     load_log,
-    load_provisioner_refs,
     load_xes,
     parse_timestamp,
     save_csv,
-    save_provisioner_refs,
     split_log,
 )
 from enclavemine.model import Event, EventLog, iid_set, merge_all
@@ -171,20 +168,3 @@ def test_split_log_rejects_unmapped_activity():
     )
     with pytest.raises(MissingOrg, match="MYSTERY"):
         split_log(log, {"OTHER": "org1"})
-
-
-def test_provisioner_refs_round_trip(tmp_path):
-    refs = [
-        ProvisionerRef("hospital", "127.0.0.1:9001"),
-        ProvisionerRef("pharma", "127.0.0.1:9002", iid_attribute_label="HospitalCaseID"),
-    ]
-    path = tmp_path / "refs.json"
-    save_provisioner_refs(refs, path)
-    assert load_provisioner_refs(path) == refs
-
-
-def test_provisioner_refs_validation(tmp_path):
-    path = tmp_path / "refs.json"
-    path.write_text('[{"org_id": "hospital"}]')
-    with pytest.raises(MissingAttribute):
-        load_provisioner_refs(path)

@@ -120,10 +120,6 @@ def test_case_index_after_refs(three_partitions):
     # Deliver exactly the three ref round-trips.
     for _ in range(6):
         net.deliver_next()
-    assert miner.cid_map == {
-        "312": {"clinic", "hospital", "pharma"},
-        "711": {"hospital", "pharma"},
-    }
     assert miner.pmap == {
         "hospital": {"312", "711"},
         "pharma": {"312", "711"},
@@ -164,6 +160,27 @@ def test_incremental_and_batch_agree(three_partitions):
     assert merge_all(inc_sink.cases) == bat_sink.logs[0]
 
 
+class RecordingNetwork(InProcessNetwork):
+    """Keeps every message sent, decoded, in send order."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.sent = []
+
+    def send(self, sender, receiver, payload):
+        super().send(sender, receiver, payload)
+        self.sent.append(Msg.decode(payload))
+
+
+def _streams(net):
+    """Each sender's cases_res bodies, in send order."""
+    streams = {}
+    for msg in net.sent:
+        if msg.kind == KIND_CASES_RES:
+            streams.setdefault(msg.sender, []).append(msg.body)
+    return streams
+
+
 def _run_to_done(partitions, **kw):
     net, miner, sink, provisioners = _session(partitions, **kw)
     net.bootstrap()
@@ -179,6 +196,22 @@ def test_small_seg_size_streams_many_segments(three_partitions):
     assert miner.phase == "done"
     assert sum(p.segments_sent for p in provisioners.values()) >= 4
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
+
+
+def test_each_stream_ends_on_its_last_segment(three_partitions):
+    single = size_of(extract_case(three_partitions["hospital"], "312"))
+    net, miner, _, provisioners = _run_to_done(
+        three_partitions, seg_size=max(single, 120), network_cls=RecordingNetwork
+    )
+    assert miner.phase == "done"
+    streams = _streams(net)
+    assert sorted(streams) == sorted(provisioners)
+    assert max(len(bodies) for bodies in streams.values()) > 1
+    for org, bodies in streams.items():
+        assert len(bodies) == provisioners[org].segments_sent
+        assert all(set(body) == {"envelope"} for body in bodies[:-1])
+        assert set(bodies[-1]) == {"envelope", "last"} and bodies[-1]["last"] is True
+    assert not any("last" in msg.body for msg in net.sent if msg.kind != KIND_CASES_RES)
 
 
 def test_accounting_returns_to_zero(three_partitions):
@@ -241,7 +274,7 @@ def test_cases_res_before_attestation_aborts(three_partitions):
             org,
             Msg(KIND_CASES_REF_RES, org, "s1", {"iids": sorted(iid_set(part))}).encode(),
         )
-    early = Msg(KIND_CASES_RES, "hospital", "s1", {"total": 1}).encode()
+    early = Msg(KIND_CASES_RES, "hospital", "s1", {"last": True}).encode()
     assert miner.handle("hospital", early) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnexpectedMessage.__name__
@@ -288,8 +321,8 @@ class UnderAdvertisingProvisioner(Provisioner):
             self.config.identity,
         )
         body = {
-            "total": 1,
             "envelope": base64.b64encode(envelope).decode("ascii"),
+            "last": True,
         }
         return [(msg.sender, self._msg(KIND_CASES_RES, body))]
 
@@ -312,11 +345,11 @@ def test_unrequested_case_aborts_session(three_partitions):
 
 
 class SilentStreamProvisioner(Provisioner):
-    """Advertises cases but then declares an empty stream."""
+    """Advertises cases but then ends its stream without sending any."""
 
     def _on_evidence_res(self, msg):
         super()._on_evidence_res(msg)
-        return [(msg.sender, self._msg(KIND_CASES_RES, {"total": 0}))]
+        return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}))]
 
 
 def test_empty_stream_while_owing_cases_aborts(three_partitions):
@@ -337,9 +370,13 @@ def test_empty_stream_while_owing_cases_aborts(three_partitions):
 def test_provisioner_with_empty_partition(three_partitions):
     partitions = dict(three_partitions)
     partitions["archive"] = EMPTY_LOG
-    net, miner, sink, provisioners = _run_to_done(partitions, do_yield=True)
+    net, miner, sink, provisioners = _run_to_done(
+        partitions, do_yield=True, network_cls=RecordingNetwork
+    )
     assert miner.phase == "done"
+    assert provisioners["archive"].phase == "done"
     assert provisioners["archive"].segments_sent == 0
+    assert _streams(net)["archive"] == [{"last": True}]
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 

@@ -159,6 +159,23 @@ def test_malformed_utf8_field_is_a_wire_error():
     assert not isinstance(caught.value, TruncatedPayload)
 
 
+def _event_bytes(timestamp, *fields):
+    out = [struct.pack(">Q", timestamp)]
+    for value in fields:
+        out += [struct.pack(">H", len(value)), value]
+    return b"".join(out + [struct.pack(">H", 0)])
+
+
+def test_out_of_order_events_are_rejected():
+    # Hand-assembled: two events of one case, the later one written first.
+    first = _event_bytes(1000, b"e1", b"c1", b"A", b"p1")
+    second = _event_bytes(2000, b"e2", b"c1", b"B", b"p1")
+    in_order = struct.pack(">HI", 1, 2) + first + second
+    assert encode_log(decode_log(in_order)) == in_order
+    with pytest.raises(ModelError, match="out of canonical order"):
+        decode_log(struct.pack(">HI", 1, 2) + second + first)
+
+
 def test_size_additivity_under_merge():
     rng = random.Random(13)
     a = make_random_log(rng, 4, ["p1"], id_prefix="a")
