@@ -124,7 +124,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if result.aborted_reason is not None:
         print("session aborted: %s: %s" % (result.aborted_reason, result.aborted_message))
         return 1
-    out_name = "model.pnml" if result.output_kind == "pnml" else "fitness.json"
+    out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
     (out_dir / out_name).write_bytes(result.output)
     print(
         "session %s: %d messages, peak %d bytes, %d yields, output %s"

@@ -260,10 +260,14 @@ def verify_evidence(
     evidence: AttestationEvidence,
     reference_measurement: bytes,
     allowed_orgs: Iterable[str],
-    expected_nonce: Optional[bytes] = None,
+    expected_nonce: Optional[bytes],
     root_public: Optional[bytes] = None,
 ) -> TrustDecision:
-    """Appraise evidence; trusted only when every check passes."""
+    """Appraise evidence; trusted only when every check passes.
+
+    The nonce check always runs: evidence never matches ``expected_nonce``
+    ``None``, the value of a verifier that issued no nonce.
+    """
     if root_public is None:
         root_public = DEFAULT_ROOT.public_bytes
     try:
@@ -276,7 +280,7 @@ def verify_evidence(
         return TrustDecision(False, REASON_MEASUREMENT)
     if evidence.identity_proof not in set(allowed_orgs):
         return TrustDecision(False, REASON_ORG)
-    if expected_nonce is not None and evidence.nonce != expected_nonce:
+    if evidence.nonce != expected_nonce:
         return TrustDecision(False, REASON_NONCE)
     return TrustDecision(True, None, evidence.k_pub)
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
 from .logio import load_log, split_log
-from .mining.declare import ConformanceState, DeclareModel, fitness_report_json
+from .mining.declare import ConformanceState, fitness_report_json
 from .mining.dfg import DfgState, hm_observe
 from .mining.heuristics import HeuristicsConfig, hm_finalize
 from .mining.pnml import to_pnml
@@ -35,6 +36,8 @@ from .transport import DeliveryRecord, InProcessNetwork
 __all__ = [
     "MINER_ORG_PROOF",
     "ALGORITHMS",
+    "SESSION",
+    "HEURISTICS",
     "ExperimentConfig",
     "MetricSample",
     "RunMetrics",
@@ -54,6 +57,10 @@ __all__ = [
 
 MINER_ORG_PROOF = "org:miner"
 ALGORITHMS = ("heuristics", "declare")
+SESSION = "session-1"
+# The heuristics parameters the miner runs with and attests to: the build
+# manifest digests them, and HeuristicsSink mines with them.
+HEURISTICS = HeuristicsConfig()
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,6 @@ class ExperimentConfig:
     log_path: Optional[str] = None
     org_map_path: Optional[str] = None
     iid_column: str = "case"
-    session: str = "session-1"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -120,7 +126,6 @@ class ExperimentResult:
     config: ExperimentConfig
     metrics: RunMetrics
     output: bytes
-    output_kind: str  # "pnml" or "fitness"
     transcript: List[DeliveryRecord]
     miner_phase: str
     aborted_reason: Optional[str] = None  # an aborted miner's; see protocol
@@ -130,8 +135,7 @@ class ExperimentResult:
 class HeuristicsSink:
     """Feeds yielded cases (or a final log) into directly-follows counters."""
 
-    def __init__(self, config: Optional[HeuristicsConfig] = None):
-        self.config = config or HeuristicsConfig()
+    def __init__(self) -> None:
         self.state = DfgState()
 
     def on_case(self, case: EventLog) -> None:
@@ -143,14 +147,14 @@ class HeuristicsSink:
             hm_observe(self.state, cases[iid])
 
     def finalize_bytes(self) -> bytes:
-        return to_pnml(hm_finalize(self.state, self.config))
+        return to_pnml(hm_finalize(self.state, HEURISTICS))
 
 
 class DeclareSink:
     """Checks yielded cases (or a final log) against a constraint model."""
 
-    def __init__(self, model: Optional[DeclareModel] = None):
-        self.model = model or scenario_declare_model()
+    def __init__(self) -> None:
+        self.model = scenario_declare_model()
         self.state = ConformanceState(self.model)
 
     def on_case(self, case: EventLog) -> None:
@@ -163,18 +167,16 @@ class DeclareSink:
         return fitness_report_json(self.state.finalize(), self.model)
 
 
-def _make_sink(algorithm: str, declare_model: Optional[DeclareModel]):
-    if algorithm == "heuristics":
-        return HeuristicsSink()
-    return DeclareSink(declare_model)
+def _make_sink(algorithm: str):
+    return HeuristicsSink() if algorithm == "heuristics" else DeclareSink()
 
 
 def build_manifest(algorithm: str) -> BuildManifest:
     return BuildManifest(
         component="secure-miner",
-        version="0.1.0",
+        version=__version__,
         algorithm=algorithm,
-        params=HeuristicsConfig().as_params() if algorithm == "heuristics" else (),
+        params=HEURISTICS.as_params() if algorithm == "heuristics" else (),
     )
 
 
@@ -186,25 +188,22 @@ def build_session(
     incremental: bool,
     sink,
     manifest: BuildManifest,
-    session: str = "session-1",
     capacity: Optional[int] = None,
     network: Optional[InProcessNetwork] = None,
 ) -> Tuple[InProcessNetwork, SecureMiner, List[Provisioner]]:
     if network is None:
         network = InProcessNetwork(seed)
-    org_ids = tuple(sorted(partitions))
-    identities = {org: OrgIdentity(org) for org in org_ids}
+    identities = [OrgIdentity(org) for org in sorted(partitions)]
     reference = compute_measurement(manifest)
     miner = SecureMiner(
         MinerConfig(
             miner_id="miner",
             org_proof=MINER_ORG_PROOF,
-            provisioner_ids=org_ids,
             seg_size=seg_size,
             do_yield_cases=incremental,
             manifest=manifest,
-            session=session,
-            provisioner_keys={org: identities[org].public_bytes for org in org_ids},
+            session=SESSION,
+            provisioner_keys={i.org_id: i.public_bytes for i in identities},
             capacity=capacity,
         ),
         sink,
@@ -212,15 +211,14 @@ def build_session(
     provisioners = [
         Provisioner(
             ProvisionerConfig(
-                org_id=org,
-                partition=partitions[org],
+                partition=partitions[identity.org_id],
                 allowed_miners=frozenset({MINER_ORG_PROOF}),
                 reference_measurement=reference,
-                identity=identities[org],
-                session=session,
+                identity=identity,
+                session=SESSION,
             )
         )
-        for org in org_ids
+        for identity in identities
     ]
     network.register(miner)
     for prov in provisioners:
@@ -247,11 +245,10 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
 def run_experiment(
     cfg: ExperimentConfig,
     *,
-    declare_model: Optional[DeclareModel] = None,
     replay_order: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ExperimentResult:
     partitions = _load_inputs(cfg)
-    sink = _make_sink(cfg.algorithm, declare_model)
+    sink = _make_sink(cfg.algorithm)
     network, miner, _ = build_session(
         partitions,
         seed=cfg.seed,
@@ -259,7 +256,6 @@ def run_experiment(
         incremental=cfg.incremental,
         sink=sink,
         manifest=build_manifest(cfg.algorithm),
-        session=cfg.session,
         capacity=cfg.capacity,
     )
     metrics = RunMetrics()
@@ -292,7 +288,6 @@ def run_experiment(
         config=cfg,
         metrics=metrics,
         output=sink.finalize_bytes() if miner.phase == "done" else b"",
-        output_kind="pnml" if cfg.algorithm == "heuristics" else "fitness",
         transcript=list(network.transcript),
         miner_phase=miner.phase,
         aborted_reason=miner.aborted_reason,
@@ -300,11 +295,9 @@ def run_experiment(
     )
 
 
-def standalone_mining(
-    log: EventLog, algorithm: str, *, declare_model: Optional[DeclareModel] = None
-) -> bytes:
+def standalone_mining(log: EventLog, algorithm: str) -> bytes:
     """Mining output for a pre-merged log, bypassing the protocol entirely."""
-    sink = _make_sink(algorithm, declare_model)
+    sink = _make_sink(algorithm)
     sink.on_log(log)
     return sink.finalize_bytes()
 

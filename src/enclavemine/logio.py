@@ -5,7 +5,9 @@ CSV schema: header ``case,activity,timestamp`` plus optional columns. A
 (accepted at ingestion only; logs always store milliseconds). Recognized
 optional columns: ``org`` (provisioner id) and ``event_id``; anything else
 lands in the event's extras, so save/load round-trips losslessly. The case
-column may carry a different label per organization (``iid_column``).
+column may carry a different label per organization (``iid_column``) on
+load; ``save_csv`` always writes a ``case`` column. A row or XES event
+without an org takes the file's stem as its org.
 
 The XES reader covers the subset needed for public logs: trace-level
 ``concept:name`` as the iid, event-level ``concept:name`` and
@@ -18,7 +20,7 @@ import csv
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from .model import Event, EventLog, log_from_events
 
@@ -74,9 +76,9 @@ def parse_timestamp(value: str) -> int:
     return int(dt.timestamp() * 1000)
 
 
-def load_csv(path, *, iid_column: str = "case", org: Optional[str] = None) -> EventLog:
+def load_csv(path, *, iid_column: str = "case") -> EventLog:
     path = Path(path)
-    default_org = org if org is not None else path.stem
+    default_org = path.stem
     events: List[Event] = []
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -108,9 +110,9 @@ def load_csv(path, *, iid_column: str = "case", org: Optional[str] = None) -> Ev
     return log_from_events(events)
 
 
-def save_csv(log: EventLog, path, *, iid_column: str = "case") -> None:
+def save_csv(log: EventLog, path) -> None:
     extra_keys = sorted({k for ev in log for k, _ in ev.extras})
-    header = [iid_column, "activity", "timestamp", "org", "event_id"] + extra_keys
+    header = ["case", "activity", "timestamp", "org", "event_id"] + extra_keys
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
@@ -135,9 +137,9 @@ def _xes_attrs(elem) -> Dict[str, str]:
     return out
 
 
-def load_xes(path, *, iid_attribute: str = "concept:name", org: Optional[str] = None) -> EventLog:
+def load_xes(path, *, iid_attribute: str = "concept:name") -> EventLog:
     path = Path(path)
-    default_org = org if org is not None else path.stem
+    default_org = path.stem
     tree = ET.parse(str(path))
     root = tree.getroot()
     events: List[Event] = []
@@ -178,15 +180,12 @@ def load_xes(path, *, iid_attribute: str = "concept:name", org: Optional[str] = 
     return log_from_events(events)
 
 
-def load_log(path, *, fmt: Optional[str] = None, iid_column: str = "case", org: Optional[str] = None) -> EventLog:
+def load_log(path, *, iid_column: str = "case") -> EventLog:
+    """Load an XES file by its ``.xes`` suffix, anything else as CSV."""
     path = Path(path)
-    if fmt is None:
-        fmt = "xes" if path.suffix.lower() == ".xes" else "csv"
-    if fmt == "csv":
-        return load_csv(path, iid_column=iid_column, org=org)
-    if fmt == "xes":
-        return load_xes(path, iid_attribute=iid_column if iid_column != "case" else "concept:name", org=org)
-    raise LogIoError("unknown log format %r" % fmt)
+    if path.suffix.lower() == ".xes":
+        return load_xes(path, iid_attribute=iid_column if iid_column != "case" else "concept:name")
+    return load_csv(path, iid_column=iid_column)
 
 
 def split_log(log: EventLog, org_map: Mapping[str, str]) -> Dict[str, EventLog]:

@@ -1,32 +1,1 @@
-from .dfg import DfgState, EmptyCase, hm_observe, dependency
-from .heuristics import HeuristicsConfig, WorkflowNet, Transition, hm_finalize, NoObservations
-from .pnml import to_pnml
-from .declare import (
-    Constraint,
-    DeclareModel,
-    ConformanceState,
-    FitnessReport,
-    check_case,
-    fitness_report_json,
-    TEMPLATES,
-)
-
-__all__ = [
-    "DfgState",
-    "EmptyCase",
-    "hm_observe",
-    "dependency",
-    "HeuristicsConfig",
-    "WorkflowNet",
-    "Transition",
-    "hm_finalize",
-    "NoObservations",
-    "to_pnml",
-    "Constraint",
-    "DeclareModel",
-    "ConformanceState",
-    "FitnessReport",
-    "check_case",
-    "fitness_report_json",
-    "TEMPLATES",
-]
+"""Mining algorithms: heuristics discovery, PNML export, declare conformance."""

@@ -17,11 +17,11 @@ _PNML_NS = "http://www.pnml.org/version-2009/grammar/pnml"
 _NET_TYPE = "http://www.pnml.org/version-2009/grammar/ptnet"
 
 
-def to_pnml(net: WorkflowNet, net_id: str = "net1") -> bytes:
+def to_pnml(net: WorkflowNet) -> bytes:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<pnml xmlns=%s>' % quoteattr(_PNML_NS),
-        '  <net id=%s type=%s>' % (quoteattr(net_id), quoteattr(_NET_TYPE)),
+        '  <net id="net1" type=%s>' % quoteattr(_NET_TYPE),
         '    <page id="page1">',
     ]
     for pid in sorted(net.places):

@@ -10,6 +10,9 @@ inside sealed envelopes, base64-wrapped at the message layer):
 5. miner -> provisioner        evidence_res {evidence}
 6. provisioner -> miner        cases_res {envelope, last}   (stream)
 
+The miner's peers are the keys of its key table (``provisioner_keys``),
+in sorted order; a provisioner's id is its identity's ``org_id``.
+
 The miner keeps two indexes: pmap (provisioner -> iids it still owes; its
 keys are the provisioners whose refs arrived and whose stream has not ended)
 and cstor (iid -> merged case so far), with csize holding each stored case's
@@ -218,7 +221,6 @@ def _iids(msg: Msg) -> List[str]:
 class MinerConfig:
     miner_id: str
     org_proof: str
-    provisioner_ids: Tuple[str, ...]
     seg_size: int
     do_yield_cases: bool
     manifest: BuildManifest
@@ -231,11 +233,10 @@ class SecureMiner:
     """Miner-side state machine; all handlers run run-to-completion."""
 
     def __init__(self, config: MinerConfig, sink) -> None:
-        if not config.provisioner_ids:
+        if not config.provisioner_keys:
             raise NoProvisioners("at least one provisioner required")
-        if len(set(config.provisioner_ids)) != len(config.provisioner_ids):
-            raise ProtocolError("provisioner ids must be unique")
         self.config = config
+        self.peers = tuple(sorted(config.provisioner_keys))
         self.sink = sink
         self.node_id = config.miner_id
         self.session_keys = SessionKeys()
@@ -257,7 +258,7 @@ class SecureMiner:
         return Msg(kind, self.node_id, self.config.session, body).encode()
 
     def _require_known(self, sender: str) -> None:
-        if sender not in self.config.provisioner_ids:
+        if sender not in self.config.provisioner_keys:
             raise UnknownProvisioner(sender)
 
     def _free_cases(self) -> None:
@@ -272,7 +273,7 @@ class SecureMiner:
             raise UnexpectedMessage("bootstrap after start")
         self.phase = "awaiting_refs"
         body = {"identity_proof": self.config.org_proof}
-        return [(p, self._msg(KIND_CASES_REF_REQ, body)) for p in self.config.provisioner_ids]
+        return [(p, self._msg(KIND_CASES_REF_REQ, body)) for p in self.peers]
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _MINER_KINDS, self._free_cases)
@@ -287,11 +288,11 @@ class SecureMiner:
         if msg.sender in self.pmap:
             raise DuplicateResponse(msg.sender)
         self.pmap[msg.sender] = set(_iids(msg))
-        if set(self.pmap) != set(self.config.provisioner_ids):
+        if len(self.pmap) != len(self.peers):
             return []
         self.phase = "awaiting_cases"
         out = []
-        for p in self.config.provisioner_ids:
+        for p in self.peers:
             body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap[p])}
             out.append((p, self._msg(KIND_CASES_REQ, body)))
         return out
@@ -391,7 +392,6 @@ class SecureMiner:
 
 @dataclass
 class ProvisionerConfig:
-    org_id: str
     partition: EventLog
     allowed_miners: FrozenSet[str]
     reference_measurement: bytes
@@ -407,7 +407,7 @@ class Provisioner:
         if not config.partition.is_partition():
             raise ValueError("partition must hold a single provisioner's events")
         self.config = config
-        self.node_id = config.org_id
+        self.node_id = config.identity.org_id
         self.phase = "idle"
         self.pending: Optional[Tuple[int, Tuple[str, ...]]] = None
         self.nonce: Optional[bytes] = None

@@ -58,10 +58,9 @@ def size_of(log: EventLog) -> int:
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Ordered segments plus the budget they were planned against."""
+    """Ordered segments plus the iids of cases that alone pass the budget."""
 
     segments: Tuple[EventLog, ...]
-    seg_size: int
     oversized_iids: Tuple[str, ...] = ()
 
 
@@ -112,6 +111,5 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
     seal()
     return SegmentPlan(
         segments=tuple(segments),
-        seg_size=seg_size,
         oversized_iids=tuple(oversized),
     )

@@ -24,9 +24,10 @@ every malformed payload raises a :class:`WireError` subclass
 :class:`UnsupportedVersion` for another version, :class:`WireError` itself
 for trailing bytes or a string that is not UTF-8), or the
 :class:`~enclavemine.model.ModelError` of a well-formed payload whose events
-do not form a log (events out of canonical order, duplicate ids); decoding
-never reorders events. Encoding a field over its wire limit raises
-:class:`WireError`.
+do not form a log (events out of canonical order, duplicate ids) or whose
+extras pairs are out of key order. Decoding never reorders anything, so a
+payload that decodes re-encodes to its own bytes. Encoding a field over its
+wire limit raises :class:`WireError`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import struct
 from typing import List
 
-from .model import Event, EventLog
+from .model import Event, EventLog, ModelError
 
 __all__ = [
     "WIRE_VERSION",
@@ -122,7 +123,8 @@ def decode_log(data: bytes) -> EventLog:
     :class:`UnsupportedVersion` for another version, :class:`WireError`
     for trailing bytes or a string field that is not UTF-8, and
     :class:`~enclavemine.model.ModelError` when the events are out of
-    canonical order or share an id.
+    canonical order or share an id, or an event's extras pairs are out of
+    key order.
     """
     unpack_stamp_len, unpack_len = _STAMP_LEN.unpack_from, _LEN.unpack_from
     stamp_len_size = _STAMP_LEN.size
@@ -169,6 +171,10 @@ def decode_log(data: bytes) -> EventLog:
                 end = pos + n
                 extras.append((key, data[pos:end].decode("utf-8")))
                 pos = end
+            # Event would sort the pairs silently, and the log would then
+            # re-encode to other bytes than it was decoded from.
+            if n_extras > 1 and extras != sorted(extras):
+                raise ModelError("extras of event %r out of key order" % event_id)
             events.append(
                 Event(event_id, iid, activity, timestamp, provisioner_id, tuple(extras))
             )

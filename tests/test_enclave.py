@@ -133,9 +133,9 @@ class EvidenceTest(unittest.TestCase):
         decision = self.appraise(self.evidence, expected_nonce=os.urandom(16))
         self.assertEqual((decision.trusted, decision.reason), (False, REASON_NONCE))
 
-    def test_nonce_check_is_optional(self):
+    def test_nonce_check_is_mandatory(self):
         decision = self.appraise(self.evidence, expected_nonce=None)
-        self.assertTrue(decision.trusted)
+        self.assertEqual((decision.trusted, decision.reason), (False, REASON_NONCE))
 
     def test_dict_round_trip(self):
         wire = self.evidence.to_dict()

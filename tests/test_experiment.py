@@ -45,7 +45,6 @@ def test_config_json_file(tmp_path):
 def test_session_completes_and_output_matches_standalone():
     result = run_experiment(SMALL)
     assert result.miner_phase == "done"
-    assert result.output_kind == "pnml"
     log = generate_scenario_log(SMALL.n_cases, SMALL.seed)
     assert result.output == standalone_mining(log, "heuristics")
 
@@ -53,7 +52,6 @@ def test_session_completes_and_output_matches_standalone():
 def test_declare_output_matches_standalone():
     cfg = SMALL.with_overrides(algorithm="declare")
     result = run_experiment(cfg)
-    assert result.output_kind == "fitness"
     log = generate_scenario_log(SMALL.n_cases, SMALL.seed)
     assert result.output == standalone_mining(log, "declare")
     doc = json.loads(result.output)

@@ -81,7 +81,6 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
         incremental=incremental,
         sink=CollectorSink(),
         manifest=MANIFEST,
-        session="s1",
         capacity=capacity,
         network=TamperingNetwork(seed, tamper),
     )

@@ -9,6 +9,11 @@ No linter ships with the project, so these checks walk each module's AST.
   or the benchmark, outside its own definition, unless ``UNREAD_ON_PURPOSE``
   says why it stays. Tests do not count as readers: code that only its own
   tests use gets deleted. An import or an ``__all__`` entry is not a read.
+* A parameter with a default, of a public function, a public method or the
+  ``__init__`` of a public class, must be passed by some call in the library
+  or the benchmark (by keyword, by position, or through ``*``/``**``),
+  unless ``UNSET_ON_PURPOSE`` says why it stays. A default nothing overrides
+  is a setting with one value in use, and that is a constant.
 """
 
 import ast
@@ -29,6 +34,18 @@ KEPT_FOR_TRACING = {("protocol.py", "extract_case"), ("segmenter.py", "encode_lo
 UNREAD_ON_PURPOSE = {
     ("model.py", "extract_case"): "perfbench wraps protocol.extract_case by name",
     ("experiment.py", "read_transcript"): "the replay half of write_transcript",
+}
+
+# Parameters with a default that nothing in the library or the benchmark
+# passes, as ``(module, function, parameter)``, and why each one stays.
+UNSET_ON_PURPOSE = {
+    ("cli.py", "main", "argv"): "None reads sys.argv; tests pass their own argv",
+    ("enclave.py", "build_evidence", "root"): "key material: tests sign with a rogue root",
+    ("enclave.py", "OrgIdentity.__init__", "seed"): "key material: a fixed seed gives a fixed key",
+    ("experiment.py", "build_session", "network"): "the seam tests swap a tampering network in by",
+    ("experiment.py", "run_experiment", "replay_order"): "replays a recorded transcript",
+    ("transport.py", "InProcessNetwork.run", "max_steps"): "bounds a session that never quiesces",
+    ("transport.py", "InProcessNetwork.run_replay", "max_steps"): "bounds a replay likewise",
 }
 
 
@@ -137,4 +154,105 @@ def test_the_check_finds_unread_definitions():
         ("lib.py", "Node"),
         ("lib.py", "recursive"),
         ("lib.py", "unused"),
+    ]
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _signature(fn, method):
+    """The parameters a positional argument fills, in order, and those with
+    a default, of ``fn``; a method's first parameter is bound, not passed."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    return positional[1:] if method and not static else positional, defaulted
+
+
+def _callables(tree):
+    """``(label, callee, positional, defaulted)`` of each public function,
+    public method and public class ``__init__``: ``callee`` is the name a
+    call uses, the class name for ``__init__``."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+            yield (node.name, node.name, *_signature(node, method=False))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, _FUNCTIONS) and (
+                    item.name == "__init__" or not item.name.startswith("_")
+                ):
+                    callee = node.name if item.name == "__init__" else item.name
+                    label = "%s.%s" % (node.name, item.name)
+                    yield (label, callee, *_signature(item, method=True))
+
+
+def _calls(tree):
+    """``(callee, positional count, keywords, spreads *, spreads **)`` of
+    each call in ``tree`` to a bare name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callee = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            dstar = any(k.arg is None for k in node.keywords)
+            yield callee, len(node.args), keywords, star, dstar
+
+
+def unset_parameters(modules, callers):
+    """``(module, label, parameter)`` of each defaulted parameter in
+    ``modules`` (name -> source) that no call in ``callers`` passes. Calls
+    match by name alone, so a call to a same-named callable counts too."""
+    calls = {}
+    for source in callers:
+        for callee, *how in _calls(ast.parse(source)):
+            calls.setdefault(callee, []).append(how)
+    found = []
+    for module, source in modules.items():
+        for label, callee, positional, defaulted in _callables(ast.parse(source)):
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+                if not any(
+                    param in keywords
+                    or dstar
+                    or (index is not None and (star or index < count))
+                    for count, keywords, star, dstar in calls.get(callee, [])
+                ):
+                    found.append((module, label, param))
+    return sorted(found)
+
+
+def test_every_default_is_overridden_somewhere():
+    modules = {str(path.relative_to(SRC)): path.read_text() for path in MODULES}
+    benchmark = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    found = unset_parameters(modules, [*modules.values(), *benchmark])
+    assert found == sorted(UNSET_ON_PURPOSE)
+
+
+def test_the_check_finds_unset_parameters():
+    lib = (
+        "def f(a, b=1, *, c=2, d=3): return a\n"
+        "def g(a=1, b=2): return a\n"
+        "def h(a=1): return a\n"
+        "def _private(a=1): return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=0, tag=''): self.size = size\n"
+        "    def grow(self, by=1): return self.size + by\n"
+        "    @staticmethod\n"
+        "    def make(kind='box'): return Box()\n"
+        "    def _hidden(self, x=1): return x\n"
+    )
+    caller = (
+        "f(0, 5, c=1)\n"
+        "g(*args)\n"
+        "h(**kw)\n"
+        "box = Box(3)\n"
+        "box.grow()\n"
+        "Box.make('crate')\n"
+    )
+    assert unset_parameters({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "Box.__init__", "tag"),
+        ("lib.py", "Box.grow", "by"),
+        ("lib.py", "f", "d"),
     ]

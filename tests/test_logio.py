@@ -96,19 +96,13 @@ def test_save_load_round_trip(tmp_path, three_partitions):
     assert load_csv(out) == log
 
 
-def test_round_trip_keeps_custom_iid_label(tmp_path, pharma_log):
-    out = tmp_path / "p.csv"
-    save_csv(pharma_log, out, iid_column="HospitalCaseID")
-    assert out.read_text().splitlines()[0].startswith("HospitalCaseID,")
-    assert load_csv(out, iid_column="HospitalCaseID") == pharma_log
-
-
 def test_load_log_dispatches_on_suffix(tmp_path, hospital_log):
     out = tmp_path / "h.csv"
     save_csv(hospital_log, out)
     assert load_log(out) == hospital_log
-    with pytest.raises(Exception):
-        load_log(out, fmt="parquet")
+    xes = tmp_path / "h.XES"
+    xes.write_text(_XES)
+    assert load_log(xes) == load_xes(xes)
 
 
 _XES = """\

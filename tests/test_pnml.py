@@ -31,6 +31,7 @@ def test_output_is_well_formed_xml():
     root = ET.fromstring(blob)
     assert root.tag == "{%s}pnml" % NS["pnml"]
     net = root.find("pnml:net", NS)
+    assert net.get("id") == "net1"
     assert net.get("type") == "http://www.pnml.org/version-2009/grammar/ptnet"
 
 
@@ -88,9 +89,3 @@ def test_labels_with_markup_are_escaped():
         for t in root.find("pnml:net/pnml:page", NS).findall("pnml:transition", NS)
     }
     assert {"a<b>", "c&d"} <= labels
-
-
-def test_net_id_is_configurable():
-    blob = to_pnml(_net_from(["A", "B"]), net_id="mined")
-    root = ET.fromstring(blob)
-    assert root.find("pnml:net", NS).get("id") == "mined"

@@ -35,7 +35,6 @@ MINER_PROOF = "org:miner"
 
 def _provisioner(org_id, partition, session="s1", cls=Provisioner, **overrides):
     kwargs = dict(
-        org_id=org_id,
         partition=partition,
         allowed_miners=frozenset({MINER_PROOF}),
         reference_measurement=compute_measurement(MANIFEST),
@@ -67,7 +66,6 @@ def _session(
         MinerConfig(
             miner_id="miner",
             org_proof=MINER_PROOF,
-            provisioner_ids=tuple(sorted(provisioners)),
             seg_size=seg_size,
             do_yield_cases=do_yield,
             manifest=MANIFEST,
@@ -92,7 +90,6 @@ def test_no_provisioners_rejected():
             MinerConfig(
                 miner_id="m",
                 org_proof=MINER_PROOF,
-                provisioner_ids=(),
                 seg_size=100,
                 do_yield_cases=True,
                 manifest=MANIFEST,
@@ -413,7 +410,6 @@ def test_unknown_miner_is_refused(three_partitions):
         MinerConfig(
             miner_id="miner",
             org_proof=MINER_PROOF,
-            provisioner_ids=("hospital",),
             seg_size=10_000,
             do_yield_cases=True,
             manifest=MANIFEST,

@@ -159,11 +159,15 @@ def test_malformed_utf8_field_is_a_wire_error():
     assert not isinstance(caught.value, TruncatedPayload)
 
 
-def _event_bytes(timestamp, *fields):
+def _event_bytes(timestamp, *fields, extras=()):
     out = [struct.pack(">Q", timestamp)]
     for value in fields:
         out += [struct.pack(">H", len(value)), value]
-    return b"".join(out + [struct.pack(">H", 0)])
+    out.append(struct.pack(">H", len(extras)))
+    for pair in extras:
+        for value in pair:
+            out += [struct.pack(">H", len(value)), value]
+    return b"".join(out)
 
 
 def test_out_of_order_events_are_rejected():
@@ -174,6 +178,20 @@ def test_out_of_order_events_are_rejected():
     assert encode_log(decode_log(in_order)) == in_order
     with pytest.raises(ModelError, match="out of canonical order"):
         decode_log(struct.pack(">HI", 1, 2) + second + first)
+
+
+def test_out_of_order_extras_are_rejected():
+    # Hand-assembled: Event would sort the pairs of the second payload, so
+    # its log would re-encode to other bytes.
+    def payload(*extras):
+        return struct.pack(">HI", 1, 1) + _event_bytes(
+            1000, b"e1", b"c1", b"A", b"p1", extras=extras
+        )
+
+    in_order = payload((b"a", b"2"), (b"z", b"1"))
+    assert encode_log(decode_log(in_order)) == in_order
+    with pytest.raises(ModelError, match="out of key order"):
+        decode_log(payload((b"z", b"1"), (b"a", b"2")))
 
 
 def test_size_additivity_under_merge():
@@ -266,13 +284,15 @@ def _malformed_payloads(draw):
 @settings(max_examples=300, deadline=None)
 @given(_malformed_payloads())
 def test_malformed_payload_raises_only_typed_errors(blob):
-    # A corrupted payload may still decode to some log; anything else it
-    # raises must be one of the model's or the wire's own errors.
+    # A corrupted payload may still decode to some log, which then encodes
+    # to the same bytes; anything else it raises must be one of the model's
+    # or the wire's own errors.
     try:
         log = decode_log(blob)
     except (WireError, ModelError):
         return
     assert isinstance(log, EventLog)
+    assert encode_log(log) == blob
 
 
 @pytest.mark.parametrize(
