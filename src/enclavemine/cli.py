@@ -11,7 +11,9 @@ Subcommands:
 * ``verify-convergence``  protocol output equals standalone mining, byte-wise
 
 ``run``, ``sweep-segsize``, and ``scale`` accept ``--config`` (a JSON file of
-ExperimentConfig fields); explicit flags override file values.
+ExperimentConfig fields); explicit flags override file values. A file that
+cannot be read, is not a JSON object, or has a key that is not a field is a
+one-line usage error with exit status 2.
 """
 
 from __future__ import annotations
@@ -72,7 +74,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "iid_column": args.iid_column,
     }
     if args.config:
-        return ExperimentConfig.from_json_file(args.config, **overrides)
+        try:
+            return ExperimentConfig.from_json_file(args.config, **overrides)
+        except (OSError, ValueError) as exc:
+            print(
+                "enclavemine %s: error: --config %s: %s" % (args.command, args.config, exc),
+                file=sys.stderr,
+            )
+            raise SystemExit(2) from exc
     return ExperimentConfig().with_overrides(**overrides)
 
 

@@ -13,10 +13,14 @@ simulated faithfully enough to exercise the protocol:
   into the signed payload gives replay freshness; this is an extension past
   the minimum verify contract and yields the extra rejection reason
   ``nonce_mismatch``.
-* Segments are sealed with a hybrid envelope: a fresh symmetric key (AES-GCM)
+* Segments are sealed with a hybrid envelope: a symmetric key (AES-GCM)
   encrypts the payload, an X25519+HKDF key-encapsulation wraps that key to
   the session public key, and the sender signs the envelope body with its
-  org identity key (the sender proof).
+  org identity key (the sender proof). A stream draws one symmetric key and
+  encapsulates it once; every envelope of the stream carries the same
+  wrapped key, and the receiver unwraps it once per stream. So a segment
+  pays only its sender proof and its AES-GCM encryption, yet each envelope
+  still opens on its own, with no state from earlier ones.
 
 Verification order for evidence: signature, measurement, org allow-list,
 nonce. The first failing check names the rejection.
@@ -314,21 +318,21 @@ def unwrap_key(wrapped: bytes, session: SessionKeys) -> bytes:
         shared = session.exchange(eph_pub)
         kek = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
         return AESGCM(kek).decrypt(nonce, ct, None)
-    except (InvalidTag, ValueError) as exc:
-        raise KeyUnwrapFailure(str(exc)) from exc
+    except (InvalidTag, ValueError) as exc:  # InvalidTag has no text of its own
+        raise KeyUnwrapFailure("wrapped key does not open with this session's key") from exc
 
 
 def _pack_field(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def seal_segment(segment_bytes: bytes, k_sym: bytes, k_pub: bytes, sender: OrgIdentity) -> bytes:
+def seal_segment(segment_bytes: bytes, k_sym: bytes, wrapped: bytes, sender: OrgIdentity) -> bytes:
     """Produce the versioned envelope: wrapped key, sender proof, ciphertext.
 
-    The sender proof signs the wrapped key and ciphertext together so neither
-    can be swapped out without detection.
+    ``wrapped`` is ``wrap_key(k_sym, k_pub)``, made once per stream and
+    carried by each of its envelopes. The sender proof signs the wrapped key
+    and ciphertext together so neither can be swapped out without detection.
     """
-    wrapped = wrap_key(k_sym, k_pub)
     nonce = os.urandom(12)
     ct = nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, None)
     proof = sender.sign(wrapped + ct)
@@ -359,16 +363,29 @@ def _split_envelope(envelope: bytes) -> Tuple[bytes, bytes, bytes]:
     return fields[0], fields[1], fields[2]
 
 
-def open_segment(envelope: bytes, session: SessionKeys, sender_public: bytes) -> bytes:
-    """Verify the sender proof, unwrap the key, and decrypt the segment."""
+def open_segment(
+    envelope: bytes,
+    session: SessionKeys,
+    sender_public: bytes,
+    held: Optional[Tuple[bytes, bytes]] = None,
+) -> Tuple[bytes, Tuple[bytes, bytes]]:
+    """Verify the sender proof, recover the key, and decrypt the segment.
+
+    ``held`` is the ``(wrapped, k_sym)`` pair that an earlier envelope of the
+    same stream opened with. After the sender proof checks out, its key is
+    used only if this envelope's signed wrapped bytes equal ``held``'s;
+    otherwise the key is unwrapped afresh. Returns the plaintext and the pair
+    this envelope opened with.
+    """
     wrapped, proof, ct = _split_envelope(envelope)
     if not OrgIdentity.verify(sender_public, proof, wrapped + ct):
         raise AuthFailure("sender proof rejected")
-    k_sym = unwrap_key(wrapped, session)
+    if held is None or held[0] != wrapped:
+        held = (wrapped, unwrap_key(wrapped, session))
     if len(ct) < 12 + 16:
         raise AuthFailure("ciphertext too short")
     try:
-        return AESGCM(k_sym).decrypt(ct[:12], ct[12:], None)
+        return AESGCM(held[1]).decrypt(ct[:12], ct[12:], None), held
     except (InvalidTag, ValueError) as exc:  # ValueError: a key of the wrong length
         raise AuthFailure("segment ciphertext failed authentication") from exc
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -83,8 +83,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
+        """Fields from a JSON object, then every override that is not None.
+
+        Raises ``ValueError`` for a document that is not an object and for a
+        key that is not a field, naming the keys.
+        """
         with Path(path).open() as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a config is a JSON object, not %s" % type(data).__name__)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 

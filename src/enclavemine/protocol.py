@@ -10,6 +10,14 @@ inside sealed envelopes, base64-wrapped at the message layer):
 5. miner -> provisioner        evidence_res {evidence}
 6. provisioner -> miner        cases_res {envelope, last}   (stream)
 
+Each provisioner's stream of message 6 has one symmetric key, which it
+wraps to the evidence's session key once, after appraising the evidence.
+Every envelope of the stream carries that wrapped key and its own sender
+proof. The miner holds one ``(wrapped, k_sym)`` pair per open stream in
+``stream_keys``, checks each envelope's sender proof before using it, and
+unwraps again only when an envelope's signed wrapped bytes differ from the
+pair's. The pair goes when the stream ends or the miner aborts.
+
 The miner's peers are the keys of its key table (``provisioner_keys``),
 in sorted order; a provisioner's id is its identity's ``org_id``.
 
@@ -48,7 +56,8 @@ decodes it, checks its session and sender, and calls the role's
 ``SegmenterError`` (bad ``seg_size``) ends the node in phase ``aborted``,
 with ``aborted_reason`` the fault's class name and ``aborted_message`` its
 text; ``handle`` returns no sends and the scheduler runs on. An aborted node
-drops every later message, and an aborted miner frees its stored cases.
+drops every later message, and an aborted miner frees its stored cases and
+drops its stream keys.
 Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 """
 
@@ -74,6 +83,7 @@ from .enclave import (
     open_segment,
     seal_segment,
     verify_evidence,
+    wrap_key,
 )
 from .model import EventLog, ModelError, group_by_iid, iid_set, merge, merge_all
 from .segmenter import SegmenterError, segment_event_log, size_of
@@ -247,6 +257,7 @@ class SecureMiner:
         self.pmap: Dict[str, Set[str]] = {}
         self.cstor: Dict[str, EventLog] = {}
         self.csize: Dict[str, int] = {}
+        self.stream_keys: Dict[str, Tuple[bytes, bytes]] = {}
         self.evidence_served: Set[str] = set()
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
@@ -261,7 +272,8 @@ class SecureMiner:
         if sender not in self.config.provisioner_keys:
             raise UnknownProvisioner(sender)
 
-    def _free_cases(self) -> None:
+    def _release(self) -> None:
+        self.stream_keys.clear()
         self.accountant.account(-sum(self.csize.values()))
         self.cstor.clear()
         self.csize.clear()
@@ -276,7 +288,7 @@ class SecureMiner:
         return [(p, self._msg(KIND_CASES_REF_REQ, body)) for p in self.peers]
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
-        return _serve(self, sender, payload, _MINER_KINDS, self._free_cases)
+        return _serve(self, sender, payload, _MINER_KINDS, self._release)
 
     # -- handlers --------------------------------------------------------
 
@@ -338,6 +350,7 @@ class SecureMiner:
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
         if last:
+            self.stream_keys.pop(msg.sender, None)
             owed = self.pmap.pop(msg.sender)
             if owed:
                 raise IncompleteDelivery(
@@ -349,7 +362,9 @@ class SecureMiner:
 
     def _ingest_segment(self, sender: str, envelope: bytes) -> None:
         sender_key = self.config.provisioner_keys[sender]
-        plain = open_segment(envelope, self.session_keys, sender_key)
+        plain, self.stream_keys[sender] = open_segment(
+            envelope, self.session_keys, sender_key, self.stream_keys.get(sender)
+        )
         self.accountant.account(len(plain))
         owed = self.pmap[sender]
         try:
@@ -386,7 +401,7 @@ class SecureMiner:
             self.yield_count += 1
             self.sink.on_log(final)
             self.accountant.account(-final_size)
-            self._free_cases()
+            self._release()
         self.phase = "done"
 
 
@@ -463,11 +478,10 @@ class Provisioner:
         seg_size, iids = self.pending
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
+        wrapped = wrap_key(k_sym, self.trust.k_pub)
         bodies: List[Dict[str, object]] = []
         for segment in plan.segments:
-            envelope = seal_segment(
-                encode_log(segment), k_sym, self.trust.k_pub, self.config.identity
-            )
+            envelope = seal_segment(encode_log(segment), k_sym, wrapped, self.config.identity)
             bodies.append({"envelope": base64.b64encode(envelope).decode("ascii")})
         bodies = bodies or [{}]
         bodies[-1]["last"] = True

@@ -61,7 +61,7 @@ class SegmentPlan:
     """Ordered segments plus the iids of cases that alone pass the budget."""
 
     segments: Tuple[EventLog, ...]
-    oversized_iids: Tuple[str, ...] = ()
+    oversized_iids: Tuple[str, ...]
 
 
 def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -> SegmentPlan:

@@ -117,6 +117,26 @@ def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
     assert not (out_dir / "model.pnml").exists()
 
 
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({"n_cases": 20, "session": "x"}, "unknown config key(s): session"),
+        ([{"n_cases": 20}], "a config is a JSON object, not list"),
+    ],
+    ids=["unknown key", "not an object"],
+)
+def test_run_rejects_a_malformed_config_with_a_usage_error(tmp_path, capsys, doc, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        run_cli("run", "--config", cfg, "--out-dir", out_dir)
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "enclavemine run: error: --config %s: %s\n" % (cfg, named)
+    assert not out_dir.exists()
+
+
 def _rerun_model(tmp_path, cases, seed, seg):
     out_dir = tmp_path / "check"
     run_cli(

@@ -5,9 +5,11 @@ import hashlib
 import os
 import struct
 import unittest
+from unittest import mock
 
 import pytest
 
+from enclavemine import enclave
 from enclavemine.enclave import (
     DEFAULT_ROOT,
     ENVELOPE_VERSION,
@@ -157,16 +159,17 @@ class SealingTest(unittest.TestCase):
         self.payload = os.urandom(2048)
 
     def seal(self, payload=None, k_pub=None, sender=None):
+        k_sym = new_symmetric_key()
         return seal_segment(
             payload if payload is not None else self.payload,
-            new_symmetric_key(),
-            k_pub or self.session.k_pub,
+            k_sym,
+            wrap_key(k_sym, k_pub or self.session.k_pub),
             sender or self.sender,
         )
 
     def test_round_trip(self):
         envelope = self.seal()
-        out = open_segment(envelope, self.session, self.sender.public_bytes)
+        out, _ = open_segment(envelope, self.session, self.sender.public_bytes)
         self.assertEqual(out, self.payload)
 
     def test_envelope_layout(self):
@@ -257,6 +260,64 @@ class SealingTest(unittest.TestCase):
         bumped = struct.pack(">H", ENVELOPE_VERSION + 1) + envelope[2:]
         with self.assertRaises(AuthFailure):
             open_segment(bumped, self.session, self.sender.public_bytes)
+
+
+class StreamKeyTest(unittest.TestCase):
+    """One wrapped key per stream: the opener reuses a held key only for the
+    same signed wrapped bytes, and only after the sender proof checks out."""
+
+    def setUp(self):
+        self.session = SessionKeys()
+        self.sender = OrgIdentity("hospital", seed=hashlib.sha256(b"h").digest())
+        self.k_sym = new_symmetric_key()
+        self.wrapped = wrap_key(self.k_sym, self.session.k_pub)
+
+    def seal(self, payload, k_sym=None, wrapped=None):
+        return seal_segment(
+            payload, k_sym or self.k_sym, wrapped or self.wrapped, self.sender
+        )
+
+    def open(self, envelope, held=None):
+        with mock.patch.object(enclave, "unwrap_key", wraps=unwrap_key) as unwraps:
+            out = open_segment(envelope, self.session, self.sender.public_bytes, held)
+        return out, unwraps.call_count
+
+    def test_a_stream_unwraps_once(self):
+        (first, held), unwraps = self.open(self.seal(b"one"))
+        self.assertEqual((first, held, unwraps), (b"one", (self.wrapped, self.k_sym), 1))
+        (second, held_after), unwraps = self.open(self.seal(b"two"), held)
+        self.assertEqual((second, held_after, unwraps), (b"two", held, 0))
+
+    def test_other_wrapped_bytes_are_unwrapped_afresh(self):
+        (_, held), _ = self.open(self.seal(b"one"))
+        # Same key, wrapped again: different bytes, so no reuse.
+        rewrapped = wrap_key(self.k_sym, self.session.k_pub)
+        (out, now), unwraps = self.open(self.seal(b"two", wrapped=rewrapped), held)
+        self.assertEqual((out, now, unwraps), (b"two", (rewrapped, self.k_sym), 1))
+        k_other = new_symmetric_key()
+        wrapped_other = wrap_key(k_other, self.session.k_pub)
+        envelope = self.seal(b"three", k_sym=k_other, wrapped=wrapped_other)
+        (out, now), unwraps = self.open(envelope, held)
+        self.assertEqual((out, now, unwraps), (b"three", (wrapped_other, k_other), 1))
+
+    def test_a_held_key_never_opens_a_blob_wrapped_to_another_session(self):
+        (_, held), _ = self.open(self.seal(b"one"))
+        foreign = wrap_key(self.k_sym, SessionKeys().k_pub)
+        with self.assertRaises(KeyUnwrapFailure):
+            self.open(self.seal(b"two", wrapped=foreign), held)
+
+    def test_the_sender_proof_is_checked_before_a_held_key_is_used(self):
+        (_, held), _ = self.open(self.seal(b"one"))
+        tampered = bytearray(self.seal(b"two"))
+        tampered[-1] ^= 0x01
+        with mock.patch.object(enclave, "AESGCM", wraps=enclave.AESGCM) as ciphers:
+            with self.assertRaises(AuthFailure):
+                self.open(bytes(tampered), held)
+        self.assertEqual(ciphers.call_count, 0)
+        impostor = OrgIdentity("impostor")
+        forged = seal_segment(b"two", self.k_sym, self.wrapped, impostor)
+        with self.assertRaises(AuthFailure):
+            self.open(forged, held)
 
 
 def test_wrap_unwrap_round_trip():

@@ -40,6 +40,12 @@ def test_config_json_file(tmp_path):
     assert cfg.seed == 9
     assert cfg.seg_size == 777
     assert cfg.n_orgs == 4
+    path.write_text(json.dumps({"n_cases": 12, "session": "x", "loops": 2}))
+    with pytest.raises(ValueError, match=r"unknown config key\(s\): loops, session"):
+        ExperimentConfig.from_json_file(path)
+    path.write_text(json.dumps([["n_cases", 12]]))
+    with pytest.raises(ValueError, match="not list"):
+        ExperimentConfig.from_json_file(path)
 
 
 def test_session_completes_and_output_matches_standalone():

@@ -6,7 +6,8 @@ or a tight capacity. Every row checks the same four things:
 
 * ``net.run()`` returns normally;
 * the faulting node is in phase ``aborted``, its reason the fault's class;
-* an aborted miner holds no plaintext (``cstor`` empty, accountant 0);
+* an aborted miner holds no plaintext (``cstor`` empty, accountant 0) and
+  no stream key;
 * no provisioner sent a segment before it trusted the miner's evidence.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from doubles import CollectorSink
 from enclavemine import protocol
-from enclavemine.enclave import BuildManifest
+from enclavemine.enclave import BuildManifest, SessionKeys, wrap_key
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
 from enclavemine.protocol import (
@@ -144,6 +145,20 @@ def _trailing_byte_seal(segment_bytes, *args):
     return _REAL_SEAL(segment_bytes + b"\x00", *args)
 
 
+class _ForeignWrapAfterFirstSeal:
+    """A seal for one session: from a stream's second segment on, the sender
+    signs a blob that wraps the stream's own key to another session's key."""
+
+    def __init__(self):
+        self.senders = set()
+
+    def __call__(self, segment_bytes, k_sym, wrapped, sender):
+        if sender.org_id in self.senders:
+            wrapped = wrap_key(k_sym, SessionKeys().k_pub)
+        self.senders.add(sender.org_id)
+        return _REAL_SEAL(segment_bytes, k_sym, wrapped, sender)
+
+
 def _shared_event_id(parts):
     # Pharma carries a copy of one hospital event of case 312, same event id.
     stolen = dataclasses.replace(parts["hospital"].events[0], provisioner_id="pharma")
@@ -164,6 +179,12 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _flip_last_envelope_byte)]),
      "miner", "AuthFailure"),
     ("malformed wire bytes", dict(seal=_trailing_byte_seal), "miner", "WireError"),
+    # A correctly signed mid-stream envelope whose wrapped key differs from
+    # the one the miner holds for the stream is unwrapped afresh, so a blob
+    # for another session fails even though the stream key would fit.
+    ("mid-stream key wrapped to another session",
+     dict(seal=_ForeignWrapAfterFirstSeal, seg_size=300),
+     "miner", "KeyUnwrapFailure"),
     ("duplicate event id across provisioners", dict(partitions=_shared_event_id),
      "miner", "DuplicateEvent"),
     ("capacity cap", dict(incremental=False, capacity=_tight_capacity),
@@ -240,6 +261,8 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     partitions = kwargs.pop("partitions", lambda parts: parts)(three_partitions)
     if callable(kwargs.get("capacity")):
         kwargs["capacity"] = kwargs["capacity"](partitions)
+    if isinstance(kwargs.get("seal"), type):  # a seal that keeps state, one per session
+        kwargs["seal"] = kwargs["seal"]()
     nodes, early = _run(partitions, **kwargs)
     assert nodes[faulty].phase == "aborted"
     assert nodes[faulty].aborted_reason == reason
@@ -248,6 +271,7 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     if faulty == "miner":
         assert miner.cstor == {} and miner.csize == {}
         assert miner.accountant.current_bytes == 0
+        assert miner.stream_keys == {}
     else:
         # Nothing tells the miner that a provisioner stopped; it waits.
         assert miner.phase in ("awaiting_refs", "awaiting_cases")
@@ -306,6 +330,7 @@ def test_corrupted_segment_ends_done_or_aborted(three_partitions, sealed, target
     elif sealed and target < count[0]:
         pytest.fail("a flipped envelope byte went unnoticed")
     assert miner.cstor == {} and miner.accountant.current_bytes == 0
+    assert miner.stream_keys == {}
     assert all(p.phase == "done" for p in nodes.values())
     assert early == []
 
@@ -329,4 +354,5 @@ def test_corrupted_control_message_never_escapes(three_partitions, target, posit
         assert (node.phase == "aborted") == (node.aborted_reason is not None)
     if miner.phase == "aborted":
         assert miner.cstor == {} and miner.accountant.current_bytes == 0
+        assert miner.stream_keys == {}
     assert early == []

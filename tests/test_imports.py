@@ -12,8 +12,10 @@ No linter ships with the project, so these checks walk each module's AST.
 * A parameter with a default, of a public function, a public method or the
   ``__init__`` of a public class, must be passed by some call in the library
   or the benchmark (by keyword, by position, or through ``*``/``**``),
-  unless ``UNSET_ON_PURPOSE`` says why it stays. A default nothing overrides
-  is a setting with one value in use, and that is a constant.
+  unless ``UNSET_ON_PURPOSE`` says why it stays. A dataclass field with a
+  default counts as such a parameter of the ``__init__`` it generates. A
+  default nothing overrides is a setting with one value in use, and that is
+  a constant.
 """
 
 import ast
@@ -46,7 +48,46 @@ UNSET_ON_PURPOSE = {
     ("experiment.py", "run_experiment", "replay_order"): "replays a recorded transcript",
     ("transport.py", "InProcessNetwork.run", "max_steps"): "bounds a session that never quiesces",
     ("transport.py", "InProcessNetwork.run_replay", "max_steps"): "bounds a replay likewise",
+    ("protocol.py", "ProvisionerConfig.__init__", "root_public"): "key material: tests pin a rogue root",
 }
+# Dataclass fields: the generated ``__init__`` takes one parameter per field.
+UNSET_ON_PURPOSE.update(
+    {
+        ("experiment.py", "ExperimentConfig.__init__", name): (
+            "set by name from a --config file (cls(**data)) or a flag (replace)"
+        )
+        for name in (
+            "n_cases", "seed", "seg_size", "incremental", "algorithm", "n_orgs",
+            "loop_iterations", "capacity", "log_path", "org_map_path", "iid_column",
+        )
+    }
+)
+UNSET_ON_PURPOSE.update(
+    {
+        ("experiment.py", "RunMetrics.__init__", name): "an accumulator, filled after construction"
+        for name in ("samples", "peak_bytes", "mean_bytes", "message_count", "yield_count", "wall_ms")
+    }
+)
+UNSET_ON_PURPOSE.update(
+    {
+        ("mining/dfg.py", "DfgState.__init__", name): "a mining accumulator, starts empty"
+        for name in (
+            "activity_counts", "directly_follows", "loop2_counts", "start_counts",
+            "end_counts", "cases_seen",
+        )
+    }
+)
+UNSET_ON_PURPOSE.update(
+    {
+        ("mining/heuristics.py", "HeuristicsConfig.__init__", name): (
+            "a Heuristics Miner parameter: the attested manifest digests it"
+        )
+        for name in (
+            "dependency_threshold", "relative_to_best", "loop2_threshold", "and_threshold",
+            "all_connected",
+        )
+    }
+)
 
 
 def _bindings(tree):
@@ -171,14 +212,42 @@ def _signature(fn, method):
     return positional[1:] if method and not static else positional, defaulted
 
 
+def _is_dataclass(cls):
+    """Decorated ``@dataclass`` or ``@dataclass(...)``."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def _fields(cls):
+    """The ``__init__`` parameters a dataclass generates from its fields, in
+    field order, and those with a default; ``field(init=False)`` is none."""
+    positional, defaulted = [], []
+    for item in cls.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for k in value.keywords
+        ):
+            continue
+        positional.append(item.target.id)
+        if value is not None:
+            defaulted.append(item.target.id)
+    return positional, defaulted
+
+
 def _callables(tree):
     """``(label, callee, positional, defaulted)`` of each public function,
-    public method and public class ``__init__``: ``callee`` is the name a
-    call uses, the class name for ``__init__``."""
+    public method and public class ``__init__``, the one a dataclass
+    generates included: ``callee`` is the name a call uses, the class name
+    for ``__init__``."""
     for node in tree.body:
         if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
             yield (node.name, node.name, *_signature(node, method=False))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if _is_dataclass(node):
+                yield ("%s.__init__" % node.name, node.name, *_fields(node))
             for item in node.body:
                 if isinstance(item, _FUNCTIONS) and (
                     item.name == "__init__" or not item.name.startswith("_")
@@ -242,6 +311,14 @@ def test_the_check_finds_unset_parameters():
         "    @staticmethod\n"
         "    def make(kind='box'): return Box()\n"
         "    def _hidden(self, x=1): return x\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n"
+        "    tags: list = field(default_factory=list)\n"
+        "    cache: dict = field(default_factory=dict, init=False)\n"
+        "    def moved(self, dx=1): return Point(self.x + dx)\n"
     )
     caller = (
         "f(0, 5, c=1)\n"
@@ -250,9 +327,11 @@ def test_the_check_finds_unset_parameters():
         "box = Box(3)\n"
         "box.grow()\n"
         "Box.make('crate')\n"
+        "Point(1, 2, tags=['a']).moved(3)\n"
     )
     assert unset_parameters({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", "Box.__init__", "tag"),
         ("lib.py", "Box.grow", "by"),
+        ("lib.py", "Point.__init__", "z"),
         ("lib.py", "f", "d"),
     ]

@@ -1,14 +1,25 @@
 """Miner/provisioner session behavior, including misbehaving peers."""
 
+import base64
 import random
+import struct
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from conftest import make_random_log
 from doubles import CollectorSink, LossyNetwork
-from enclavemine import model, protocol, segmenter
-from enclavemine.enclave import BuildManifest, OrgIdentity, compute_measurement, new_symmetric_key, seal_segment
+from enclavemine import enclave, model, protocol, segmenter
+from enclavemine.enclave import (
+    BuildManifest,
+    OrgIdentity,
+    compute_measurement,
+    new_symmetric_key,
+    seal_segment,
+    unwrap_key,
+    wrap_key,
+)
 from enclavemine.model import EMPTY_LOG, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
     KIND_CASES_REF_RES,
@@ -211,6 +222,40 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert not any("last" in msg.body for msg in net.sent if msg.kind != KIND_CASES_RES)
 
 
+def _wrapped_key(body):
+    """The wrapped-key field of a cases_res body's envelope."""
+    envelope = base64.b64decode(body["envelope"])
+    (length,) = struct.unpack(">I", envelope[2:6])
+    return envelope[6 : 6 + length]
+
+
+@pytest.mark.parametrize("do_yield", [True, False])
+def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
+    # Each stream wraps its key once and the miner unwraps it once, however
+    # many segments the stream has; every envelope still carries the blob.
+    single = size_of(extract_case(three_partitions["hospital"], "312"))
+    with mock.patch.object(protocol, "wrap_key", wraps=wrap_key) as wraps, mock.patch.object(
+        enclave, "unwrap_key", wraps=unwrap_key
+    ) as unwraps:
+        net, miner, sink, provisioners = _run_to_done(
+            three_partitions,
+            seg_size=max(single, 120),
+            do_yield=do_yield,
+            network_cls=RecordingNetwork,
+        )
+    assert miner.phase == "done"
+    streams = _streams(net)
+    assert sum(p.segments_sent for p in provisioners.values()) > len(streams)
+    assert wraps.call_count == len(provisioners)
+    assert unwraps.call_count == sum(1 for p in provisioners.values() if p.segments_sent)
+    blobs = {org: {_wrapped_key(body) for body in bodies} for org, bodies in streams.items()}
+    assert all(len(found) == 1 for found in blobs.values())
+    assert len(set().union(*blobs.values())) == len(blobs)
+    assert miner.stream_keys == {}
+    full = merge_all(three_partitions.values())
+    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+
+
 def test_accounting_returns_to_zero(three_partitions):
     for do_yield in (True, False):
         _, miner, _, _ = _run_to_done(three_partitions, do_yield=do_yield)
@@ -309,12 +354,11 @@ class UnderAdvertisingProvisioner(Provisioner):
 
     def _on_evidence_res(self, msg):
         super()._on_evidence_res(msg)
-        import base64
-
+        k_sym = new_symmetric_key()
         envelope = seal_segment(
             encode_log(self.config.partition),
-            new_symmetric_key(),
-            self.trust.k_pub,
+            k_sym,
+            wrap_key(k_sym, self.trust.k_pub),
             self.config.identity,
         )
         body = {
@@ -387,7 +431,12 @@ def test_wrong_measurement_stops_everything(three_partitions):
     }
     net, miner, sink, _ = _session(three_partitions, provisioners=provisioners)
     net.bootstrap()
-    net.run()
+    with mock.patch.object(protocol, "wrap_key", wraps=wrap_key) as wraps, mock.patch.object(
+        protocol, "seal_segment", wraps=seal_segment
+    ) as seals:
+        net.run()
+    # Rejected evidence: no key is wrapped and no segment sealed.
+    assert wraps.call_count == 0 and seals.call_count == 0
     assert all(p.phase == "rejected" for p in provisioners.values())
     assert all(
         p.trust is not None and p.trust.reason == "measurement_mismatch"
