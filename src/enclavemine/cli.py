@@ -12,8 +12,8 @@ Subcommands:
 
 ``run``, ``sweep-segsize``, and ``scale`` accept ``--config`` (a JSON file of
 ExperimentConfig fields); explicit flags override file values. A file that
-cannot be read, is not a JSON object, or has a key that is not a field is a
-one-line usage error with exit status 2.
+cannot be read, is not a JSON object, has a key that is not a field, or has
+a value of the wrong type is a one-line usage error with exit status 2.
 """
 
 from __future__ import annotations
@@ -130,8 +130,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     write_transcript(result.transcript, out_dir / "transcript.jsonl")
-    if result.aborted_reason is not None:
-        print("session aborted: %s: %s" % (result.aborted_reason, result.aborted_message))
+    if result.miner_phase != "done":
+        why = ""
+        if result.aborted_reason is not None:
+            why = ": %s: %s" % (result.aborted_reason, result.aborted_message)
+        print("session %s%s" % (result.miner_phase, why))
         return 1
     out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
     (out_dir / out_name).write_bytes(result.output)
@@ -145,7 +148,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out_dir / out_name,
         )
     )
-    return 0 if result.miner_phase == "done" else 1
+    return 0
 
 
 def _cmd_sweep_segsize(args: argparse.Namespace) -> int:

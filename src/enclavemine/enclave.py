@@ -4,7 +4,10 @@ Everything here runs in ordinary process memory; the trust chain is
 simulated faithfully enough to exercise the protocol:
 
 * A fixed Ed25519 keypair plays the hardware manufacturer root. Evidence is
-  signed with it, verifiers hold the public half.
+  signed with it, verifiers hold the public half. The root signs the
+  measurement, identity proof, session public key and nonce in the one
+  framing every signed or sealed byte string here uses: the version, then
+  each field behind its u32 length.
 * The *measurement* is the SHA-256 digest of a canonical build-manifest
   string (component, version, algorithm, sorted parameters). Verifiers
   compare it against a reference measurement they computed themselves.
@@ -15,12 +18,15 @@ simulated faithfully enough to exercise the protocol:
   ``nonce_mismatch``.
 * Segments are sealed with a hybrid envelope: a symmetric key (AES-GCM)
   encrypts the payload, an X25519+HKDF key-encapsulation wraps that key to
-  the session public key, and the sender signs the envelope body with its
-  org identity key (the sender proof). A stream draws one symmetric key and
-  encapsulates it once; every envelope of the stream carries the same
-  wrapped key, and the receiver unwraps it once per stream. So a segment
-  pays only its sender proof and its AES-GCM encryption, yet each envelope
-  still opens on its own, with no state from earlier ones.
+  the session public key, and the sender signs the envelope without its
+  proof, that is the framed wrapped key and ciphertext, with its org
+  identity key (the sender proof). The proof covers the field lengths, so no
+  byte moves across a field boundary unnoticed. A stream draws one
+  symmetric key and encapsulates it once; every envelope of the stream
+  carries the same wrapped key, and the receiver unwraps it once per
+  stream. So a segment pays only its sender proof and its AES-GCM
+  encryption, yet each envelope still opens on its own, with no state from
+  earlier ones.
 
 Verification order for evidence: signature, measurement, org allow-list,
 nonce. The first failing check names the rejection.
@@ -31,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -105,6 +111,8 @@ REASON_NONCE = "nonce_mismatch"
 ENVELOPE_VERSION = 1
 
 _WRAP_INFO = b"enclavemine-key-wrap-v1"
+_VERSION = struct.Struct(">H")
+_LENGTH = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -127,37 +135,15 @@ def compute_measurement(manifest: BuildManifest) -> bytes:
     return hashlib.sha256(manifest.canonical()).digest()
 
 
-class HardwareRoot:
-    """Simulated CPU-manufacturer signing identity.
-
-    The default root derives its key from a fixed seed so every party in the
-    simulation agrees on the manufacturer. Tests build alternate roots to
-    model evidence signed by unknown hardware.
-    """
-
-    def __init__(self, seed: bytes):
-        if len(seed) != 32:
-            raise ValueError("root seed must be 32 bytes")
-        self._key = Ed25519PrivateKey.from_private_bytes(seed)
-        self.public_bytes = self._key.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-
-    def sign(self, data: bytes) -> bytes:
-        return self._key.sign(data)
-
-
-DEFAULT_ROOT = HardwareRoot(hashlib.sha256(b"enclavemine simulated hardware root").digest())
-
-
 class OrgIdentity:
-    """An organization's signing identity used for sender proofs."""
+    """An Ed25519 signing identity: an organization's, for sender proofs, or
+    the hardware root's, for evidence."""
 
     def __init__(self, org_id: str, seed: Optional[bytes] = None):
         self.org_id = org_id
-        if seed is None:
-            seed = os.urandom(32)
-        self._key = Ed25519PrivateKey.from_private_bytes(seed)
+        self._key = Ed25519PrivateKey.from_private_bytes(
+            os.urandom(32) if seed is None else seed
+        )
         self.public_bytes = self._key.public_key().public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         )
@@ -172,6 +158,26 @@ class OrgIdentity:
             return True
         except (InvalidSignature, ValueError):
             return False
+
+
+class HardwareRoot(OrgIdentity):
+    """Simulated CPU-manufacturer signing identity.
+
+    The default root derives its key from a fixed seed so every party in the
+    simulation agrees on the manufacturer. Tests build alternate roots to
+    model evidence signed by unknown hardware.
+    """
+
+    def __init__(self, seed: bytes):
+        super().__init__("hardware-root", seed)
+
+
+DEFAULT_ROOT = HardwareRoot(hashlib.sha256(b"enclavemine simulated hardware root").digest())
+
+
+def _frame(*fields: bytes) -> bytes:
+    """The version, then each field behind its u32 length."""
+    return _VERSION.pack(ENVELOPE_VERSION) + b"".join(_LENGTH.pack(len(f)) + f for f in fields)
 
 
 class SessionKeys:
@@ -196,7 +202,7 @@ class AttestationEvidence:
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        return _evidence_payload(self.measurement, self.identity_proof, self.k_pub, self.nonce)
+        return _frame(self.measurement, self.identity_proof.encode("utf-8"), self.k_pub, self.nonce)
 
     def to_dict(self) -> Dict[str, str]:
         return {
@@ -220,22 +226,6 @@ class AttestationEvidence:
         )
 
 
-def _evidence_payload(measurement: bytes, identity_proof: str, k_pub: bytes, nonce: bytes) -> bytes:
-    proof = identity_proof.encode("utf-8")
-    return b"".join(
-        [
-            struct.pack(">H", ENVELOPE_VERSION),
-            measurement,
-            struct.pack(">H", len(proof)),
-            proof,
-            struct.pack(">H", len(k_pub)),
-            k_pub,
-            struct.pack(">H", len(nonce)),
-            nonce,
-        ]
-    )
-
-
 def build_evidence(
     measurement: bytes,
     identity_proof: str,
@@ -243,14 +233,8 @@ def build_evidence(
     nonce: bytes,
     root: HardwareRoot = DEFAULT_ROOT,
 ) -> AttestationEvidence:
-    payload = _evidence_payload(measurement, identity_proof, k_pub, nonce)
-    return AttestationEvidence(
-        measurement=measurement,
-        identity_proof=identity_proof,
-        k_pub=k_pub,
-        nonce=nonce,
-        signature=root.sign(payload),
-    )
+    unsigned = AttestationEvidence(measurement, identity_proof, k_pub, nonce, b"")
+    return replace(unsigned, signature=root.sign(unsigned.signed_payload()))
 
 
 @dataclass(frozen=True)
@@ -274,11 +258,7 @@ def verify_evidence(
     """
     if root_public is None:
         root_public = DEFAULT_ROOT.public_bytes
-    try:
-        Ed25519PublicKey.from_public_bytes(root_public).verify(
-            evidence.signature, evidence.signed_payload()
-        )
-    except (InvalidSignature, ValueError, struct.error):  # struct: a field too long to sign
+    if not OrgIdentity.verify(root_public, evidence.signature, evidence.signed_payload()):
         return TrustDecision(False, REASON_SIGNATURE)
     if evidence.measurement != reference_measurement:
         return TrustDecision(False, REASON_MEASUREMENT)
@@ -293,6 +273,11 @@ def new_symmetric_key() -> bytes:
     return AESGCM.generate_key(bit_length=256)
 
 
+def _kek(shared: bytes) -> AESGCM:
+    """The cipher of the key-encryption key derived from an X25519 secret."""
+    return AESGCM(HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared))
+
+
 def wrap_key(k_sym: bytes, k_pub: bytes) -> bytes:
     """Encapsulate a symmetric key to the session public key.
 
@@ -300,10 +285,8 @@ def wrap_key(k_sym: bytes, k_pub: bytes) -> bytes:
     AES-GCM ciphertext of the symmetric key under the derived wrapping key.
     """
     eph = X25519PrivateKey.generate()
-    shared = eph.exchange(X25519PublicKey.from_public_bytes(k_pub))
-    kek = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
     nonce = os.urandom(12)
-    ct = AESGCM(kek).encrypt(nonce, k_sym, None)
+    ct = _kek(eph.exchange(X25519PublicKey.from_public_bytes(k_pub))).encrypt(nonce, k_sym, None)
     eph_pub = eph.public_key().public_bytes(
         serialization.Encoding.Raw, serialization.PublicFormat.Raw
     )
@@ -315,49 +298,41 @@ def unwrap_key(wrapped: bytes, session: SessionKeys) -> bytes:
         raise KeyUnwrapFailure("wrapped key too short")
     eph_pub, nonce, ct = wrapped[:32], wrapped[32:44], wrapped[44:]
     try:
-        shared = session.exchange(eph_pub)
-        kek = HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared)
-        return AESGCM(kek).decrypt(nonce, ct, None)
+        return _kek(session.exchange(eph_pub)).decrypt(nonce, ct, None)
     except (InvalidTag, ValueError) as exc:  # InvalidTag has no text of its own
         raise KeyUnwrapFailure("wrapped key does not open with this session's key") from exc
-
-
-def _pack_field(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
 
 
 def seal_segment(segment_bytes: bytes, k_sym: bytes, wrapped: bytes, sender: OrgIdentity) -> bytes:
     """Produce the versioned envelope: wrapped key, sender proof, ciphertext.
 
     ``wrapped`` is ``wrap_key(k_sym, k_pub)``, made once per stream and
-    carried by each of its envelopes. The sender proof signs the wrapped key
-    and ciphertext together so neither can be swapped out without detection.
+    carried by each of its envelopes. The sender proof signs the framed
+    wrapped key and ciphertext, the envelope without its proof, so neither
+    can be swapped out or re-split without detection.
     """
     nonce = os.urandom(12)
     ct = nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, None)
-    proof = sender.sign(wrapped + ct)
-    return b"".join(
-        [struct.pack(">H", ENVELOPE_VERSION), _pack_field(wrapped), _pack_field(proof), _pack_field(ct)]
-    )
+    return _frame(wrapped, sender.sign(_frame(wrapped, ct)), ct)
 
 
 def _split_envelope(envelope: bytes) -> Tuple[bytes, bytes, bytes]:
-    if len(envelope) < 2:
+    """The wrapped key, proof and ciphertext of ``_frame(wrapped, proof, ct)``."""
+    if len(envelope) < _VERSION.size:
         raise AuthFailure("envelope truncated")
-    (version,) = struct.unpack(">H", envelope[:2])
+    (version,) = _VERSION.unpack_from(envelope)
     if version != ENVELOPE_VERSION:
         raise AuthFailure("unsupported envelope version %d" % version)
-    pos = 2
+    pos = _VERSION.size
     fields = []
     for _ in range(3):
-        if pos + 4 > len(envelope):
+        if pos + _LENGTH.size > len(envelope):
             raise AuthFailure("envelope truncated")
-        (length,) = struct.unpack(">I", envelope[pos : pos + 4])
-        pos += 4
-        if pos + length > len(envelope):
+        (length,) = _LENGTH.unpack_from(envelope, pos)
+        pos += _LENGTH.size + length
+        if pos > len(envelope):
             raise AuthFailure("envelope truncated")
-        fields.append(envelope[pos : pos + length])
-        pos += length
+        fields.append(envelope[pos - length : pos])
     if pos != len(envelope):
         raise AuthFailure("trailing bytes after envelope")
     return fields[0], fields[1], fields[2]
@@ -378,7 +353,7 @@ def open_segment(
     this envelope opened with.
     """
     wrapped, proof, ct = _split_envelope(envelope)
-    if not OrgIdentity.verify(sender_public, proof, wrapped + ct):
+    if not OrgIdentity.verify(sender_public, proof, _frame(wrapped, ct)):
         raise AuthFailure("sender proof rejected")
     if held is None or held[0] != wrapped:
         held = (wrapped, unwrap_key(wrapped, session))

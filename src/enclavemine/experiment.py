@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
@@ -85,8 +85,9 @@ class ExperimentConfig:
     def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
         """Fields from a JSON object, then every override that is not None.
 
-        Raises ``ValueError`` for a document that is not an object and for a
-        key that is not a field, naming the keys.
+        Raises ``ValueError`` for a document that is not an object, for a
+        key that is not a field, and for a value of another type than its
+        field's (a bool is not an int), naming the keys.
         """
         with Path(path).open() as fh:
             data = json.load(fh)
@@ -95,6 +96,12 @@ class ExperimentConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError("unknown config key(s): %s" % ", ".join(unknown))
+        hints = get_type_hints(cls)
+        for key, value in sorted(data.items()):
+            allowed = get_args(hints[key]) or (hints[key],)
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                names = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
+                raise ValueError("config key %s must be %s, not %r" % (key, names, value))
         data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 

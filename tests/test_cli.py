@@ -105,16 +105,24 @@ def test_run_accepts_config_file_with_overrides(tmp_path):
 def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"incremental": False, "capacity": 2000}))
-    out_dir = tmp_path / "out"
-    rc = run_cli("run", "--config", cfg, "--out-dir", out_dir)
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert out.startswith("session aborted: CapacityExceeded: ")
-    assert "capacity 2000" in out
-    # The trail that explains the abort is written; no mining output is.
-    assert (out_dir / "metrics.csv").exists()
-    assert (out_dir / "transcript.jsonl").exists()
-    assert not (out_dir / "model.pnml").exists()
+    inputs = [
+        # The miner aborts: its reason and message follow the phase.
+        (["--config", cfg], "session aborted: CapacityExceeded: ", "capacity 2000"),
+        # Every provisioner aborts (InvalidSegSize) and the miner is left
+        # waiting: the phase alone.
+        (["--cases", 20, "--seg-size", 0], "session awaiting_cases\n", ""),
+    ]
+    for i, (flags, starts, contains) in enumerate(inputs):
+        out_dir = tmp_path / ("out%d" % i)
+        rc = run_cli("run", *flags, "--out-dir", out_dir)
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith(starts)
+        assert contains in out
+        # The trail that explains the stop is written; no mining output is.
+        assert (out_dir / "metrics.csv").exists()
+        assert (out_dir / "transcript.jsonl").exists()
+        assert not (out_dir / "model.pnml").exists()
 
 
 @pytest.mark.parametrize(
@@ -122,8 +130,11 @@ def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
     [
         ({"n_cases": 20, "session": "x"}, "unknown config key(s): session"),
         ([{"n_cases": 20}], "a config is a JSON object, not list"),
+        ({"n_cases": "20"}, "config key n_cases must be int, not '20'"),
+        ({"seed": True, "capacity": 2.5}, "config key capacity must be int or None, not 2.5"),
+        ({"seed": True}, "config key seed must be int, not True"),
     ],
-    ids=["unknown key", "not an object"],
+    ids=["unknown key", "not an object", "wrong type", "float for an optional int", "bool for an int"],
 )
 def test_run_rejects_a_malformed_config_with_a_usage_error(tmp_path, capsys, doc, named):
     cfg = tmp_path / "cfg.json"

@@ -8,6 +8,8 @@ import unittest
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from enclavemine import enclave
 from enclavemine.enclave import (
@@ -152,6 +154,24 @@ class EvidenceTest(unittest.TestCase):
         self.assertNotIn(raw_priv.hex(), blob)
 
 
+def _framed(*fields):
+    """The documented framing, written out here: the version, then each
+    field behind its u32 length."""
+    return struct.pack(">H", ENVELOPE_VERSION) + b"".join(
+        struct.pack(">I", len(f)) + f for f in fields
+    )
+
+
+def _fields(envelope):
+    """The wrapped key, proof and ciphertext of a well-formed envelope."""
+    fields, pos = [], 2
+    for _ in range(3):
+        (n,) = struct.unpack(">I", envelope[pos : pos + 4])
+        fields.append(envelope[pos + 4 : pos + 4 + n])
+        pos += 4 + n
+    return tuple(fields)
+
+
 class SealingTest(unittest.TestCase):
     def setUp(self):
         self.session = SessionKeys()
@@ -213,36 +233,33 @@ class SealingTest(unittest.TestCase):
     def test_resigned_envelope_still_rejected(self):
         # An impostor who re-signs the body still fails because the verifier
         # pins the expected sender's public key.
-        envelope = self.seal()
+        wrapped, _, ct = _fields(self.seal())
         impostor = OrgIdentity("impostor")
-        wrapped_len = struct.unpack(">I", envelope[2:6])[0]
-        body_start = 6
-        wrapped = envelope[body_start : body_start + wrapped_len]
-        proof_len_at = body_start + wrapped_len
-        proof_len = struct.unpack(">I", envelope[proof_len_at : proof_len_at + 4])[0]
-        ct = envelope[proof_len_at + 4 + proof_len + 4 :]
-        forged_proof = impostor.sign(wrapped + ct)
-        forged = (
-            envelope[:proof_len_at]
-            + struct.pack(">I", len(forged_proof))
-            + forged_proof
-            + struct.pack(">I", len(ct))
-            + ct
-        )
-        with self.assertRaises(AuthFailure):
+        forged = _framed(wrapped, impostor.sign(_framed(wrapped, ct)), ct)
+        with self.assertRaisesRegex(AuthFailure, "^sender proof rejected$"):
             open_segment(forged, self.session, self.sender.public_bytes)
+
+    def test_a_byte_moved_across_a_field_boundary_rejected(self):
+        # The proof signs the field lengths, not just the concatenated bytes.
+        wrapped, proof, ct = _fields(self.seal())
+        for moved in (
+            _framed(wrapped[:-1], proof, wrapped[-1:] + ct),
+            _framed(wrapped + ct[:1], proof, ct[1:]),
+        ):
+            with self.assertRaisesRegex(AuthFailure, "^sender proof rejected$"):
+                open_segment(moved, self.session, self.sender.public_bytes)
 
     def test_signed_envelope_with_a_bad_key_length_rejected(self):
         # The genuine sender wrapped a key AES-GCM cannot take: still an
         # AuthFailure, never the cipher's own ValueError.
         wrapped = wrap_key(b"k" * 5, self.session.k_pub)
         ct = os.urandom(12 + 16 + 8)
-        proof = self.sender.sign(wrapped + ct)
-        envelope = struct.pack(">H", ENVELOPE_VERSION) + b"".join(
-            struct.pack(">I", len(f)) + f for f in (wrapped, proof, ct)
-        )
-        with self.assertRaises(AuthFailure):
+        envelope = _framed(wrapped, self.sender.sign(_framed(wrapped, ct)), ct)
+        with self.assertRaisesRegex(
+            AuthFailure, "^segment ciphertext failed authentication$"
+        ) as caught:
             open_segment(envelope, self.session, self.sender.public_bytes)
+        self.assertIsInstance(caught.exception.__cause__, ValueError)
 
     def test_truncated_envelope_rejected(self):
         envelope = self.seal()
@@ -318,6 +335,47 @@ class StreamKeyTest(unittest.TestCase):
         forged = seal_segment(b"two", self.k_sym, self.wrapped, impostor)
         with self.assertRaises(AuthFailure):
             self.open(forged, held)
+
+
+_SESSION = SessionKeys()
+_SENDER = OrgIdentity("hospital", seed=hashlib.sha256(b"h").digest())
+
+
+@st.composite
+def _resplits(draw):
+    """A sealed envelope with its fields' bytes re-split at other lengths:
+    either the wrapped key and ciphertext around the genuine proof, or all
+    three fields."""
+    k_sym = new_symmetric_key()
+    payload = draw(st.binary(max_size=64))
+    wrapped, proof, ct = _fields(
+        seal_segment(payload, k_sym, wrap_key(k_sym, _SESSION.k_pub), _SENDER)
+    )
+
+    def cut(body, bound, low=0):
+        near = st.integers(-3, 3).map(lambda d: min(max(bound + d, low), len(body)))
+        return draw(st.one_of(near, st.integers(low, len(body))))
+
+    if draw(st.booleans()):
+        signed = wrapped + ct
+        at = cut(signed, len(wrapped))
+        assume(at != len(wrapped))
+        return _framed(signed[:at], proof, signed[at:])
+    body = wrapped + proof + ct
+    first = cut(body, len(wrapped))
+    second = cut(body, len(wrapped) + len(proof), first)
+    assume((first, second) != (len(wrapped), len(wrapped) + len(proof)))
+    return _framed(body[:first], body[first:second], body[second:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_resplits())
+def test_a_resplit_envelope_fails_its_sender_proof_before_any_key_is_used(envelope):
+    with mock.patch.object(enclave, "unwrap_key", wraps=unwrap_key) as unwraps:
+        with mock.patch.object(enclave, "AESGCM", wraps=enclave.AESGCM) as ciphers:
+            with pytest.raises(AuthFailure, match="^sender proof rejected$"):
+                open_segment(envelope, _SESSION, _SENDER.public_bytes)
+    assert (unwraps.call_count, ciphers.call_count) == (0, 0)
 
 
 def test_wrap_unwrap_round_trip():

@@ -5,10 +5,12 @@ No linter ships with the project, so these checks walk each module's AST.
 * A name bound by a module-level ``import`` must be read somewhere in that
   module. Exempt are ``__future__`` imports, re-exports that a package
   ``__init__`` lists in ``__all__``, and the bindings in ``KEPT_FOR_TRACING``.
-* A public top-level function or class must be read somewhere in the library
-  or the benchmark, outside its own definition, unless ``UNREAD_ON_PURPOSE``
-  says why it stays. Tests do not count as readers: code that only its own
-  tests use gets deleted. An import or an ``__all__`` entry is not a read.
+* A top-level function or class, public or private, and a private top-level
+  constant must be read somewhere in the library or the benchmark, outside
+  its own definition, unless ``UNREAD_ON_PURPOSE`` says why it stays. Tests
+  do not count as readers: code that only its own tests use gets deleted. An
+  import or an ``__all__`` entry is not a read. Methods are exempt: the
+  protocol dispatches ``_on_<kind>`` handlers by a name it builds.
 * A parameter with a default, of a public function, a public method or the
   ``__init__`` of a public class, must be passed by some call in the library
   or the benchmark (by keyword, by position, or through ``*``/``**``),
@@ -155,20 +157,32 @@ def _reads(tree):
     )
 
 
+def _definitions(tree):
+    """``(name, node)`` of each top-level function and class in ``tree``, and
+    of each private top-level constant (a dunder such as ``__all__`` is not
+    one)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if (
+                    isinstance(target, ast.Name)
+                    and target.id.startswith("_")
+                    and not target.id.startswith("__")
+                ):
+                    yield target.id, node
+
+
 def unread_definitions(modules, readers):
-    """``(module, name)`` of each public top-level function or class in
-    ``modules`` (name -> source) that no source in ``readers`` reads outside
-    the definition itself."""
+    """``(module, name)`` of each definition in ``modules`` (name -> source)
+    that no source in ``readers`` reads outside the definition itself."""
     read = sum((_reads(ast.parse(source)) for source in readers), Counter())
     found = []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")
-                and read[node.name] <= _reads(node)[node.name]
-            ):
-                found.append((module, node.name))
+        for name, node in _definitions(ast.parse(source)):
+            if read[name] <= _reads(node)[name]:
+                found.append((module, name))
     return sorted(found)
 
 
@@ -186,7 +200,6 @@ def test_the_check_finds_unread_definitions():
         "def used(): return helper()\n"
         "def unused(): return 1\n"
         "def recursive(n): return recursive(n - 1) if n else 0\n"
-        "def _private(): return 2\n"
         "class Node:\n"
         "    def copy(self): return Node()\n"
     )
@@ -195,6 +208,27 @@ def test_the_check_finds_unread_definitions():
         ("lib.py", "Node"),
         ("lib.py", "recursive"),
         ("lib.py", "unused"),
+    ]
+
+
+def test_the_check_finds_unread_private_definitions():
+    lib = (
+        "_USED = 1\n"
+        "_UNUSED: int = 2\n"
+        "__all__ = ['api']\n"
+        "def api(): return _helper() + _USED\n"
+        "def _helper(): return _Box().size\n"
+        "def _leftover(data): return _leftover(data[1:]) if data else b''\n"
+        "class _Box:\n"
+        "    size = 0\n"
+        "    def _on_ping(self): return 'pong'\n"
+        "class _Unused: pass\n"
+    )
+    caller = "import lib\nlib.api()\n"
+    assert unread_definitions({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "_UNUSED"),
+        ("lib.py", "_Unused"),
+        ("lib.py", "_leftover"),
     ]
 
 
