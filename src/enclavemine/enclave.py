@@ -258,7 +258,11 @@ def verify_evidence(
     """
     if root_public is None:
         root_public = DEFAULT_ROOT.public_bytes
-    if not OrgIdentity.verify(root_public, evidence.signature, evidence.signed_payload()):
+    try:
+        payload = evidence.signed_payload()
+    except UnicodeEncodeError:  # an identity proof with no UTF-8 form was never signed
+        return TrustDecision(False, REASON_SIGNATURE)
+    if not OrgIdentity.verify(root_public, evidence.signature, payload):
         return TrustDecision(False, REASON_SIGNATURE)
     if evidence.measurement != reference_measurement:
         return TrustDecision(False, REASON_MEASUREMENT)

@@ -115,6 +115,12 @@ class EvidenceTest(unittest.TestCase):
         decision = self.appraise(forged)
         self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
 
+    def test_identity_proof_that_is_not_utf8_text_fails_signature(self):
+        # JSON admits a lone surrogate, which has no UTF-8 encoding to sign.
+        forged = dataclasses.replace(self.evidence, identity_proof="\ud800")
+        decision = self.appraise(forged)
+        self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
+
     def test_wrong_root_rejected(self):
         rogue = HardwareRoot(os.urandom(32))
         _, _, ev = _fresh_evidence(self.nonce, root=rogue)

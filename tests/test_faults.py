@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from doubles import CollectorSink
 from enclavemine import protocol
-from enclavemine.enclave import BuildManifest, SessionKeys, wrap_key
+from enclavemine.enclave import REASON_SIGNATURE, BuildManifest, SessionKeys, wrap_key
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
 from enclavemine.protocol import (
@@ -250,6 +250,16 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(envelope="!!"))]),
      "miner", "UnexpectedMessage"),
 ]
+
+
+def test_evidence_that_is_not_utf8_text_is_rejected(three_partitions):
+    # JSON admits a lone surrogate, which has no UTF-8 encoding to verify.
+    edit = (KIND_EVIDENCE_RES, *TO_HOSPITAL, _evidence(identity_proof="\ud800"))
+    nodes, early = _run(three_partitions, edits=[edit])
+    hospital = nodes["hospital"]
+    assert hospital.phase == "rejected"
+    assert hospital.trust.reason == REASON_SIGNATURE
+    assert early == []
 
 
 @pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
