@@ -13,7 +13,8 @@ Subcommands:
 ``run``, ``sweep-segsize``, and ``scale`` accept ``--config`` (a JSON file of
 ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
-a value of the wrong type is a one-line usage error with exit status 2.
+a value of the wrong type is a one-line usage error with exit status 2, and
+so is a case, org or loop count below 1 from a file or a flag.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 from pathlib import Path
 
 from .experiment import (
+    ALGORITHMS,
     ExperimentConfig,
     _load_inputs,
     run_experiment,
@@ -49,7 +51,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seg-size", type=int, dest="seg_size")
     p.add_argument("--orgs", type=int, dest="n_orgs")
     p.add_argument("--loop", type=int, dest="loop_iterations")
-    p.add_argument("--algorithm", choices=("heuristics", "declare"))
+    p.add_argument("--algorithm", choices=ALGORITHMS)
     p.add_argument(
         "--mode",
         choices=("incremental", "batch"),
@@ -73,16 +75,14 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "org_map_path": args.org_map_path,
         "iid_column": args.iid_column,
     }
-    if args.config:
-        try:
+    try:
+        if args.config:
             return ExperimentConfig.from_json_file(args.config, **overrides)
-        except (OSError, ValueError) as exc:
-            print(
-                "enclavemine %s: error: --config %s: %s" % (args.command, args.config, exc),
-                file=sys.stderr,
-            )
-            raise SystemExit(2) from exc
-    return ExperimentConfig().with_overrides(**overrides)
+        return ExperimentConfig().with_overrides(**overrides)
+    except (OSError, ValueError) as exc:
+        where = "--config %s: " % args.config if args.config else ""
+        print("enclavemine %s: error: %s%s" % (args.command, where, exc), file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -216,7 +216,7 @@ def _cmd_verify_convergence(args: argparse.Namespace) -> int:
     # split relabels events with their org, which can reorder timestamp ties.
     log = merge_all(_load_inputs(cfg).values())
     failures = 0
-    for algorithm in ("heuristics", "declare"):
+    for algorithm in ALGORITHMS:
         direct = standalone_mining(log, algorithm)
         via_protocol = run_experiment(cfg.with_overrides(algorithm=algorithm)).output
         ok = direct == via_protocol

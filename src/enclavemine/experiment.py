@@ -29,7 +29,7 @@ from .mining.heuristics import HeuristicsConfig, hm_finalize
 from .mining.pnml import to_pnml
 from .model import EventLog, group_by_iid
 from .protocol import MinerConfig, Provisioner, ProvisionerConfig, SecureMiner
-from .scenario import generate_scenario_log, org_map_for, scenario_declare_model
+from .scenario import generate_scenario_log, max_case_events, org_map_for, scenario_declare_model
 from .stats import RegressionStats, fit_stats
 from .transport import DeliveryRecord, InProcessNetwork
 
@@ -80,6 +80,9 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError("algorithm must be one of %s" % (ALGORITHMS,))
+        for name in ("n_cases", "n_orgs", "loop_iterations"):
+            if getattr(self, name) < 1:
+                raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
 
     @classmethod
     def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
@@ -347,8 +350,6 @@ def scale_run(
     rounds across all points so slow machine-wide drift does not bias the
     curve shape.
     """
-    from .scenario import max_case_events
-
     if values:
         run_experiment(cfg)
     points: List[Tuple[float, ExperimentConfig]] = []

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..model import EventLog
+from ..model import EventLog, group_by_iid
 from .dfg import EmptyCase
 
 __all__ = [
@@ -187,8 +187,6 @@ class ConformanceState:
         return res
 
     def add_log(self, log: EventLog) -> None:
-        from ..model import group_by_iid
-
         cases = group_by_iid(log)
         for iid in sorted(cases):
             self.add_case(cases[iid])

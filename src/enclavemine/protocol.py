@@ -4,13 +4,16 @@ Message flow per session (control messages are JSON, segment payloads ride
 inside sealed envelopes, base64-wrapped at the message layer):
 
 1. miner -> all provisioners   cases_ref_req {identity_proof}
-2. provisioner -> miner        cases_ref_res {iids}
-3. miner -> all provisioners   cases_req {seg_size, iids}   (after all refs)
-4. provisioner -> miner        evidence_req {nonce}
-5. miner -> provisioner        evidence_res {evidence}
-6. provisioner -> miner        cases_res {envelope, last}   (stream)
+2. provisioner -> miner        cases_ref_res {iids, nonce}
+3. miner -> all provisioners   cases_req {seg_size, iids, evidence}   (after all refs)
+4. provisioner -> miner        cases_res {envelope, last}   (stream)
 
-Each provisioner's stream of message 6 has one symmetric key, which it
+Attestation rides in messages 2 and 3: a provisioner draws a fresh nonce
+when it answers the ref request and sends it with its refs, and at fan-out
+the miner builds one attestation evidence per provisioner, bound to that
+provisioner's nonce, and sends it with the case request.
+
+Each provisioner's stream of message 4 has one symmetric key, which it
 wraps to the evidence's session key once, after appraising the evidence.
 Every envelope of the stream carries that wrapped key and its own sender
 proof. The miner holds one ``(wrapped, k_sym)`` pair per open stream in
@@ -110,8 +113,6 @@ __all__ = [
     "KIND_CASES_REF_REQ",
     "KIND_CASES_REF_RES",
     "KIND_CASES_REQ",
-    "KIND_EVIDENCE_REQ",
-    "KIND_EVIDENCE_RES",
     "KIND_CASES_RES",
 ]
 
@@ -147,15 +148,13 @@ class IncompleteDelivery(ProtocolError):
 KIND_CASES_REF_REQ = "cases_ref_req"
 KIND_CASES_REF_RES = "cases_ref_res"
 KIND_CASES_REQ = "cases_req"
-KIND_EVIDENCE_REQ = "evidence_req"
-KIND_EVIDENCE_RES = "evidence_res"
 KIND_CASES_RES = "cases_res"
 
 # Bytes of the freshness nonce a provisioner issues for the miner's evidence.
 _NONCE_SIZE = 16
 
-_MINER_KINDS = frozenset({KIND_CASES_REF_RES, KIND_EVIDENCE_REQ, KIND_CASES_RES})
-_PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ, KIND_EVIDENCE_RES})
+_MINER_KINDS = frozenset({KIND_CASES_REF_RES, KIND_CASES_RES})
+_PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ})
 
 # What input from a peer can make a handler raise; see "Failure contract".
 _FAULTS = (ProtocolError, EnclaveError, WireError, ModelError, SegmenterError)
@@ -258,7 +257,7 @@ class SecureMiner:
         self.cstor: Dict[str, EventLog] = {}
         self.csize: Dict[str, int] = {}
         self.stream_keys: Dict[str, Tuple[bytes, bytes]] = {}
-        self.evidence_served: Set[str] = set()
+        self.nonces: Dict[str, bytes] = {}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
@@ -299,43 +298,39 @@ class SecureMiner:
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
         if msg.sender in self.pmap:
             raise DuplicateResponse(msg.sender)
-        self.pmap[msg.sender] = set(_iids(msg))
-        if len(self.pmap) != len(self.peers):
-            return []
-        self.phase = "awaiting_cases"
-        out = []
-        for p in self.peers:
-            body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap[p])}
-            out.append((p, self._msg(KIND_CASES_REQ, body)))
-        return out
-
-    def _on_evidence_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
-        self.phase_label = "attestation"
-        self._require_known(msg.sender)
-        if self.phase != "awaiting_cases":
-            raise UnexpectedMessage("evidence_req in phase %s" % self.phase)
         try:
             nonce = bytes.fromhex(_field(msg, "nonce", str))
         except ValueError as exc:
-            raise UnexpectedMessage("evidence_req nonce is not hex") from exc
+            raise UnexpectedMessage("cases_ref_res nonce is not hex") from exc
         if len(nonce) != _NONCE_SIZE:
-            raise UnexpectedMessage("evidence_req nonce is not %d bytes" % _NONCE_SIZE)
-        evidence = build_evidence(
-            measurement=self.measurement,
-            identity_proof=self.config.org_proof,
-            k_pub=self.session_keys.k_pub,
-            nonce=nonce,
-        )
-        self.evidence_served.add(msg.sender)
-        return [(msg.sender, self._msg(KIND_EVIDENCE_RES, {"evidence": evidence.to_dict()}))]
+            raise UnexpectedMessage("cases_ref_res nonce is not %d bytes" % _NONCE_SIZE)
+        self.pmap[msg.sender] = set(_iids(msg))
+        self.nonces[msg.sender] = nonce
+        if len(self.pmap) != len(self.peers):
+            return []
+        self.phase = "awaiting_cases"
+        self.phase_label = "attestation"
+        out = []
+        for p in self.peers:
+            evidence = build_evidence(
+                measurement=self.measurement,
+                identity_proof=self.config.org_proof,
+                k_pub=self.session_keys.k_pub,
+                nonce=self.nonces[p],
+            )
+            body = {
+                "seg_size": self.config.seg_size,
+                "iids": sorted(self.pmap[p]),
+                "evidence": evidence.to_dict(),
+            }
+            out.append((p, self._msg(KIND_CASES_REQ, body)))
+        return out
 
     def _on_cases_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
         self.phase_label = "transmission"
         self._require_known(msg.sender)
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
-        if msg.sender not in self.evidence_served:
-            raise UnexpectedMessage("cases_res from %s before attestation" % msg.sender)
         if msg.sender not in self.pmap:
             raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
         last = msg.body.get("last", False)
@@ -424,7 +419,6 @@ class Provisioner:
         self.config = config
         self.node_id = config.identity.org_id
         self.phase = "idle"
-        self.pending: Optional[Tuple[int, Tuple[str, ...]]] = None
         self.nonce: Optional[bytes] = None
         self.trust: Optional[TrustDecision] = None
         self.segments_sent = 0
@@ -445,21 +439,15 @@ class Provisioner:
             self.phase = "refused"
             return []
         self.miner_id = msg.sender
+        self.nonce = os.urandom(_NONCE_SIZE)
         self.phase = "refs_sent"
-        iids = sorted(iid_set(self.config.partition))
-        return [(msg.sender, self._msg(KIND_CASES_REF_RES, {"iids": iids}))]
+        body = {"iids": sorted(iid_set(self.config.partition)), "nonce": self.nonce.hex()}
+        return [(msg.sender, self._msg(KIND_CASES_REF_RES, body))]
 
     def _on_cases_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "refs_sent" or msg.sender != self.miner_id:
             raise UnexpectedMessage("cases_req in phase %s" % self.phase)
-        self.pending = (_field(msg, "seg_size", int), tuple(_iids(msg)))
-        self.nonce = os.urandom(_NONCE_SIZE)
-        self.phase = "awaiting_evidence"
-        return [(msg.sender, self._msg(KIND_EVIDENCE_REQ, {"nonce": self.nonce.hex()}))]
-
-    def _on_evidence_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
-        if self.phase != "awaiting_evidence" or msg.sender != self.miner_id:
-            raise UnexpectedMessage("evidence_res in phase %s" % self.phase)
+        seg_size, iids = _field(msg, "seg_size", int), _iids(msg)
         try:
             evidence = AttestationEvidence.from_dict(_field(msg, "evidence", dict))
         except (KeyError, TypeError, ValueError) as exc:
@@ -474,8 +462,6 @@ class Provisioner:
         if not self.trust.trusted:
             self.phase = "rejected"
             return []
-        assert self.pending is not None
-        seg_size, iids = self.pending
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
         wrapped = wrap_key(k_sym, self.trust.k_pub)

@@ -133,8 +133,16 @@ def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
         ({"n_cases": "20"}, "config key n_cases must be int, not '20'"),
         ({"seed": True, "capacity": 2.5}, "config key capacity must be int or None, not 2.5"),
         ({"seed": True}, "config key seed must be int, not True"),
+        ({"n_cases": 0}, "n_cases must be at least 1, got 0"),
     ],
-    ids=["unknown key", "not an object", "wrong type", "float for an optional int", "bool for an int"],
+    ids=[
+        "unknown key",
+        "not an object",
+        "wrong type",
+        "float for an optional int",
+        "bool for an int",
+        "zero cases",
+    ],
 )
 def test_run_rejects_a_malformed_config_with_a_usage_error(tmp_path, capsys, doc, named):
     cfg = tmp_path / "cfg.json"
@@ -145,6 +153,23 @@ def test_run_rejects_a_malformed_config_with_a_usage_error(tmp_path, capsys, doc
     assert stop.value.code == 2
     err = capsys.readouterr().err
     assert err == "enclavemine run: error: --config %s: %s\n" % (cfg, named)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [
+        ("--cases", 0, "n_cases must be at least 1, got 0"),
+        ("--orgs", 0, "n_orgs must be at least 1, got 0"),
+        ("--loop", -1, "loop_iterations must be at least 1, got -1"),
+    ],
+)
+def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, flag, value, named):
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        run_cli("run", flag, value, "--out-dir", out_dir)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "enclavemine run: error: %s\n" % named
     assert not out_dir.exists()
 
 

@@ -26,6 +26,11 @@ SMALL = ExperimentConfig(n_cases=30, seed=5, seg_size=4000)
 def test_config_validation_and_overrides():
     with pytest.raises(ValueError):
         ExperimentConfig(algorithm="alpha")
+    for name, value in (("n_cases", 0), ("n_orgs", 0), ("loop_iterations", -1)):
+        with pytest.raises(ValueError, match="%s must be at least 1, got %d" % (name, value)):
+            ExperimentConfig(**{name: value})
+        with pytest.raises(ValueError, match=name):
+            SMALL.with_overrides(**{name: value})
     cfg = SMALL.with_overrides(seg_size=None, algorithm="declare")
     assert cfg.seg_size == 4000
     assert cfg.algorithm == "declare"

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from doubles import CollectorSink
 from enclavemine import protocol
-from enclavemine.enclave import REASON_SIGNATURE, BuildManifest, SessionKeys, wrap_key
+from enclavemine.enclave import REASON_NONCE, REASON_SIGNATURE, BuildManifest, SessionKeys, wrap_key
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
 from enclavemine.protocol import (
@@ -30,8 +30,6 @@ from enclavemine.protocol import (
     KIND_CASES_REF_RES,
     KIND_CASES_REQ,
     KIND_CASES_RES,
-    KIND_EVIDENCE_REQ,
-    KIND_EVIDENCE_RES,
     Msg,
 )
 from enclavemine.segmenter import size_of
@@ -112,6 +110,14 @@ def _evidence(**changes):
 def _without(key):
     def edit(doc):
         del doc[key]
+        return doc
+
+    return edit
+
+
+def _without_body(key):
+    def edit(doc):
+        del doc["body"][key]
         return doc
 
     return edit
@@ -231,20 +237,23 @@ FAULTS = [
     ("deeply nested JSON",
      dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, lambda doc: b"[" * 100_000)]),
      "miner", "UnexpectedMessage"),
+    ("cases_ref_res without a nonce",
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _without_body("nonce"))]),
+     "miner", "UnexpectedMessage"),
     ("nonce too long to sign",
-     dict(edits=[(KIND_EVIDENCE_REQ, *FROM_HOSPITAL, _body(nonce="ab" * 0x10000))]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(nonce="ab" * 0x10000))]),
      "miner", "UnexpectedMessage"),
     ("non-hex nonce",
-     dict(edits=[(KIND_EVIDENCE_REQ, *FROM_HOSPITAL, _body(nonce="not hex"))]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(nonce="not hex"))]),
      "miner", "UnexpectedMessage"),
     ("evidence missing a key",
-     dict(edits=[(KIND_EVIDENCE_RES, *TO_HOSPITAL, _drop_signature)]),
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _drop_signature)]),
      "hospital", "UnexpectedMessage"),
     ("evidence with bad hex",
-     dict(edits=[(KIND_EVIDENCE_RES, *TO_HOSPITAL, _evidence(k_pub="zz"))]),
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _evidence(k_pub="zz"))]),
      "hospital", "UnexpectedMessage"),
     ("evidence with a non-string identity proof",
-     dict(edits=[(KIND_EVIDENCE_RES, *TO_HOSPITAL, _evidence(identity_proof=7))]),
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _evidence(identity_proof=7))]),
      "hospital", "UnexpectedMessage"),
     ("envelope that is not base64",
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(envelope="!!"))]),
@@ -254,11 +263,34 @@ FAULTS = [
 
 def test_evidence_that_is_not_utf8_text_is_rejected(three_partitions):
     # JSON admits a lone surrogate, which has no UTF-8 encoding to verify.
-    edit = (KIND_EVIDENCE_RES, *TO_HOSPITAL, _evidence(identity_proof="\ud800"))
+    edit = (KIND_CASES_REQ, *TO_HOSPITAL, _evidence(identity_proof="\ud800"))
     nodes, early = _run(three_partitions, edits=[edit])
     hospital = nodes["hospital"]
     assert hospital.phase == "rejected"
     assert hospital.trust.reason == REASON_SIGNATURE
+    assert early == []
+
+
+def test_evidence_bound_to_another_provisioners_nonce_is_rejected(three_partitions):
+    # The miner fans its case requests out in peer order, so clinic's
+    # evidence passes the link before hospital's request does.
+    clinic_evidence = []
+
+    def keep(doc):
+        clinic_evidence.append(doc["body"]["evidence"])
+        return doc
+
+    def swap(doc):
+        doc["body"]["evidence"] = clinic_evidence[0]
+        return doc
+
+    edits = [(KIND_CASES_REQ, "miner", "clinic", keep), (KIND_CASES_REQ, *TO_HOSPITAL, swap)]
+    nodes, early = _run(three_partitions, edits=edits)
+    hospital = nodes["hospital"]
+    assert hospital.phase == "rejected"
+    assert hospital.trust.reason == REASON_NONCE
+    assert hospital.segments_sent == 0
+    assert nodes["clinic"].phase == "done"
     assert early == []
 
 
@@ -346,9 +378,9 @@ def test_corrupted_segment_ends_done_or_aborted(three_partitions, sealed, target
 
 
 @settings(max_examples=150, deadline=None)
-@given(target=st.integers(0, 17), position=st.integers(0, 1 << 16), mask=st.integers(1, 255))
+@given(target=st.integers(0, 11), position=st.integers(0, 1 << 16), mask=st.integers(1, 255))
 def test_corrupted_control_message_never_escapes(three_partitions, target, position, mask):
-    # One byte of the target-th message of the session (18 in all) flipped
+    # One byte of the target-th message of the session (12 in all) flipped
     # in flight. The faulting node aborts; a peer it no longer answers may be
     # left waiting, but nothing raises out of the scheduler.
     sent = [0]

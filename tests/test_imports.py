@@ -10,7 +10,8 @@ No linter ships with the project, so these checks walk each module's AST.
   its own definition, unless ``UNREAD_ON_PURPOSE`` says why it stays. Tests
   do not count as readers: code that only its own tests use gets deleted. An
   import or an ``__all__`` entry is not a read. Methods are exempt: the
-  protocol dispatches ``_on_<kind>`` handlers by a name it builds.
+  protocol dispatches ``_on_<kind>`` handlers by a name it builds, so each
+  role's handlers are checked against the kinds it dispatches instead.
 * A parameter with a default, of a public function, a public method or the
   ``__init__`` of a public class, must be passed by some call in the library
   or the benchmark (by keyword, by position, or through ``*``/``**``),
@@ -25,6 +26,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from enclavemine import protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "enclavemine"
@@ -209,6 +212,15 @@ def test_the_check_finds_unread_definitions():
         ("lib.py", "recursive"),
         ("lib.py", "unused"),
     ]
+
+
+@pytest.mark.parametrize(
+    "role,kinds",
+    [(protocol.SecureMiner, protocol._MINER_KINDS), (protocol.Provisioner, protocol._PROVISIONER_KINDS)],
+    ids=["miner", "provisioner"],
+)
+def test_each_role_has_a_handler_for_exactly_the_kinds_it_dispatches(role, kinds):
+    assert {name[len("_on_"):] for name in vars(role) if name.startswith("_on_")} == kinds
 
 
 def test_the_check_finds_unread_private_definitions():

@@ -42,6 +42,7 @@ from enclavemine.wire import encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 MINER_PROOF = "org:miner"
+NONCE = bytes(16).hex()
 
 
 def _provisioner(org_id, partition, session="s1", cls=Provisioner, **overrides):
@@ -281,8 +282,10 @@ def test_unknown_provisioner_rejected(three_partitions):
 def test_duplicate_refs_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    payload = Msg(KIND_CASES_REF_RES, "hospital", "s1", {"iids": ["312", "711"]}).encode()
+    body = {"iids": ["312", "711"], "nonce": NONCE}
+    payload = Msg(KIND_CASES_REF_RES, "hospital", "s1", body).encode()
     miner.handle("hospital", payload)
+    assert miner.phase == "awaiting_refs"
     assert miner.handle("hospital", payload) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == DuplicateResponse.__name__
@@ -309,23 +312,23 @@ def test_forged_sender_field_rejected(three_partitions):
 
 
 def test_cases_res_before_attestation_aborts(three_partitions):
+    # The miner sends its evidence when the last refs arrive, so a cases_res
+    # before that point is one that comes before attestation.
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    for org, part in three_partitions.items():
-        miner.handle(
-            org,
-            Msg(KIND_CASES_REF_RES, org, "s1", {"iids": sorted(iid_set(part))}).encode(),
-        )
+    for org in ("hospital", "pharma"):
+        body = {"iids": sorted(iid_set(three_partitions[org])), "nonce": NONCE}
+        assert miner.handle(org, Msg(KIND_CASES_REF_RES, org, "s1", body).encode()) == []
     early = Msg(KIND_CASES_RES, "hospital", "s1", {"last": True}).encode()
     assert miner.handle("hospital", early) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnexpectedMessage.__name__
-    assert "before attestation" in miner.aborted_message
+    assert "cases_res in phase awaiting_refs" in miner.aborted_message
     # An aborted miner drops every later message and keeps its first reason.
     late = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": []}).encode()
     assert miner.handle("mallory", late) == []
     assert miner.aborted_reason == UnexpectedMessage.__name__
-    assert "before attestation" in miner.aborted_message
+    assert "cases_res in phase awaiting_refs" in miner.aborted_message
 
 
 def test_duplicated_traffic_detected(three_partitions):
@@ -350,10 +353,11 @@ class UnderAdvertisingProvisioner(Provisioner):
 
     def _on_cases_ref_req(self, msg):
         super()._on_cases_ref_req(msg)
-        return [(msg.sender, self._msg(KIND_CASES_REF_RES, {"iids": ["312"]}))]
+        body = {"iids": ["312"], "nonce": self.nonce.hex()}
+        return [(msg.sender, self._msg(KIND_CASES_REF_RES, body))]
 
-    def _on_evidence_res(self, msg):
-        super()._on_evidence_res(msg)
+    def _on_cases_req(self, msg):
+        super()._on_cases_req(msg)
         k_sym = new_symmetric_key()
         envelope = seal_segment(
             encode_log(self.config.partition),
@@ -388,8 +392,8 @@ def test_unrequested_case_aborts_session(three_partitions):
 class SilentStreamProvisioner(Provisioner):
     """Advertises cases but then ends its stream without sending any."""
 
-    def _on_evidence_res(self, msg):
-        super()._on_evidence_res(msg)
+    def _on_cases_req(self, msg):
+        super()._on_cases_req(msg)
         return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}))]
 
 
