@@ -14,7 +14,9 @@ Subcommands:
 ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
-so is a case, org or loop count below 1 from a file or a flag.
+so is a case, org or loop count below 1 from a file, a flag or a ``scale``
+value. A ``run``, ``sweep-segsize`` or ``scale`` session that is not done
+prints ``session <phase>[: <Reason>: <message>]`` and exits 1.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
+    SessionFailed,
     _load_inputs,
     run_experiment,
     scale_run,
@@ -131,11 +134,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     write_transcript(result.transcript, out_dir / "transcript.jsonl")
     if result.miner_phase != "done":
-        why = ""
-        if result.aborted_reason is not None:
-            why = ": %s: %s" % (result.aborted_reason, result.aborted_message)
-        print("session %s%s" % (result.miner_phase, why))
-        return 1
+        raise SessionFailed(result)
     out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
     (out_dir / out_name).write_bytes(result.output)
     print(
@@ -180,9 +179,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     values = (
         [int(v) for v in args.values.split(",")] if args.values else defaults[args.dimension]
     )
-    rows, stats = scale_run(
-        cfg, args.dimension, values, metric=args.metric, repeats=args.repeats
-    )
+    try:
+        rows, stats = scale_run(
+            cfg, args.dimension, values, metric=args.metric, repeats=args.repeats
+        )
+    except ValueError as exc:  # a value out of range, or too few points to fit
+        print("enclavemine scale: error: %s" % exc, file=sys.stderr)
+        raise SystemExit(2) from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
@@ -288,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SessionFailed as exc:
+        print(exc)
+        return 1
 
 
 if __name__ == "__main__":

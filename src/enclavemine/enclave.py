@@ -3,11 +3,12 @@
 Everything here runs in ordinary process memory; the trust chain is
 simulated faithfully enough to exercise the protocol:
 
+* Every signed, sealed or sent byte string is one :func:`frame` (the
+  version, then each field behind its u32 length), which :func:`unframe`
+  parses: envelopes, evidence, their signed payloads and messages.
 * A fixed Ed25519 keypair plays the hardware manufacturer root. Evidence is
-  signed with it, verifiers hold the public half. The root signs the
-  measurement, identity proof, session public key and nonce in the one
-  framing every signed or sealed byte string here uses: the version, then
-  each field behind its u32 length.
+  signed with it, verifiers hold the public half. The root signs the framed
+  measurement, identity proof, session public key and nonce.
 * The *measurement* is the SHA-256 digest of a canonical build-manifest
   string (component, version, algorithm, sorted parameters). Verifiers
   compare it against a reference measurement they computed themselves.
@@ -38,7 +39,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
@@ -63,7 +64,9 @@ __all__ = [
     "REASON_MEASUREMENT",
     "REASON_ORG",
     "REASON_NONCE",
-    "ENVELOPE_VERSION",
+    "FRAME_VERSION",
+    "frame",
+    "unframe",
     "BuildManifest",
     "compute_measurement",
     "HardwareRoot",
@@ -108,7 +111,7 @@ REASON_MEASUREMENT = "measurement_mismatch"
 REASON_ORG = "org_not_authorized"
 REASON_NONCE = "nonce_mismatch"
 
-ENVELOPE_VERSION = 1
+FRAME_VERSION = 1
 
 _WRAP_INFO = b"enclavemine-key-wrap-v1"
 _VERSION = struct.Struct(">H")
@@ -175,9 +178,25 @@ class HardwareRoot(OrgIdentity):
 DEFAULT_ROOT = HardwareRoot(hashlib.sha256(b"enclavemine simulated hardware root").digest())
 
 
-def _frame(*fields: bytes) -> bytes:
+def frame(*fields: bytes) -> bytes:
     """The version, then each field behind its u32 length."""
-    return _VERSION.pack(ENVELOPE_VERSION) + b"".join(_LENGTH.pack(len(f)) + f for f in fields)
+    return _VERSION.pack(FRAME_VERSION) + b"".join(_LENGTH.pack(len(f)) + f for f in fields)
+
+
+def unframe(data: bytes, count: int) -> List[bytes]:
+    """The ``count`` fields of ``frame(*fields)``, or ``ValueError``."""
+    fields, pos = [], _VERSION.size
+    if data[:pos] != _VERSION.pack(FRAME_VERSION):
+        raise ValueError("not a version %d frame" % FRAME_VERSION)
+    for _ in range(count):
+        if pos + _LENGTH.size > len(data):
+            raise ValueError("frame truncated")
+        (length,) = _LENGTH.unpack_from(data, pos)
+        pos += _LENGTH.size + length
+        fields.append(data[pos - length : pos])
+    if pos != len(data):  # a field that overran the end, or trailing bytes
+        raise ValueError("frame of %d bytes, its fields need %d" % (len(data), pos))
+    return fields
 
 
 class SessionKeys:
@@ -202,28 +221,17 @@ class AttestationEvidence:
     signature: bytes
 
     def signed_payload(self) -> bytes:
-        return _frame(self.measurement, self.identity_proof.encode("utf-8"), self.k_pub, self.nonce)
+        return frame(self.measurement, self.identity_proof.encode("utf-8"), self.k_pub, self.nonce)
 
-    def to_dict(self) -> Dict[str, str]:
-        return {
-            "measurement": self.measurement.hex(),
-            "identity_proof": self.identity_proof,
-            "k_pub": self.k_pub.hex(),
-            "nonce": self.nonce.hex(),
-            "signature": self.signature.hex(),
-        }
+    def to_bytes(self) -> bytes:
+        proof = self.identity_proof.encode("utf-8")
+        return frame(self.measurement, proof, self.k_pub, self.nonce, self.signature)
 
     @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "AttestationEvidence":
-        if not isinstance(data["identity_proof"], str):
-            raise TypeError("identity_proof must be a string")
-        return cls(
-            measurement=bytes.fromhex(data["measurement"]),
-            identity_proof=data["identity_proof"],
-            k_pub=bytes.fromhex(data["k_pub"]),
-            nonce=bytes.fromhex(data["nonce"]),
-            signature=bytes.fromhex(data["signature"]),
-        )
+    def from_bytes(cls, data: bytes) -> "AttestationEvidence":
+        """Inverse of :meth:`to_bytes`; ``ValueError`` if malformed or not UTF-8."""
+        measurement, proof, k_pub, nonce, signature = unframe(data, 5)
+        return cls(measurement, proof.decode("utf-8"), k_pub, nonce, signature)
 
 
 def build_evidence(
@@ -258,11 +266,7 @@ def verify_evidence(
     """
     if root_public is None:
         root_public = DEFAULT_ROOT.public_bytes
-    try:
-        payload = evidence.signed_payload()
-    except UnicodeEncodeError:  # an identity proof with no UTF-8 form was never signed
-        return TrustDecision(False, REASON_SIGNATURE)
-    if not OrgIdentity.verify(root_public, evidence.signature, payload):
+    if not OrgIdentity.verify(root_public, evidence.signature, evidence.signed_payload()):
         return TrustDecision(False, REASON_SIGNATURE)
     if evidence.measurement != reference_measurement:
         return TrustDecision(False, REASON_MEASUREMENT)
@@ -317,29 +321,7 @@ def seal_segment(segment_bytes: bytes, k_sym: bytes, wrapped: bytes, sender: Org
     """
     nonce = os.urandom(12)
     ct = nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, None)
-    return _frame(wrapped, sender.sign(_frame(wrapped, ct)), ct)
-
-
-def _split_envelope(envelope: bytes) -> Tuple[bytes, bytes, bytes]:
-    """The wrapped key, proof and ciphertext of ``_frame(wrapped, proof, ct)``."""
-    if len(envelope) < _VERSION.size:
-        raise AuthFailure("envelope truncated")
-    (version,) = _VERSION.unpack_from(envelope)
-    if version != ENVELOPE_VERSION:
-        raise AuthFailure("unsupported envelope version %d" % version)
-    pos = _VERSION.size
-    fields = []
-    for _ in range(3):
-        if pos + _LENGTH.size > len(envelope):
-            raise AuthFailure("envelope truncated")
-        (length,) = _LENGTH.unpack_from(envelope, pos)
-        pos += _LENGTH.size + length
-        if pos > len(envelope):
-            raise AuthFailure("envelope truncated")
-        fields.append(envelope[pos - length : pos])
-    if pos != len(envelope):
-        raise AuthFailure("trailing bytes after envelope")
-    return fields[0], fields[1], fields[2]
+    return frame(wrapped, sender.sign(frame(wrapped, ct)), ct)
 
 
 def open_segment(
@@ -356,8 +338,11 @@ def open_segment(
     otherwise the key is unwrapped afresh. Returns the plaintext and the pair
     this envelope opened with.
     """
-    wrapped, proof, ct = _split_envelope(envelope)
-    if not OrgIdentity.verify(sender_public, proof, _frame(wrapped, ct)):
+    try:
+        wrapped, proof, ct = unframe(envelope, 3)
+    except ValueError as exc:
+        raise AuthFailure("malformed envelope: %s" % exc) from exc
+    if not OrgIdentity.verify(sender_public, proof, frame(wrapped, ct)):
         raise AuthFailure("sender proof rejected")
     if held is None or held[0] != wrapped:
         held = (wrapped, unwrap_key(wrapped, session))

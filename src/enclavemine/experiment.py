@@ -34,6 +34,7 @@ from .stats import RegressionStats, fit_stats
 from .transport import DeliveryRecord, InProcessNetwork
 
 __all__ = [
+    "SessionFailed",
     "MINER_ORG_PROOF",
     "ALGORITHMS",
     "SESSION",
@@ -150,6 +151,21 @@ class ExperimentResult:
     miner_phase: str
     aborted_reason: Optional[str] = None  # an aborted miner's; see protocol
     aborted_message: str = ""
+
+
+class SessionFailed(Exception):
+    """A session whose miner did not reach ``done``, worded as ``session
+    <phase>``, then ``: <Reason>: <message>`` if the miner aborted."""
+
+    def __init__(self, result: ExperimentResult) -> None:
+        why = result.aborted_reason and ": %s: %s" % (result.aborted_reason, result.aborted_message)
+        super().__init__("session %s%s" % (result.miner_phase, why or ""))
+
+
+def _done(result: ExperimentResult) -> ExperimentResult:
+    if result.miner_phase != "done":
+        raise SessionFailed(result)
+    return result
 
 
 class HeuristicsSink:
@@ -325,11 +341,11 @@ def standalone_mining(log: EventLog, algorithm: str) -> bytes:
 def sweep_segsize(
     cfg: ExperimentConfig, sizes: Sequence[int]
 ) -> List[Tuple[int, RunMetrics]]:
-    out = []
-    for seg_size in sizes:
-        result = run_experiment(cfg.with_overrides(seg_size=seg_size))
-        out.append((seg_size, result.metrics))
-    return out
+    """Each budget's metrics; :class:`SessionFailed` if a session is not done."""
+    return [
+        (seg_size, _done(run_experiment(cfg.with_overrides(seg_size=seg_size))).metrics)
+        for seg_size in sizes
+    ]
 
 
 def scale_run(
@@ -348,28 +364,24 @@ def scale_run(
     ``repeats`` runs; one untimed warmup run precedes the sweep so cold
     caches do not distort the first point. Repeats are interleaved in
     rounds across all points so slow machine-wide drift does not bias the
-    curve shape.
+    curve shape. Every point's config is built before any session runs, so
+    a value out of range raises ``ValueError`` first; a session that is not
+    done raises :class:`SessionFailed`.
     """
+    field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
+    if dimension not in field_of:
+        raise ValueError("dimension must be events, cases, or orgs")
+    points = [
+        (float(max_case_events(v) if dimension == "events" else v),
+         cfg.with_overrides(**{field_of[dimension]: v}))
+        for v in values
+    ]
     if values:
-        run_experiment(cfg)
-    points: List[Tuple[float, ExperimentConfig]] = []
-    for value in values:
-        if dimension == "events":
-            point_cfg = cfg.with_overrides(loop_iterations=value)
-            x = float(max_case_events(value))
-        elif dimension == "cases":
-            point_cfg = cfg.with_overrides(n_cases=value)
-            x = float(value)
-        elif dimension == "orgs":
-            point_cfg = cfg.with_overrides(n_orgs=value)
-            x = float(value)
-        else:
-            raise ValueError("dimension must be events, cases, or orgs")
-        points.append((x, point_cfg))
+        _done(run_experiment(cfg))
     runs: List[List[ExperimentResult]] = [[] for _ in points]
     for _ in range(max(1, repeats)):
         for slot, (_, point_cfg) in zip(runs, points):
-            slot.append(run_experiment(point_cfg))
+            slot.append(_done(run_experiment(point_cfg)))
     rows: List[Dict[str, float]] = []
     for (x, _), slot in zip(points, runs):
         picked = sorted(getattr(r.metrics, metric) for r in slot)[len(slot) // 2]

@@ -1,12 +1,14 @@
 """Case-synchronizing protocol between a secure miner and provisioners.
 
-Message flow per session (control messages are JSON, segment payloads ride
-inside sealed envelopes, base64-wrapped at the message layer):
+Every message is one frame (``enclave.frame``) of two fields: a JSON head
+``{"kind", "sender", "session", "body"}`` whose body holds only text and
+numbers, and a blob that carries the kind's one byte string raw, or nothing.
+Message flow per session, as ``kind {body} + blob``:
 
-1. miner -> all provisioners   cases_ref_req {identity_proof}
-2. provisioner -> miner        cases_ref_res {iids, nonce}
-3. miner -> all provisioners   cases_req {seg_size, iids, evidence}   (after all refs)
-4. provisioner -> miner        cases_res {envelope, last}   (stream)
+1. miner -> all provisioners   cases_ref_req {identity_proof}    + nothing
+2. provisioner -> miner        cases_ref_res {iids}              + nonce
+3. miner -> all provisioners   cases_req {seg_size, iids}        + evidence   (after all refs)
+4. provisioner -> miner        cases_res {} or {last}            + envelope   (stream)
 
 Attestation rides in messages 2 and 3: a provisioner draws a fresh nonce
 when it answers the ref request and sends it with its refs, and at fan-out
@@ -39,11 +41,12 @@ case is already stored, because merging logs with disjoint events gives
 and the batch log of n cases costs ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
 
 A provisioner sends one cases_res per segment and marks its final one with
-``"last": true``; a provisioner that owes nothing sends the single body
-``{"last": true}``. On ``last`` the miner checks that the sender owes
-nothing (else :class:`IncompleteDelivery`) and removes its pmap entry, so a
-later cases_res from it is an :class:`UnexpectedMessage`. The session
-finishes when every stream has ended.
+``"last": true``; a provisioner that owes nothing sends the single message
+with body ``{"last": true}`` and an empty blob. On ``last`` the miner checks
+that the sender owes nothing (else :class:`IncompleteDelivery`) and removes
+its pmap entry, so a later cases_res from it is an
+:class:`UnexpectedMessage`. The session finishes when every stream has
+ended.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -66,10 +69,9 @@ Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
@@ -82,9 +84,11 @@ from .enclave import (
     TrustDecision,
     build_evidence,
     compute_measurement,
+    frame,
     new_symmetric_key,
     open_segment,
     seal_segment,
+    unframe,
     verify_evidence,
     wrap_key,
 )
@@ -165,25 +169,27 @@ class Msg:
     kind: str
     sender: str
     session: str
-    body: Dict[str, object] = field(default_factory=dict)
+    body: Dict[str, object]
+    blob: bytes
 
     def encode(self) -> bytes:
         doc = {"kind": self.kind, "sender": self.sender, "session": self.session, "body": self.body}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return frame(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8"), self.blob)
 
     @classmethod
     def decode(cls, payload: bytes) -> "Msg":
         try:
-            doc = json.loads(payload.decode("utf-8"))
+            head, blob = unframe(payload, 2)
+            doc = json.loads(head.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise UnexpectedMessage("unparsable message: %s" % exc) from exc
         if not isinstance(doc, dict):
-            raise UnexpectedMessage("message is not a JSON object")
-        head = (doc.get("kind"), doc.get("sender"), doc.get("session"))
+            raise UnexpectedMessage("message head is not a JSON object")
+        fields = (doc.get("kind"), doc.get("sender"), doc.get("session"))
         body = doc.get("body", {})
-        if not all(isinstance(f, str) for f in head) or not isinstance(body, dict):
+        if not all(isinstance(f, str) for f in fields) or not isinstance(body, dict):
             raise UnexpectedMessage("message lacks a kind, sender, session or body")
-        return cls(*head, body)
+        return cls(*fields, body, blob)
 
 
 def _serve(
@@ -264,8 +270,8 @@ class SecureMiner:
 
     # -- helpers ---------------------------------------------------------
 
-    def _msg(self, kind: str, body: Dict[str, object]) -> bytes:
-        return Msg(kind, self.node_id, self.config.session, body).encode()
+    def _msg(self, kind: str, body: Dict[str, object], blob: bytes) -> bytes:
+        return Msg(kind, self.node_id, self.config.session, body, blob).encode()
 
     def _require_known(self, sender: str) -> None:
         if sender not in self.config.provisioner_keys:
@@ -284,7 +290,7 @@ class SecureMiner:
             raise UnexpectedMessage("bootstrap after start")
         self.phase = "awaiting_refs"
         body = {"identity_proof": self.config.org_proof}
-        return [(p, self._msg(KIND_CASES_REF_REQ, body)) for p in self.peers]
+        return [(p, self._msg(KIND_CASES_REF_REQ, body, b"")) for p in self.peers]
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _MINER_KINDS, self._release)
@@ -298,14 +304,10 @@ class SecureMiner:
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
         if msg.sender in self.pmap:
             raise DuplicateResponse(msg.sender)
-        try:
-            nonce = bytes.fromhex(_field(msg, "nonce", str))
-        except ValueError as exc:
-            raise UnexpectedMessage("cases_ref_res nonce is not hex") from exc
-        if len(nonce) != _NONCE_SIZE:
+        if len(msg.blob) != _NONCE_SIZE:
             raise UnexpectedMessage("cases_ref_res nonce is not %d bytes" % _NONCE_SIZE)
         self.pmap[msg.sender] = set(_iids(msg))
-        self.nonces[msg.sender] = nonce
+        self.nonces[msg.sender] = msg.blob
         if len(self.pmap) != len(self.peers):
             return []
         self.phase = "awaiting_cases"
@@ -318,12 +320,8 @@ class SecureMiner:
                 k_pub=self.session_keys.k_pub,
                 nonce=self.nonces[p],
             )
-            body = {
-                "seg_size": self.config.seg_size,
-                "iids": sorted(self.pmap[p]),
-                "evidence": evidence.to_dict(),
-            }
-            out.append((p, self._msg(KIND_CASES_REQ, body)))
+            body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap[p])}
+            out.append((p, self._msg(KIND_CASES_REQ, body, evidence.to_bytes())))
         return out
 
     def _on_cases_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
@@ -336,12 +334,8 @@ class SecureMiner:
         last = msg.body.get("last", False)
         if not isinstance(last, bool):
             raise UnexpectedMessage("cases_res last must be a boolean")
-        if "envelope" in msg.body:
-            try:
-                envelope = base64.b64decode(_field(msg, "envelope", str), validate=True)
-            except ValueError as exc:
-                raise UnexpectedMessage("cases_res envelope is not base64") from exc
-            self._ingest_segment(msg.sender, envelope)
+        if msg.blob:
+            self._ingest_segment(msg.sender, msg.blob)
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
         if last:
@@ -426,8 +420,8 @@ class Provisioner:
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
 
-    def _msg(self, kind: str, body: Dict[str, object]) -> bytes:
-        return Msg(kind, self.node_id, self.config.session, body).encode()
+    def _msg(self, kind: str, body: Dict[str, object], blob: bytes) -> bytes:
+        return Msg(kind, self.node_id, self.config.session, body, blob).encode()
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _PROVISIONER_KINDS)
@@ -441,17 +435,17 @@ class Provisioner:
         self.miner_id = msg.sender
         self.nonce = os.urandom(_NONCE_SIZE)
         self.phase = "refs_sent"
-        body = {"iids": sorted(iid_set(self.config.partition)), "nonce": self.nonce.hex()}
-        return [(msg.sender, self._msg(KIND_CASES_REF_RES, body))]
+        body = {"iids": sorted(iid_set(self.config.partition))}
+        return [(msg.sender, self._msg(KIND_CASES_REF_RES, body, self.nonce))]
 
     def _on_cases_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "refs_sent" or msg.sender != self.miner_id:
             raise UnexpectedMessage("cases_req in phase %s" % self.phase)
         seg_size, iids = _field(msg, "seg_size", int), _iids(msg)
         try:
-            evidence = AttestationEvidence.from_dict(_field(msg, "evidence", dict))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UnexpectedMessage("malformed evidence: %r" % exc) from exc
+            evidence = AttestationEvidence.from_bytes(msg.blob)
+        except ValueError as exc:
+            raise UnexpectedMessage("malformed evidence: %s" % exc) from exc
         self.trust = verify_evidence(
             evidence,
             reference_measurement=self.config.reference_measurement,
@@ -465,12 +459,9 @@ class Provisioner:
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
         wrapped = wrap_key(k_sym, self.trust.k_pub)
-        bodies: List[Dict[str, object]] = []
-        for segment in plan.segments:
-            envelope = seal_segment(encode_log(segment), k_sym, wrapped, self.config.identity)
-            bodies.append({"envelope": base64.b64encode(envelope).decode("ascii")})
-        bodies = bodies or [{}]
-        bodies[-1]["last"] = True
+        identity = self.config.identity
+        sealed = [seal_segment(encode_log(s), k_sym, wrapped, identity) for s in plan.segments] or [b""]
         self.segments_sent = len(plan.segments)
         self.phase = "done"
-        return [(msg.sender, self._msg(KIND_CASES_RES, body)) for body in bodies]
+        ends = [{}] * (len(sealed) - 1) + [{"last": True}]
+        return [(msg.sender, self._msg(KIND_CASES_RES, end, blob)) for end, blob in zip(ends, sealed)]

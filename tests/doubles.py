@@ -1,13 +1,15 @@
-"""Test doubles for the protocol and the transport.
+"""Test doubles and helpers shared by the test modules.
 
 ``CollectorSink`` stands in for a mining sink; ``LossyNetwork`` breaks the
-link guarantees of ``InProcessNetwork`` on purpose.
+link guarantees of ``InProcessNetwork`` on purpose; ``make_random_log``
+draws multi-provisioner logs and ``brute_union`` is an independent merge
+oracle.
 """
 
 import random
 from typing import List
 
-from enclavemine.model import EventLog
+from enclavemine.model import Event, EventLog, log_from_events
 from enclavemine.transport import InProcessNetwork
 
 
@@ -45,3 +47,44 @@ class LossyNetwork(InProcessNetwork):
         super().send(sender, receiver, payload)
         if self._fault_rng.random() < self.duplicate_prob:
             super().send(sender, receiver, payload)
+
+
+def brute_union(*logs) -> EventLog:
+    """Independent merge oracle: dump every event and sort."""
+    events = [ev for log in logs for ev in log]
+    ids = [ev.event_id for ev in events]
+    assert len(ids) == len(set(ids)), "oracle misuse: overlapping logs"
+    return EventLog(
+        tuple(sorted(events, key=lambda e: (e.timestamp, e.provisioner_id, e.event_id)))
+    )
+
+
+def make_random_log(
+    rng: random.Random,
+    n_cases: int,
+    provisioners,
+    *,
+    min_events: int = 2,
+    max_events: int = 8,
+    id_prefix: str = "e",
+) -> EventLog:
+    """Random multi-provisioner log; tight timestamp range forces tie-breaks."""
+    activities = ["A", "B", "C", "D", "E", "F", "G", "H"]
+    events = []
+    counter = 0
+    for c in range(n_cases):
+        iid = "c%04d" % c
+        t = rng.randint(0, 50)
+        for _ in range(rng.randint(min_events, max_events)):
+            t += rng.randint(0, 3)
+            events.append(
+                Event(
+                    event_id="%s%06d" % (id_prefix, counter),
+                    iid=iid,
+                    activity=rng.choice(activities),
+                    timestamp=t,
+                    provisioner_id=rng.choice(provisioners),
+                )
+            )
+            counter += 1
+    return log_from_events(events)

@@ -2,9 +2,11 @@
 
 import csv
 import json
+from unittest import mock
 
 import pytest
 
+from enclavemine import experiment
 from enclavemine.cli import main
 from enclavemine.logio import load_csv
 from enclavemine.model import iid_set
@@ -202,6 +204,25 @@ def test_sweep_segsize_csv(tmp_path, capsys):
     counts = [int(r[1]) for r in rows[1:]]
     assert counts == sorted(counts, reverse=True)
     assert "non-increasing" in capsys.readouterr().out
+
+
+def test_sweep_segsize_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = run_cli("sweep-segsize", "--cases", 10, "--sizes", 0, "--out", out)
+    assert rc == 1
+    assert capsys.readouterr().out == "session awaiting_cases\n"
+    assert not out.exists()
+
+
+def test_scale_rejects_an_out_of_range_value_before_any_session(tmp_path, capsys):
+    out = tmp_path / "scale.csv"
+    with mock.patch.object(experiment, "run_experiment") as runs:
+        with pytest.raises(SystemExit) as stop:
+            run_cli("scale", "cases", "--cases", 10, "--values", 0, "--repeats", 1, "--out", out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "enclavemine scale: error: n_cases must be at least 1, got 0\n"
+    assert runs.call_count == 0
+    assert not out.exists()
 
 
 def test_scale_writes_points_and_fit(tmp_path):

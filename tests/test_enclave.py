@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from enclavemine import enclave
 from enclavemine.enclave import (
     DEFAULT_ROOT,
-    ENVELOPE_VERSION,
+    FRAME_VERSION,
     REASON_MEASUREMENT,
     REASON_NONCE,
     REASON_ORG,
@@ -115,11 +115,13 @@ class EvidenceTest(unittest.TestCase):
         decision = self.appraise(forged)
         self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
 
-    def test_identity_proof_that_is_not_utf8_text_fails_signature(self):
-        # JSON admits a lone surrogate, which has no UTF-8 encoding to sign.
-        forged = dataclasses.replace(self.evidence, identity_proof="\ud800")
-        decision = self.appraise(forged)
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
+    def test_identity_proof_bytes_that_are_not_utf8_are_malformed(self):
+        # Evidence arrives as bytes; a proof that is not UTF-8 never becomes
+        # a string, so it cannot reach the verifier.
+        ev = self.evidence
+        data = _framed(ev.measurement, b"org:\xff", ev.k_pub, ev.nonce, ev.signature)
+        with self.assertRaises(UnicodeDecodeError):
+            AttestationEvidence.from_bytes(data)
 
     def test_wrong_root_rejected(self):
         rogue = HardwareRoot(os.urandom(32))
@@ -147,23 +149,30 @@ class EvidenceTest(unittest.TestCase):
         decision = self.appraise(self.evidence, expected_nonce=None)
         self.assertEqual((decision.trusted, decision.reason), (False, REASON_NONCE))
 
-    def test_dict_round_trip(self):
-        wire = self.evidence.to_dict()
-        self.assertEqual(AttestationEvidence.from_dict(wire), self.evidence)
-        # Hex-string fields only: safe to drop straight into JSON.
-        self.assertTrue(all(isinstance(v, str) for v in wire.values()))
+    def test_bytes_round_trip(self):
+        ev = self.evidence
+        signed = (ev.measurement, ev.identity_proof.encode("utf-8"), ev.k_pub, ev.nonce)
+        self.assertEqual(ev.signed_payload(), _framed(*signed))
+        self.assertEqual(ev.to_bytes(), _framed(*signed, ev.signature))
+        self.assertEqual(AttestationEvidence.from_bytes(ev.to_bytes()), ev)
+
+    def test_malformed_evidence_frames_are_value_errors(self):
+        ev = self.evidence
+        fields = (ev.measurement, ev.identity_proof.encode("utf-8"), ev.k_pub, ev.nonce)
+        for data in (_framed(*fields), ev.to_bytes() + b"\x00", ev.to_bytes()[:-1], b""):
+            with self.assertRaises(ValueError):
+                AttestationEvidence.from_bytes(data)
 
     def test_session_private_key_never_in_wire_form(self):
-        # Nothing in the evidence dict may leak the session private scalar.
+        # Nothing in the evidence bytes may leak the session private scalar.
         raw_priv = self.session._k_priv.private_bytes_raw()
-        blob = "".join(self.evidence.to_dict().values())
-        self.assertNotIn(raw_priv.hex(), blob)
+        self.assertNotIn(raw_priv, self.evidence.to_bytes())
 
 
 def _framed(*fields):
     """The documented framing, written out here: the version, then each
     field behind its u32 length."""
-    return struct.pack(">H", ENVELOPE_VERSION) + b"".join(
+    return struct.pack(">H", FRAME_VERSION) + b"".join(
         struct.pack(">I", len(f)) + f for f in fields
     )
 
@@ -201,7 +210,7 @@ class SealingTest(unittest.TestCase):
     def test_envelope_layout(self):
         envelope = self.seal()
         (version,) = struct.unpack(">H", envelope[:2])
-        self.assertEqual(version, ENVELOPE_VERSION)
+        self.assertEqual(version, FRAME_VERSION)
         pos = 2
         lengths = []
         for _ in range(3):
@@ -280,7 +289,7 @@ class SealingTest(unittest.TestCase):
 
     def test_wrong_envelope_version_rejected(self):
         envelope = self.seal()
-        bumped = struct.pack(">H", ENVELOPE_VERSION + 1) + envelope[2:]
+        bumped = struct.pack(">H", FRAME_VERSION + 1) + envelope[2:]
         with self.assertRaises(AuthFailure):
             open_segment(bumped, self.session, self.sender.public_bytes)
 

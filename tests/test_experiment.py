@@ -2,12 +2,15 @@
 
 import csv
 import json
+from unittest import mock
 
 import pytest
 
+from enclavemine import experiment
 from enclavemine.enclave import CapacityExceeded
 from enclavemine.experiment import (
     ExperimentConfig,
+    SessionFailed,
     build_manifest,
     read_transcript,
     run_experiment,
@@ -196,6 +199,24 @@ def test_scale_run_events_dimension_uses_case_length():
 def test_scale_run_rejects_unknown_dimension():
     with pytest.raises(ValueError):
         scale_run(SMALL, "threads", [1, 2, 3])
+
+
+def test_a_sweep_point_that_does_not_finish_raises():
+    # seg_size 0: every provisioner aborts and the miner is left waiting.
+    with pytest.raises(SessionFailed, match="^session awaiting_cases$"):
+        sweep_segsize(SMALL.with_overrides(n_cases=10), [4000, 0])
+    # A miner that aborts names its reason and message.
+    tight = SMALL.with_overrides(n_cases=5, incremental=False, capacity=2000)
+    with pytest.raises(SessionFailed, match="^session aborted: CapacityExceeded: .*capacity 2000"):
+        scale_run(tight, "cases", [5, 10, 15], metric="peak_bytes", repeats=1)
+
+
+@pytest.mark.parametrize("dimension", ["cases", "orgs", "events"])
+def test_scale_run_checks_every_value_before_any_session(dimension):
+    with mock.patch.object(experiment, "run_experiment") as runs:
+        with pytest.raises(ValueError, match="must be at least 1"):
+            scale_run(SMALL, dimension, [2, 0], repeats=1)
+    assert runs.call_count == 0
 
 
 def test_manifest_pins_algorithm_and_params():

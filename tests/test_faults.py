@@ -11,7 +11,6 @@ or a tight capacity. Every row checks the same four things:
 * no provisioner sent a segment before it trusted the miner's evidence.
 """
 
-import base64
 import dataclasses
 import json
 from unittest import mock
@@ -22,7 +21,15 @@ from hypothesis import strategies as st
 
 from doubles import CollectorSink
 from enclavemine import protocol
-from enclavemine.enclave import REASON_NONCE, REASON_SIGNATURE, BuildManifest, SessionKeys, wrap_key
+from enclavemine.enclave import (
+    FRAME_VERSION,
+    REASON_NONCE,
+    BuildManifest,
+    SessionKeys,
+    frame,
+    unframe,
+    wrap_key,
+)
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
 from enclavemine.protocol import (
@@ -54,23 +61,22 @@ class TamperingNetwork(InProcessNetwork):
 def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=True,
          capacity=None, seed=0):
     """Run one session; ``edits`` are ``(kind, sender, receiver, fn)`` (None
-    matches any) with ``fn(doc)`` returning the new JSON doc, raw bytes, or a
+    matches any) with ``fn(msg)`` returning the new ``Msg``, raw bytes, or a
     list of these; the first edit that matches a message applies."""
     nodes = {}
     early = []
 
     def tamper(sender, receiver, payload):
         msg = Msg.decode(payload)
-        if msg.kind == KIND_CASES_RES and "envelope" in msg.body:
+        if msg.kind == KIND_CASES_RES and msg.blob:
             trust = nodes[sender].trust
             if trust is None or not trust.trusted:
                 early.append(sender)
         for *wanted, fn in edits:
             if all(w in (None, got) for w, got in zip(wanted, (msg.kind, sender, receiver))):
-                doc = json.loads(payload)
-                out = fn(doc)
+                out = fn(msg)
                 out = out if isinstance(out, list) else [out]
-                return [o if isinstance(o, bytes) else json.dumps(o).encode() for o in out]
+                return [o if isinstance(o, bytes) else o.encode() for o in out]
         return [payload]
 
     net, miner, provisioners = build_session(
@@ -92,35 +98,35 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
 
 
 def _body(**changes):
-    def edit(doc):
-        doc["body"].update(changes)
-        return doc
-
-    return edit
+    return lambda msg: dataclasses.replace(msg, body={**msg.body, **changes})
 
 
-def _evidence(**changes):
-    def edit(doc):
-        doc["body"]["evidence"].update(changes)
-        return doc
+def _blob(fn):
+    return lambda msg: dataclasses.replace(msg, blob=fn(msg.blob))
+
+
+def _evidence_field(index, value):
+    def edit(evidence):
+        fields = unframe(evidence, 5)
+        fields[index] = value
+        return frame(*fields)
+
+    return _blob(edit)
+
+
+def _head(head):
+    """The message framed with another JSON head, given as bytes or a
+    function of the head's fields."""
+
+    def edit(msg):
+        doc = {"kind": msg.kind, "sender": msg.sender, "session": msg.session, "body": msg.body}
+        return frame(head if isinstance(head, bytes) else json.dumps(head(doc)).encode(), msg.blob)
 
     return edit
 
 
 def _without(key):
-    def edit(doc):
-        del doc[key]
-        return doc
-
-    return edit
-
-
-def _without_body(key):
-    def edit(doc):
-        del doc["body"][key]
-        return doc
-
-    return edit
+    return _head(lambda doc: {k: v for k, v in doc.items() if k != key})
 
 
 def _flip(data, position, mask):
@@ -129,19 +135,8 @@ def _flip(data, position, mask):
     return bytes(out)
 
 
-def _flip_last_envelope_byte(doc):
-    envelope = _flip(base64.b64decode(doc["body"]["envelope"]), -1, 0x01)
-    doc["body"]["envelope"] = base64.b64encode(envelope).decode("ascii")
-    return doc
-
-
-def _drop_unless_last(doc):
-    return doc if doc["body"].get("last") else []
-
-
-def _drop_signature(doc):
-    del doc["body"]["evidence"]["signature"]
-    return doc
+def _drop_unless_last(msg):
+    return msg if msg.body.get("last") else []
 
 
 _REAL_SEAL = protocol.seal_segment
@@ -182,7 +177,7 @@ TO_HOSPITAL = ("miner", "hospital")
 # id, run() keyword arguments, faulting node, expected reason
 FAULTS = [
     ("tampered envelope",
-     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _flip_last_envelope_byte)]),
+     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda b: _flip(b, -1, 0x01)))]),
      "miner", "AuthFailure"),
     ("malformed wire bytes", dict(seal=_trailing_byte_seal), "miner", "WireError"),
     # A correctly signed mid-stream envelope whose wrapped key differs from
@@ -200,7 +195,7 @@ FAULTS = [
                  (KIND_CASES_REQ, *TO_HOSPITAL, _body(iids=["312", "711"]))]),
      "miner", "UnexpectedIid"),
     ("cases_res after a completed stream",
-     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda doc: [doc, doc])]),
+     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda msg: [msg, msg])]),
      "miner", "UnexpectedMessage"),
     # seg_size 300 cuts hospital's partition into two segments; the first,
     # without the end mark, is lost on the link.
@@ -211,19 +206,22 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(last="true"))]),
      "miner", "UnexpectedMessage"),
     ("cases_res with neither an envelope nor an end mark",
-     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda doc: {**doc, "body": {"last": False}})]),
+     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL,
+                  lambda msg: dataclasses.replace(msg, body={"last": False}, blob=b""))]),
      "miner", "UnexpectedMessage"),
     ("forged sender",
-     dict(edits=[(KIND_CASES_REF_RES, "pharma", "miner", lambda doc: {**doc, "sender": "hospital"})]),
+     dict(edits=[(KIND_CASES_REF_RES, "pharma", "miner",
+                  lambda msg: dataclasses.replace(msg, sender="hospital"))]),
      "miner", "UnexpectedMessage"),
     ("seg_size 0 sent to a provisioner",
      dict(edits=[(KIND_CASES_REQ, "miner", "clinic", _body(seg_size=0))]),
      "clinic", "InvalidSegSize"),
     ("kind the role does not handle",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, lambda doc: {**doc, "kind": KIND_CASES_REQ})]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL,
+                  lambda msg: dataclasses.replace(msg, kind=KIND_CASES_REQ))]),
      "miner", "UnexpectedMessage"),
     ("message that is not a JSON object",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, lambda doc: b"[1, 2]")]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _head(b"[1, 2]"))]),
      "miner", "UnexpectedMessage"),
     ("message without sender",
      dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _without("sender"))]),
@@ -235,39 +233,48 @@ FAULTS = [
      dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(iids=[312, 711]))]),
      "miner", "UnexpectedMessage"),
     ("deeply nested JSON",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, lambda doc: b"[" * 100_000)]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _head(b"[" * 100_000))]),
      "miner", "UnexpectedMessage"),
+    ("truncated message frame",
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, lambda msg: msg.encode()[:-1])]),
+     "miner", "UnexpectedMessage"),
+    ("message frame of another version",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL,
+                  lambda msg: (FRAME_VERSION + 1).to_bytes(2, "big") + msg.encode()[2:])]),
+     "hospital", "UnexpectedMessage"),
     ("cases_ref_res without a nonce",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _without_body("nonce"))]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _blob(lambda b: b""))]),
      "miner", "UnexpectedMessage"),
     ("nonce too long to sign",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(nonce="ab" * 0x10000))]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _blob(lambda b: bytes(0x10000)))]),
      "miner", "UnexpectedMessage"),
-    ("non-hex nonce",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(nonce="not hex"))]),
+    ("15-byte nonce",
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _blob(lambda b: b[:15]))]),
      "miner", "UnexpectedMessage"),
-    ("evidence missing a key",
-     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _drop_signature)]),
+    ("evidence frame of four fields",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _blob(lambda b: frame(*unframe(b, 5)[:4])))]),
      "hospital", "UnexpectedMessage"),
-    ("evidence with bad hex",
-     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _evidence(k_pub="zz"))]),
+    ("evidence with a trailing byte",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _blob(lambda b: b + b"\x00"))]),
      "hospital", "UnexpectedMessage"),
-    ("evidence with a non-string identity proof",
-     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _evidence(identity_proof=7))]),
+    # The proof arrives as bytes and is decoded as strict UTF-8, so it never
+    # reaches the verifier: the provisioner aborts instead of rejecting.
+    ("identity-proof bytes that are not UTF-8",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _evidence_field(1, b"org:\xff"))]),
      "hospital", "UnexpectedMessage"),
-    ("envelope that is not base64",
-     dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(envelope="!!"))]),
-     "miner", "UnexpectedMessage"),
 ]
 
 
 def test_evidence_that_is_not_utf8_text_is_rejected(three_partitions):
-    # JSON admits a lone surrogate, which has no UTF-8 encoding to verify.
-    edit = (KIND_CASES_REQ, *TO_HOSPITAL, _evidence(identity_proof="\ud800"))
+    # The identity proof arrives as bytes and is decoded as strict UTF-8, so
+    # a proof with no text form is malformed evidence: it never reaches the
+    # verifier, and nothing is shipped.
+    edit = (KIND_CASES_REQ, *TO_HOSPITAL, _evidence_field(1, b"org:\xff"))
     nodes, early = _run(three_partitions, edits=[edit])
     hospital = nodes["hospital"]
-    assert hospital.phase == "rejected"
-    assert hospital.trust.reason == REASON_SIGNATURE
+    assert (hospital.phase, hospital.aborted_reason) == ("aborted", "UnexpectedMessage")
+    assert hospital.aborted_message.startswith("malformed evidence: ")
+    assert hospital.trust is None and hospital.segments_sent == 0
     assert early == []
 
 
@@ -276,15 +283,14 @@ def test_evidence_bound_to_another_provisioners_nonce_is_rejected(three_partitio
     # evidence passes the link before hospital's request does.
     clinic_evidence = []
 
-    def keep(doc):
-        clinic_evidence.append(doc["body"]["evidence"])
-        return doc
+    def keep(msg):
+        clinic_evidence.append(msg.blob)
+        return msg
 
-    def swap(doc):
-        doc["body"]["evidence"] = clinic_evidence[0]
-        return doc
-
-    edits = [(KIND_CASES_REQ, "miner", "clinic", keep), (KIND_CASES_REQ, *TO_HOSPITAL, swap)]
+    edits = [
+        (KIND_CASES_REQ, "miner", "clinic", keep),
+        (KIND_CASES_REQ, *TO_HOSPITAL, _blob(lambda b: clinic_evidence[0])),
+    ]
     nodes, early = _run(three_partitions, edits=edits)
     hospital = nodes["hospital"]
     assert hospital.phase == "rejected"
@@ -385,9 +391,9 @@ def test_corrupted_control_message_never_escapes(three_partitions, target, posit
     # left waiting, but nothing raises out of the scheduler.
     sent = [0]
 
-    def flip_target(doc):
+    def flip_target(msg):
         sent[0] += 1
-        payload = json.dumps(doc).encode()
+        payload = msg.encode()
         return _flip(payload, position, mask) if sent[0] - 1 == target else payload
 
     nodes, early = _run(three_partitions, edits=[(None, None, None, flip_target)])

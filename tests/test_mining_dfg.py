@@ -7,7 +7,7 @@ import pytest
 from enclavemine.mining.dfg import DfgState, EmptyCase, dependency, hm_observe
 from enclavemine.model import EMPTY_LOG, Event, EventLog, extract_case, group_by_iid, merge_all
 
-from conftest import make_random_log
+from doubles import make_random_log
 
 
 def _case(activities, iid="c1", provisioner="p"):

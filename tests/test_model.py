@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_union, make_random_log
+from doubles import brute_union, make_random_log
 from enclavemine.model import (
     EMPTY_LOG,
     DuplicateEvent,

@@ -1,15 +1,15 @@
 """Miner/provisioner session behavior, including misbehaving peers."""
 
-import base64
 import random
 import struct
 from collections import Counter
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_random_log
-from doubles import CollectorSink, LossyNetwork
+from doubles import CollectorSink, LossyNetwork, make_random_log
 from enclavemine import enclave, model, protocol, segmenter
 from enclavemine.enclave import (
     BuildManifest,
@@ -22,7 +22,9 @@ from enclavemine.enclave import (
 )
 from enclavemine.model import EMPTY_LOG, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
+    KIND_CASES_REF_REQ,
     KIND_CASES_REF_RES,
+    KIND_CASES_REQ,
     KIND_CASES_RES,
     DuplicateResponse,
     IncompleteDelivery,
@@ -42,7 +44,7 @@ from enclavemine.wire import encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 MINER_PROOF = "org:miner"
-NONCE = bytes(16).hex()
+NONCE = bytes(16)
 
 
 def _provisioner(org_id, partition, session="s1", cls=Provisioner, **overrides):
@@ -112,6 +114,71 @@ def test_no_provisioners_rejected():
         )
 
 
+# One encoded message of each kind, assembled by hand from the documented
+# layout, not via the encoder: the version, the JSON head behind its u32
+# length, then the blob behind its own.
+GOLDEN_MESSAGES = [
+    (
+        Msg(KIND_CASES_REF_REQ, "miner", "s1", {"identity_proof": "org:miner"}, b""),
+        b"\x00\x01" + struct.pack(">I", 94)
+        + b'{"body":{"identity_proof":"org:miner"},'
+        + b'"kind":"cases_ref_req","sender":"miner","session":"s1"}'
+        + struct.pack(">I", 0),
+    ),
+    (
+        Msg(KIND_CASES_REF_RES, "hospital", "s1", {"iids": ["312", "711"]}, bytes(range(16))),
+        b"\x00\x01" + struct.pack(">I", 89)
+        + b'{"body":{"iids":["312","711"]},'
+        + b'"kind":"cases_ref_res","sender":"hospital","session":"s1"}'
+        + struct.pack(">I", 16) + bytes(range(16)),
+    ),
+    (
+        Msg(KIND_CASES_REQ, "miner", "s1", {"seg_size": 300, "iids": ["312", "711"]}, b"evidence"),
+        b"\x00\x01" + struct.pack(">I", 97)
+        + b'{"body":{"iids":["312","711"],"seg_size":300},'
+        + b'"kind":"cases_req","sender":"miner","session":"s1"}'
+        + struct.pack(">I", 8) + b"evidence",
+    ),
+    (
+        Msg(KIND_CASES_RES, "hospital", "s1", {"last": True}, b"envelope"),
+        b"\x00\x01" + struct.pack(">I", 76)
+        + b'{"body":{"last":true},"kind":"cases_res","sender":"hospital","session":"s1"}'
+        + struct.pack(">I", 8) + b"envelope",
+    ),
+]
+
+
+@pytest.mark.parametrize("msg,golden", GOLDEN_MESSAGES, ids=[m.kind for m, _ in GOLDEN_MESSAGES])
+def test_message_golden_bytes(msg, golden):
+    assert msg.encode() == golden
+    assert Msg.decode(golden) == msg
+
+
+_text = st.text(max_size=8)
+_messages = st.builds(
+    Msg,
+    _text,
+    _text,
+    _text,
+    st.dictionaries(
+        _text, st.one_of(_text, st.integers(), st.booleans(), st.lists(_text, max_size=3)), max_size=4
+    ),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_messages, st.binary(min_size=1, max_size=1))
+def test_a_message_round_trips_and_only_its_exact_bytes_decode(msg, extra):
+    encoded = msg.encode()
+    assert Msg.decode(encoded) == msg
+    for cut in range(len(encoded)):
+        with pytest.raises(UnexpectedMessage):
+            Msg.decode(encoded[:cut])
+    with pytest.raises(UnexpectedMessage):
+        Msg.decode(encoded + extra)
+
+
 def test_bootstrap_fans_out_identity_proof(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     out = miner.bootstrap()
@@ -120,6 +187,7 @@ def test_bootstrap_fans_out_identity_proof(three_partitions):
         msg = Msg.decode(payload)
         assert msg.kind == "cases_ref_req"
         assert msg.body == {"identity_proof": MINER_PROOF}
+        assert msg.blob == b""
     assert miner.phase == "awaiting_refs"
 
 
@@ -182,11 +250,11 @@ class RecordingNetwork(InProcessNetwork):
 
 
 def _streams(net):
-    """Each sender's cases_res bodies, in send order."""
+    """Each sender's cases_res messages, in send order."""
     streams = {}
     for msg in net.sent:
         if msg.kind == KIND_CASES_RES:
-            streams.setdefault(msg.sender, []).append(msg.body)
+            streams.setdefault(msg.sender, []).append(msg)
     return streams
 
 
@@ -215,19 +283,19 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert miner.phase == "done"
     streams = _streams(net)
     assert sorted(streams) == sorted(provisioners)
-    assert max(len(bodies) for bodies in streams.values()) > 1
-    for org, bodies in streams.items():
-        assert len(bodies) == provisioners[org].segments_sent
-        assert all(set(body) == {"envelope"} for body in bodies[:-1])
-        assert set(bodies[-1]) == {"envelope", "last"} and bodies[-1]["last"] is True
+    assert max(len(msgs) for msgs in streams.values()) > 1
+    for org, msgs in streams.items():
+        assert len(msgs) == provisioners[org].segments_sent
+        assert all(msg.blob for msg in msgs)
+        assert all(msg.body == {} for msg in msgs[:-1])
+        assert msgs[-1].body == {"last": True}
     assert not any("last" in msg.body for msg in net.sent if msg.kind != KIND_CASES_RES)
 
 
-def _wrapped_key(body):
-    """The wrapped-key field of a cases_res body's envelope."""
-    envelope = base64.b64decode(body["envelope"])
-    (length,) = struct.unpack(">I", envelope[2:6])
-    return envelope[6 : 6 + length]
+def _wrapped_key(msg):
+    """The wrapped-key field of a cases_res message's envelope."""
+    (length,) = struct.unpack(">I", msg.blob[2:6])
+    return msg.blob[6 : 6 + length]
 
 
 @pytest.mark.parametrize("do_yield", [True, False])
@@ -249,7 +317,7 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
     assert sum(p.segments_sent for p in provisioners.values()) > len(streams)
     assert wraps.call_count == len(provisioners)
     assert unwraps.call_count == sum(1 for p in provisioners.values() if p.segments_sent)
-    blobs = {org: {_wrapped_key(body) for body in bodies} for org, bodies in streams.items()}
+    blobs = {org: {_wrapped_key(msg) for msg in msgs} for org, msgs in streams.items()}
     assert all(len(found) == 1 for found in blobs.values())
     assert len(set().union(*blobs.values())) == len(blobs)
     assert miner.stream_keys == {}
@@ -273,7 +341,7 @@ def test_batch_peak_dominates_incremental(three_partitions):
 def test_unknown_provisioner_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    payload = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": ["312"]}).encode()
+    payload = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": ["312"]}, NONCE).encode()
     assert miner.handle("mallory", payload) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnknownProvisioner.__name__
@@ -282,8 +350,7 @@ def test_unknown_provisioner_rejected(three_partitions):
 def test_duplicate_refs_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    body = {"iids": ["312", "711"], "nonce": NONCE}
-    payload = Msg(KIND_CASES_REF_RES, "hospital", "s1", body).encode()
+    payload = Msg(KIND_CASES_REF_RES, "hospital", "s1", {"iids": ["312", "711"]}, NONCE).encode()
     miner.handle("hospital", payload)
     assert miner.phase == "awaiting_refs"
     assert miner.handle("hospital", payload) == []
@@ -294,7 +361,7 @@ def test_duplicate_refs_rejected(three_partitions):
 def test_session_mismatch_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    payload = Msg(KIND_CASES_REF_RES, "hospital", "other", {"iids": []}).encode()
+    payload = Msg(KIND_CASES_REF_RES, "hospital", "other", {"iids": []}, NONCE).encode()
     assert miner.handle("hospital", payload) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnexpectedMessage.__name__
@@ -304,7 +371,7 @@ def test_session_mismatch_rejected(three_partitions):
 def test_forged_sender_field_rejected(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
-    payload = Msg(KIND_CASES_REF_RES, "pharma", "s1", {"iids": []}).encode()
+    payload = Msg(KIND_CASES_REF_RES, "pharma", "s1", {"iids": []}, NONCE).encode()
     assert miner.handle("hospital", payload) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnexpectedMessage.__name__
@@ -317,15 +384,15 @@ def test_cases_res_before_attestation_aborts(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     miner.bootstrap()
     for org in ("hospital", "pharma"):
-        body = {"iids": sorted(iid_set(three_partitions[org])), "nonce": NONCE}
-        assert miner.handle(org, Msg(KIND_CASES_REF_RES, org, "s1", body).encode()) == []
-    early = Msg(KIND_CASES_RES, "hospital", "s1", {"last": True}).encode()
+        body = {"iids": sorted(iid_set(three_partitions[org]))}
+        assert miner.handle(org, Msg(KIND_CASES_REF_RES, org, "s1", body, NONCE).encode()) == []
+    early = Msg(KIND_CASES_RES, "hospital", "s1", {"last": True}, b"").encode()
     assert miner.handle("hospital", early) == []
     assert miner.phase == "aborted"
     assert miner.aborted_reason == UnexpectedMessage.__name__
     assert "cases_res in phase awaiting_refs" in miner.aborted_message
     # An aborted miner drops every later message and keeps its first reason.
-    late = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": []}).encode()
+    late = Msg(KIND_CASES_REF_RES, "mallory", "s1", {"iids": []}, NONCE).encode()
     assert miner.handle("mallory", late) == []
     assert miner.aborted_reason == UnexpectedMessage.__name__
     assert "cases_res in phase awaiting_refs" in miner.aborted_message
@@ -353,8 +420,7 @@ class UnderAdvertisingProvisioner(Provisioner):
 
     def _on_cases_ref_req(self, msg):
         super()._on_cases_ref_req(msg)
-        body = {"iids": ["312"], "nonce": self.nonce.hex()}
-        return [(msg.sender, self._msg(KIND_CASES_REF_RES, body))]
+        return [(msg.sender, self._msg(KIND_CASES_REF_RES, {"iids": ["312"]}, self.nonce))]
 
     def _on_cases_req(self, msg):
         super()._on_cases_req(msg)
@@ -365,11 +431,7 @@ class UnderAdvertisingProvisioner(Provisioner):
             wrap_key(k_sym, self.trust.k_pub),
             self.config.identity,
         )
-        body = {
-            "envelope": base64.b64encode(envelope).decode("ascii"),
-            "last": True,
-        }
-        return [(msg.sender, self._msg(KIND_CASES_RES, body))]
+        return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, envelope))]
 
 
 def test_unrequested_case_aborts_session(three_partitions):
@@ -394,7 +456,7 @@ class SilentStreamProvisioner(Provisioner):
 
     def _on_cases_req(self, msg):
         super()._on_cases_req(msg)
-        return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}))]
+        return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, b""))]
 
 
 def test_empty_stream_while_owing_cases_aborts(three_partitions):
@@ -421,7 +483,7 @@ def test_provisioner_with_empty_partition(three_partitions):
     assert miner.phase == "done"
     assert provisioners["archive"].phase == "done"
     assert provisioners["archive"].segments_sent == 0
-    assert _streams(net)["archive"] == [{"last": True}]
+    assert [(m.body, m.blob) for m in _streams(net)["archive"]] == [({"last": True}, b"")]
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 

@@ -23,7 +23,7 @@ from enclavemine.segmenter import (
 )
 from enclavemine.wire import EMPTY_LOG_SIZE
 
-from conftest import make_random_log
+from doubles import make_random_log
 
 
 def test_invalid_seg_size():

@@ -21,8 +21,7 @@ from enclavemine.wire import (
     encode_log,
 )
 
-from conftest import make_random_log
-from doubles import CollectorSink
+from doubles import CollectorSink, make_random_log
 
 
 def test_empty_log_golden_bytes():
