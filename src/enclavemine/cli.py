@@ -15,8 +15,9 @@ ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1 from a file, a flag or a ``scale``
-value. A ``run``, ``sweep-segsize`` or ``scale`` session that is not done
-prints ``session <phase>[: <Reason>: <message>]`` and exits 1.
+value. So is an input log or org map that cannot be read, parsed or split.
+A ``run``, ``sweep-segsize`` or ``scale`` session that is not done prints
+``session <phase>[: <Reason>: <message>]`` and exits 1.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .experiment import (
     write_metrics_csv,
     write_transcript,
 )
-from .logio import load_log, save_csv, split_log
+from .logio import LogIoError, save_csv
 from .model import merge_all
 from .scenario import generate_scenario_log, org_map_for
 from .stats import fit_stats
@@ -114,10 +115,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    log = load_log(args.log, iid_column=args.iid_column)
-    with Path(args.org_map).open() as fh:
-        org_map = json.load(fh)
-    parts = split_log(log, org_map)
+    parts = _load_inputs(
+        ExperimentConfig(log_path=args.log, org_map_path=args.org_map, iid_column=args.iid_column)
+    )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for org, partition in sorted(parts.items()):
@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except LogIoError as exc:
+        print("enclavemine %s: error: %s" % (args.command, exc), file=sys.stderr)
+        raise SystemExit(2) from exc
     except SessionFailed as exc:
         print(exc)
         return 1

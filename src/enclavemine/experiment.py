@@ -22,15 +22,15 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hin
 
 from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
-from .logio import load_log, split_log
+from .logio import LogIoError, load_log, split_log
 from .mining.declare import ConformanceState, fitness_report_json
 from .mining.dfg import DfgState, hm_observe
 from .mining.heuristics import HeuristicsConfig, hm_finalize
 from .mining.pnml import to_pnml
-from .model import EventLog, group_by_iid
+from .model import EventLog, ModelError, group_by_iid
 from .protocol import MinerConfig, Provisioner, ProvisionerConfig, SecureMiner
 from .scenario import generate_scenario_log, max_case_events, org_map_for, scenario_declare_model
-from .stats import RegressionStats, fit_stats
+from .stats import RegressionStats, check_xs, fit_stats
 from .transport import DeliveryRecord, InProcessNetwork
 
 __all__ = [
@@ -263,19 +263,22 @@ def build_session(
 
 
 def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
-    if cfg.log_path is not None:
-        log = load_log(cfg.log_path, iid_column=cfg.iid_column)
-        if cfg.org_map_path is not None:
-            with Path(cfg.org_map_path).open() as fh:
-                org_map = json.load(fh)
-        else:
-            org_map = org_map_for(cfg.n_orgs)
-        return split_log(log, org_map)
     org_map = org_map_for(cfg.n_orgs)
-    log = generate_scenario_log(
-        cfg.n_cases, cfg.seed, loop_iterations=cfg.loop_iterations, org_map=org_map
-    )
-    return split_log(log, org_map)
+    if cfg.log_path is None:
+        log = generate_scenario_log(
+            cfg.n_cases, cfg.seed, loop_iterations=cfg.loop_iterations, org_map=org_map
+        )
+        return split_log(log, org_map)
+    path = cfg.log_path
+    try:
+        log = load_log(path, iid_column=cfg.iid_column)
+        if cfg.org_map_path is not None:
+            path = cfg.org_map_path
+            with Path(path).open() as fh:
+                org_map = json.load(fh)
+        return split_log(log, org_map)
+    except (OSError, ValueError, LogIoError, ModelError) as exc:
+        raise LogIoError("%s: %s" % (path, exc)) from exc
 
 
 def run_experiment(
@@ -364,9 +367,9 @@ def scale_run(
     ``repeats`` runs; one untimed warmup run precedes the sweep so cold
     caches do not distort the first point. Repeats are interleaved in
     rounds across all points so slow machine-wide drift does not bias the
-    curve shape. Every point's config is built before any session runs, so
-    a value out of range raises ``ValueError`` first; a session that is not
-    done raises :class:`SessionFailed`.
+    curve shape. Every point's config and the fit's x values are checked
+    (``ValueError``) before any session runs; a session that is not done
+    raises :class:`SessionFailed`.
     """
     field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
     if dimension not in field_of:
@@ -376,8 +379,8 @@ def scale_run(
          cfg.with_overrides(**{field_of[dimension]: v}))
         for v in values
     ]
-    if values:
-        _done(run_experiment(cfg))
+    check_xs([x for x, _ in points])
+    _done(run_experiment(cfg))
     runs: List[List[ExperimentResult]] = [[] for _ in points]
     for _ in range(max(1, repeats)):
         for slot, (_, point_cfg) in zip(runs, points):

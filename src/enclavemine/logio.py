@@ -1,5 +1,8 @@
 """Event-log file I/O and organizational splitting.
 
+Loaders check events from files: :func:`parse_timestamp` takes no time
+before 1970 (negative milliseconds), and every extras tuple is sorted by key.
+
 CSV schema: header ``case,activity,timestamp`` plus optional columns. A
 ``timestamp`` is either integer epoch milliseconds or an ISO-8601 string
 (accepted at ingestion only; logs always store milliseconds). Recognized
@@ -58,22 +61,25 @@ _RESERVED_COLUMNS = ("activity", "timestamp", "org", "event_id")
 
 
 def parse_timestamp(value: str) -> int:
-    """Epoch milliseconds from an integer string or ISO-8601 timestamp."""
+    """Epoch milliseconds from an integer string or ISO-8601 timestamp; a
+    time before 1970 raises :class:`UnparsableTimestamp` like garbage does."""
     text = value.strip()
     if not text:
         raise UnparsableTimestamp("empty timestamp")
     try:
-        return int(text)
+        millis = int(text)
     except ValueError:
-        pass
-    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError as exc:
-        raise UnparsableTimestamp(value) from exc
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1000)
+        iso = text[:-1] + "+00:00" if text.endswith("Z") else text
+        try:
+            dt = datetime.fromisoformat(iso)
+        except ValueError as exc:
+            raise UnparsableTimestamp("unparsable timestamp %r" % value) from exc
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        millis = int(dt.timestamp() * 1000)
+    if millis < 0:
+        raise UnparsableTimestamp("timestamp %r is before 1970" % value)
+    return millis
 
 
 def load_csv(path, *, iid_column: str = "case") -> EventLog:
@@ -86,11 +92,13 @@ def load_csv(path, *, iid_column: str = "case") -> EventLog:
             return EventLog(())
         for name in (iid_column, "activity", "timestamp"):
             if name not in reader.fieldnames:
-                raise MissingAttribute("column %r not in %s" % (name, path))
+                raise MissingAttribute("no column %r" % name)
         extra_cols = [
             c for c in reader.fieldnames if c not in _RESERVED_COLUMNS and c != iid_column
         ]
         for row_no, row in enumerate(reader):
+            if None in (row[iid_column], row["activity"], row["timestamp"]):
+                raise MissingAttribute("line %d has fewer fields than the header" % reader.line_num)
             iid = row[iid_column]
             event_id = row.get("event_id") or "%s-r%06d" % (default_org, row_no)
             provisioner = row.get("org") or default_org
@@ -119,7 +127,7 @@ def save_csv(log: EventLog, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for ev in log:
-            extras = ev.extras_dict()
+            extras = dict(ev.extras)
             writer.writerow(
                 [ev.iid, ev.activity, str(ev.timestamp), ev.provisioner_id, ev.event_id]
                 + [extras.get(k, "") for k in extra_keys]
@@ -140,8 +148,10 @@ def _xes_attrs(elem) -> Dict[str, str]:
 def load_xes(path, *, iid_attribute: str = "concept:name") -> EventLog:
     path = Path(path)
     default_org = path.stem
-    tree = ET.parse(str(path))
-    root = tree.getroot()
+    try:
+        root = ET.parse(str(path)).getroot()
+    except ET.ParseError as exc:
+        raise LogIoError("not well-formed XML: %s" % exc) from exc
     events: List[Event] = []
     counter = 0
     for trace in root:
@@ -150,15 +160,15 @@ def load_xes(path, *, iid_attribute: str = "concept:name") -> EventLog:
         trace_attrs = _xes_attrs(trace)
         iid = trace_attrs.get(iid_attribute)
         if iid is None:
-            raise MissingAttribute("trace without %r in %s" % (iid_attribute, path))
+            raise MissingAttribute("trace without %r" % iid_attribute)
         for ev_elem in trace:
             if ev_elem.tag.rsplit("}", 1)[-1] != "event":
                 continue
             attrs = _xes_attrs(ev_elem)
             if "concept:name" not in attrs:
-                raise MissingAttribute("event without concept:name in %s" % path)
+                raise MissingAttribute("event without concept:name")
             if "time:timestamp" not in attrs:
-                raise MissingAttribute("event without time:timestamp in %s" % path)
+                raise MissingAttribute("event without time:timestamp")
             extras = tuple(
                 sorted(
                     (k, v)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .dfg import DfgState, dependency
 
@@ -76,9 +76,6 @@ class WorkflowNet:
     arcs: Tuple[Tuple[str, str], ...]
     source: str
     sink: str
-
-    def labels(self) -> FrozenSet[str]:
-        return frozenset(t.label for t in self.transitions if t.label is not None)
 
 
 def dependency_graph(state: DfgState, config: HeuristicsConfig) -> Set[Tuple[str, str]]:

@@ -5,6 +5,11 @@ order: primary key is the timestamp (integer milliseconds), ties broken by
 (provisioner_id, event_id). Two events compare equal only when they are the
 same event (same event_id); a log never contains two events with the same id.
 
+An :class:`Event` is a plain record, checked where it enters the program:
+the scenario generator and the file loaders (:mod:`.logio`) build valid
+events, and the wire decoder rejects any other. A log checks itself, since
+merges join events of different provisioners.
+
 Cases and partitions are plain :class:`EventLog` values with extra shape:
 a case holds events of a single instance id (iid), a partition holds events
 of a single provisioner. ``merge`` is the safe set union of two logs with
@@ -18,14 +23,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
 
 __all__ = [
     "Event",
     "EventLog",
     "ModelError",
     "DuplicateEvent",
-    "InvalidTimestamp",
     "EMPTY_LOG",
     "canonical_key",
     "log_from_events",
@@ -49,16 +53,12 @@ class DuplicateEvent(ModelError):
         super().__init__("duplicate event ids: %s" % ", ".join(self.event_ids))
 
 
-class InvalidTimestamp(ModelError):
-    """Timestamp outside the representable range (negative or non-integer)."""
-
-
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A single recorded activity execution.
 
-    ``extras`` is a sorted tuple of (key, value) string pairs so events stay
-    hashable and their encoding is canonical.
+    ``timestamp`` is a non-negative int of milliseconds and ``extras`` a
+    tuple of (key, value) string pairs sorted by key, so events stay
+    hashable and their encoding is canonical. Producers guarantee both.
     """
 
     event_id: str
@@ -67,18 +67,6 @@ class Event:
     timestamp: int
     provisioner_id: str
     extras: Tuple[Tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.timestamp, int) or self.timestamp < 0:
-            raise InvalidTimestamp(
-                "timestamp must be a non-negative integer (milliseconds), got %r"
-                % (self.timestamp,)
-            )
-        if tuple(sorted(self.extras)) != self.extras:
-            object.__setattr__(self, "extras", tuple(sorted(self.extras)))
-
-    def extras_dict(self) -> Dict[str, str]:
-        return dict(self.extras)
 
 
 # Total-order key of an event: timestamp first, ties by (provisioner_id,
@@ -123,9 +111,6 @@ class EventLog:
 
     def activity_set(self) -> FrozenSet[str]:
         return frozenset(ev.activity for ev in self.events)
-
-    def event_ids(self) -> FrozenSet[str]:
-        return frozenset(ev.event_id for ev in self.events)
 
     def is_case(self) -> bool:
         """True when all events share one iid (vacuously true when empty)."""

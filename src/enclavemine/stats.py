@@ -13,7 +13,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-__all__ = ["DegenerateInput", "RegressionStats", "fit_stats"]
+__all__ = ["DegenerateInput", "RegressionStats", "check_xs", "fit_stats"]
 
 
 class DegenerateInput(ValueError):
@@ -49,17 +49,23 @@ def _ols(design: np.ndarray, ys: np.ndarray) -> tuple:
     return coef, r2
 
 
+def check_xs(xs: Sequence[float]) -> None:
+    """Raise :class:`DegenerateInput` unless both models can be fit over the
+    x values; a sweep calls it before it measures any y."""
+    if len(xs) < 3:
+        raise DegenerateInput("need at least 3 points, got %d" % len(xs))
+    if len(set(xs)) != len(xs):
+        raise DegenerateInput("xs must be distinct")
+    if min(xs) <= 0:
+        raise DegenerateInput("xs must be positive for the logarithmic model")
+
+
 def fit_stats(xs: Sequence[float], ys: Sequence[float]) -> RegressionStats:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise DegenerateInput("xs and ys must be equal-length 1-d sequences")
-    if xs.size < 3:
-        raise DegenerateInput("need at least 3 points, got %d" % xs.size)
-    if len(set(xs.tolist())) != xs.size:
-        raise DegenerateInput("xs must be distinct")
-    if np.any(xs <= 0):
-        raise DegenerateInput("xs must be positive for the logarithmic model")
+    check_xs(xs)
 
     ones = np.ones_like(xs)
     lin_coef, r2_lin = _ols(np.column_stack([ones, xs]), ys)

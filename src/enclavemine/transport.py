@@ -101,14 +101,9 @@ class InProcessNetwork:
             made += 1
         return made
 
-    def run_replay(self, order: Sequence[Tuple[str, str]], max_steps: int = 1_000_000) -> int:
+    def run_replay(self, order: Sequence[Tuple[str, str]]) -> None:
         """Deliver following a recorded (sender, receiver) order exactly."""
-        made = 0
         for link in order:
-            if made >= max_steps:
-                raise TransportError("exceeded %d deliveries" % max_steps)
             self.deliver_next(forced_link=tuple(link))
-            made += 1
         if self.pending():
             raise TransportError("replay order exhausted with %d pending" % self.pending())
-        return made

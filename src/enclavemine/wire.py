@@ -171,8 +171,8 @@ def decode_log(data: bytes) -> EventLog:
                 end = pos + n
                 extras.append((key, data[pos:end].decode("utf-8")))
                 pos = end
-            # Event would sort the pairs silently, and the log would then
-            # re-encode to other bytes than it was decoded from.
+            # The only check a received event's extras get: unsorted pairs
+            # would re-encode to other bytes than they were decoded from.
             if n_extras > 1 and extras != sorted(extras):
                 raise ModelError("extras of event %r out of key order" % event_id)
             events.append(

@@ -175,6 +175,49 @@ def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, f
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("case,activity,timestamp\nc1,A,5\nc1,B,-5\n", "{log}: timestamp '-5' is before 1970"),
+        ("case,activity,timestamp\nc1,A,notatime\n", "{log}: unparsable timestamp 'notatime'"),
+        ("case,activity\nc1,A\n", "{log}: no column 'timestamp'"),
+        ("case,activity,timestamp\nc1,A,5\nc1,C,6\n", "{org_map}: activities without an org: C"),
+        ("case,activity,timestamp,event_id\nc1,A,5,e1\nc1,B,6,e1\n", "{log}: duplicate event ids: e1"),
+        (None, "{log}: [Errno 2] No such file or directory: '{log}'"),
+    ],
+    ids=["negative timestamp", "unparsable timestamp", "no timestamp column", "unmapped", "duplicate id", "no file"],
+)
+@pytest.mark.parametrize(
+    "command,before,after",
+    [
+        ("run", [], ["--out-dir"]),
+        ("sweep-segsize", [], ["--out"]),
+        ("scale", ["cases"], ["--out"]),
+        ("verify-convergence", [], []),
+        ("split", [], ["--out-dir"]),
+    ],
+    ids=["run", "sweep-segsize", "scale", "verify-convergence", "split"],
+)
+def test_a_malformed_input_log_is_a_usage_error(
+    tmp_path, capsys, text, named, command, before, after
+):
+    log = tmp_path / "log.csv"
+    if text is not None:
+        log.write_text(text)
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps({"A": "alpha", "B": "beta"}))
+    out = tmp_path / "out"
+    argv = [command, *before, "--log", log, "--org-map", org_map, *after]
+    with pytest.raises(SystemExit) as stop:
+        run_cli(*argv, *([out] if after else []))
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    named = named.format(log=log, org_map=org_map)
+    assert captured.err == "enclavemine %s: error: %s\n" % (command, named)
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def _rerun_model(tmp_path, cases, seed, seg):
     out_dir = tmp_path / "check"
     run_cli(

@@ -219,6 +219,14 @@ def test_scale_run_checks_every_value_before_any_session(dimension):
     assert runs.call_count == 0
 
 
+def test_scale_run_checks_the_fit_can_use_its_points_before_any_session():
+    cfg = ExperimentConfig(n_cases=10)
+    with mock.patch.object(experiment, "run_experiment", wraps=experiment.run_experiment) as runs:
+        with pytest.raises(ValueError, match="need at least 3 points, got 1"):
+            scale_run(cfg, "cases", [10], repeats=1)
+    assert runs.call_count == 0
+
+
 def test_manifest_pins_algorithm_and_params():
     hm = build_manifest("heuristics")
     dec = build_manifest("declare")

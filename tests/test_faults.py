@@ -162,7 +162,7 @@ class _ForeignWrapAfterFirstSeal:
 
 def _shared_event_id(parts):
     # Pharma carries a copy of one hospital event of case 312, same event id.
-    stolen = dataclasses.replace(parts["hospital"].events[0], provisioner_id="pharma")
+    stolen = parts["hospital"].events[0]._replace(provisioner_id="pharma")
     return dict(parts, pharma=log_from_events([*parts["pharma"], stolen]))
 
 

@@ -5,11 +5,12 @@ No linter ships with the project, so these checks walk each module's AST.
 * A name bound by a module-level ``import`` must be read somewhere in that
   module. Exempt are ``__future__`` imports, re-exports that a package
   ``__init__`` lists in ``__all__``, and the bindings in ``KEPT_FOR_TRACING``.
-* A top-level function or class, public or private, and a private top-level
-  constant must be read somewhere in the library or the benchmark, outside
-  its own definition, unless ``UNREAD_ON_PURPOSE`` says why it stays. Tests
-  do not count as readers: code that only its own tests use gets deleted. An
-  import or an ``__all__`` entry is not a read. Methods are exempt: the
+* A top-level function or class, public or private, a public method of a
+  public class, and a private top-level constant must be read somewhere in
+  the library or the benchmark, outside its own definition, unless
+  ``UNREAD_ON_PURPOSE`` says why it stays. Tests do not count as readers:
+  code that only its own tests use gets deleted. An import or an ``__all__``
+  entry is not a read. Dunders and other private methods are exempt: the
   protocol dispatches ``_on_<kind>`` handlers by a name it builds, so each
   role's handlers are checked against the kinds it dispatches instead.
 * A parameter with a default, of a public function, a public method or the
@@ -41,6 +42,10 @@ KEPT_FOR_TRACING = {("protocol.py", "extract_case"), ("segmenter.py", "encode_lo
 UNREAD_ON_PURPOSE = {
     ("model.py", "extract_case"): "perfbench wraps protocol.extract_case by name",
     ("experiment.py", "read_transcript"): "the replay half of write_transcript",
+    ("experiment.py", "RunMetrics.comparable"): (
+        "ROADMAP aim 4: the deterministic fields of a run, wall time excluded,"
+        " that runs under one seed must agree on"
+    ),
 }
 
 # Parameters with a default that nothing in the library or the benchmark
@@ -52,7 +57,6 @@ UNSET_ON_PURPOSE = {
     ("experiment.py", "build_session", "network"): "the seam tests swap a tampering network in by",
     ("experiment.py", "run_experiment", "replay_order"): "replays a recorded transcript",
     ("transport.py", "InProcessNetwork.run", "max_steps"): "bounds a session that never quiesces",
-    ("transport.py", "InProcessNetwork.run_replay", "max_steps"): "bounds a replay likewise",
     ("protocol.py", "ProvisionerConfig.__init__", "root_public"): "key material: tests pin a rogue root",
 }
 # Dataclass fields: the generated ``__init__`` takes one parameter per field.
@@ -63,7 +67,7 @@ UNSET_ON_PURPOSE.update(
         )
         for name in (
             "n_cases", "seed", "seg_size", "incremental", "algorithm", "n_orgs",
-            "loop_iterations", "capacity", "log_path", "org_map_path", "iid_column",
+            "loop_iterations", "capacity",
         )
     }
 )
@@ -161,12 +165,17 @@ def _reads(tree):
 
 
 def _definitions(tree):
-    """``(name, node)`` of each top-level function and class in ``tree``, and
-    of each private top-level constant (a dunder such as ``__all__`` is not
-    one)."""
+    """``(name, label, node)`` of each top-level function and class in
+    ``tree``, of each public method of a public class (labelled
+    ``Class.method``), and of each private top-level constant (a dunder such
+    as ``__all__`` is not one)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                        yield item.name, "%s.%s" % (node.name, item.name), item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if (
@@ -174,18 +183,20 @@ def _definitions(tree):
                     and target.id.startswith("_")
                     and not target.id.startswith("__")
                 ):
-                    yield target.id, node
+                    yield target.id, target.id, node
 
 
 def unread_definitions(modules, readers):
-    """``(module, name)`` of each definition in ``modules`` (name -> source)
-    that no source in ``readers`` reads outside the definition itself."""
+    """``(module, label)`` of each definition in ``modules`` (name -> source)
+    that no source in ``readers`` reads outside the definition itself. Reads
+    match by name alone, so a method counts as read wherever an attribute of
+    its name is."""
     read = sum((_reads(ast.parse(source)) for source in readers), Counter())
     found = []
     for module, source in modules.items():
-        for name, node in _definitions(ast.parse(source)):
+        for name, label, node in _definitions(ast.parse(source)):
             if read[name] <= _reads(node)[name]:
-                found.append((module, name))
+                found.append((module, label))
     return sorted(found)
 
 
@@ -205,10 +216,20 @@ def test_the_check_finds_unread_definitions():
         "def recursive(n): return recursive(n - 1) if n else 0\n"
         "class Node:\n"
         "    def copy(self): return Node()\n"
+        "class Tree:\n"
+        "    def __len__(self): return 0\n"
+        "    def size(self): return len(self)\n"
+        "    def depth(self): return self.depth() + 1\n"
+        "    def _on_grow(self): return 'grown'\n"
+        "class _Leaf:\n"
+        "    def colour(self): return 'green'\n"
     )
-    caller = "import lib\nlib.used()\n"
+    caller = "import lib\nlib.used()\nlib.Tree().size()\n"
     assert unread_definitions({"lib.py": lib}, [lib, caller]) == [
         ("lib.py", "Node"),
+        ("lib.py", "Node.copy"),
+        ("lib.py", "Tree.depth"),
+        ("lib.py", "_Leaf"),
         ("lib.py", "recursive"),
         ("lib.py", "unused"),
     ]

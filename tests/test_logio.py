@@ -5,6 +5,7 @@ import textwrap
 import pytest
 
 from enclavemine.logio import (
+    LogIoError,
     MissingAttribute,
     MissingOrg,
     UnparsableTimestamp,
@@ -38,6 +39,11 @@ class TestTimestamps:
     def test_rejects_garbage(self):
         for bad in ("", "  ", "yesterday", "2022-13-90T99:00:00"):
             with pytest.raises(UnparsableTimestamp):
+                parse_timestamp(bad)
+
+    def test_rejects_a_time_before_1970(self):
+        for bad in ("-5", "1969-12-31T23:59:59Z"):
+            with pytest.raises(UnparsableTimestamp, match="before 1970"):
                 parse_timestamp(bad)
 
 
@@ -81,12 +87,27 @@ def test_unknown_columns_become_extras(tmp_path):
     assert log.events[1].extras == (("nurse", "kim"), ("ward", "3B"))
 
 
+def test_csv_timestamp_before_1970_rejected(tmp_path):
+    f = tmp_path / "x.csv"
+    f.write_text("case,activity,timestamp\nc1,A,5\nc1,B,-5\n")
+    with pytest.raises(UnparsableTimestamp, match="'-5' is before 1970"):
+        load_csv(f)
+
+
+def test_csv_row_short_of_a_required_field_rejected(tmp_path):
+    f = tmp_path / "x.csv"
+    f.write_text("case,activity,timestamp\nc1,A,5\nc1,B\n")
+    with pytest.raises(MissingAttribute, match="line 3 has fewer fields"):
+        load_csv(f)
+
+
 def test_generated_event_ids_are_unique(tmp_path):
     f = tmp_path / "gen.csv"
     f.write_text("case,activity,timestamp\nc1,A,1\nc1,B,2\n")
     log = load_csv(f)
-    assert len(log.event_ids()) == 2
-    assert all(eid.startswith("gen-r") for eid in log.event_ids())
+    event_ids = {ev.event_id for ev in log}
+    assert len(event_ids) == 2
+    assert all(eid.startswith("gen-r") for eid in event_ids)
 
 
 def test_save_load_round_trip(tmp_path, three_partitions):
@@ -134,6 +155,31 @@ def test_xes_subset(tmp_path):
     assert log.events[0].extras == (("org:resource", "alice"),)
     assert log.events[0].provisioner_id == "public"
     assert log.events[0].timestamp == parse_timestamp("2022-07-14T10:36:00Z")
+
+
+def test_xes_extras_sorted_by_key(tmp_path):
+    f = tmp_path / "public.xes"
+    f.write_text(
+        _XES.replace(
+            '<string key="org:resource" value="alice"/>',
+            '<string key="zone" value="north"/><string key="cost" value="12"/>',
+        )
+    )
+    assert load_xes(f).events[0].extras == (("cost", "12"), ("zone", "north"))
+
+
+def test_xes_event_before_1970_rejected(tmp_path):
+    f = tmp_path / "public.xes"
+    f.write_text(_XES.replace("2022-07-14T11:00:00Z", "1969-07-20T20:17:40Z"))
+    with pytest.raises(UnparsableTimestamp, match="before 1970"):
+        load_xes(f)
+
+
+def test_xes_that_is_not_xml_rejected(tmp_path):
+    f = tmp_path / "public.xes"
+    f.write_text(_XES[: len(_XES) // 2])
+    with pytest.raises(LogIoError, match="not well-formed XML"):
+        load_xes(f)
 
 
 def test_xes_requires_trace_name(tmp_path):

@@ -10,7 +10,6 @@ from enclavemine.model import (
     DuplicateEvent,
     Event,
     EventLog,
-    InvalidTimestamp,
     ModelError,
     canonical_key,
     extract_case,
@@ -136,11 +135,6 @@ def test_eventlog_rejects_duplicate_ids():
         EventLog(tuple(events))
     assert exc.value.event_ids == ("x", "y")
     assert str(exc.value) == "duplicate event ids: x, y"
-
-
-def test_negative_timestamp_rejected():
-    with pytest.raises(InvalidTimestamp):
-        Event("a", "i", "A", -1, "p")
 
 
 def test_empty_log_behavior():

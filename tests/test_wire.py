@@ -69,7 +69,7 @@ def test_multibyte_event_golden_bytes():
         activity="PH",
         timestamp=7,
         provisioner_id="klinik-\u00f8",
-        extras=(("\u043a\u043b\u044e\u0447", "\U0001f642"), ("ward", "3A")),
+        extras=(("ward", "3A"), ("\u043a\u043b\u044e\u0447", "\U0001f642")),
     )
     expected = b"".join(
         [
@@ -300,8 +300,9 @@ def test_malformed_payload_raises_only_typed_errors(blob):
         Event("e1", "c1", "x" * 0x10000, 5, "p1"),
         Event("e1", "c1", "A", 5, "p1", extras=tuple(("k%05d" % i, "") for i in range(0x10000))),
         Event("e1", "c1", "A", 2**64, "p1"),
+        Event("e1", "c1", "A", -1, "p1"),
     ],
-    ids=["string", "extras", "timestamp"],
+    ids=["string", "extras", "timestamp", "negative timestamp"],
 )
 def test_encode_rejects_fields_over_wire_limits(event):
     with pytest.raises(WireError, match="wire limit"):
