@@ -15,9 +15,11 @@ ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1 from a file, a flag or a ``scale``
-value. So is an input log or org map that cannot be read, parsed or split.
+value. So is an input log or org map that cannot be read, parsed or split,
+a ``generate`` count below 1, a ``--sizes`` or ``--values`` list that is not
+integers, and a ``stats`` CSV that cannot be read, parsed or fitted.
 A ``run``, ``sweep-segsize`` or ``scale`` session that is not done prints
-``session <phase>[: <Reason>: <message>]`` and exits 1.
+``session aborted: <Reason>: <message>`` and exits 1.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import List, NoReturn
 
 from .experiment import (
     ALGORITHMS,
@@ -46,6 +49,18 @@ from .scenario import generate_scenario_log, org_map_for
 from .stats import fit_stats
 
 __all__ = ["main", "build_parser"]
+
+
+def _usage_error(args: argparse.Namespace, message) -> NoReturn:
+    print("enclavemine %s: error: %s" % (args.command, message), file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _integers(args: argparse.Namespace, flag: str, text: str) -> List[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        _usage_error(args, "%s takes comma-separated integers, not %r" % (flag, text))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -84,15 +99,18 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             return ExperimentConfig.from_json_file(args.config, **overrides)
         return ExperimentConfig().with_overrides(**overrides)
     except (OSError, ValueError) as exc:
-        where = "--config %s: " % args.config if args.config else ""
-        print("enclavemine %s: error: %s%s" % (args.command, where, exc), file=sys.stderr)
-        raise SystemExit(2) from exc
+        _usage_error(args, "--config %s: %s" % (args.config, exc) if args.config else exc)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    org_map = org_map_for(args.orgs)
+    try:  # the counts are checked where a session's are
+        cfg = ExperimentConfig(
+            n_cases=args.cases, seed=args.seed, n_orgs=args.orgs, loop_iterations=args.loop
+        )
+    except ValueError as exc:
+        _usage_error(args, exc)
     log = generate_scenario_log(
-        args.cases, args.seed, loop_iterations=args.loop, org_map=org_map
+        cfg.n_cases, cfg.seed, loop_iterations=cfg.loop_iterations, org_map=org_map_for(cfg.n_orgs)
     )
     save_csv(log, args.out)
     lengths = {}
@@ -138,9 +156,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
     (out_dir / out_name).write_bytes(result.output)
     print(
-        "session %s: %d messages, peak %d bytes, %d yields, output %s"
+        "session done: %d messages, peak %d bytes, %d yields, output %s"
         % (
-            result.miner_phase,
             result.metrics.message_count,
             result.metrics.peak_bytes,
             result.metrics.yield_count,
@@ -152,8 +169,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_segsize(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = sweep_segsize(cfg, sizes)
+    rows = sweep_segsize(cfg, _integers(args, "--sizes", args.sizes))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
@@ -176,16 +192,13 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         "cases": [2 ** x for x in range(7, 14)],
         "orgs": list(range(1, 9)),
     }
-    values = (
-        [int(v) for v in args.values.split(",")] if args.values else defaults[args.dimension]
-    )
+    values = _integers(args, "--values", args.values) if args.values else defaults[args.dimension]
     try:
         rows, stats = scale_run(
             cfg, args.dimension, values, metric=args.metric, repeats=args.repeats
         )
     except ValueError as exc:  # a value out of range, or too few points to fit
-        print("enclavemine scale: error: %s" % exc, file=sys.stderr)
-        raise SystemExit(2) from exc
+        _usage_error(args, exc)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
@@ -203,12 +216,16 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    xs, ys = [], []
-    with Path(args.csv).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            xs.append(float(row[args.x]))
-            ys.append(float(row[args.y]))
-    result = fit_stats(xs, ys)
+    try:
+        with Path(args.csv).open(newline="") as fh:
+            reader = csv.DictReader(fh, restval="")
+            missing = [c for c in (args.x, args.y) if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError("no column %s" % ", ".join(repr(c) for c in missing))
+            points = [(float(row[args.x]), float(row[args.y])) for row in reader]
+        result = fit_stats([x for x, _ in points], [y for _, y in points])
+    except (OSError, ValueError) as exc:  # DegenerateInput is a ValueError
+        _usage_error(args, "%s: %s" % (args.csv, exc))
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -294,8 +311,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except LogIoError as exc:
-        print("enclavemine %s: error: %s" % (args.command, exc), file=sys.stderr)
-        raise SystemExit(2) from exc
+        _usage_error(args, exc)
     except SessionFailed as exc:
         print(exc)
         return 1

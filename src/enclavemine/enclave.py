@@ -30,7 +30,8 @@ simulated faithfully enough to exercise the protocol:
   earlier ones.
 
 Verification order for evidence: signature, measurement, org allow-list,
-nonce. The first failing check names the rejection.
+nonce; :func:`verify_evidence` raises :class:`EvidenceRejected` naming the
+first failing check.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ __all__ = [
     "AuthFailure",
     "KeyUnwrapFailure",
     "CapacityExceeded",
+    "EvidenceRejected",
     "UnderflowBug",
     "REASON_SIGNATURE",
     "REASON_MEASUREMENT",
@@ -75,7 +77,6 @@ __all__ = [
     "SessionKeys",
     "AttestationEvidence",
     "build_evidence",
-    "TrustDecision",
     "verify_evidence",
     "new_symmetric_key",
     "wrap_key",
@@ -100,6 +101,10 @@ class KeyUnwrapFailure(EnclaveError):
 
 class CapacityExceeded(EnclaveError):
     """Simulated enclave memory would exceed its configured capacity."""
+
+
+class EvidenceRejected(EnclaveError):
+    """Attestation evidence failed a check; the message is its ``REASON_*``."""
 
 
 class UnderflowBug(AssertionError):
@@ -245,21 +250,15 @@ def build_evidence(
     return replace(unsigned, signature=root.sign(unsigned.signed_payload()))
 
 
-@dataclass(frozen=True)
-class TrustDecision:
-    trusted: bool
-    reason: Optional[str] = None
-    k_pub: Optional[bytes] = None
-
-
 def verify_evidence(
     evidence: AttestationEvidence,
     reference_measurement: bytes,
     allowed_orgs: Iterable[str],
     expected_nonce: Optional[bytes],
     root_public: Optional[bytes] = None,
-) -> TrustDecision:
-    """Appraise evidence; trusted only when every check passes.
+) -> bytes:
+    """Appraise evidence and return its ``k_pub``; :class:`EvidenceRejected`
+    names the first check that fails.
 
     The nonce check always runs: evidence never matches ``expected_nonce``
     ``None``, the value of a verifier that issued no nonce.
@@ -267,14 +266,14 @@ def verify_evidence(
     if root_public is None:
         root_public = DEFAULT_ROOT.public_bytes
     if not OrgIdentity.verify(root_public, evidence.signature, evidence.signed_payload()):
-        return TrustDecision(False, REASON_SIGNATURE)
+        raise EvidenceRejected(REASON_SIGNATURE)
     if evidence.measurement != reference_measurement:
-        return TrustDecision(False, REASON_MEASUREMENT)
+        raise EvidenceRejected(REASON_MEASUREMENT)
     if evidence.identity_proof not in set(allowed_orgs):
-        return TrustDecision(False, REASON_ORG)
+        raise EvidenceRejected(REASON_ORG)
     if evidence.nonce != expected_nonce:
-        return TrustDecision(False, REASON_NONCE)
-    return TrustDecision(True, None, evidence.k_pub)
+        raise EvidenceRejected(REASON_NONCE)
+    return evidence.k_pub
 
 
 def new_symmetric_key() -> bytes:

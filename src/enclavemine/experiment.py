@@ -154,12 +154,11 @@ class ExperimentResult:
 
 
 class SessionFailed(Exception):
-    """A session whose miner did not reach ``done``, worded as ``session
-    <phase>``, then ``: <Reason>: <message>`` if the miner aborted."""
+    """A session whose miner aborted, worded as ``session aborted:
+    <Reason>: <message>``."""
 
     def __init__(self, result: ExperimentResult) -> None:
-        why = result.aborted_reason and ": %s: %s" % (result.aborted_reason, result.aborted_message)
-        super().__init__("session %s%s" % (result.miner_phase, why or ""))
+        super().__init__("session aborted: %s: %s" % (result.aborted_reason, result.aborted_message))
 
 
 def _done(result: ExperimentResult) -> ExperimentResult:
@@ -276,6 +275,8 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
             path = cfg.org_map_path
             with Path(path).open() as fh:
                 org_map = json.load(fh)
+            if not isinstance(org_map, dict) or not all(isinstance(o, str) for o in org_map.values()):
+                raise LogIoError("an org map is a JSON object that maps activities to org names")
         return split_log(log, org_map)
     except (OSError, ValueError, LogIoError, ModelError) as exc:
         raise LogIoError("%s: %s" % (path, exc)) from exc

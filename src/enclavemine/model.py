@@ -30,7 +30,6 @@ __all__ = [
     "EventLog",
     "ModelError",
     "DuplicateEvent",
-    "EMPTY_LOG",
     "canonical_key",
     "log_from_events",
     "merge",
@@ -119,9 +118,6 @@ class EventLog:
     def is_partition(self) -> bool:
         """True when all events share one provisioner (true when empty)."""
         return len({ev.provisioner_id for ev in self.events}) <= 1
-
-
-EMPTY_LOG = EventLog(())
 
 
 def log_from_events(events: Iterable[Event]) -> EventLog:

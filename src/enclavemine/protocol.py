@@ -50,20 +50,25 @@ ended.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
-issued. Rejected evidence ends the session with nothing sent.
+issued; a refused miner or rejected evidence aborts the provisioner before it
+plans, wraps or seals anything.
 
-Failure contract: both roles handle a message in :func:`_serve`, which
-decodes it, checks its session and sender, and calls the role's
-``_on_<kind>`` handler (a kind the role does not handle is an
-:class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
-(bad or out-of-order control input, a forged sender, an unowed case), an
-``EnclaveError`` (tampered envelope, capacity cap), a ``WireError`` or
+Failure contract: a node ends ``done`` or ``aborted``, and only
+:func:`_abort` sets ``aborted``, recording ``aborted_reason`` (the fault's
+class name) and ``aborted_message`` (its text). Both roles handle a message
+in :func:`_serve`, which decodes it, checks its session and sender, and
+calls the role's ``_on_<kind>`` handler (a kind the role does not handle is
+an :class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
+(bad or out-of-order control input, a forged sender, an unowed case, a
+refused miner: :class:`MinerRefused`), an ``EnclaveError`` (tampered
+envelope, ``EvidenceRejected``, capacity cap), a ``WireError`` or
 ``ModelError`` (malformed segment, event id carried twice) or a
-``SegmenterError`` (bad ``seg_size``) ends the node in phase ``aborted``,
-with ``aborted_reason`` the fault's class name and ``aborted_message`` its
-text; ``handle`` returns no sends and the scheduler runs on. An aborted node
-drops every later message, and an aborted miner frees its stored cases and
-drops its stream keys.
+``SegmenterError`` (bad ``seg_size``) aborts the node; ``handle`` returns no
+sends and the scheduler runs on. An aborted node drops every later message,
+and an aborted miner frees its stored cases and stream keys. Once no
+message is pending, the transport calls each node's ``on_quiet`` (a
+deployment's timeout): a node still waiting aborts with :class:`Stalled`,
+naming what it waits for (``awaiting cases from clinic``).
 Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 """
 
@@ -81,7 +86,6 @@ from .enclave import (
     EnclaveError,
     OrgIdentity,
     SessionKeys,
-    TrustDecision,
     build_evidence,
     compute_measurement,
     frame,
@@ -109,6 +113,8 @@ __all__ = [
     "UnexpectedIid",
     "UnexpectedMessage",
     "IncompleteDelivery",
+    "MinerRefused",
+    "Stalled",
     "Msg",
     "MinerConfig",
     "SecureMiner",
@@ -147,6 +153,14 @@ class UnexpectedMessage(ProtocolError):
 
 class IncompleteDelivery(ProtocolError):
     """A provisioner ended its stream while still owing cases."""
+
+
+class MinerRefused(ProtocolError):
+    """The miner's identity proof is not on the provisioner's allow-list."""
+
+
+class Stalled(ProtocolError):
+    """The session went quiet while the node still waited for a peer."""
 
 
 KIND_CASES_REF_REQ = "cases_ref_req"
@@ -210,12 +224,23 @@ def _serve(
             raise UnexpectedMessage("%s cannot handle %r" % (node.node_id, msg.kind))
         return getattr(node, "_on_" + msg.kind)(msg)
     except _FAULTS as exc:
-        node.phase = "aborted"
-        node.aborted_reason = type(exc).__name__
-        node.aborted_message = str(exc)
-        if release is not None:
-            release()
+        _abort(node, exc, release)
         return []
+
+
+def _abort(node, exc: Exception, release: Optional[Callable] = None) -> None:
+    """The only way into phase ``aborted`` (see "Failure contract")."""
+    node.phase = "aborted"
+    node.aborted_reason = type(exc).__name__
+    node.aborted_message = str(exc)
+    if release is not None:
+        release()
+
+
+def _stall(node, waiting: str, release: Optional[Callable] = None) -> None:
+    """Both roles' ``on_quiet``: a node still waiting aborts with :class:`Stalled`."""
+    if node.phase not in ("done", "aborted"):
+        _abort(node, Stalled("awaiting " + waiting), release)
 
 
 def _field(msg: Msg, key: str, kind: type):
@@ -294,6 +319,13 @@ class SecureMiner:
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _MINER_KINDS, self._release)
+
+    def on_quiet(self) -> None:
+        if self.phase == "awaiting_cases":
+            waiting = "cases from " + ", ".join(sorted(self.pmap))
+        else:  # a miner that never bootstrapped also awaits every peer's refs
+            waiting = "refs from " + ", ".join(p for p in self.peers if p not in self.pmap)
+        _stall(self, waiting, self._release)
 
     # -- handlers --------------------------------------------------------
 
@@ -414,7 +446,6 @@ class Provisioner:
         self.node_id = config.identity.org_id
         self.phase = "idle"
         self.nonce: Optional[bytes] = None
-        self.trust: Optional[TrustDecision] = None
         self.segments_sent = 0
         self.miner_id: Optional[str] = None
         self.aborted_reason: Optional[str] = None
@@ -426,12 +457,15 @@ class Provisioner:
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _PROVISIONER_KINDS)
 
+    def on_quiet(self) -> None:
+        _stall(self, "a case request from %s" % self.miner_id if self.miner_id else "a ref request")
+
     def _on_cases_ref_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "idle":
             raise UnexpectedMessage("cases_ref_req in phase %s" % self.phase)
-        if _field(msg, "identity_proof", str) not in self.config.allowed_miners:
-            self.phase = "refused"
-            return []
+        proof = _field(msg, "identity_proof", str)
+        if proof not in self.config.allowed_miners:
+            raise MinerRefused("identity proof %r is not on the allow-list" % proof)
         self.miner_id = msg.sender
         self.nonce = os.urandom(_NONCE_SIZE)
         self.phase = "refs_sent"
@@ -446,19 +480,16 @@ class Provisioner:
             evidence = AttestationEvidence.from_bytes(msg.blob)
         except ValueError as exc:
             raise UnexpectedMessage("malformed evidence: %s" % exc) from exc
-        self.trust = verify_evidence(
+        k_pub = verify_evidence(
             evidence,
             reference_measurement=self.config.reference_measurement,
             allowed_orgs=self.config.allowed_miners,
             expected_nonce=self.nonce,
             root_public=self.config.root_public,
         )
-        if not self.trust.trusted:
-            self.phase = "rejected"
-            return []
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
-        wrapped = wrap_key(k_sym, self.trust.k_pub)
+        wrapped = wrap_key(k_sym, k_pub)
         identity = self.config.identity
         sealed = [seal_segment(encode_log(s), k_sym, wrapped, identity) for s in plan.segments] or [b""]
         self.segments_sent = len(plan.segments)

@@ -3,9 +3,10 @@
 The network gives the protocol layer reliable FIFO delivery per directed
 link, each message delivered exactly once, and handlers run one at a time
 (run-to-completion). Nodes are objects with a ``node_id``, a
-``bootstrap()`` producing initial sends, and a ``handle(sender, payload)``
-returning follow-up sends; both return lists of ``(receiver,
-payload_bytes)``.
+``bootstrap()`` and a ``handle(sender, payload)`` that return sends as
+``(receiver, payload_bytes)`` lists, and an ``on_quiet()`` that ``run`` and
+``run_replay`` call on every node, in sorted id order, once no message is
+pending: the moment a deployment's timeout would fire.
 
 A seeded RNG picks which nonempty link delivers next, so one seed fixes the
 whole interleaving, and the recorded delivery order can be replayed
@@ -99,6 +100,7 @@ class InProcessNetwork:
                 raise TransportError("exceeded %d deliveries" % max_steps)
             self.deliver_next()
             made += 1
+        self._quiet()
         return made
 
     def run_replay(self, order: Sequence[Tuple[str, str]]) -> None:
@@ -107,3 +109,8 @@ class InProcessNetwork:
             self.deliver_next(forced_link=tuple(link))
         if self.pending():
             raise TransportError("replay order exhausted with %d pending" % self.pending())
+        self._quiet()
+
+    def _quiet(self) -> None:
+        for node_id in sorted(self._nodes):
+            self._nodes[node_id].on_quiet()

@@ -26,7 +26,6 @@ from enclavemine.experiment import (
 )
 from enclavemine.mining.declare import ConformanceState
 from enclavemine.model import (
-    EMPTY_LOG,
     Event,
     EventLog,
     extract_case,
@@ -110,8 +109,8 @@ def check_merge_algebra():
         assert left == right
         assert left == _sorted_union(a, b, c)
         assert merge(a, b) == merge(b, a)
-        assert merge(a, EMPTY_LOG) == a
-        assert merge(EMPTY_LOG, a) == a
+        assert merge(a, EventLog()) == a
+        assert merge(EventLog(), a) == a
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, "algebra sweep took %.2fs" % elapsed
 
@@ -155,7 +154,7 @@ def check_randomized_sessions():
         network.bootstrap()
         network.run()
         assert miner.phase == "done", "trial %d stuck in %s" % (trial, miner.phase)
-        merged = merge_all(sink.cases) if sink.cases else EMPTY_LOG
+        merged = merge_all(sink.cases) if sink.cases else EventLog()
         assert merged.events == full.events, "trial %d diverged" % trial
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, "session sweep took %.2fs" % elapsed
@@ -356,10 +355,10 @@ def check_attestation_gate():
             p, "config", replace(p.config, allowed_miners=frozenset({"org:elsewhere"}))
         ),
     }
-    expected_reason = {
-        "wrong measurement": "measurement_mismatch",
-        "unknown signing root": "signature_invalid",
-        "unauthorized miner org": None,
+    expected_abort = {
+        "wrong measurement": ("EvidenceRejected", "measurement_mismatch"),
+        "unknown signing root": ("EvidenceRejected", "signature_invalid"),
+        "unauthorized miner org": ("MinerRefused", None),
     }
     for name, mutate in mutations.items():
         miner, sink, provisioners, _ = _attestation_session(mutate)
@@ -368,12 +367,11 @@ def check_attestation_gate():
         assert miner.accountant.peak_bytes == 0, "%s: segments reached the miner" % name
         for prov in provisioners:
             assert prov.segments_sent == 0, "%s: provisioner shipped" % name
-            assert prov.phase in ("rejected", "refused"), (
-                "%s: provisioner phase %s" % (name, prov.phase)
-            )
-            reason = expected_reason[name]
-            if reason is not None:
-                assert prov.trust is not None and prov.trust.reason == reason
+            assert prov.phase == "aborted", "%s: provisioner phase %s" % (name, prov.phase)
+            reason, message = expected_abort[name]
+            assert prov.aborted_reason == reason, "%s: %s" % (name, prov.aborted_reason)
+            if message is not None:
+                assert prov.aborted_message == message
 
     miner, sink, provisioners, log = _attestation_session(lambda p: None)
     assert miner.phase == "done"

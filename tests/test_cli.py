@@ -110,9 +110,13 @@ def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
     inputs = [
         # The miner aborts: its reason and message follow the phase.
         (["--config", cfg], "session aborted: CapacityExceeded: ", "capacity 2000"),
-        # Every provisioner aborts (InvalidSegSize) and the miner is left
-        # waiting: the phase alone.
-        (["--cases", 20, "--seg-size", 0], "session awaiting_cases\n", ""),
+        # Every provisioner aborts (InvalidSegSize) and the miner, left
+        # waiting, aborts once the session goes quiet.
+        (
+            ["--cases", 20, "--seg-size", 0],
+            "session aborted: Stalled: awaiting cases from clinic, hospital, pharma\n",
+            "",
+        ),
     ]
     for i, (flags, starts, contains) in enumerate(inputs):
         out_dir = tmp_path / ("out%d" % i)
@@ -218,6 +222,28 @@ def test_a_malformed_input_log_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("doc", [["A"], {"A": 3}], ids=["list", "number for an org"])
+@pytest.mark.parametrize(
+    "command,after", [("run", "--out-dir"), ("split", "--out-dir")], ids=["run", "split"]
+)
+def test_an_org_map_that_is_not_an_object_of_strings_is_a_usage_error(
+    tmp_path, capsys, doc, command, after
+):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,timestamp\nc1,A,5\nc2,A,6\n")
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, "--log", log, "--org-map", org_map, after, out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == (
+        "enclavemine %s: error: %s: an org map is a JSON object that maps activities to org names\n"
+        % (command, org_map)
+    )
+    assert not out.exists()
+
+
 def _rerun_model(tmp_path, cases, seed, seg):
     out_dir = tmp_path / "check"
     run_cli(
@@ -253,7 +279,9 @@ def test_sweep_segsize_reports_an_unfinished_session_and_exits_1(tmp_path, capsy
     out = tmp_path / "sweep.csv"
     rc = run_cli("sweep-segsize", "--cases", 10, "--sizes", 0, "--out", out)
     assert rc == 1
-    assert capsys.readouterr().out == "session awaiting_cases\n"
+    assert capsys.readouterr().out == (
+        "session aborted: Stalled: awaiting cases from clinic, hospital, pharma\n"
+    )
     assert not out.exists()
 
 
@@ -300,6 +328,78 @@ def test_stats_fits_csv_columns(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["slope"] == pytest.approx(10.0)
     assert doc["r2_linear"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "rows,x,named",
+    [
+        (None, "n", "{csv}: [Errno 2] No such file or directory: '{csv}'"),
+        ([["n", "ms"], [1, 11], [2, 21], [3, 31]], "q", "{csv}: no column 'q'"),
+        (
+            [["n", "ms"], [1, 11], ["two", 21], [3, 31]],
+            "n",
+            "{csv}: could not convert string to float: 'two'",
+        ),
+        ([["n", "ms"], [1, 11], [2], [3, 31]], "n", "{csv}: could not convert string to float: ''"),
+        ([["n", "ms"], [1, 11], [2, 21]], "n", "{csv}: need at least 3 points, got 2"),
+    ],
+    ids=["no file", "no column", "not a number", "short row", "two points"],
+)
+def test_stats_reports_bad_input_in_one_line(tmp_path, capsys, rows, x, named):
+    data = tmp_path / "data.csv"
+    if rows is not None:
+        with data.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    with pytest.raises(SystemExit) as stop:
+        run_cli("stats", "--csv", data, "--x", x, "--y", "ms")
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "enclavemine stats: error: %s\n" % named.format(csv=data)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (
+            ["sweep-segsize", "--sizes", "1000,abc"],
+            "--sizes takes comma-separated integers, not '1000,abc'",
+        ),
+        (
+            ["scale", "cases", "--values", "10,abc"],
+            "--values takes comma-separated integers, not '10,abc'",
+        ),
+    ],
+    ids=["sweep-segsize", "scale"],
+)
+def test_a_number_list_that_is_not_integers_is_a_usage_error_before_any_session(
+    tmp_path, capsys, argv, named
+):
+    out = tmp_path / "out.csv"
+    with mock.patch.object(experiment, "run_experiment") as runs:
+        with pytest.raises(SystemExit) as stop:
+            run_cli(*argv, "--cases", 10, "--out", out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "enclavemine %s: error: %s\n" % (argv[0], named)
+    assert runs.call_count == 0
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,named",
+    [
+        ("--cases", "n_cases must be at least 1, got 0"),
+        ("--orgs", "n_orgs must be at least 1, got 0"),
+        ("--loop", "loop_iterations must be at least 1, got 0"),
+    ],
+)
+def test_generate_rejects_a_count_below_one_with_a_usage_error(tmp_path, capsys, flag, named):
+    out = tmp_path / "log.csv"
+    with pytest.raises(SystemExit) as stop:
+        run_cli("generate", flag, 0, "--out", out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "enclavemine generate: error: %s\n" % named
+    assert not out.exists()
 
 
 def test_verify_convergence_both_algorithms(capsys):

@@ -19,7 +19,7 @@ from enclavemine.mining.declare import (
     fitness_report_json,
 )
 from enclavemine.mining.dfg import EmptyCase
-from enclavemine.model import EMPTY_LOG, Event, EventLog, extract_case, group_by_iid, merge_all
+from enclavemine.model import Event, EventLog, extract_case, group_by_iid, merge_all
 from enclavemine.scenario import generate_scenario_log, scenario_declare_model
 
 
@@ -104,7 +104,7 @@ def test_empty_model_rejected():
 def test_check_case_guards():
     model = DeclareModel((Constraint("existence", "a"),))
     with pytest.raises(EmptyCase):
-        check_case(model, EMPTY_LOG)
+        check_case(model, EventLog())
     two = EventLog(
         (
             Event(event_id="x", iid="c1", activity="a", timestamp=0, provisioner_id="p"),

@@ -24,6 +24,7 @@ from enclavemine.enclave import (
     BuildManifest,
     CapacityExceeded,
     EnclaveAccountant,
+    EvidenceRejected,
     HardwareRoot,
     KeyUnwrapFailure,
     OrgIdentity,
@@ -92,11 +93,13 @@ class EvidenceTest(unittest.TestCase):
         kw.setdefault("expected_nonce", self.nonce)
         return verify_evidence(ev, **kw)
 
+    def assertRejected(self, reason, ev, **kw):
+        # The message is the reason alone, so the abort that carries it names it.
+        with self.assertRaisesRegex(EvidenceRejected, "^%s$" % reason):
+            self.appraise(ev, **kw)
+
     def test_good_evidence_is_trusted(self):
-        decision = self.appraise(self.evidence)
-        self.assertTrue(decision.trusted)
-        self.assertIsNone(decision.reason)
-        self.assertEqual(decision.k_pub, self.session.k_pub)
+        self.assertEqual(self.appraise(self.evidence), self.session.k_pub)
 
     def test_tampered_measurement_fails_signature_first(self):
         forged = AttestationEvidence(
@@ -106,14 +109,11 @@ class EvidenceTest(unittest.TestCase):
             nonce=self.evidence.nonce,
             signature=self.evidence.signature,
         )
-        decision = self.appraise(forged)
-        self.assertFalse(decision.trusted)
-        self.assertEqual(decision.reason, REASON_SIGNATURE)
+        self.assertRejected(REASON_SIGNATURE, forged)
 
     def test_field_too_long_to_sign_fails_signature(self):
         forged = dataclasses.replace(self.evidence, identity_proof="x" * 0x10000)
-        decision = self.appraise(forged)
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
+        self.assertRejected(REASON_SIGNATURE, forged)
 
     def test_identity_proof_bytes_that_are_not_utf8_are_malformed(self):
         # Evidence arrives as bytes; a proof that is not UTF-8 never becomes
@@ -126,28 +126,22 @@ class EvidenceTest(unittest.TestCase):
     def test_wrong_root_rejected(self):
         rogue = HardwareRoot(os.urandom(32))
         _, _, ev = _fresh_evidence(self.nonce, root=rogue)
-        decision = verify_evidence(
-            ev, compute_measurement(BuildManifest("miner", "1", "heuristics")),
-            ["org:miner"], self.nonce,
-        )
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_SIGNATURE))
+        reference = compute_measurement(BuildManifest("miner", "1", "heuristics"))
+        with self.assertRaisesRegex(EvidenceRejected, "^%s$" % REASON_SIGNATURE):
+            verify_evidence(ev, reference, ["org:miner"], self.nonce)
 
     def test_unexpected_measurement_named(self):
         other = compute_measurement(BuildManifest("miner", "1", "declare"))
-        decision = self.appraise(self.evidence, reference_measurement=other)
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_MEASUREMENT))
+        self.assertRejected(REASON_MEASUREMENT, self.evidence, reference_measurement=other)
 
     def test_unauthorized_org_named(self):
-        decision = self.appraise(self.evidence, allowed_orgs=["org:other"])
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_ORG))
+        self.assertRejected(REASON_ORG, self.evidence, allowed_orgs=["org:other"])
 
     def test_stale_nonce_named(self):
-        decision = self.appraise(self.evidence, expected_nonce=os.urandom(16))
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_NONCE))
+        self.assertRejected(REASON_NONCE, self.evidence, expected_nonce=os.urandom(16))
 
     def test_nonce_check_is_mandatory(self):
-        decision = self.appraise(self.evidence, expected_nonce=None)
-        self.assertEqual((decision.trusted, decision.reason), (False, REASON_NONCE))
+        self.assertRejected(REASON_NONCE, self.evidence, expected_nonce=None)
 
     def test_bytes_round_trip(self):
         ev = self.evidence

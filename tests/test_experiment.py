@@ -105,6 +105,21 @@ def test_transcript_replay_reproduces_metrics(tmp_path):
     assert [(r.sender, r.receiver) for r in replayed.transcript] == order
 
 
+def test_replay_of_a_stalled_session_ends_in_the_same_abort():
+    cfg = ExperimentConfig(n_cases=20, seg_size=0)
+    original = run_experiment(cfg)
+    assert (original.miner_phase, original.aborted_reason) == ("aborted", "Stalled")
+    assert original.aborted_message == "awaiting cases from clinic, hospital, pharma"
+    order = [(r.sender, r.receiver) for r in original.transcript]
+    replayed = run_experiment(cfg, replay_order=order)
+    assert (replayed.miner_phase, replayed.aborted_reason, replayed.aborted_message) == (
+        original.miner_phase,
+        original.aborted_reason,
+        original.aborted_message,
+    )
+    assert replayed.metrics.comparable() == original.metrics.comparable()
+
+
 def test_replay_rejects_incomplete_order():
     from enclavemine.transport import TransportError
 
@@ -202,8 +217,10 @@ def test_scale_run_rejects_unknown_dimension():
 
 
 def test_a_sweep_point_that_does_not_finish_raises():
-    # seg_size 0: every provisioner aborts and the miner is left waiting.
-    with pytest.raises(SessionFailed, match="^session awaiting_cases$"):
+    # seg_size 0: every provisioner aborts and the miner, left waiting,
+    # aborts once the session goes quiet.
+    stalled = "^session aborted: Stalled: awaiting cases from clinic, hospital, pharma$"
+    with pytest.raises(SessionFailed, match=stalled):
         sweep_segsize(SMALL.with_overrides(n_cases=10), [4000, 0])
     # A miner that aborts names its reason and message.
     tight = SMALL.with_overrides(n_cases=5, incremental=False, capacity=2000)

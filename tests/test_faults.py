@@ -1,14 +1,17 @@
 """Fault injection against the protocol's failure contract.
 
 Each row runs a whole session over the seeded scheduler with one fault
-injected: a message rewritten in flight, a corrupted plaintext, a bad input
-or a tight capacity. Every row checks the same four things:
+injected: a message rewritten or lost in flight, a corrupted plaintext, a
+bad input or a tight capacity. Every row checks the same five things:
 
 * ``net.run()`` returns normally;
-* the faulting node is in phase ``aborted``, its reason the fault's class;
-* an aborted miner holds no plaintext (``cstor`` empty, accountant 0) and
-  no stream key;
-* no provisioner sent a segment before it trusted the miner's evidence.
+* every node ends ``done`` or ``aborted``;
+* the faulting node is in phase ``aborted``, its reason the fault's class,
+  and a miner left waiting by a provisioner's fault ends ``Stalled``;
+* the miner holds no plaintext (``cstor`` empty, accountant 0) and no
+  stream key;
+* no provisioner sent a segment before an appraisal of the miner's
+  evidence returned for it.
 """
 
 import dataclasses
@@ -65,13 +68,17 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
     list of these; the first edit that matches a message applies."""
     nodes = {}
     early = []
+    appraised = set()  # the nonce of every appraisal that returned
+
+    def appraise(*args, **kwargs):
+        k_pub = _REAL_VERIFY(*args, **kwargs)
+        appraised.add(kwargs["expected_nonce"])
+        return k_pub
 
     def tamper(sender, receiver, payload):
         msg = Msg.decode(payload)
-        if msg.kind == KIND_CASES_RES and msg.blob:
-            trust = nodes[sender].trust
-            if trust is None or not trust.trusted:
-                early.append(sender)
+        if msg.kind == KIND_CASES_RES and msg.blob and nodes[sender].nonce not in appraised:
+            early.append(sender)
         for *wanted, fn in edits:
             if all(w in (None, got) for w, got in zip(wanted, (msg.kind, sender, receiver))):
                 out = fn(msg)
@@ -92,8 +99,11 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
     nodes.update({p.node_id: p for p in provisioners})
     nodes[miner.node_id] = miner
     net.bootstrap()
-    with mock.patch.object(protocol, "seal_segment", seal or _REAL_SEAL):
+    with mock.patch.object(protocol, "seal_segment", seal or _REAL_SEAL), mock.patch.object(
+        protocol, "verify_evidence", appraise
+    ):
         net.run()
+    assert all(node.phase in ("done", "aborted") for node in nodes.values())
     return nodes, early
 
 
@@ -139,7 +149,12 @@ def _drop_unless_last(msg):
     return msg if msg.body.get("last") else []
 
 
+def _drop_if_last(msg):
+    return [] if msg.body.get("last") else msg
+
+
 _REAL_SEAL = protocol.seal_segment
+_REAL_VERIFY = protocol.verify_evidence
 
 
 def _trailing_byte_seal(segment_bytes, *args):
@@ -202,6 +217,11 @@ FAULTS = [
     ("dropped segment",
      dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _drop_unless_last)]),
      "miner", "IncompleteDelivery"),
+    # The same cut, but the segment with the end mark is the one lost: the
+    # miner is left waiting for hospital until the session goes quiet.
+    ("lost end mark",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _drop_if_last)]),
+     "miner", "Stalled"),
     ("end mark that is not a boolean",
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(last="true"))]),
      "miner", "UnexpectedMessage"),
@@ -274,7 +294,7 @@ def test_evidence_that_is_not_utf8_text_is_rejected(three_partitions):
     hospital = nodes["hospital"]
     assert (hospital.phase, hospital.aborted_reason) == ("aborted", "UnexpectedMessage")
     assert hospital.aborted_message.startswith("malformed evidence: ")
-    assert hospital.trust is None and hospital.segments_sent == 0
+    assert hospital.segments_sent == 0
     assert early == []
 
 
@@ -293,8 +313,8 @@ def test_evidence_bound_to_another_provisioners_nonce_is_rejected(three_partitio
     ]
     nodes, early = _run(three_partitions, edits=edits)
     hospital = nodes["hospital"]
-    assert hospital.phase == "rejected"
-    assert hospital.trust.reason == REASON_NONCE
+    assert (hospital.phase, hospital.aborted_reason) == ("aborted", "EvidenceRejected")
+    assert hospital.aborted_message == REASON_NONCE
     assert hospital.segments_sent == 0
     assert nodes["clinic"].phase == "done"
     assert early == []
@@ -316,13 +336,14 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     assert nodes[faulty].aborted_reason == reason
     assert nodes[faulty].aborted_message
     miner = nodes["miner"]
-    if faulty == "miner":
-        assert miner.cstor == {} and miner.csize == {}
-        assert miner.accountant.current_bytes == 0
-        assert miner.stream_keys == {}
-    else:
-        # Nothing tells the miner that a provisioner stopped; it waits.
-        assert miner.phase in ("awaiting_refs", "awaiting_cases")
+    if faulty != "miner":
+        # Nothing tells the miner that a provisioner stopped; it waits until
+        # the session goes quiet, then gives up naming whom it waited for.
+        assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
+        assert faulty in miner.aborted_message
+    assert miner.cstor == {} and miner.csize == {}
+    assert miner.accountant.current_bytes == 0
+    assert miner.stream_keys == {}
     assert early == []
 
 
@@ -387,8 +408,9 @@ def test_corrupted_segment_ends_done_or_aborted(three_partitions, sealed, target
 @given(target=st.integers(0, 11), position=st.integers(0, 1 << 16), mask=st.integers(1, 255))
 def test_corrupted_control_message_never_escapes(three_partitions, target, position, mask):
     # One byte of the target-th message of the session (12 in all) flipped
-    # in flight. The faulting node aborts; a peer it no longer answers may be
-    # left waiting, but nothing raises out of the scheduler.
+    # in flight. The faulting node aborts, a peer it no longer answers aborts
+    # Stalled once the session goes quiet, and nothing raises out of the
+    # scheduler.
     sent = [0]
 
     def flip_target(msg):
@@ -400,7 +422,6 @@ def test_corrupted_control_message_never_escapes(three_partitions, target, posit
     miner = nodes["miner"]
     for node in nodes.values():
         assert (node.phase == "aborted") == (node.aborted_reason is not None)
-    if miner.phase == "aborted":
-        assert miner.cstor == {} and miner.accountant.current_bytes == 0
-        assert miner.stream_keys == {}
+    assert miner.cstor == {} and miner.accountant.current_bytes == 0
+    assert miner.stream_keys == {}
     assert early == []

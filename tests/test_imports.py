@@ -6,8 +6,8 @@ No linter ships with the project, so these checks walk each module's AST.
   module. Exempt are ``__future__`` imports, re-exports that a package
   ``__init__`` lists in ``__all__``, and the bindings in ``KEPT_FOR_TRACING``.
 * A top-level function or class, public or private, a public method of a
-  public class, and a private top-level constant must be read somewhere in
-  the library or the benchmark, outside its own definition, unless
+  public class, and a top-level constant, public or private, must be read
+  somewhere in the library or the benchmark, outside its own definition, unless
   ``UNREAD_ON_PURPOSE`` says why it stays. Tests do not count as readers:
   code that only its own tests use gets deleted. An import or an ``__all__``
   entry is not a read. Dunders and other private methods are exempt: the
@@ -65,10 +65,7 @@ UNSET_ON_PURPOSE.update(
         ("experiment.py", "ExperimentConfig.__init__", name): (
             "set by name from a --config file (cls(**data)) or a flag (replace)"
         )
-        for name in (
-            "n_cases", "seed", "seg_size", "incremental", "algorithm", "n_orgs",
-            "loop_iterations", "capacity",
-        )
+        for name in ("seg_size", "incremental", "algorithm", "capacity")
     }
 )
 UNSET_ON_PURPOSE.update(
@@ -167,8 +164,8 @@ def _reads(tree):
 def _definitions(tree):
     """``(name, label, node)`` of each top-level function and class in
     ``tree``, of each public method of a public class (labelled
-    ``Class.method``), and of each private top-level constant (a dunder such
-    as ``__all__`` is not one)."""
+    ``Class.method``), and of each top-level constant (a dunder such as
+    ``__all__`` is not one)."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
@@ -178,11 +175,7 @@ def _definitions(tree):
                         yield item.name, "%s.%s" % (node.name, item.name), item
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id.startswith("_")
-                    and not target.id.startswith("__")
-                ):
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
                     yield target.id, target.id, node
 
 
@@ -248,8 +241,10 @@ def test_the_check_finds_unread_private_definitions():
     lib = (
         "_USED = 1\n"
         "_UNUSED: int = 2\n"
-        "__all__ = ['api']\n"
-        "def api(): return _helper() + _USED\n"
+        "LIMIT = 3\n"
+        "UNREAD_LIMIT = 4\n"
+        "__all__ = ['api', 'LIMIT', 'UNREAD_LIMIT']\n"
+        "def api(): return _helper() + _USED + LIMIT\n"
         "def _helper(): return _Box().size\n"
         "def _leftover(data): return _leftover(data[1:]) if data else b''\n"
         "class _Box:\n"
@@ -259,6 +254,7 @@ def test_the_check_finds_unread_private_definitions():
     )
     caller = "import lib\nlib.api()\n"
     assert unread_definitions({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "UNREAD_LIMIT"),
         ("lib.py", "_UNUSED"),
         ("lib.py", "_Unused"),
         ("lib.py", "_leftover"),

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from enclavemine.mining.dfg import DfgState, EmptyCase, dependency, hm_observe
-from enclavemine.model import EMPTY_LOG, Event, EventLog, extract_case, group_by_iid, merge_all
+from enclavemine.model import Event, EventLog, extract_case, group_by_iid, merge_all
 
 from doubles import make_random_log
 
@@ -80,7 +80,7 @@ def test_loop2_pattern_counting():
 
 def test_empty_case_rejected():
     with pytest.raises(EmptyCase):
-        hm_observe(DfgState(), EMPTY_LOG)
+        hm_observe(DfgState(), EventLog())
 
 
 def test_multi_iid_log_rejected():

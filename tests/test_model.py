@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from doubles import brute_union, make_random_log
 from enclavemine.model import (
-    EMPTY_LOG,
     DuplicateEvent,
     Event,
     EventLog,
@@ -89,8 +88,8 @@ def test_merge_rejects_shared_event_ids(hospital_log):
 
 
 def test_merge_identity_and_commutativity(hospital_log, pharma_log):
-    assert merge(hospital_log, EMPTY_LOG) == hospital_log
-    assert merge(EMPTY_LOG, hospital_log) == hospital_log
+    assert merge(hospital_log, EventLog()) == hospital_log
+    assert merge(EventLog(), hospital_log) == hospital_log
     assert merge(hospital_log, pharma_log) == merge(pharma_log, hospital_log)
 
 
@@ -138,10 +137,10 @@ def test_eventlog_rejects_duplicate_ids():
 
 
 def test_empty_log_behavior():
-    assert len(EMPTY_LOG) == 0
-    assert not EMPTY_LOG
-    assert merge(EMPTY_LOG, EMPTY_LOG) == EMPTY_LOG
-    assert iid_set(EMPTY_LOG) == frozenset()
+    assert len(EventLog()) == 0
+    assert not EventLog()
+    assert merge(EventLog(), EventLog()) == EventLog()
+    assert iid_set(EventLog()) == frozenset()
 
 
 def _split_round_robin(log, k, salt):
@@ -169,7 +168,7 @@ def test_merge_algebra_random(seed):
     a, b, c = _split_round_robin(log, 3, seed + 1)
     assert merge(a, b) == merge(b, a)
     assert merge(merge(a, b), c) == merge(a, merge(b, c))
-    assert merge(a, EMPTY_LOG) == a
+    assert merge(a, EventLog()) == a
 
 
 @given(st.integers(0, 2**32 - 1))

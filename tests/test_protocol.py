@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from doubles import CollectorSink, LossyNetwork, make_random_log
 from enclavemine import enclave, model, protocol, segmenter
 from enclavemine.enclave import (
+    AttestationEvidence,
     BuildManifest,
     OrgIdentity,
     compute_measurement,
@@ -20,7 +21,7 @@ from enclavemine.enclave import (
     unwrap_key,
     wrap_key,
 )
-from enclavemine.model import EMPTY_LOG, extract_case, iid_set, log_from_events, merge_all
+from enclavemine.model import EventLog, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
     KIND_CASES_REF_REQ,
     KIND_CASES_REF_RES,
@@ -378,6 +379,32 @@ def test_forged_sender_field_rejected(three_partitions):
     assert "forged" in miner.aborted_message
 
 
+def test_a_quiet_session_aborts_every_node_still_waiting(three_partitions):
+    # Nothing was ever sent: the miner never bootstrapped and no provisioner
+    # heard from it.
+    net, miner, _, provisioners = _session(three_partitions)
+    net.run()
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
+    assert miner.aborted_message == "awaiting refs from clinic, hospital, pharma"
+    for p in provisioners.values():
+        assert (p.phase, p.aborted_reason) == ("aborted", "Stalled")
+        assert p.aborted_message == "awaiting a ref request"
+
+
+def test_quiet_names_what_each_node_waits_for_and_keeps_the_first_reason(three_partitions):
+    _, miner, _, provisioners = _session(three_partitions)
+    hospital = provisioners["hospital"]
+    request = dict(miner.bootstrap())["hospital"]
+    refs = hospital.handle("miner", request)
+    assert miner.handle("hospital", refs[0][1]) == []
+    for _ in range(2):  # a second quiet changes nothing
+        miner.on_quiet()
+        hospital.on_quiet()
+        assert miner.aborted_message == "awaiting refs from clinic, pharma"
+        assert hospital.aborted_message == "awaiting a case request from miner"
+    assert miner.aborted_reason == hospital.aborted_reason == "Stalled"
+
+
 def test_cases_res_before_attestation_aborts(three_partitions):
     # The miner sends its evidence when the last refs arrive, so a cases_res
     # before that point is one that comes before attestation.
@@ -428,7 +455,7 @@ class UnderAdvertisingProvisioner(Provisioner):
         envelope = seal_segment(
             encode_log(self.config.partition),
             k_sym,
-            wrap_key(k_sym, self.trust.k_pub),
+            wrap_key(k_sym, AttestationEvidence.from_bytes(msg.blob).k_pub),
             self.config.identity,
         )
         return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, envelope))]
@@ -476,7 +503,7 @@ def test_empty_stream_while_owing_cases_aborts(three_partitions):
 
 def test_provisioner_with_empty_partition(three_partitions):
     partitions = dict(three_partitions)
-    partitions["archive"] = EMPTY_LOG
+    partitions["archive"] = EventLog()
     net, miner, sink, provisioners = _run_to_done(
         partitions, do_yield=True, network_cls=RecordingNetwork
     )
@@ -503,12 +530,11 @@ def test_wrong_measurement_stops_everything(three_partitions):
         net.run()
     # Rejected evidence: no key is wrapped and no segment sealed.
     assert wraps.call_count == 0 and seals.call_count == 0
-    assert all(p.phase == "rejected" for p in provisioners.values())
-    assert all(
-        p.trust is not None and p.trust.reason == "measurement_mismatch"
-        for p in provisioners.values()
-    )
-    assert miner.phase == "awaiting_cases"
+    for p in provisioners.values():
+        assert (p.phase, p.aborted_reason) == ("aborted", "EvidenceRejected")
+        assert p.aborted_message == "measurement_mismatch"
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
+    assert miner.aborted_message == "awaiting cases from clinic, hospital, pharma"
     assert sink.cases == [] and sink.logs == []
     assert miner.accountant.peak_bytes == 0
 
@@ -537,8 +563,11 @@ def test_unknown_miner_is_refused(three_partitions):
     net.register(provisioner)
     net.bootstrap()
     net.run()
-    assert provisioner.phase == "refused"
-    assert miner.phase == "awaiting_refs"
+    assert (provisioner.phase, provisioner.aborted_reason) == ("aborted", "MinerRefused")
+    assert "'org:miner' is not on the allow-list" in provisioner.aborted_message
+    assert provisioner.nonce is None  # refused before it drew a nonce or sent refs
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
+    assert miner.aborted_message == "awaiting refs from hospital"
     assert sink.cases == []
 
 

@@ -29,6 +29,29 @@ class Chatter:
             return [(sender, b"pong:" + payload[5:])]
         return []
 
+    def on_quiet(self):
+        pass
+
+
+class Listener(Chatter):
+    """A Chatter that notes in ``heard`` how many messages it had received
+    each time the network told it that no message was pending."""
+
+    def __init__(self, node_id, heard, **kwargs):
+        super().__init__(node_id, **kwargs)
+        self.heard = heard
+
+    def on_quiet(self):
+        self.heard.append((self.node_id, len(self.inbox)))
+
+
+def _listeners(net, heard):
+    # Registered out of id order; the network still calls them in order.
+    net.register(Listener("b", heard))
+    net.register(Listener("a", heard, peers=["b", "c"], fanout=2))
+    net.register(Listener("c", heard))
+    net.bootstrap()
+
 
 def test_fifo_per_link():
     net = InProcessNetwork(seed=1)
@@ -148,6 +171,38 @@ def test_run_respects_step_budget():
     net.bootstrap()
     with pytest.raises(TransportError, match="exceeded"):
         net.run(max_steps=3)
+
+
+def test_run_tells_every_node_once_when_no_message_is_pending():
+    heard = []
+    net = InProcessNetwork(seed=4)
+    _listeners(net, heard)
+    net.run()
+    assert heard == [("a", 4), ("b", 2), ("c", 2)]
+
+
+def test_replay_tells_every_node_once_it_drains():
+    heard = []
+    net = InProcessNetwork(seed=4)
+    _listeners(net, heard)
+    net.run()
+    order = [(r.sender, r.receiver) for r in net.transcript]
+    replayed = []
+    net = InProcessNetwork(seed=0)
+    _listeners(net, replayed)
+    net.run_replay(order)
+    assert replayed == heard == [("a", 4), ("b", 2), ("c", 2)]
+
+
+def test_no_node_is_told_while_messages_are_pending():
+    heard = []
+    net = InProcessNetwork(seed=4)
+    _listeners(net, heard)
+    with pytest.raises(TransportError, match="pending"):
+        net.run_replay([("a", "b")])
+    with pytest.raises(TransportError, match="exceeded"):
+        net.run(max_steps=1)
+    assert heard == []
 
 
 def test_lossy_duplicates():
