@@ -16,8 +16,10 @@ cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1 from a file, a flag or a ``scale``
 value. So is an input log or org map that cannot be read, parsed or split,
-a ``generate`` count below 1, a ``--sizes`` or ``--values`` list that is not
-integers, and a ``stats`` CSV that cannot be read, parsed or fitted.
+a ``split`` org name that is not a plain file name, a ``generate`` count
+below 1, a ``--sizes`` or ``--values`` list that is not integers, and a
+``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
+finite number among them).
 A ``run``, ``sweep-segsize`` or ``scale`` session that is not done prints
 ``session aborted: <Reason>: <message>`` and exits 1.
 """
@@ -36,6 +38,7 @@ from .experiment import (
     ExperimentConfig,
     SessionFailed,
     _load_inputs,
+    _run_session,
     run_experiment,
     scale_run,
     standalone_mining,
@@ -136,6 +139,11 @@ def _cmd_split(args: argparse.Namespace) -> int:
     parts = _load_inputs(
         ExperimentConfig(log_path=args.log, org_map_path=args.org_map, iid_column=args.iid_column)
     )
+    # Each org's partition goes to <out-dir>/<org>.csv, so no name may leave it.
+    unsafe = [o for o in sorted(parts) if o in ("", "..") or "\0" in o or Path(o).name != o]
+    if unsafe:
+        names = ", ".join(map(repr, unsafe))
+        _usage_error(args, "%s: org names must be plain file names, not %s" % (args.org_map, names))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for org, partition in sorted(parts.items()):
@@ -234,11 +242,12 @@ def _cmd_verify_convergence(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     # The reference is the merge of the partitions the protocol mines: the
     # split relabels events with their org, which can reorder timestamp ties.
-    log = merge_all(_load_inputs(cfg).values())
+    partitions = _load_inputs(cfg)
+    log = merge_all(partitions.values())
     failures = 0
     for algorithm in ALGORITHMS:
         direct = standalone_mining(log, algorithm)
-        via_protocol = run_experiment(cfg.with_overrides(algorithm=algorithm)).output
+        via_protocol = _run_session(cfg.with_overrides(algorithm=algorithm), partitions).output
         ok = direct == via_protocol
         failures += 0 if ok else 1
         print("%s: %s (%d bytes)" % (algorithm, "MATCH" if ok else "MISMATCH", len(direct)))

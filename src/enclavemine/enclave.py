@@ -18,16 +18,19 @@ simulated faithfully enough to exercise the protocol:
   the minimum verify contract and yields the extra rejection reason
   ``nonce_mismatch``.
 * Segments are sealed with a hybrid envelope: a symmetric key (AES-GCM)
-  encrypts the payload, an X25519+HKDF key-encapsulation wraps that key to
-  the session public key, and the sender signs the envelope without its
-  proof, that is the framed wrapped key and ciphertext, with its org
-  identity key (the sender proof). The proof covers the field lengths, so no
-  byte moves across a field boundary unnoticed. A stream draws one
-  symmetric key and encapsulates it once; every envelope of the stream
-  carries the same wrapped key, and the receiver unwraps it once per
-  stream. So a segment pays only its sender proof and its AES-GCM
-  encryption, yet each envelope still opens on its own, with no state from
-  earlier ones.
+  encrypts the payload, and an X25519+HKDF key-encapsulation wraps that key
+  to the session public key. A stream draws one symmetric key, encapsulates
+  it once, and its sender signs the framed session, sender id and wrapped
+  key once with its org identity key (the sender proof, :func:`sign_stream`).
+  Every envelope of the stream carries the same wrapped key and proof, so
+  each still opens on its own, and the receiver verifies the proof and
+  unwraps the key once per stream. AES-GCM authenticates the rest: each
+  segment is encrypted with the framed session, sender id, index in the
+  stream and end mark as associated data, as in the sequence-numbered
+  records of TLS 1.3 (RFC 8446, section 5.3). A segment that is reordered,
+  replayed, re-marked, sent after a lost one or taken from another session
+  fails its tag. Every signed or authenticated byte string is a frame, so
+  no byte moves across a field boundary unnoticed.
 
 Verification order for evidence: signature, measurement, org allow-list,
 nonce; :func:`verify_evidence` raises :class:`EvidenceRejected` naming the
@@ -81,6 +84,7 @@ __all__ = [
     "new_symmetric_key",
     "wrap_key",
     "unwrap_key",
+    "sign_stream",
     "seal_segment",
     "open_segment",
     "EnclaveAccountant",
@@ -121,6 +125,7 @@ FRAME_VERSION = 1
 _WRAP_INFO = b"enclavemine-key-wrap-v1"
 _VERSION = struct.Struct(">H")
 _LENGTH = struct.Struct(">I")
+_INDEX = struct.Struct(">Q")
 
 
 @dataclass(frozen=True)
@@ -310,45 +315,75 @@ def unwrap_key(wrapped: bytes, session: SessionKeys) -> bytes:
         raise KeyUnwrapFailure("wrapped key does not open with this session's key") from exc
 
 
-def seal_segment(segment_bytes: bytes, k_sym: bytes, wrapped: bytes, sender: OrgIdentity) -> bytes:
+def _stream_payload(session: str, sender: str, wrapped: bytes) -> bytes:
+    return frame(session.encode("utf-8"), sender.encode("utf-8"), wrapped)
+
+
+def _segment_ad(session: str, sender: str, index: int, last: bool) -> bytes:
+    """AES-GCM associated data: a segment's session, sender and place."""
+    return frame(session.encode("utf-8"), sender.encode("utf-8"), _INDEX.pack(index), bytes([last]))
+
+
+def sign_stream(sender: OrgIdentity, session: str, wrapped: bytes) -> bytes:
+    """The sender proof of one stream: ``sender`` signs the framed session,
+    its org id and the stream's wrapped key."""
+    return sender.sign(_stream_payload(session, sender.org_id, wrapped))
+
+
+def seal_segment(
+    segment_bytes: bytes,
+    k_sym: bytes,
+    wrapped: bytes,
+    proof: bytes,
+    session: str,
+    sender: str,
+    index: int,
+    last: bool,
+) -> bytes:
     """Produce the versioned envelope: wrapped key, sender proof, ciphertext.
 
-    ``wrapped`` is ``wrap_key(k_sym, k_pub)``, made once per stream and
-    carried by each of its envelopes. The sender proof signs the framed
-    wrapped key and ciphertext, the envelope without its proof, so neither
-    can be swapped out or re-split without detection.
+    ``wrapped`` is ``wrap_key(k_sym, k_pub)`` and ``proof`` its
+    :func:`sign_stream`, both made once per stream and carried by each of
+    its envelopes. The ciphertext authenticates the segment's session,
+    sender, ``index`` in the stream (from 0) and ``last`` end mark.
     """
     nonce = os.urandom(12)
-    ct = nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, None)
-    return frame(wrapped, sender.sign(frame(wrapped, ct)), ct)
+    ad = _segment_ad(session, sender, index, last)
+    return frame(wrapped, proof, nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, ad))
 
 
 def open_segment(
     envelope: bytes,
-    session: SessionKeys,
+    keys: SessionKeys,
     sender_public: bytes,
-    held: Optional[Tuple[bytes, bytes]] = None,
-) -> Tuple[bytes, Tuple[bytes, bytes]]:
-    """Verify the sender proof, recover the key, and decrypt the segment.
+    session: str,
+    sender: str,
+    index: int,
+    last: bool,
+    held: Optional[Tuple[bytes, bytes, bytes]] = None,
+) -> Tuple[bytes, Tuple[bytes, bytes, bytes]]:
+    """Check the sender proof, recover the key, and decrypt the segment at
+    ``index`` of ``sender``'s stream, marked ``last`` or not.
 
-    ``held`` is the ``(wrapped, k_sym)`` pair that an earlier envelope of the
-    same stream opened with. After the sender proof checks out, its key is
-    used only if this envelope's signed wrapped bytes equal ``held``'s;
-    otherwise the key is unwrapped afresh. Returns the plaintext and the pair
-    this envelope opened with.
+    ``held`` is the ``(wrapped, proof, k_sym)`` record that an earlier
+    envelope of the same stream opened with. Its key is used only if this
+    envelope's wrapped and proof bytes equal ``held``'s; otherwise the proof
+    is verified and the key unwrapped afresh, before any key is used.
+    Returns the plaintext and the record this envelope opened with.
     """
     try:
         wrapped, proof, ct = unframe(envelope, 3)
     except ValueError as exc:
         raise AuthFailure("malformed envelope: %s" % exc) from exc
-    if not OrgIdentity.verify(sender_public, proof, frame(wrapped, ct)):
-        raise AuthFailure("sender proof rejected")
-    if held is None or held[0] != wrapped:
-        held = (wrapped, unwrap_key(wrapped, session))
+    if held is None or held[0] != wrapped or held[1] != proof:
+        if not OrgIdentity.verify(sender_public, proof, _stream_payload(session, sender, wrapped)):
+            raise AuthFailure("sender proof rejected")
+        held = (wrapped, proof, unwrap_key(wrapped, keys))
     if len(ct) < 12 + 16:
         raise AuthFailure("ciphertext too short")
     try:
-        return AESGCM(held[1]).decrypt(ct[:12], ct[12:], None), held
+        ad = _segment_ad(session, sender, index, last)
+        return AESGCM(held[2]).decrypt(ct[:12], ct[12:], ad), held
     except (InvalidTag, ValueError) as exc:  # ValueError: a key of the wrong length
         raise AuthFailure("segment ciphertext failed authentication") from exc
 

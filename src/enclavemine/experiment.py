@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
@@ -282,12 +282,38 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
         raise LogIoError("%s: %s" % (path, exc)) from exc
 
 
+def _loader() -> Callable[[ExperimentConfig], Dict[str, EventLog]]:
+    """:func:`_load_inputs` that loads each distinct input once, for a sweep
+    whose sessions share their input."""
+    loaded: Dict[Tuple, Dict[str, EventLog]] = {}
+
+    def load(cfg: ExperimentConfig) -> Dict[str, EventLog]:
+        # The settings _load_inputs reads: a log file ignores the generator's.
+        if cfg.log_path is None:
+            key: Tuple = (cfg.n_cases, cfg.seed, cfg.loop_iterations, cfg.n_orgs)
+        else:
+            key = (cfg.log_path, cfg.iid_column, cfg.org_map_path or cfg.n_orgs)
+        if key not in loaded:
+            loaded[key] = _load_inputs(cfg)
+        return loaded[key]
+
+    return load
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
     replay_order: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ExperimentResult:
-    partitions = _load_inputs(cfg)
+    return _run_session(cfg, _load_inputs(cfg), replay_order)
+
+
+def _run_session(
+    cfg: ExperimentConfig,
+    partitions: Dict[str, EventLog],
+    replay_order: Optional[Sequence[Tuple[str, str]]] = None,
+) -> ExperimentResult:
+    """:func:`run_experiment` on partitions already loaded for ``cfg``."""
     sink = _make_sink(cfg.algorithm)
     network, miner, _ = build_session(
         partitions,
@@ -345,9 +371,11 @@ def standalone_mining(log: EventLog, algorithm: str) -> bytes:
 def sweep_segsize(
     cfg: ExperimentConfig, sizes: Sequence[int]
 ) -> List[Tuple[int, RunMetrics]]:
-    """Each budget's metrics; :class:`SessionFailed` if a session is not done."""
+    """Each budget's metrics; :class:`SessionFailed` if a session is not done.
+    The input is loaded once for the whole sweep."""
+    partitions = _load_inputs(cfg)
     return [
-        (seg_size, _done(run_experiment(cfg.with_overrides(seg_size=seg_size))).metrics)
+        (seg_size, _done(_run_session(cfg.with_overrides(seg_size=seg_size), partitions)).metrics)
         for seg_size in sizes
     ]
 
@@ -370,7 +398,7 @@ def scale_run(
     rounds across all points so slow machine-wide drift does not bias the
     curve shape. Every point's config and the fit's x values are checked
     (``ValueError``) before any session runs; a session that is not done
-    raises :class:`SessionFailed`.
+    raises :class:`SessionFailed`. Each point's input is loaded once.
     """
     field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
     if dimension not in field_of:
@@ -381,11 +409,12 @@ def scale_run(
         for v in values
     ]
     check_xs([x for x, _ in points])
-    _done(run_experiment(cfg))
+    load = _loader()
+    _done(_run_session(cfg, load(cfg)))
     runs: List[List[ExperimentResult]] = [[] for _ in points]
     for _ in range(max(1, repeats)):
         for slot, (_, point_cfg) in zip(runs, points):
-            slot.append(_done(run_experiment(point_cfg)))
+            slot.append(_done(_run_session(point_cfg, load(point_cfg))))
     rows: List[Dict[str, float]] = []
     for (x, _), slot in zip(points, runs):
         picked = sorted(getattr(r.metrics, metric) for r in slot)[len(slot) // 2]

@@ -16,12 +16,17 @@ the miner builds one attestation evidence per provisioner, bound to that
 provisioner's nonce, and sends it with the case request.
 
 Each provisioner's stream of message 4 has one symmetric key, which it
-wraps to the evidence's session key once, after appraising the evidence.
-Every envelope of the stream carries that wrapped key and its own sender
-proof. The miner holds one ``(wrapped, k_sym)`` pair per open stream in
-``stream_keys``, checks each envelope's sender proof before using it, and
-unwraps again only when an envelope's signed wrapped bytes differ from the
-pair's. The pair goes when the stream ends or the miner aborts.
+wraps to the evidence's session key once, after appraising the evidence,
+and one sender proof, which it signs once over the session, its id and the
+wrapped key. Every envelope of the stream carries both, and AES-GCM binds
+each segment to the session, the sender, its index in the stream (from 0)
+and its end mark. Links are FIFO, so the index never rides on the wire:
+the miner holds, per open stream in ``stream_keys``, the
+``(wrapped, proof, k_sym)`` record the stream opened with and the next
+index it expects. It verifies the proof and unwraps again only when an
+envelope's wrapped or proof bytes differ from the record's, and a segment
+lost, replayed, reordered or re-marked on the way fails its tag. The entry
+goes when the stream ends or the miner aborts.
 
 The miner's peers are the keys of its key table (``provisioner_keys``),
 in sorted order; a provisioner's id is its identity's ``org_id``.
@@ -92,6 +97,7 @@ from .enclave import (
     new_symmetric_key,
     open_segment,
     seal_segment,
+    sign_stream,
     unframe,
     verify_evidence,
     wrap_key,
@@ -287,7 +293,7 @@ class SecureMiner:
         self.pmap: Dict[str, Set[str]] = {}
         self.cstor: Dict[str, EventLog] = {}
         self.csize: Dict[str, int] = {}
-        self.stream_keys: Dict[str, Tuple[bytes, bytes]] = {}
+        self.stream_keys: Dict[str, Tuple[Tuple[bytes, bytes, bytes], int]] = {}
         self.nonces: Dict[str, bytes] = {}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
@@ -367,7 +373,7 @@ class SecureMiner:
         if not isinstance(last, bool):
             raise UnexpectedMessage("cases_res last must be a boolean")
         if msg.blob:
-            self._ingest_segment(msg.sender, msg.blob)
+            self._ingest_segment(msg.sender, msg.blob, last)
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
         if last:
@@ -381,11 +387,13 @@ class SecureMiner:
                 self._finish()
         return []
 
-    def _ingest_segment(self, sender: str, envelope: bytes) -> None:
+    def _ingest_segment(self, sender: str, envelope: bytes, last: bool) -> None:
         sender_key = self.config.provisioner_keys[sender]
-        plain, self.stream_keys[sender] = open_segment(
-            envelope, self.session_keys, sender_key, self.stream_keys.get(sender)
+        held, index = self.stream_keys.get(sender, (None, 0))
+        plain, held = open_segment(
+            envelope, self.session_keys, sender_key, self.config.session, sender, index, last, held
         )
+        self.stream_keys[sender] = (held, index + 1)
         self.accountant.account(len(plain))
         owed = self.pmap[sender]
         try:
@@ -490,9 +498,13 @@ class Provisioner:
         plan = segment_event_log(self.config.partition, iids, seg_size)
         k_sym = new_symmetric_key()
         wrapped = wrap_key(k_sym, k_pub)
-        identity = self.config.identity
-        sealed = [seal_segment(encode_log(s), k_sym, wrapped, identity) for s in plan.segments] or [b""]
-        self.segments_sent = len(plan.segments)
+        session, n = self.config.session, len(plan.segments)
+        proof = sign_stream(self.config.identity, session, wrapped)
+        sealed = [
+            seal_segment(encode_log(s), k_sym, wrapped, proof, session, self.node_id, i, i == n - 1)
+            for i, s in enumerate(plan.segments)
+        ] or [b""]
+        self.segments_sent = n
         self.phase = "done"
         ends = [{}] * (len(sealed) - 1) + [{"last": True}]
         return [(msg.sender, self._msg(KIND_CASES_RES, end, blob)) for end, blob in zip(ends, sealed)]

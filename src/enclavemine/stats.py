@@ -65,6 +65,8 @@ def fit_stats(xs: Sequence[float], ys: Sequence[float]) -> RegressionStats:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise DegenerateInput("xs and ys must be equal-length 1-d sequences")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DegenerateInput("xs and ys must be finite numbers")
     check_xs(xs)
 
     ones = np.ones_like(xs)

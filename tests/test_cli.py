@@ -244,6 +244,23 @@ def test_an_org_map_that_is_not_an_object_of_strings_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("org", ["../escaped", "sub/dir", "..", ".", ""])
+def test_split_rejects_an_org_name_that_is_not_a_plain_file_name(tmp_path, capsys, org):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,timestamp\nc1,A,5\nc2,B,6\n")
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps({"A": org, "B": "beta"}))
+    out = tmp_path / "sp" / "out"
+    with pytest.raises(SystemExit) as stop:
+        run_cli("split", "--log", log, "--org-map", org_map, "--out-dir", out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == (
+        "enclavemine split: error: %s: org names must be plain file names, not %r\n"
+        % (org_map, org)
+    )
+    assert not (tmp_path / "sp").exists()
+
+
 def _rerun_model(tmp_path, cases, seed, seg):
     out_dir = tmp_path / "check"
     run_cli(
@@ -287,7 +304,7 @@ def test_sweep_segsize_reports_an_unfinished_session_and_exits_1(tmp_path, capsy
 
 def test_scale_rejects_an_out_of_range_value_before_any_session(tmp_path, capsys):
     out = tmp_path / "scale.csv"
-    with mock.patch.object(experiment, "run_experiment") as runs:
+    with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(SystemExit) as stop:
             run_cli("scale", "cases", "--cases", 10, "--values", 0, "--repeats", 1, "--out", out)
     assert stop.value.code == 2
@@ -342,8 +359,18 @@ def test_stats_fits_csv_columns(tmp_path, capsys):
         ),
         ([["n", "ms"], [1, 11], [2], [3, 31]], "n", "{csv}: could not convert string to float: ''"),
         ([["n", "ms"], [1, 11], [2, 21]], "n", "{csv}: need at least 3 points, got 2"),
+        (
+            [["n", "ms"], [1, 11], [2, "nan"], [3, 31], [4, 41]],
+            "n",
+            "{csv}: xs and ys must be finite numbers",
+        ),
+        (
+            [["n", "ms"], [1, 11], ["inf", 21], [3, 31], [4, 41]],
+            "n",
+            "{csv}: xs and ys must be finite numbers",
+        ),
     ],
-    ids=["no file", "no column", "not a number", "short row", "two points"],
+    ids=["no file", "no column", "not a number", "short row", "two points", "nan", "inf"],
 )
 def test_stats_reports_bad_input_in_one_line(tmp_path, capsys, rows, x, named):
     data = tmp_path / "data.csv"
@@ -376,7 +403,7 @@ def test_a_number_list_that_is_not_integers_is_a_usage_error_before_any_session(
     tmp_path, capsys, argv, named
 ):
     out = tmp_path / "out.csv"
-    with mock.patch.object(experiment, "run_experiment") as runs:
+    with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(SystemExit) as stop:
             run_cli(*argv, "--cases", 10, "--out", out)
     assert stop.value.code == 2

@@ -35,6 +35,7 @@ from enclavemine.enclave import (
     new_symmetric_key,
     open_segment,
     seal_segment,
+    sign_stream,
     unwrap_key,
     verify_evidence,
     wrap_key,
@@ -181,6 +182,21 @@ def _fields(envelope):
     return tuple(fields)
 
 
+SESSION = "s1"
+PLACE = (SESSION, "hospital", 0, True)  # session, sender, index, end mark
+
+
+def _stream_signed(wrapped, session=SESSION, sender="hospital"):
+    """What the sender proof signs, written out here: the framed session,
+    sender id and wrapped key."""
+    return _framed(session.encode(), sender.encode(), wrapped)
+
+
+def _seal(payload, k_sym, wrapped, sender, place=PLACE):
+    proof = sender.sign(_stream_signed(wrapped, place[0], place[1]))
+    return seal_segment(payload, k_sym, wrapped, proof, *place)
+
+
 class SealingTest(unittest.TestCase):
     def setUp(self):
         self.session = SessionKeys()
@@ -189,17 +205,25 @@ class SealingTest(unittest.TestCase):
 
     def seal(self, payload=None, k_pub=None, sender=None):
         k_sym = new_symmetric_key()
-        return seal_segment(
+        return _seal(
             payload if payload is not None else self.payload,
             k_sym,
             wrap_key(k_sym, k_pub or self.session.k_pub),
             sender or self.sender,
         )
 
+    def open(self, envelope, keys=None, sender_public=None):
+        keys, sender_public = keys or self.session, sender_public or self.sender.public_bytes
+        return open_segment(envelope, keys, sender_public, *PLACE)
+
     def test_round_trip(self):
-        envelope = self.seal()
-        out, _ = open_segment(envelope, self.session, self.sender.public_bytes)
+        out, _ = self.open(self.seal())
         self.assertEqual(out, self.payload)
+
+    def test_sign_stream_signs_the_framed_session_sender_and_wrapped_key(self):
+        wrapped = wrap_key(new_symmetric_key(), self.session.k_pub)
+        proof = sign_stream(self.sender, SESSION, wrapped)
+        self.assertTrue(OrgIdentity.verify(self.sender.public_bytes, proof, _stream_signed(wrapped)))
 
     def test_envelope_layout(self):
         envelope = self.seal()
@@ -226,27 +250,32 @@ class SealingTest(unittest.TestCase):
         envelope = bytearray(self.seal())
         envelope[-1] ^= 0x01
         with self.assertRaises(AuthFailure):
-            open_segment(bytes(envelope), self.session, self.sender.public_bytes)
+            self.open(bytes(envelope))
 
     def test_wrong_session_cannot_open(self):
-        envelope = self.seal()
         with self.assertRaises(KeyUnwrapFailure):
-            open_segment(envelope, SessionKeys(), self.sender.public_bytes)
+            self.open(self.seal(), keys=SessionKeys())
 
     def test_spoofed_sender_rejected(self):
-        envelope = self.seal()
         impostor = OrgIdentity("impostor")
         with self.assertRaises(AuthFailure):
-            open_segment(envelope, self.session, impostor.public_bytes)
+            self.open(self.seal(), sender_public=impostor.public_bytes)
 
     def test_resigned_envelope_still_rejected(self):
-        # An impostor who re-signs the body still fails because the verifier
-        # pins the expected sender's public key.
+        # An impostor who re-signs the stream still fails because the
+        # verifier pins the expected sender's public key.
         wrapped, _, ct = _fields(self.seal())
         impostor = OrgIdentity("impostor")
-        forged = _framed(wrapped, impostor.sign(_framed(wrapped, ct)), ct)
+        forged = _framed(wrapped, impostor.sign(_stream_signed(wrapped)), ct)
         with self.assertRaisesRegex(AuthFailure, "^sender proof rejected$"):
-            open_segment(forged, self.session, self.sender.public_bytes)
+            self.open(forged)
+
+    def test_a_proof_for_another_session_or_sender_rejected(self):
+        wrapped, _, ct = _fields(self.seal())
+        for session, sender in (("s2", "hospital"), (SESSION, "pharma")):
+            proof = self.sender.sign(_stream_signed(wrapped, session, sender))
+            with self.assertRaisesRegex(AuthFailure, "^sender proof rejected$"):
+                self.open(_framed(wrapped, proof, ct))
 
     def test_a_byte_moved_across_a_field_boundary_rejected(self):
         # The proof signs the field lengths, not just the concatenated bytes.
@@ -256,94 +285,129 @@ class SealingTest(unittest.TestCase):
             _framed(wrapped + ct[:1], proof, ct[1:]),
         ):
             with self.assertRaisesRegex(AuthFailure, "^sender proof rejected$"):
-                open_segment(moved, self.session, self.sender.public_bytes)
+                self.open(moved)
 
     def test_signed_envelope_with_a_bad_key_length_rejected(self):
         # The genuine sender wrapped a key AES-GCM cannot take: still an
         # AuthFailure, never the cipher's own ValueError.
         wrapped = wrap_key(b"k" * 5, self.session.k_pub)
         ct = os.urandom(12 + 16 + 8)
-        envelope = _framed(wrapped, self.sender.sign(_framed(wrapped, ct)), ct)
+        envelope = _framed(wrapped, self.sender.sign(_stream_signed(wrapped)), ct)
         with self.assertRaisesRegex(
             AuthFailure, "^segment ciphertext failed authentication$"
         ) as caught:
-            open_segment(envelope, self.session, self.sender.public_bytes)
+            self.open(envelope)
         self.assertIsInstance(caught.exception.__cause__, ValueError)
 
     def test_truncated_envelope_rejected(self):
         envelope = self.seal()
         for cut in (0, 1, 5, len(envelope) // 2, len(envelope) - 1):
             with self.assertRaises(AuthFailure):
-                open_segment(envelope[:cut], self.session, self.sender.public_bytes)
+                self.open(envelope[:cut])
 
     def test_trailing_bytes_rejected(self):
-        envelope = self.seal() + b"\x00"
         with self.assertRaises(AuthFailure):
-            open_segment(envelope, self.session, self.sender.public_bytes)
+            self.open(self.seal() + b"\x00")
 
     def test_wrong_envelope_version_rejected(self):
         envelope = self.seal()
         bumped = struct.pack(">H", FRAME_VERSION + 1) + envelope[2:]
         with self.assertRaises(AuthFailure):
-            open_segment(bumped, self.session, self.sender.public_bytes)
+            self.open(bumped)
 
 
 class StreamKeyTest(unittest.TestCase):
-    """One wrapped key per stream: the opener reuses a held key only for the
-    same signed wrapped bytes, and only after the sender proof checks out."""
+    """One wrapped key and one sender proof per stream: the opener reuses a
+    held key only for the same wrapped and proof bytes, and verifies the
+    proof before it uses any other; AES-GCM binds each segment's place."""
 
     def setUp(self):
         self.session = SessionKeys()
         self.sender = OrgIdentity("hospital", seed=hashlib.sha256(b"h").digest())
         self.k_sym = new_symmetric_key()
         self.wrapped = wrap_key(self.k_sym, self.session.k_pub)
+        self.proof = sign_stream(self.sender, SESSION, self.wrapped)
+        self.held = (self.wrapped, self.proof, self.k_sym)
 
-    def seal(self, payload, k_sym=None, wrapped=None):
-        return seal_segment(
-            payload, k_sym or self.k_sym, wrapped or self.wrapped, self.sender
-        )
+    def seal(self, payload, index=0, last=True, k_sym=None, wrapped=None):
+        k_sym, wrapped = k_sym or self.k_sym, wrapped or self.wrapped
+        proof = sign_stream(self.sender, SESSION, wrapped)
+        return seal_segment(payload, k_sym, wrapped, proof, SESSION, "hospital", index, last)
 
-    def open(self, envelope, held=None):
+    def open(self, envelope, held=None, index=0, last=True, session=SESSION, sender="hospital"):
         with mock.patch.object(enclave, "unwrap_key", wraps=unwrap_key) as unwraps:
-            out = open_segment(envelope, self.session, self.sender.public_bytes, held)
+            with mock.patch.object(OrgIdentity, "verify", wraps=OrgIdentity.verify) as verifies:
+                out = open_segment(
+                    envelope, self.session, self.sender.public_bytes, session, sender, index, last, held
+                )
+        self.assertEqual(verifies.call_count, unwraps.call_count)
         return out, unwraps.call_count
 
     def test_a_stream_unwraps_once(self):
-        (first, held), unwraps = self.open(self.seal(b"one"))
-        self.assertEqual((first, held, unwraps), (b"one", (self.wrapped, self.k_sym), 1))
-        (second, held_after), unwraps = self.open(self.seal(b"two"), held)
+        # The proof is verified exactly when the key is unwrapped (see open).
+        (first, held), unwraps = self.open(self.seal(b"one", 0, False), last=False)
+        self.assertEqual((first, held, unwraps), (b"one", self.held, 1))
+        (second, held_after), unwraps = self.open(self.seal(b"two", 1), held, index=1)
         self.assertEqual((second, held_after, unwraps), (b"two", held, 0))
 
     def test_other_wrapped_bytes_are_unwrapped_afresh(self):
-        (_, held), _ = self.open(self.seal(b"one"))
         # Same key, wrapped again: different bytes, so no reuse.
         rewrapped = wrap_key(self.k_sym, self.session.k_pub)
-        (out, now), unwraps = self.open(self.seal(b"two", wrapped=rewrapped), held)
-        self.assertEqual((out, now, unwraps), (b"two", (rewrapped, self.k_sym), 1))
+        (out, now), unwraps = self.open(self.seal(b"two", wrapped=rewrapped), self.held)
+        self.assertEqual((out, now[0], now[2], unwraps), (b"two", rewrapped, self.k_sym, 1))
         k_other = new_symmetric_key()
         wrapped_other = wrap_key(k_other, self.session.k_pub)
         envelope = self.seal(b"three", k_sym=k_other, wrapped=wrapped_other)
-        (out, now), unwraps = self.open(envelope, held)
-        self.assertEqual((out, now, unwraps), (b"three", (wrapped_other, k_other), 1))
+        (out, now), unwraps = self.open(envelope, self.held)
+        self.assertEqual((out, now[0], now[2], unwraps), (b"three", wrapped_other, k_other, 1))
 
     def test_a_held_key_never_opens_a_blob_wrapped_to_another_session(self):
-        (_, held), _ = self.open(self.seal(b"one"))
         foreign = wrap_key(self.k_sym, SessionKeys().k_pub)
         with self.assertRaises(KeyUnwrapFailure):
-            self.open(self.seal(b"two", wrapped=foreign), held)
+            self.open(self.seal(b"two", wrapped=foreign), self.held)
 
     def test_the_sender_proof_is_checked_before_a_held_key_is_used(self):
-        (_, held), _ = self.open(self.seal(b"one"))
-        tampered = bytearray(self.seal(b"two"))
-        tampered[-1] ^= 0x01
-        with mock.patch.object(enclave, "AESGCM", wraps=enclave.AESGCM) as ciphers:
-            with self.assertRaises(AuthFailure):
-                self.open(bytes(tampered), held)
-        self.assertEqual(ciphers.call_count, 0)
-        impostor = OrgIdentity("impostor")
-        forged = seal_segment(b"two", self.k_sym, self.wrapped, impostor)
-        with self.assertRaises(AuthFailure):
-            self.open(forged, held)
+        # A proof or wrapped key that differs from the held record's fails
+        # before any cipher is made.
+        wrapped, proof, ct = _fields(self.seal(b"two"))
+        for tampered in (
+            _framed(wrapped, _flip(proof, 0), ct),
+            _framed(_flip(wrapped, 0), proof, ct),
+            # Another key signing as hospital: a proof that differs and fails.
+            _framed(wrapped, sign_stream(OrgIdentity("hospital"), SESSION, wrapped), ct),
+        ):
+            with mock.patch.object(enclave, "AESGCM", wraps=enclave.AESGCM) as ciphers:
+                with self.assertRaises(AuthFailure):
+                    self.open(tampered, self.held)
+            self.assertEqual(ciphers.call_count, 0)
+        # The same proof and wrapped key with a tampered ciphertext: the held
+        # key is used, and the GCM tag fails.
+        with self.assertRaisesRegex(AuthFailure, "^segment ciphertext failed authentication$"):
+            self.open(_flip(self.seal(b"two"), -1), self.held)
+
+    def test_a_segment_opens_only_at_its_own_place(self):
+        # Sealed as segment 1 of hospital's stream in session s1, not last.
+        envelope = self.seal(b"two", index=1, last=False)
+        self.assertEqual(self.open(envelope, self.held, index=1, last=False)[0][0], b"two")
+        elsewhere = [
+            dict(index=0, last=False),  # replayed or reordered: another index
+            dict(index=2, last=False),
+            dict(index=1, last=True),  # end mark flipped
+            dict(index=1, last=False, session="s2"),  # another session
+            dict(index=1, last=False, sender="pharma"),  # another sender's stream
+        ]
+        for place in elsewhere:
+            with self.subTest(**place):
+                with self.assertRaisesRegex(
+                    AuthFailure, "^segment ciphertext failed authentication$"
+                ):
+                    self.open(envelope, self.held, **place)
+
+
+def _flip(data, position):
+    out = bytearray(data)
+    out[position] ^= 0x01
+    return bytes(out)
 
 
 _SESSION = SessionKeys()
@@ -357,9 +421,7 @@ def _resplits(draw):
     three fields."""
     k_sym = new_symmetric_key()
     payload = draw(st.binary(max_size=64))
-    wrapped, proof, ct = _fields(
-        seal_segment(payload, k_sym, wrap_key(k_sym, _SESSION.k_pub), _SENDER)
-    )
+    wrapped, proof, ct = _fields(_seal(payload, k_sym, wrap_key(k_sym, _SESSION.k_pub), _SENDER))
 
     def cut(body, bound, low=0):
         near = st.integers(-3, 3).map(lambda d: min(max(bound + d, low), len(body)))
@@ -383,7 +445,7 @@ def test_a_resplit_envelope_fails_its_sender_proof_before_any_key_is_used(envelo
     with mock.patch.object(enclave, "unwrap_key", wraps=unwrap_key) as unwraps:
         with mock.patch.object(enclave, "AESGCM", wraps=enclave.AESGCM) as ciphers:
             with pytest.raises(AuthFailure, match="^sender proof rejected$"):
-                open_segment(envelope, _SESSION, _SENDER.public_bytes)
+                open_segment(envelope, _SESSION, _SENDER.public_bytes, *PLACE)
     assert (unwraps.call_count, ciphers.call_count) == (0, 0)
 
 

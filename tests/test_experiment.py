@@ -187,6 +187,29 @@ def test_sweep_segsize_message_counts_monotone():
     assert len({m.peak_bytes for _, m in rows}) >= 1
 
 
+def test_a_sweep_loads_each_distinct_input_once(tmp_path):
+    from enclavemine.logio import save_csv
+
+    path = tmp_path / "log.csv"
+    save_csv(generate_scenario_log(10, SMALL.seed), path)
+    cfg = SMALL.with_overrides(n_cases=10, log_path=str(path))
+    with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
+        rows = sweep_segsize(cfg, [800, 4000, 40_000])
+    assert (len(rows), loads.call_count) == (3, 1)
+    # The file, not the case count, fixes a file-backed input: one load
+    # serves the warm-up and both rounds of all three points.
+    with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
+        with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+            scale_run(cfg, "cases", [10, 20, 30], metric="peak_bytes", repeats=2)
+    assert (runs.call_count, loads.call_count) == (7, 1)
+    # Generated inputs differ per point: each is generated once.
+    with mock.patch.object(
+        experiment, "generate_scenario_log", wraps=experiment.generate_scenario_log
+    ) as generates:
+        scale_run(SMALL.with_overrides(n_cases=10), "cases", [10, 20, 30], repeats=2)
+    assert generates.call_count == 3
+
+
 def test_scale_run_cases_dimension():
     rows, stats = scale_run(
         SMALL.with_overrides(n_cases=10),
@@ -230,7 +253,7 @@ def test_a_sweep_point_that_does_not_finish_raises():
 
 @pytest.mark.parametrize("dimension", ["cases", "orgs", "events"])
 def test_scale_run_checks_every_value_before_any_session(dimension):
-    with mock.patch.object(experiment, "run_experiment") as runs:
+    with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(ValueError, match="must be at least 1"):
             scale_run(SMALL, dimension, [2, 0], repeats=1)
     assert runs.call_count == 0
@@ -238,7 +261,7 @@ def test_scale_run_checks_every_value_before_any_session(dimension):
 
 def test_scale_run_checks_the_fit_can_use_its_points_before_any_session():
     cfg = ExperimentConfig(n_cases=10)
-    with mock.patch.object(experiment, "run_experiment", wraps=experiment.run_experiment) as runs:
+    with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
         with pytest.raises(ValueError, match="need at least 3 points, got 1"):
             scale_run(cfg, "cases", [10], repeats=1)
     assert runs.call_count == 0

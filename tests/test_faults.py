@@ -30,6 +30,7 @@ from enclavemine.enclave import (
     BuildManifest,
     SessionKeys,
     frame,
+    sign_stream,
     unframe,
     wrap_key,
 )
@@ -65,7 +66,8 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
          capacity=None, seed=0):
     """Run one session; ``edits`` are ``(kind, sender, receiver, fn)`` (None
     matches any) with ``fn(msg)`` returning the new ``Msg``, raw bytes, or a
-    list of these; the first edit that matches a message applies."""
+    list of these; the first edit that matches a message applies. A ``seal``
+    that is a class keeps state: one is made per session, given its nodes."""
     nodes = {}
     early = []
     appraised = set()  # the nonce of every appraisal that returned
@@ -98,6 +100,8 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
     )
     nodes.update({p.node_id: p for p in provisioners})
     nodes[miner.node_id] = miner
+    if isinstance(seal, type):
+        seal = seal(nodes)
     net.bootstrap()
     with mock.patch.object(protocol, "seal_segment", seal or _REAL_SEAL), mock.patch.object(
         protocol, "verify_evidence", appraise
@@ -165,14 +169,30 @@ class _ForeignWrapAfterFirstSeal:
     """A seal for one session: from a stream's second segment on, the sender
     signs a blob that wraps the stream's own key to another session's key."""
 
-    def __init__(self):
-        self.senders = set()
+    def __init__(self, nodes):
+        self.nodes = nodes
 
-    def __call__(self, segment_bytes, k_sym, wrapped, sender):
-        if sender.org_id in self.senders:
+    def __call__(self, segment_bytes, k_sym, wrapped, proof, session, sender, index, last):
+        if index:
             wrapped = wrap_key(k_sym, SessionKeys().k_pub)
-        self.senders.add(sender.org_id)
-        return _REAL_SEAL(segment_bytes, k_sym, wrapped, sender)
+            proof = sign_stream(self.nodes[sender].config.identity, session, wrapped)
+        return _REAL_SEAL(segment_bytes, k_sym, wrapped, proof, session, sender, index, last)
+
+
+def _held_back_until_last():
+    """An edit that holds a stream's segments back and sends them after its
+    last one, which so arrives first."""
+    held = []
+
+    def edit(msg):
+        if not msg.body.get("last"):
+            held.append(msg)
+            return []
+        out = [msg, *held]
+        held.clear()
+        return out
+
+    return edit
 
 
 def _shared_event_id(parts):
@@ -196,8 +216,9 @@ FAULTS = [
      "miner", "AuthFailure"),
     ("malformed wire bytes", dict(seal=_trailing_byte_seal), "miner", "WireError"),
     # A correctly signed mid-stream envelope whose wrapped key differs from
-    # the one the miner holds for the stream is unwrapped afresh, so a blob
-    # for another session fails even though the stream key would fit.
+    # the one the miner holds for the stream is verified and unwrapped
+    # afresh, so a blob for another session fails even though the stream
+    # key would fit.
     ("mid-stream key wrapped to another session",
      dict(seal=_ForeignWrapAfterFirstSeal, seg_size=300),
      "miner", "KeyUnwrapFailure"),
@@ -213,10 +234,29 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda msg: [msg, msg])]),
      "miner", "UnexpectedMessage"),
     # seg_size 300 cuts hospital's partition into two segments; the first,
-    # without the end mark, is lost on the link.
+    # without the end mark, is lost on the link. The second then arrives
+    # where the first was due and fails its tag: a gap looks like a tamper.
     ("dropped segment",
      dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _drop_unless_last)]),
-     "miner", "IncompleteDelivery"),
+     "miner", "AuthFailure"),
+    # The same cut: the first segment arrives twice, the copy where the
+    # second was due.
+    ("replayed segment",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL,
+                                lambda msg: msg if msg.body.get("last") else [msg, msg])]),
+     "miner", "AuthFailure"),
+    ("reordered segments",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _held_back_until_last())]),
+     "miner", "AuthFailure"),
+    # The end mark rides in the clear but is authenticated: setting it on
+    # the first segment, or taking it off the last, fails the tag.
+    ("end mark added to a mid-stream segment",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _body(last=True))]),
+     "miner", "AuthFailure"),
+    ("end mark taken off the last segment",
+     dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL,
+                                lambda msg: dataclasses.replace(msg, body={}))]),
+     "miner", "AuthFailure"),
     # The same cut, but the segment with the end mark is the one lost: the
     # miner is left waiting for hospital until the session goes quiet.
     ("lost end mark",
@@ -329,8 +369,6 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     partitions = kwargs.pop("partitions", lambda parts: parts)(three_partitions)
     if callable(kwargs.get("capacity")):
         kwargs["capacity"] = kwargs["capacity"](partitions)
-    if isinstance(kwargs.get("seal"), type):  # a seal that keeps state, one per session
-        kwargs["seal"] = kwargs["seal"]()
     nodes, early = _run(partitions, **kwargs)
     assert nodes[faulty].phase == "aborted"
     assert nodes[faulty].aborted_reason == reason
@@ -343,6 +381,23 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
         assert faulty in miner.aborted_message
     assert miner.cstor == {} and miner.csize == {}
     assert miner.accountant.current_bytes == 0
+    assert miner.stream_keys == {}
+    assert early == []
+
+
+def test_a_segment_from_another_session_is_rejected(three_partitions):
+    recorded = []
+
+    def keep(msg):
+        recorded.append(msg.blob)
+        return msg
+
+    _run(three_partitions, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, keep)])
+    replay = (KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda blob: recorded[0]))
+    nodes, early = _run(three_partitions, edits=[replay])
+    miner = nodes["miner"]
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "AuthFailure")
+    assert miner.cstor == {} and miner.accountant.current_bytes == 0
     assert miner.stream_keys == {}
     assert early == []
 

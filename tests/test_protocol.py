@@ -1,5 +1,6 @@
 """Miner/provisioner session behavior, including misbehaving peers."""
 
+import contextlib
 import random
 import struct
 from collections import Counter
@@ -18,6 +19,8 @@ from enclavemine.enclave import (
     compute_measurement,
     new_symmetric_key,
     seal_segment,
+    sign_stream,
+    unframe,
     unwrap_key,
     wrap_key,
 )
@@ -326,6 +329,36 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
     assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
 
 
+def test_one_sender_proof_per_stream(three_partitions):
+    # Each provisioner signs once and the miner verifies once per stream,
+    # however many segments it has; each envelope carries the same proof.
+    single = size_of(extract_case(three_partitions["hospital"], "312"))
+    net, miner, sink, provisioners = _session(
+        three_partitions, seg_size=max(single, 120), network_cls=RecordingNetwork
+    )
+    identities = {org: p.config.identity for org, p in provisioners.items()}
+    with contextlib.ExitStack() as stack:
+        signs = {
+            org: stack.enter_context(mock.patch.object(ident, "sign", wraps=ident.sign))
+            for org, ident in identities.items()
+        }
+        verifies = stack.enter_context(
+            mock.patch.object(OrgIdentity, "verify", wraps=OrgIdentity.verify)
+        )
+        net.bootstrap()
+        net.run()
+    assert miner.phase == "done"
+    streams = _streams(net)
+    assert max(len(msgs) for msgs in streams.values()) > 1
+    assert {org: mock_.call_count for org, mock_ in signs.items()} == dict.fromkeys(identities, 1)
+    senders = Counter(c.args[0] for c in verifies.call_args_list)
+    publics = {ident.public_bytes for ident in identities.values()}
+    assert {key: n for key, n in senders.items() if key in publics} == dict.fromkeys(publics, 1)
+    proofs = {org: {unframe(msg.blob, 3)[1] for msg in msgs} for org, msgs in streams.items()}
+    assert all(len(found) == 1 for found in proofs.values())
+    assert merge_all(sink.cases) == merge_all(three_partitions.values())
+
+
 def test_accounting_returns_to_zero(three_partitions):
     for do_yield in (True, False):
         _, miner, _, _ = _run_to_done(three_partitions, do_yield=do_yield)
@@ -452,11 +485,16 @@ class UnderAdvertisingProvisioner(Provisioner):
     def _on_cases_req(self, msg):
         super()._on_cases_req(msg)
         k_sym = new_symmetric_key()
+        wrapped = wrap_key(k_sym, AttestationEvidence.from_bytes(msg.blob).k_pub)
         envelope = seal_segment(
             encode_log(self.config.partition),
             k_sym,
-            wrap_key(k_sym, AttestationEvidence.from_bytes(msg.blob).k_pub),
-            self.config.identity,
+            wrapped,
+            sign_stream(self.config.identity, msg.session, wrapped),
+            msg.session,
+            self.node_id,
+            0,
+            True,
         )
         return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, envelope))]
 
