@@ -20,8 +20,10 @@ a ``split`` org name that is not a plain file name, a ``generate`` count
 below 1, a ``--sizes`` or ``--values`` list that is not integers, and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
 finite number among them).
-A ``run``, ``sweep-segsize`` or ``scale`` session that is not done prints
-``session aborted: <Reason>: <message>`` and exits 1.
+So is a ``scale`` sweep of cases or events over ``--log``, or of orgs with
+``--org-map``, which fix them, and ``--repeats`` below 1.
+A ``run``, ``sweep-segsize``, ``scale`` or ``verify-convergence`` session
+that is not done prints ``session aborted: <Reason>: <message>`` and exits 1.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .experiment import (
     ALGORITHMS,
     ExperimentConfig,
     SessionFailed,
+    _done,
     _load_inputs,
     _run_session,
     run_experiment,
@@ -211,9 +214,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["x", args.metric, "peak_bytes", "message_count"])
-        for row in rows:
-            writer.writerow([row["x"], row[args.metric], row["peak_bytes"], row["message_count"]])
+        writer.writerow(list(rows[0]))
+        writer.writerows(row.values() for row in rows)
     stats_path = out.with_suffix(".stats.json")
     stats_path.write_text(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
     print(
@@ -247,7 +249,8 @@ def _cmd_verify_convergence(args: argparse.Namespace) -> int:
     failures = 0
     for algorithm in ALGORITHMS:
         direct = standalone_mining(log, algorithm)
-        via_protocol = _run_session(cfg.with_overrides(algorithm=algorithm), partitions).output
+        session = _run_session(cfg.with_overrides(algorithm=algorithm), partitions)
+        via_protocol = _done(session).output
         ok = direct == via_protocol
         failures += 0 if ok else 1
         print("%s: %s (%d bytes)" % (algorithm, "MATCH" if ok else "MISMATCH", len(direct)))

@@ -17,20 +17,23 @@ simulated faithfully enough to exercise the protocol:
   into the signed payload gives replay freshness; this is an extension past
   the minimum verify contract and yields the extra rejection reason
   ``nonce_mismatch``.
-* Segments are sealed with a hybrid envelope: a symmetric key (AES-GCM)
-  encrypts the payload, and an X25519+HKDF key-encapsulation wraps that key
-  to the session public key. A stream draws one symmetric key, encapsulates
-  it once, and its sender signs the framed session, sender id and wrapped
-  key once with its org identity key (the sender proof, :func:`sign_stream`).
-  Every envelope of the stream carries the same wrapped key and proof, so
-  each still opens on its own, and the receiver verifies the proof and
-  unwraps the key once per stream. AES-GCM authenticates the rest: each
-  segment is encrypted with the framed session, sender id, index in the
-  stream and end mark as associated data, as in the sequence-numbered
-  records of TLS 1.3 (RFC 8446, section 5.3). A segment that is reordered,
-  replayed, re-marked, sent after a lost one or taken from another session
-  fails its tag. Every signed or authenticated byte string is a frame, so
-  no byte moves across a field boundary unnoticed.
+* Each stream has one AES-GCM key, agreed with the session public key as
+  in HPKE's DHKEM (RFC 9180, section 4.1): the sender draws an ephemeral
+  X25519 pair, and the key is HKDF-SHA256 of the shared secret with the
+  label, the ephemeral public key (the *share*) and the session public key
+  as info (:func:`new_stream_key`); the session key's holder derives the
+  same key from the share (:meth:`SessionKeys.stream_key`). The sender
+  signs the framed session, sender id and share once with its org identity
+  key (the sender proof, :func:`sign_stream`). Key material moves once, as
+  in TLS 1.3: a stream's first envelope carries the share and the proof,
+  every later one carries both fields empty, and the receiver verifies the
+  proof and derives the key once per stream. AES-GCM authenticates the
+  rest: each segment is encrypted with the framed session, sender id, index
+  in the stream and end mark as associated data, as in the
+  sequence-numbered records of TLS 1.3 (RFC 8446, section 5.3). A segment
+  that is reordered, replayed, re-marked, sent after a lost one or taken
+  from another session fails its tag. Every signed or authenticated byte
+  string is a frame, so no byte moves across a field boundary unnoticed.
 
 Verification order for evidence: signature, measurement, org allow-list,
 nonce; :func:`verify_evidence` raises :class:`EvidenceRejected` naming the
@@ -61,7 +64,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 __all__ = [
     "EnclaveError",
     "AuthFailure",
-    "KeyUnwrapFailure",
     "CapacityExceeded",
     "EvidenceRejected",
     "UnderflowBug",
@@ -81,9 +83,7 @@ __all__ = [
     "AttestationEvidence",
     "build_evidence",
     "verify_evidence",
-    "new_symmetric_key",
-    "wrap_key",
-    "unwrap_key",
+    "new_stream_key",
     "sign_stream",
     "seal_segment",
     "open_segment",
@@ -97,10 +97,6 @@ class EnclaveError(Exception):
 
 class AuthFailure(EnclaveError):
     """Envelope integrity or sender-proof verification failed."""
-
-
-class KeyUnwrapFailure(EnclaveError):
-    """Wrapped symmetric key could not be recovered with the session key."""
 
 
 class CapacityExceeded(EnclaveError):
@@ -122,7 +118,7 @@ REASON_NONCE = "nonce_mismatch"
 
 FRAME_VERSION = 1
 
-_WRAP_INFO = b"enclavemine-key-wrap-v1"
+_STREAM_INFO = b"enclavemine-stream-key-v1"
 _VERSION = struct.Struct(">H")
 _LENGTH = struct.Struct(">I")
 _INDEX = struct.Struct(">Q")
@@ -148,6 +144,10 @@ def compute_measurement(manifest: BuildManifest) -> bytes:
     return hashlib.sha256(manifest.canonical()).digest()
 
 
+def _raw(public_key) -> bytes:
+    return public_key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
+
+
 class OrgIdentity:
     """An Ed25519 signing identity: an organization's, for sender proofs, or
     the hardware root's, for evidence."""
@@ -157,9 +157,7 @@ class OrgIdentity:
         self._key = Ed25519PrivateKey.from_private_bytes(
             os.urandom(32) if seed is None else seed
         )
-        self.public_bytes = self._key.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        self.public_bytes = _raw(self._key.public_key())
 
     def sign(self, data: bytes) -> bytes:
         return self._key.sign(data)
@@ -209,17 +207,26 @@ def unframe(data: bytes, count: int) -> List[bytes]:
     return fields
 
 
+def _stream_key(shared: bytes, share: bytes, k_pub: bytes) -> bytes:
+    """HKDF-SHA256 of an X25519 secret, bound to both public keys."""
+    info = _STREAM_INFO + share + k_pub  # both 32 bytes, so the join is unambiguous
+    return HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=info).derive(shared)
+
+
 class SessionKeys:
-    """Fresh per-session key-encapsulation pair, private half never leaves."""
+    """Fresh per-session key-agreement pair, private half never leaves."""
 
     def __init__(self) -> None:
         self._k_priv = X25519PrivateKey.generate()
-        self.k_pub = self._k_priv.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        self.k_pub = _raw(self._k_priv.public_key())
 
-    def exchange(self, peer_public: bytes) -> bytes:
-        return self._k_priv.exchange(X25519PublicKey.from_public_bytes(peer_public))
+    def stream_key(self, share: bytes) -> bytes:
+        """The stream key that :func:`new_stream_key` made with ``share``."""
+        try:  # ValueError: not 32 bytes, or a low-order point
+            shared = self._k_priv.exchange(X25519PublicKey.from_public_bytes(share))
+        except ValueError as exc:
+            raise AuthFailure("key share does not agree a key: %s" % exc) from exc
+        return _stream_key(shared, share, self.k_pub)
 
 
 @dataclass(frozen=True)
@@ -281,42 +288,16 @@ def verify_evidence(
     return evidence.k_pub
 
 
-def new_symmetric_key() -> bytes:
-    return AESGCM.generate_key(bit_length=256)
-
-
-def _kek(shared: bytes) -> AESGCM:
-    """The cipher of the key-encryption key derived from an X25519 secret."""
-    return AESGCM(HKDF(algorithm=hashes.SHA256(), length=32, salt=None, info=_WRAP_INFO).derive(shared))
-
-
-def wrap_key(k_sym: bytes, k_pub: bytes) -> bytes:
-    """Encapsulate a symmetric key to the session public key.
-
-    Layout: 32-byte ephemeral X25519 public key, 12-byte GCM nonce, then the
-    AES-GCM ciphertext of the symmetric key under the derived wrapping key.
-    """
+def new_stream_key(k_pub: bytes) -> Tuple[bytes, bytes]:
+    """A fresh stream key agreed with the session public key ``k_pub``, and
+    the 32-byte share from which its holder derives the same key."""
     eph = X25519PrivateKey.generate()
-    nonce = os.urandom(12)
-    ct = _kek(eph.exchange(X25519PublicKey.from_public_bytes(k_pub))).encrypt(nonce, k_sym, None)
-    eph_pub = eph.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return eph_pub + nonce + ct
+    share = _raw(eph.public_key())
+    return _stream_key(eph.exchange(X25519PublicKey.from_public_bytes(k_pub)), share, k_pub), share
 
 
-def unwrap_key(wrapped: bytes, session: SessionKeys) -> bytes:
-    if len(wrapped) < 32 + 12 + 16:
-        raise KeyUnwrapFailure("wrapped key too short")
-    eph_pub, nonce, ct = wrapped[:32], wrapped[32:44], wrapped[44:]
-    try:
-        return _kek(session.exchange(eph_pub)).decrypt(nonce, ct, None)
-    except (InvalidTag, ValueError) as exc:  # InvalidTag has no text of its own
-        raise KeyUnwrapFailure("wrapped key does not open with this session's key") from exc
-
-
-def _stream_payload(session: str, sender: str, wrapped: bytes) -> bytes:
-    return frame(session.encode("utf-8"), sender.encode("utf-8"), wrapped)
+def _stream_payload(session: str, sender: str, share: bytes) -> bytes:
+    return frame(session.encode("utf-8"), sender.encode("utf-8"), share)
 
 
 def _segment_ad(session: str, sender: str, index: int, last: bool) -> bytes:
@@ -324,32 +305,34 @@ def _segment_ad(session: str, sender: str, index: int, last: bool) -> bytes:
     return frame(session.encode("utf-8"), sender.encode("utf-8"), _INDEX.pack(index), bytes([last]))
 
 
-def sign_stream(sender: OrgIdentity, session: str, wrapped: bytes) -> bytes:
+def sign_stream(sender: OrgIdentity, session: str, share: bytes) -> bytes:
     """The sender proof of one stream: ``sender`` signs the framed session,
-    its org id and the stream's wrapped key."""
-    return sender.sign(_stream_payload(session, sender.org_id, wrapped))
+    its org id and the stream's key share."""
+    return sender.sign(_stream_payload(session, sender.org_id, share))
 
 
 def seal_segment(
     segment_bytes: bytes,
     k_sym: bytes,
-    wrapped: bytes,
+    share: bytes,
     proof: bytes,
     session: str,
     sender: str,
     index: int,
     last: bool,
 ) -> bytes:
-    """Produce the versioned envelope: wrapped key, sender proof, ciphertext.
+    """Produce the versioned envelope: key share, sender proof, ciphertext.
 
-    ``wrapped`` is ``wrap_key(k_sym, k_pub)`` and ``proof`` its
-    :func:`sign_stream`, both made once per stream and carried by each of
-    its envelopes. The ciphertext authenticates the segment's session,
-    sender, ``index`` in the stream (from 0) and ``last`` end mark.
+    ``k_sym`` and ``share`` are the stream's :func:`new_stream_key` and
+    ``proof`` its :func:`sign_stream`; the share and proof ride in segment 0
+    only, and later segments carry both fields empty. The ciphertext
+    authenticates the segment's session, sender, ``index`` in the stream
+    (from 0) and ``last`` end mark.
     """
     nonce = os.urandom(12)
     ad = _segment_ad(session, sender, index, last)
-    return frame(wrapped, proof, nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, ad))
+    keyed = (share, proof) if index == 0 else (b"", b"")
+    return frame(*keyed, nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, ad))
 
 
 def open_segment(
@@ -360,31 +343,31 @@ def open_segment(
     sender: str,
     index: int,
     last: bool,
-    held: Optional[Tuple[bytes, bytes, bytes]] = None,
-) -> Tuple[bytes, Tuple[bytes, bytes, bytes]]:
-    """Check the sender proof, recover the key, and decrypt the segment at
-    ``index`` of ``sender``'s stream, marked ``last`` or not.
+    k_sym: Optional[bytes] = None,
+) -> Tuple[bytes, bytes]:
+    """Decrypt the segment at ``index`` of ``sender``'s stream, marked
+    ``last`` or not; return the plaintext and the stream key.
 
-    ``held`` is the ``(wrapped, proof, k_sym)`` record that an earlier
-    envelope of the same stream opened with. Its key is used only if this
-    envelope's wrapped and proof bytes equal ``held``'s; otherwise the proof
-    is verified and the key unwrapped afresh, before any key is used.
-    Returns the plaintext and the record this envelope opened with.
+    At index 0 the sender proof is verified and the key derived from the
+    share, before any cipher is made. A later segment opens with ``k_sym``,
+    the key segment 0 gave, and any key field it carries fails it.
     """
     try:
-        wrapped, proof, ct = unframe(envelope, 3)
+        share, proof, ct = unframe(envelope, 3)
     except ValueError as exc:
         raise AuthFailure("malformed envelope: %s" % exc) from exc
-    if held is None or held[0] != wrapped or held[1] != proof:
-        if not OrgIdentity.verify(sender_public, proof, _stream_payload(session, sender, wrapped)):
+    if index == 0:
+        if not OrgIdentity.verify(sender_public, proof, _stream_payload(session, sender, share)):
             raise AuthFailure("sender proof rejected")
-        held = (wrapped, proof, unwrap_key(wrapped, keys))
+        k_sym = keys.stream_key(share)
+    elif share or proof:
+        raise AuthFailure("key fields on segment %d of a stream" % index)
     if len(ct) < 12 + 16:
         raise AuthFailure("ciphertext too short")
     try:
         ad = _segment_ad(session, sender, index, last)
-        return AESGCM(held[2]).decrypt(ct[:12], ct[12:], ad), held
-    except (InvalidTag, ValueError) as exc:  # ValueError: a key of the wrong length
+        return AESGCM(k_sym).decrypt(ct[:12], ct[12:], ad), k_sym
+    except InvalidTag as exc:
         raise AuthFailure("segment ciphertext failed authentication") from exc
 
 

@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
 from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
@@ -282,24 +282,6 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
         raise LogIoError("%s: %s" % (path, exc)) from exc
 
 
-def _loader() -> Callable[[ExperimentConfig], Dict[str, EventLog]]:
-    """:func:`_load_inputs` that loads each distinct input once, for a sweep
-    whose sessions share their input."""
-    loaded: Dict[Tuple, Dict[str, EventLog]] = {}
-
-    def load(cfg: ExperimentConfig) -> Dict[str, EventLog]:
-        # The settings _load_inputs reads: a log file ignores the generator's.
-        if cfg.log_path is None:
-            key: Tuple = (cfg.n_cases, cfg.seed, cfg.loop_iterations, cfg.n_orgs)
-        else:
-            key = (cfg.log_path, cfg.iid_column, cfg.org_map_path or cfg.n_orgs)
-        if key not in loaded:
-            loaded[key] = _load_inputs(cfg)
-        return loaded[key]
-
-    return load
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     *,
@@ -396,36 +378,50 @@ def scale_run(
     ``repeats`` runs; one untimed warmup run precedes the sweep so cold
     caches do not distort the first point. Repeats are interleaved in
     rounds across all points so slow machine-wide drift does not bias the
-    curve shape. Every point's config and the fit's x values are checked
-    (``ValueError``) before any session runs; a session that is not done
-    raises :class:`SessionFailed`. Each point's input is loaded once.
+    curve shape. ``repeats`` (at least 1), every point's config, the fit's
+    x values, the input and the sweep are checked (``LogIoError`` for the
+    input, else ``ValueError``) before any session runs: an input file
+    fixes the cases and their lengths, and an org map the orgs, so sweeping
+    them over one is an error. A session that is not done raises
+    :class:`SessionFailed`. Each point's input is loaded once.
     """
     field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
     if dimension not in field_of:
         raise ValueError("dimension must be events, cases, or orgs")
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1, got %d" % repeats)
+    field = field_of[dimension]
     points = [
         (float(max_case_events(v) if dimension == "events" else v),
-         cfg.with_overrides(**{field_of[dimension]: v}))
+         cfg.with_overrides(**{field: v}))
         for v in values
     ]
     check_xs([x for x, _ in points])
-    load = _loader()
-    _done(_run_session(cfg, load(cfg)))
+    # Only the swept field differs between the sessions' configs. A malformed
+    # input file is reported as such before the sweep is checked against it.
+    inputs = {getattr(cfg, field): _load_inputs(cfg)}
+    fixed_by = cfg.org_map_path if dimension == "orgs" else cfg.log_path
+    if fixed_by is not None:
+        raise ValueError("cannot sweep %s: %s fixes them" % (dimension, fixed_by))
+
+    def measure(point_cfg: ExperimentConfig) -> ExperimentResult:
+        value = getattr(point_cfg, field)
+        if value not in inputs:
+            inputs[value] = _load_inputs(point_cfg)
+        return _done(_run_session(point_cfg, inputs[value]))
+
+    measure(cfg)
     runs: List[List[ExperimentResult]] = [[] for _ in points]
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         for slot, (_, point_cfg) in zip(runs, points):
-            slot.append(_done(_run_session(point_cfg, load(point_cfg))))
+            slot.append(measure(point_cfg))
     rows: List[Dict[str, float]] = []
     for (x, _), slot in zip(points, runs):
         picked = sorted(getattr(r.metrics, metric) for r in slot)[len(slot) // 2]
-        rows.append(
-            {
-                "x": x,
-                metric: float(picked),
-                "peak_bytes": float(slot[0].metrics.peak_bytes),
-                "message_count": float(slot[0].metrics.message_count),
-            }
-        )
+        row = {"x": x, metric: float(picked)}  # the metric's column, once
+        row.setdefault("peak_bytes", float(slot[0].metrics.peak_bytes))
+        row.setdefault("message_count", float(slot[0].metrics.message_count))
+        rows.append(row)
     stats = fit_stats([r["x"] for r in rows], [r[metric] for r in rows])
     return rows, stats
 

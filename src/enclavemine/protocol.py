@@ -15,18 +15,19 @@ when it answers the ref request and sends it with its refs, and at fan-out
 the miner builds one attestation evidence per provisioner, bound to that
 provisioner's nonce, and sends it with the case request.
 
-Each provisioner's stream of message 4 has one symmetric key, which it
-wraps to the evidence's session key once, after appraising the evidence,
-and one sender proof, which it signs once over the session, its id and the
-wrapped key. Every envelope of the stream carries both, and AES-GCM binds
-each segment to the session, the sender, its index in the stream (from 0)
-and its end mark. Links are FIFO, so the index never rides on the wire:
-the miner holds, per open stream in ``stream_keys``, the
-``(wrapped, proof, k_sym)`` record the stream opened with and the next
-index it expects. It verifies the proof and unwraps again only when an
-envelope's wrapped or proof bytes differ from the record's, and a segment
-lost, replayed, reordered or re-marked on the way fails its tag. The entry
-goes when the stream ends or the miner aborts.
+Each provisioner's stream of message 4 has one AES-GCM key, which it
+agrees with the evidence's session key once, after appraising the evidence
+(``enclave.new_stream_key``), and one sender proof, which it signs once
+over the session, its id and the key share. The stream's first envelope
+carries the share and the proof, every later one carries both fields
+empty, and AES-GCM binds each segment to the session, the sender, its
+index in the stream (from 0) and its end mark. Links are FIFO, so the
+index never rides on the wire: the miner holds, per open stream in
+``stream_keys``, the stream key and the next index it expects. It verifies
+the proof and derives the key on the stream's first envelope only; a later
+envelope that carries key fields, and a segment lost, replayed, reordered
+or re-marked on the way, fail with ``AuthFailure``. The entry goes when
+the stream ends or the miner aborts.
 
 The miner's peers are the keys of its key table (``provisioner_keys``),
 in sorted order; a provisioner's id is its identity's ``org_id``.
@@ -56,7 +57,7 @@ ended.
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
 issued; a refused miner or rejected evidence aborts the provisioner before it
-plans, wraps or seals anything.
+plans, agrees a key or seals anything.
 
 Failure contract: a node ends ``done`` or ``aborted``, and only
 :func:`_abort` sets ``aborted``, recording ``aborted_reason`` (the fault's
@@ -94,13 +95,12 @@ from .enclave import (
     build_evidence,
     compute_measurement,
     frame,
-    new_symmetric_key,
+    new_stream_key,
     open_segment,
     seal_segment,
     sign_stream,
     unframe,
     verify_evidence,
-    wrap_key,
 )
 from .model import EventLog, ModelError, group_by_iid, iid_set, merge, merge_all
 from .segmenter import SegmenterError, segment_event_log, size_of
@@ -293,7 +293,7 @@ class SecureMiner:
         self.pmap: Dict[str, Set[str]] = {}
         self.cstor: Dict[str, EventLog] = {}
         self.csize: Dict[str, int] = {}
-        self.stream_keys: Dict[str, Tuple[Tuple[bytes, bytes, bytes], int]] = {}
+        self.stream_keys: Dict[str, Tuple[bytes, int]] = {}
         self.nonces: Dict[str, bytes] = {}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
@@ -389,11 +389,11 @@ class SecureMiner:
 
     def _ingest_segment(self, sender: str, envelope: bytes, last: bool) -> None:
         sender_key = self.config.provisioner_keys[sender]
-        held, index = self.stream_keys.get(sender, (None, 0))
-        plain, held = open_segment(
-            envelope, self.session_keys, sender_key, self.config.session, sender, index, last, held
+        k_sym, index = self.stream_keys.get(sender, (None, 0))
+        plain, k_sym = open_segment(
+            envelope, self.session_keys, sender_key, self.config.session, sender, index, last, k_sym
         )
-        self.stream_keys[sender] = (held, index + 1)
+        self.stream_keys[sender] = (k_sym, index + 1)
         self.accountant.account(len(plain))
         owed = self.pmap[sender]
         try:
@@ -496,12 +496,11 @@ class Provisioner:
             root_public=self.config.root_public,
         )
         plan = segment_event_log(self.config.partition, iids, seg_size)
-        k_sym = new_symmetric_key()
-        wrapped = wrap_key(k_sym, k_pub)
+        k_sym, share = new_stream_key(k_pub)
         session, n = self.config.session, len(plan.segments)
-        proof = sign_stream(self.config.identity, session, wrapped)
+        proof = sign_stream(self.config.identity, session, share)
         sealed = [
-            seal_segment(encode_log(s), k_sym, wrapped, proof, session, self.node_id, i, i == n - 1)
+            seal_segment(encode_log(s), k_sym, share, proof, session, self.node_id, i, i == n - 1)
             for i, s in enumerate(plan.segments)
         ] or [b""]
         self.segments_sent = n

@@ -10,6 +10,7 @@ from enclavemine import experiment
 from enclavemine.cli import main
 from enclavemine.logio import load_csv
 from enclavemine.model import iid_set
+from enclavemine.scenario import org_map_for
 
 
 def run_cli(*argv):
@@ -327,10 +328,46 @@ def test_scale_writes_points_and_fit(tmp_path):
     assert rc == 0
     with out.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "peak_bytes", "peak_bytes", "message_count"]
+    # Each column once: the metric is also one of the columns always written.
+    assert rows[0] == ["x", "peak_bytes", "message_count"]
     assert len(rows) == 4
     stats = json.loads(out.with_suffix(".stats.json").read_text())
     assert set(stats) >= {"r2_linear", "r2_log", "slope"}
+    rc = run_cli(
+        "scale", "cases", "--cases", 5, "--values", "5,10,15", "--repeats", 1, "--out", out
+    )
+    assert rc == 0
+    with out.open(newline="") as fh:
+        assert next(csv.reader(fh)) == ["x", "wall_ms", "peak_bytes", "message_count"]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["cases", "--log", "{log}"], "cannot sweep cases: {log} fixes them"),
+        (["events", "--log", "{log}"], "cannot sweep events: {log} fixes them"),
+        (["orgs", "--log", "{log}", "--org-map", "{org_map}"],
+         "cannot sweep orgs: {org_map} fixes them"),
+        (["cases", "--repeats", "0"], "repeats must be at least 1, got 0"),
+        (["cases", "--repeats", "-4"], "repeats must be at least 1, got -4"),
+    ],
+    ids=["cases over a log", "events over a log", "orgs over an org map", "repeats 0",
+         "repeats -4"],
+)
+def test_scale_rejects_a_sweep_that_cannot_measure_before_any_session(
+    tmp_path, capsys, generated_log, argv, named
+):
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps(org_map_for(3)))
+    paths = dict(log=generated_log, org_map=org_map)
+    out = tmp_path / "scale.csv"
+    with mock.patch.object(experiment, "_run_session") as runs:
+        with pytest.raises(SystemExit) as stop:
+            run_cli("scale", *[a.format(**paths) for a in argv], "--cases", 10, "--out", out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == "enclavemine scale: error: %s\n" % named.format(**paths)
+    assert runs.call_count == 0
+    assert not out.exists()
 
 
 def test_stats_fits_csv_columns(tmp_path, capsys):
@@ -435,6 +472,21 @@ def test_verify_convergence_both_algorithms(capsys):
     out = capsys.readouterr().out
     assert out.count("MATCH") == 2
     assert "MISMATCH" not in out
+
+
+def test_verify_convergence_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"capacity": 100}))
+    for flags, printed in (
+        (["--config", cfg], "session aborted: CapacityExceeded: "),
+        (["--seg-size", 0],
+         "session aborted: Stalled: awaiting cases from clinic, hospital, pharma\n"),
+    ):
+        rc = run_cli("verify-convergence", "--cases", 10, *flags)
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith(printed)
+        assert "MATCH" not in out
 
 
 def test_verify_convergence_mines_the_split_partitions(tmp_path, capsys):

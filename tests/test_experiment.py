@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from unittest import mock
 
 import pytest
@@ -20,7 +21,8 @@ from enclavemine.experiment import (
     write_metrics_csv,
     write_transcript,
 )
-from enclavemine.scenario import generate_scenario_log
+from enclavemine.logio import save_csv
+from enclavemine.scenario import generate_scenario_log, org_map_for
 from enclavemine.stats import RegressionStats
 
 SMALL = ExperimentConfig(n_cases=30, seed=5, seg_size=4000)
@@ -167,8 +169,6 @@ def test_capacity_cap_is_enforced():
 
 
 def test_file_backed_run_matches_generated(tmp_path):
-    from enclavemine.logio import save_csv
-
     log = generate_scenario_log(SMALL.n_cases, SMALL.seed)
     path = tmp_path / "log.csv"
     save_csv(log, path)
@@ -188,20 +188,18 @@ def test_sweep_segsize_message_counts_monotone():
 
 
 def test_a_sweep_loads_each_distinct_input_once(tmp_path):
-    from enclavemine.logio import save_csv
-
     path = tmp_path / "log.csv"
     save_csv(generate_scenario_log(10, SMALL.seed), path)
     cfg = SMALL.with_overrides(n_cases=10, log_path=str(path))
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         rows = sweep_segsize(cfg, [800, 4000, 40_000])
     assert (len(rows), loads.call_count) == (3, 1)
-    # The file, not the case count, fixes a file-backed input: one load
-    # serves the warm-up and both rounds of all three points.
+    # An org sweep splits the file once per org count: the warm-up (3 orgs)
+    # shares its load with the point at 3, and both rounds reuse them.
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
-            scale_run(cfg, "cases", [10, 20, 30], metric="peak_bytes", repeats=2)
-    assert (runs.call_count, loads.call_count) == (7, 1)
+            scale_run(cfg, "orgs", [2, 3, 4], metric="peak_bytes", repeats=2)
+    assert (runs.call_count, loads.call_count) == (7, 3)
     # Generated inputs differ per point: each is generated once.
     with mock.patch.object(
         experiment, "generate_scenario_log", wraps=experiment.generate_scenario_log
@@ -256,6 +254,37 @@ def test_scale_run_checks_every_value_before_any_session(dimension):
     with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(ValueError, match="must be at least 1"):
             scale_run(SMALL, dimension, [2, 0], repeats=1)
+    assert runs.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "dimension,paths",
+    [
+        ("cases", dict(log_path="l.csv")),
+        ("events", dict(log_path="l.csv")),
+        ("orgs", dict(log_path="l.csv", org_map_path="m.json")),
+    ],
+)
+def test_scale_run_rejects_a_sweep_its_input_file_fixes(tmp_path, dimension, paths):
+    # Mining one file at every point would fit a flat line to identical
+    # sessions; the sweep is refused before any session runs.
+    save_csv(generate_scenario_log(10, SMALL.seed), tmp_path / "l.csv")
+    (tmp_path / "m.json").write_text(json.dumps(org_map_for(3)))
+    cfg = SMALL.with_overrides(**{k: str(tmp_path / v) for k, v in paths.items()})
+    fixed = cfg.org_map_path if dimension == "orgs" else cfg.log_path
+    with mock.patch.object(experiment, "_run_session") as runs:
+        with pytest.raises(ValueError, match="^cannot sweep %s: %s fixes them$" % (
+            dimension, re.escape(fixed)
+        )):
+            scale_run(cfg, dimension, [1, 2, 3], repeats=1)
+    assert runs.call_count == 0
+
+
+@pytest.mark.parametrize("repeats", [0, -4])
+def test_scale_run_rejects_repeats_below_one_before_any_session(repeats):
+    with mock.patch.object(experiment, "_run_session") as runs:
+        with pytest.raises(ValueError, match="^repeats must be at least 1, got %d$" % repeats):
+            scale_run(SMALL, "cases", [10, 20, 30], repeats=repeats)
     assert runs.call_count == 0
 
 

@@ -30,9 +30,9 @@ from enclavemine.enclave import (
     BuildManifest,
     SessionKeys,
     frame,
+    new_stream_key,
     sign_stream,
     unframe,
-    wrap_key,
 )
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
@@ -165,18 +165,36 @@ def _trailing_byte_seal(segment_bytes, *args):
     return _REAL_SEAL(segment_bytes + b"\x00", *args)
 
 
-class _ForeignWrapAfterFirstSeal:
+class _RekeyAfterFirstSeal:
     """A seal for one session: from a stream's second segment on, the sender
-    signs a blob that wraps the stream's own key to another session's key."""
+    agrees a fresh key with the session's own key and sends its share and
+    proof along, as on a first segment."""
 
     def __init__(self, nodes):
         self.nodes = nodes
 
-    def __call__(self, segment_bytes, k_sym, wrapped, proof, session, sender, index, last):
+    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, index, last):
         if index:
-            wrapped = wrap_key(k_sym, SessionKeys().k_pub)
-            proof = sign_stream(self.nodes[sender].config.identity, session, wrapped)
-        return _REAL_SEAL(segment_bytes, k_sym, wrapped, proof, session, sender, index, last)
+            k_sym, share = new_stream_key(self.nodes["miner"].session_keys.k_pub)
+            proof = sign_stream(self.nodes[sender].config.identity, session, share)
+        envelope = _REAL_SEAL(segment_bytes, k_sym, share, proof, session, sender, index, last)
+        return frame(share, proof, unframe(envelope, 3)[2])
+
+
+class _ForeignShareSeal:
+    """A seal for one session: each stream's key is agreed with another
+    session's key, and its share signed by the sender for this session."""
+
+    def __init__(self, nodes):
+        self.nodes = nodes
+        self.keys = {}
+
+    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, index, last):
+        if sender not in self.keys:
+            k_sym, share = new_stream_key(SessionKeys().k_pub)
+            proof = sign_stream(self.nodes[sender].config.identity, session, share)
+            self.keys[sender] = (k_sym, share, proof)
+        return _REAL_SEAL(segment_bytes, *self.keys[sender], session, sender, index, last)
 
 
 def _held_back_until_last():
@@ -215,13 +233,15 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda b: _flip(b, -1, 0x01)))]),
      "miner", "AuthFailure"),
     ("malformed wire bytes", dict(seal=_trailing_byte_seal), "miner", "WireError"),
-    # A correctly signed mid-stream envelope whose wrapped key differs from
-    # the one the miner holds for the stream is verified and unwrapped
-    # afresh, so a blob for another session fails even though the stream
-    # key would fit.
-    ("mid-stream key wrapped to another session",
-     dict(seal=_ForeignWrapAfterFirstSeal, seg_size=300),
-     "miner", "KeyUnwrapFailure"),
+    # Key material rides on a stream's first envelope only: a later one
+    # that carries a share and proof, even a fresh share correctly signed
+    # for this session (a mid-stream re-key), fails before any cipher.
+    ("key fields on a later segment",
+     dict(seal=_RekeyAfterFirstSeal, seg_size=300),
+     "miner", "AuthFailure"),
+    # The sender's proof holds, but the share agrees a key with another
+    # session's key, so the miner derives another key and the tag fails.
+    ("share for another session", dict(seal=_ForeignShareSeal), "miner", "AuthFailure"),
     ("duplicate event id across provisioners", dict(partitions=_shared_event_id),
      "miner", "DuplicateEvent"),
     ("capacity cap", dict(incremental=False, capacity=_tight_capacity),
@@ -235,7 +255,8 @@ FAULTS = [
      "miner", "UnexpectedMessage"),
     # seg_size 300 cuts hospital's partition into two segments; the first,
     # without the end mark, is lost on the link. The second then arrives
-    # where the first was due and fails its tag: a gap looks like a tamper.
+    # where the first was due, without the key share and sender proof that
+    # only a first segment carries, and fails the proof check.
     ("dropped segment",
      dict(seg_size=300, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _drop_unless_last)]),
      "miner", "AuthFailure"),
@@ -385,6 +406,25 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     assert early == []
 
 
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("dropped segment", "sender proof rejected"),
+        ("key fields on a later segment", "key fields on segment 1 of a stream"),
+        ("share for another session", "segment ciphertext failed authentication"),
+    ],
+)
+def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, message):
+    # The first segment lost (the dropped segment is hospital's first of
+    # two), key fields on a later one, and a share for another session each
+    # fail a check of their own.
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == row]
+    nodes, _ = _run(three_partitions, **kwargs)
+    miner = nodes["miner"]
+    assert (miner.aborted_reason, miner.aborted_message) == ("AuthFailure", message)
+
+
 def test_a_segment_from_another_session_is_rejected(three_partitions):
     recorded = []
 
@@ -413,7 +453,6 @@ def test_honest_session_passes_the_same_checks(three_partitions):
 # such a session may complete; the ones that do not must name one of these.
 CORRUPTION_REASONS = {
     "AuthFailure",
-    "KeyUnwrapFailure",
     "WireError",
     "TruncatedPayload",
     "UnsupportedVersion",

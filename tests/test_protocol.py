@@ -11,18 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import CollectorSink, LossyNetwork, make_random_log
-from enclavemine import enclave, model, protocol, segmenter
+from enclavemine import model, protocol, segmenter
 from enclavemine.enclave import (
     AttestationEvidence,
     BuildManifest,
     OrgIdentity,
+    SessionKeys,
     compute_measurement,
-    new_symmetric_key,
+    new_stream_key,
     seal_segment,
     sign_stream,
     unframe,
-    unwrap_key,
-    wrap_key,
 )
 from enclavemine.model import EventLog, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
@@ -296,20 +295,22 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert not any("last" in msg.body for msg in net.sent if msg.kind != KIND_CASES_RES)
 
 
-def _wrapped_key(msg):
-    """The wrapped-key field of a cases_res message's envelope."""
-    (length,) = struct.unpack(">I", msg.blob[2:6])
-    return msg.blob[6 : 6 + length]
+def _key_fields(msgs):
+    """The share and proof field lengths of each envelope of a stream."""
+    return [tuple(len(f) for f in unframe(msg.blob, 3)[:2]) for msg in msgs]
 
 
 @pytest.mark.parametrize("do_yield", [True, False])
 def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
-    # Each stream wraps its key once and the miner unwraps it once, however
-    # many segments the stream has; every envelope still carries the blob.
+    # Each stream agrees its key once and the miner derives it once, however
+    # many segments the stream has; only the first envelope carries the
+    # 32-byte share and the 64-byte proof.
     single = size_of(extract_case(three_partitions["hospital"], "312"))
-    with mock.patch.object(protocol, "wrap_key", wraps=wrap_key) as wraps, mock.patch.object(
-        enclave, "unwrap_key", wraps=unwrap_key
-    ) as unwraps:
+    with mock.patch.object(
+        protocol, "new_stream_key", wraps=new_stream_key
+    ) as agrees, mock.patch.object(
+        SessionKeys, "stream_key", autospec=True, side_effect=SessionKeys.stream_key
+    ) as derives:
         net, miner, sink, provisioners = _run_to_done(
             three_partitions,
             seg_size=max(single, 120),
@@ -319,11 +320,12 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
     assert miner.phase == "done"
     streams = _streams(net)
     assert sum(p.segments_sent for p in provisioners.values()) > len(streams)
-    assert wraps.call_count == len(provisioners)
-    assert unwraps.call_count == sum(1 for p in provisioners.values() if p.segments_sent)
-    blobs = {org: {_wrapped_key(msg) for msg in msgs} for org, msgs in streams.items()}
-    assert all(len(found) == 1 for found in blobs.values())
-    assert len(set().union(*blobs.values())) == len(blobs)
+    assert agrees.call_count == len(provisioners)
+    assert derives.call_count == sum(1 for p in provisioners.values() if p.segments_sent)
+    for msgs in streams.values():
+        assert _key_fields(msgs) == [(32, 64)] + [(0, 0)] * (len(msgs) - 1)
+    shares = {unframe(msgs[0].blob, 3)[0] for msgs in streams.values()}
+    assert len(shares) == len(streams)
     assert miner.stream_keys == {}
     full = merge_all(three_partitions.values())
     assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
@@ -331,7 +333,7 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
 
 def test_one_sender_proof_per_stream(three_partitions):
     # Each provisioner signs once and the miner verifies once per stream,
-    # however many segments it has; each envelope carries the same proof.
+    # however many segments it has; the stream's first envelope carries it.
     single = size_of(extract_case(three_partitions["hospital"], "312"))
     net, miner, sink, provisioners = _session(
         three_partitions, seg_size=max(single, 120), network_cls=RecordingNetwork
@@ -354,8 +356,9 @@ def test_one_sender_proof_per_stream(three_partitions):
     senders = Counter(c.args[0] for c in verifies.call_args_list)
     publics = {ident.public_bytes for ident in identities.values()}
     assert {key: n for key, n in senders.items() if key in publics} == dict.fromkeys(publics, 1)
-    proofs = {org: {unframe(msg.blob, 3)[1] for msg in msgs} for org, msgs in streams.items()}
-    assert all(len(found) == 1 for found in proofs.values())
+    for msgs in streams.values():
+        proofs = [unframe(msg.blob, 3)[1] for msg in msgs]
+        assert proofs[1:] == [b""] * (len(msgs) - 1) and len(proofs[0]) == 64
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
@@ -484,13 +487,12 @@ class UnderAdvertisingProvisioner(Provisioner):
 
     def _on_cases_req(self, msg):
         super()._on_cases_req(msg)
-        k_sym = new_symmetric_key()
-        wrapped = wrap_key(k_sym, AttestationEvidence.from_bytes(msg.blob).k_pub)
+        k_sym, share = new_stream_key(AttestationEvidence.from_bytes(msg.blob).k_pub)
         envelope = seal_segment(
             encode_log(self.config.partition),
             k_sym,
-            wrapped,
-            sign_stream(self.config.identity, msg.session, wrapped),
+            share,
+            sign_stream(self.config.identity, msg.session, share),
             msg.session,
             self.node_id,
             0,
@@ -562,12 +564,12 @@ def test_wrong_measurement_stops_everything(three_partitions):
     }
     net, miner, sink, _ = _session(three_partitions, provisioners=provisioners)
     net.bootstrap()
-    with mock.patch.object(protocol, "wrap_key", wraps=wrap_key) as wraps, mock.patch.object(
-        protocol, "seal_segment", wraps=seal_segment
-    ) as seals:
+    with mock.patch.object(
+        protocol, "new_stream_key", wraps=new_stream_key
+    ) as agrees, mock.patch.object(protocol, "seal_segment", wraps=seal_segment) as seals:
         net.run()
-    # Rejected evidence: no key is wrapped and no segment sealed.
-    assert wraps.call_count == 0 and seals.call_count == 0
+    # Rejected evidence: no key is agreed and no segment sealed.
+    assert agrees.call_count == 0 and seals.call_count == 0
     for p in provisioners.values():
         assert (p.phase, p.aborted_reason) == ("aborted", "EvidenceRejected")
         assert p.aborted_message == "measurement_mismatch"
