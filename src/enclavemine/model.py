@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "Event",
@@ -31,6 +31,7 @@ __all__ = [
     "ModelError",
     "DuplicateEvent",
     "canonical_key",
+    "check_events",
     "log_from_events",
     "merge",
     "merge_all",
@@ -74,6 +75,25 @@ canonical_key = attrgetter("timestamp", "provisioner_id", "event_id")
 _event_id = attrgetter("event_id")
 
 
+def check_events(events: Sequence[Event]) -> None:
+    """Raise unless ``events`` form a log: canonical order, unique ids.
+
+    Raises :class:`ModelError` for events out of order, else
+    :class:`DuplicateEvent`. Both checks run in C on valid events; the
+    offenders are looked up in Python only when a check fails.
+    """
+    keys = list(map(canonical_key, events))
+    if keys != sorted(keys):
+        i = next(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
+        raise ModelError(
+            "events out of canonical order: %s after %s"
+            % (events[i].event_id, events[i - 1].event_id)
+        )
+    if len(set(map(_event_id, events))) != len(events):
+        counts = Counter(map(_event_id, events))
+        raise DuplicateEvent(event_id for event_id, n in counts.items() if n > 1)
+
+
 @dataclass(frozen=True)
 class EventLog:
     """An immutable, canonically sorted event log with unique event ids."""
@@ -81,19 +101,7 @@ class EventLog:
     events: Tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        # Both checks run in C on valid logs; the offenders are looked up in
-        # Python only when a check fails.
-        events = self.events
-        keys = list(map(canonical_key, events))
-        if keys != sorted(keys):
-            i = next(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
-            raise ModelError(
-                "events out of canonical order: %s after %s"
-                % (events[i].event_id, events[i - 1].event_id)
-            )
-        if len(set(map(_event_id, events))) != len(events):
-            counts = Counter(map(_event_id, events))
-            raise DuplicateEvent(event_id for event_id, n in counts.items() if n > 1)
+        check_events(self.events)
 
     def __len__(self) -> int:
         return len(self.events)

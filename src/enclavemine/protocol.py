@@ -34,25 +34,31 @@ in sorted order; a provisioner's id is its identity's ``org_id``.
 
 The miner keeps two indexes: pmap (provisioner -> iids it still owes; its
 keys are the provisioners whose refs arrived and whose stream has not ended)
-and cstor (iid -> merged case so far), with csize holding each stored case's
-encoded size. A case is complete when no pmap entry still holds its iid; in
-incremental mode it is yielded to the sink immediately and freed, in batch
-mode all cases are merged into one log at the end.
+and cstor (iid -> the case's fragments received so far, one list of events
+in canonical order per provisioner that sent part of it, unmerged), with
+csize holding each stored case's encoded size. A case is complete when no
+pmap entry still holds its iid. Each case is merged once, by one sort of its
+fragments: in incremental mode when it completes, and it is then yielded to
+the sink and freed; in batch mode all stored fragments go through one sort
+into one log at the end. That merge is where an event id that two
+provisioners both sent is found (``DuplicateEvent``).
 
 The enclave accountant counts wire-encoding bytes without re-encoding
-anything. Each segment is split by iid in one pass; a fragment costs its
-arithmetic size (``size_of``), minus ``EMPTY_LOG_SIZE`` when part of its
-case is already stored, because merging logs with disjoint events gives
-``size(a) + size(b) - EMPTY_LOG_SIZE``. Freeing a case frees its csize entry,
-and the batch log of n cases costs ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
+anything. ``wire.decode_cases`` splits each segment by iid in its one decode
+pass and reads each fragment's encoded size off the decode offsets; a
+fragment costs that size, minus ``EMPTY_LOG_SIZE`` when part of its case is
+already stored, because merging logs with disjoint events gives ``size(a) +
+size(b) - EMPTY_LOG_SIZE``. So csize holds the size the merged case will
+encode to. Freeing a case frees its csize entry, and the batch log of n cases
+costs ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
 
 A provisioner sends one cases_res per segment and marks its final one with
 ``"last": true``; a provisioner that owes nothing sends the single message
-with body ``{"last": true}`` and an empty blob. On ``last`` the miner checks
-that the sender owes nothing (else :class:`IncompleteDelivery`) and removes
-its pmap entry, so a later cases_res from it is an
-:class:`UnexpectedMessage`. The session finishes when every stream has
-ended.
+with body ``{"last": true}`` and an empty blob, and agrees no stream key. On
+``last`` the miner checks that the sender owes nothing (else
+:class:`IncompleteDelivery`) and removes its pmap entry, so a later
+cases_res from it is an :class:`UnexpectedMessage`. The session finishes
+when every stream has ended.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -83,6 +89,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
@@ -102,14 +109,17 @@ from .enclave import (
     unframe,
     verify_evidence,
 )
-from .model import EventLog, ModelError, group_by_iid, iid_set, merge, merge_all
-from .segmenter import SegmenterError, segment_event_log, size_of
-from .wire import EMPTY_LOG_SIZE, WireError, decode_log, encode_log
+from .model import Event, EventLog, ModelError, iid_set, log_from_events
+from .segmenter import SegmenterError, segment_event_log
+from .wire import EMPTY_LOG_SIZE, WireError, decode_cases, encode_log
 
-# Ingest never extracts cases one by one; the name stays bound so that the
-# benchmark's traced run (perfbench/spans.py) can wrap protocol.extract_case
-# and count its calls.
-from .model import extract_case  # noqa: F401
+# Ingest decodes, splits and sizes a segment in one pass and merges each case
+# once, so it calls none of these; the names stay bound so that the
+# benchmark's traced run (perfbench/spans.py) can wrap them and count their
+# calls, until in-program spans replace the wrapping (ROADMAP item 5).
+from .model import extract_case, merge, merge_all  # noqa: F401
+from .segmenter import size_of  # noqa: F401
+from .wire import decode_log  # noqa: F401
 
 __all__ = [
     "ProtocolError",
@@ -291,7 +301,7 @@ class SecureMiner:
         self.phase = "init"
         self.phase_label = "initialization"
         self.pmap: Dict[str, Set[str]] = {}
-        self.cstor: Dict[str, EventLog] = {}
+        self.cstor: Dict[str, List[List[Event]]] = {}
         self.csize: Dict[str, int] = {}
         self.stream_keys: Dict[str, Tuple[bytes, int]] = {}
         self.nonces: Dict[str, bytes] = {}
@@ -397,24 +407,19 @@ class SecureMiner:
         self.accountant.account(len(plain))
         owed = self.pmap[sender]
         try:
-            segment = decode_log(plain)
-            for iid, incoming in sorted(group_by_iid(segment).items()):
+            for iid, (events, size) in sorted(decode_cases(plain).items()):
                 if iid not in owed:
                     raise UnexpectedIid("%s from %s" % (iid, sender))
-                old = self.cstor.get(iid)
-                if old is None:
-                    merged, delta = incoming, size_of(incoming)
-                else:
-                    merged, delta = merge(old, incoming), size_of(incoming) - EMPTY_LOG_SIZE
+                delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
                 self.accountant.account(delta)
-                self.cstor[iid] = merged
+                self.cstor.setdefault(iid, []).append(events)
                 self.csize[iid] = self.csize.get(iid, 0) + delta
                 owed.discard(iid)
                 # The case is complete once no provisioner still owes it.
                 if self.config.do_yield_cases and not any(
                     iid in other for other in self.pmap.values()
                 ):
-                    case = self.cstor.pop(iid)
+                    case = log_from_events(chain.from_iterable(self.cstor.pop(iid)))
                     self.accountant.account(-self.csize.pop(iid))
                     self.yield_count += 1
                     self.sink.on_case(case)
@@ -424,7 +429,8 @@ class SecureMiner:
     def _finish(self) -> None:
         self.phase_label = "computation"
         if not self.config.do_yield_cases:
-            final = merge_all([self.cstor[iid] for iid in sorted(self.cstor)])
+            fragments = chain.from_iterable(self.cstor.values())
+            final = log_from_events(chain.from_iterable(fragments))
             final_size = sum(self.csize.values()) - EMPTY_LOG_SIZE * (len(self.csize) - 1)
             self.accountant.account(final_size)
             self.yield_count += 1
@@ -496,14 +502,17 @@ class Provisioner:
             root_public=self.config.root_public,
         )
         plan = segment_event_log(self.config.partition, iids, seg_size)
+        self.phase = "done"
+        if not plan.segments:
+            # Nothing to seal, so no stream key: the one message is the end mark.
+            return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, b""))]
         k_sym, share = new_stream_key(k_pub)
         session, n = self.config.session, len(plan.segments)
         proof = sign_stream(self.config.identity, session, share)
         sealed = [
             seal_segment(encode_log(s), k_sym, share, proof, session, self.node_id, i, i == n - 1)
             for i, s in enumerate(plan.segments)
-        ] or [b""]
+        ]
         self.segments_sent = n
-        self.phase = "done"
-        ends = [{}] * (len(sealed) - 1) + [{"last": True}]
+        ends = [{}] * (n - 1) + [{"last": True}]
         return [(msg.sender, self._msg(KIND_CASES_RES, end, blob)) for end, blob in zip(ends, sealed)]

@@ -4,15 +4,18 @@ Greedy first-fit over cases in ascending lexicographic iid order. A case is
 never split across segments; when the open segment's size plus the next
 case's standalone size would pass the budget, the open segment is sealed and
 a new one started. Sizes are bytes of the canonical wire encoding (see
-``wire``), computed by arithmetic: ``size_of`` adds up per-event sizes, and
-adding a case to the open segment adds its size minus ``EMPTY_LOG_SIZE``,
-the header the two logs share. So the open segment's size stays exact
-without encoding anything, and ``seg_size`` binds to the bytes a segment
-occupies on the wire before encryption. The budget check counts that shared
-header once more, so a planned segment is at most ``seg_size -
-EMPTY_LOG_SIZE`` bytes unless it holds one case that does not fit. Planning
-is linear in the partition: one pass groups it by iid, and each segment is
-sorted once, when sealed.
+``wire``), computed by arithmetic: a case's size is ``EMPTY_LOG_SIZE`` plus
+its events' ``event_size``, and adding a case to the open segment adds its
+size minus ``EMPTY_LOG_SIZE``, the header the two logs share. So the open
+segment's size stays exact without encoding anything, and ``seg_size`` binds
+to the bytes a segment occupies on the wire before encryption. The budget
+check counts that shared header once more, so a planned segment is at most
+``seg_size - EMPTY_LOG_SIZE`` bytes unless it holds one case that does not
+fit. Planning is linear in the partition and builds no per-case log: one
+pass over its events sums each case's size, the greedy rule assigns each
+requested case a segment, and a second pass drops each event into its
+case's segment. The partition is in canonical order, so each segment is
+too, without a sort.
 
 A single case bigger than the budget still ships, alone, in an over-budget
 segment (a warning is emitted and the iid reported in the plan).
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .model import Event, EventLog, group_by_iid, log_from_events
+from .model import Event, EventLog
 from .wire import EMPTY_LOG_SIZE, event_size
 
 # Planning never encodes; the name stays bound so that the benchmark's traced
@@ -75,26 +78,19 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
     if seg_size <= 0:
         raise InvalidSegSize("seg_size must be positive, got %d" % seg_size)
     requested = sorted(set(iids))
-    cases = group_by_iid(partition)
-    missing = [iid for iid in requested if iid not in cases]
+    case_sizes: Dict[str, int] = {}
+    for ev in partition.events:
+        case_sizes[ev.iid] = case_sizes.get(ev.iid, EMPTY_LOG_SIZE) + event_size(ev)
+    missing = [iid for iid in requested if iid not in case_sizes]
     if missing:
         raise SegmenterError("iids not in partition: %s" % ", ".join(missing))
 
-    segments: List[EventLog] = []
+    buckets: List[List[Event]] = []
+    bucket_of: Dict[str, List[Event]] = {}
     oversized: List[str] = []
-    open_events: List[Event] = []
     open_size = EMPTY_LOG_SIZE
-
-    def seal() -> None:
-        nonlocal open_events, open_size
-        if open_events:
-            segments.append(log_from_events(open_events))
-            open_events = []
-            open_size = EMPTY_LOG_SIZE
-
     for iid in requested:
-        case = cases[iid]
-        case_size = size_of(case)
+        case_size = case_sizes[iid]
         if case_size > seg_size:
             warnings.warn(
                 "case %s (%d bytes) exceeds seg_size %d; shipping alone over budget"
@@ -102,14 +98,18 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
                 stacklevel=2,
             )
             oversized.append(iid)
-        if open_size + case_size > seg_size:
-            seal()
+        if not buckets or open_size + case_size > seg_size:
+            buckets.append([])
+            open_size = EMPTY_LOG_SIZE
+        bucket_of[iid] = buckets[-1]
         # Merging a case into the open segment costs its encoding minus the
         # shared envelope constant, so the running size stays exact.
-        open_events.extend(case.events)
         open_size += case_size - EMPTY_LOG_SIZE
-    seal()
+    for ev in partition.events:
+        bucket = bucket_of.get(ev.iid)
+        if bucket is not None:
+            bucket.append(ev)
     return SegmentPlan(
-        segments=tuple(segments),
+        segments=tuple(EventLog(tuple(bucket)) for bucket in buckets),
         oversized_iids=tuple(oversized),
     )

@@ -18,24 +18,33 @@ encode to equal bytes. An empty log encodes to exactly EMPTY_LOG_SIZE bytes.
 Because a log's size is the header plus its events' sizes, merging two logs
 with disjoint events gives ``size(a) + size(b) - EMPTY_LOG_SIZE``.
 
-Error contract: :func:`decode_log` takes bytes from outside the program, and
-every malformed payload raises a :class:`WireError` subclass
+Decoding has one loop, :func:`decode_cases`, which splits a payload into
+its cases and reads each case's encoded size off the decode offsets, so a
+receiver needs no second pass to group or size what it got.
+:func:`decode_log` returns the same events as one log.
+
+Error contract: :func:`decode_cases` and :func:`decode_log` take bytes from
+outside the program, both run the same checks, and every malformed payload
+raises the same error from both: a :class:`WireError` subclass
 (:class:`TruncatedPayload` when a field runs past the end,
 :class:`UnsupportedVersion` for another version, :class:`WireError` itself
 for trailing bytes or a string that is not UTF-8), or the
 :class:`~enclavemine.model.ModelError` of a well-formed payload whose events
-do not form a log (events out of canonical order, duplicate ids) or whose
-extras pairs are out of key order. Decoding never reorders anything, so a
-payload that decodes re-encodes to its own bytes. Encoding a field over its
-wire limit raises :class:`WireError`.
+do not form a log (events out of canonical order, duplicate ids, checked
+across the whole payload, not per case) or whose extras pairs are out of key
+order. Decoding never reorders anything, so a payload that decodes
+re-encodes to its own bytes. Encoding a field over its wire limit raises
+:class:`WireError`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List
+from collections import defaultdict
+from itertools import chain
+from typing import DefaultDict, Dict, List, Tuple
 
-from .model import Event, EventLog, ModelError
+from .model import Event, EventLog, ModelError, check_events, log_from_events
 
 __all__ = [
     "WIRE_VERSION",
@@ -45,6 +54,7 @@ __all__ = [
     "UnsupportedVersion",
     "event_size",
     "encode_log",
+    "decode_cases",
     "decode_log",
 ]
 
@@ -116,21 +126,31 @@ def encode_log(log: EventLog) -> bytes:
     return b"".join(out)
 
 
-def decode_log(data: bytes) -> EventLog:
-    """Inverse of :func:`encode_log`; validates version and exact length.
+def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
+    """Decode a log payload straight into its cases, in one pass.
+
+    Returns, per iid in order of first appearance, the case's events in
+    canonical order and the size of the case's own encoding:
+    ``EMPTY_LOG_SIZE`` plus the bytes its events span in ``data``, which is
+    ``len(encode_log(case))`` because decoding never reorders anything.
 
     Raises :class:`TruncatedPayload` when a field runs past the end,
     :class:`UnsupportedVersion` for another version, :class:`WireError`
     for trailing bytes or a string field that is not UTF-8, and
-    :class:`~enclavemine.model.ModelError` when the events are out of
-    canonical order or share an id, or an event's extras pairs are out of
-    key order.
+    :class:`~enclavemine.model.ModelError` when an event's extras pairs are
+    out of key order or the events, across the whole payload, are out of
+    canonical order or share an id.
     """
     unpack_stamp_len, unpack_len = _STAMP_LEN.unpack_from, _LEN.unpack_from
     stamp_len_size = _STAMP_LEN.size
+    # Builds an Event from a tuple of its fields in C, without the Python
+    # frame of the named tuple's own constructor.
+    new_event = tuple.__new__
     size = len(data)
     pos = end = 0
     events: List[Event] = []
+    cases: DefaultDict[str, List[Event]] = defaultdict(list)
+    spans: DefaultDict[str, int] = defaultdict(int)
     try:
         (version,) = _VERSION.unpack_from(data)
         if version != WIRE_VERSION:
@@ -142,6 +162,7 @@ def decode_log(data: bytes) -> EventLog:
         # length check reports it. The fields are read inline because a
         # helper call per string made decoding about a third slower.
         for _ in range(count):
+            start = pos
             timestamp, n = unpack_stamp_len(data, pos)
             pos += stamp_len_size
             end = pos + n
@@ -160,24 +181,29 @@ def decode_log(data: bytes) -> EventLog:
             provisioner_id = data[pos:end].decode("utf-8")
             (n_extras,) = unpack_len(data, end)
             pos = end + 2
-            extras = []
-            for _ in range(n_extras):
-                (n,) = unpack_len(data, pos)
-                pos += 2
-                end = pos + n
-                key = data[pos:end].decode("utf-8")
-                (n,) = unpack_len(data, end)
-                pos = end + 2
-                end = pos + n
-                extras.append((key, data[pos:end].decode("utf-8")))
-                pos = end
-            # The only check a received event's extras get: unsorted pairs
-            # would re-encode to other bytes than they were decoded from.
-            if n_extras > 1 and extras != sorted(extras):
-                raise ModelError("extras of event %r out of key order" % event_id)
-            events.append(
-                Event(event_id, iid, activity, timestamp, provisioner_id, tuple(extras))
-            )
+            if n_extras:
+                extras = []
+                for _ in range(n_extras):
+                    (n,) = unpack_len(data, pos)
+                    pos += 2
+                    end = pos + n
+                    key = data[pos:end].decode("utf-8")
+                    (n,) = unpack_len(data, end)
+                    pos = end + 2
+                    end = pos + n
+                    extras.append((key, data[pos:end].decode("utf-8")))
+                    pos = end
+                # The only check a received event's extras get: unsorted pairs
+                # would re-encode to other bytes than they were decoded from.
+                if extras != sorted(extras):
+                    raise ModelError("extras of event %r out of key order" % event_id)
+                extras = tuple(extras)
+            else:
+                extras = ()
+            ev = new_event(Event, (event_id, iid, activity, timestamp, provisioner_id, extras))
+            events.append(ev)
+            cases[iid].append(ev)
+            spans[iid] += pos - start
     except struct.error as exc:
         raise TruncatedPayload("payload of %d bytes ends inside a field" % size) from exc
     except UnicodeDecodeError as exc:
@@ -190,4 +216,12 @@ def decode_log(data: bytes) -> EventLog:
         raise TruncatedPayload("last string field runs past the end of %d bytes" % size)
     if pos != size:
         raise WireError("trailing bytes after log payload")
-    return EventLog(tuple(events))
+    check_events(events)
+    return {iid: (evs, EMPTY_LOG_SIZE + spans[iid]) for iid, evs in cases.items()}
+
+
+def decode_log(data: bytes) -> EventLog:
+    """Inverse of :func:`encode_log`: the events of :func:`decode_cases`, as
+    one log; raises what it raises."""
+    cases = decode_cases(data).values()
+    return log_from_events(chain.from_iterable(events for events, _ in cases))

@@ -244,6 +244,11 @@ FAULTS = [
     ("share for another session", dict(seal=_ForeignShareSeal), "miner", "AuthFailure"),
     ("duplicate event id across provisioners", dict(partitions=_shared_event_id),
      "miner", "DuplicateEvent"),
+    # Batch mode merges every stored fragment in one sort when the last
+    # stream ends, so the same duplicate surfaces there.
+    ("duplicate event id across provisioners, batch",
+     dict(partitions=_shared_event_id, incremental=False),
+     "miner", "DuplicateEvent"),
     ("capacity cap", dict(incremental=False, capacity=_tight_capacity),
      "miner", "CapacityExceeded"),
     ("unrequested iid",

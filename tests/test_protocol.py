@@ -554,6 +554,26 @@ def test_provisioner_with_empty_partition(three_partitions):
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
+def test_an_empty_plan_agrees_no_stream_key(three_partitions):
+    # A provisioner with nothing to send appraises the evidence, then sends
+    # only the end mark: no key agreement and no sender proof for it.
+    partitions = {"hospital": three_partitions["hospital"], "archive": EventLog()}
+    agree = mock.patch.object(protocol, "new_stream_key", wraps=protocol.new_stream_key)
+    sign = mock.patch.object(protocol, "sign_stream", wraps=protocol.sign_stream)
+    appraise = mock.patch.object(protocol, "verify_evidence", wraps=protocol.verify_evidence)
+    with agree as agrees, sign as signs, appraise as appraisals:
+        net, miner, sink, provisioners = _run_to_done(
+            partitions, do_yield=True, network_cls=RecordingNetwork
+        )
+    assert miner.phase == "done"
+    assert provisioners["archive"].phase == "done"
+    assert appraisals.call_count == 2
+    assert agrees.call_count == 1
+    assert signs.call_count == 1
+    assert [(m.body, m.blob) for m in _streams(net)["archive"]] == [({"last": True}, b"")]
+    assert merge_all(sink.cases) == three_partitions["hospital"]
+
+
 def test_wrong_measurement_stops_everything(three_partitions):
     other = compute_measurement(
         BuildManifest(component="miner", version="t", algorithm="declare")
@@ -660,16 +680,20 @@ def _random_partitions(seed, n_cases=40):
 @pytest.mark.parametrize("do_yield", [True, False])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_accountant_tracks_stored_case_encodings(seed, do_yield):
-    # Oracle: the accountant's figure between deliveries is what re-encoding
-    # every stored case would measure. A small budget spreads each case over
-    # several segments per provisioner, so partial cases pile up.
+    # Oracle: the accountant's figure between deliveries is what encoding
+    # every stored case, merged from its fragments, would measure. A small
+    # budget spreads each case over several segments per provisioner, so
+    # partial cases pile up.
     partitions = _random_partitions(seed)
     net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=do_yield, seed=seed)
     most_stored = 0
 
     def check(record):
         nonlocal most_stored
-        sizes = {iid: len(encode_log(case)) for iid, case in miner.cstor.items()}
+        sizes = {
+            iid: len(encode_log(log_from_events(ev for fragment in fragments for ev in fragment)))
+            for iid, fragments in miner.cstor.items()
+        }
         assert miner.csize == sizes
         assert miner.accountant.current_bytes == sum(sizes.values())
         most_stored = max(most_stored, len(sizes))
@@ -681,6 +705,29 @@ def test_accountant_tracks_stored_case_encodings(seed, do_yield):
     assert miner.accountant.current_bytes == 0
     assert most_stored >= 2
     full = merge_all(partitions.values())
+    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize("do_yield", [True, False])
+def test_each_case_is_merged_once(do_yield):
+    # Ingest stores each case's fragments unmerged; an incremental session
+    # merges each case once, when it completes, and a batch session merges
+    # every fragment in one sort, at the end. Nothing decodes a segment
+    # twice or merges fragments pairwise.
+    partitions = _random_partitions(3)
+    net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=do_yield, seed=3)
+    merges = mock.patch.object(protocol, "log_from_events", wraps=protocol.log_from_events)
+    pairwise = mock.patch.object(protocol, "merge", wraps=protocol.merge)
+    decodes = mock.patch.object(protocol, "decode_log", wraps=protocol.decode_log)
+    with merges as merged, pairwise as merged_pairwise, decodes as decoded:
+        net.bootstrap()
+        net.run()
+    assert miner.phase == "done"
+    full = merge_all(partitions.values())
+    assert merged.call_count == (len(iid_set(full)) if do_yield else 1)
+    assert merged_pairwise.call_count == 0
+    assert decoded.call_count == 0
     assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
 
 

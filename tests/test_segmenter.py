@@ -14,14 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enclavemine.model import extract_case, group_by_iid, iid_set, merge_all
+from enclavemine.model import extract_case, group_by_iid, iid_set, log_from_events, merge_all
 from enclavemine.segmenter import (
     InvalidSegSize,
     SegmenterError,
     segment_event_log,
     size_of,
 )
-from enclavemine.wire import EMPTY_LOG_SIZE
+from enclavemine.wire import EMPTY_LOG_SIZE, encode_log
 
 from doubles import make_random_log
 
@@ -167,3 +167,55 @@ def test_every_case_lands_exactly_once(seed, n_cases, budget_factor):
             landed[iid] = idx
     assert set(landed) == iid_set(partition)
     assert sum(len(s) for s in plan.segments) == len(partition)
+
+
+def _greedy(partition, iids, seg_size):
+    """The planning rule, restated over encoded case sizes: in iid order, a
+    case joins the open segment when the open cases' summed standalone
+    encodings, less one header per case after the first, plus its own
+    encoding stay within the budget; otherwise it opens a new segment."""
+    groups = []
+    for iid in sorted(set(iids)):
+        size = len(encode_log(extract_case(partition, iid)))
+        if groups and groups[-1][1] + size <= seg_size:
+            groups[-1][0].append(iid)
+            groups[-1][1] += size - EMPTY_LOG_SIZE
+        else:
+            groups.append([[iid], size])
+    return [group for group, _ in groups]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_cases=st.integers(min_value=1, max_value=10),
+    budget_factor=st.floats(min_value=0.05, max_value=1.5),
+    share=st.floats(min_value=0.1, max_value=1.0),
+    exact=st.integers(min_value=0, max_value=10),
+)
+def test_segments_follow_the_greedy_rule_and_hold_their_cases(
+    seed, n_cases, budget_factor, share, exact
+):
+    # Fixes each segment's bytes: the canonical log of exactly the cases the
+    # greedy rule assigns it, with unrequested cases left out. A nonzero
+    # ``exact`` sets the budget to the merged size of the first requested
+    # cases, where the rule's boundary lies.
+    rng = random.Random(seed)
+    partition = make_random_log(rng, n_cases, ["p1", "p2"])
+    all_iids = sorted(iid_set(partition))
+    iids = sorted(rng.sample(all_iids, max(1, round(share * len(all_iids)))))
+    if exact:
+        first = iids[: min(exact, len(iids))]
+        seg_size = size_of(merge_all(extract_case(partition, iid) for iid in first))
+        seg_size += EMPTY_LOG_SIZE * (len(first) - 1)
+    else:
+        seg_size = max(EMPTY_LOG_SIZE + 1, int(size_of(partition) * budget_factor))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        plan = segment_event_log(partition, iids, seg_size)
+    groups = _greedy(partition, iids, seg_size)
+    assert [sorted(iid_set(seg)) for seg in plan.segments] == groups
+    for seg, group in zip(plan.segments, groups):
+        expected = log_from_events(ev for iid in group for ev in extract_case(partition, iid))
+        assert seg == expected
+        assert encode_log(seg) == encode_log(expected)

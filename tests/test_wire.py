@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from enclavemine import protocol
 from enclavemine.enclave import BuildManifest
 from enclavemine.experiment import build_session
-from enclavemine.model import Event, EventLog, ModelError, merge
+from enclavemine.model import DuplicateEvent, Event, EventLog, ModelError, group_by_iid, merge
 from enclavemine.segmenter import size_of
 from enclavemine.wire import (
     EMPTY_LOG_SIZE,
@@ -19,8 +19,10 @@ from enclavemine.wire import (
     TruncatedPayload,
     UnsupportedVersion,
     WireError,
+    decode_cases,
     decode_log,
     encode_log,
+    event_size,
 )
 
 from doubles import CollectorSink, make_random_log
@@ -269,6 +271,31 @@ def test_size_model_matches_encoding(log):
     assert size_of(log) == len(encode_log(log))
 
 
+@settings(max_examples=150, deadline=None)
+@given(_logs())
+@example(EventLog())
+def test_decode_cases_splits_and_sizes_each_case(log):
+    # One pass gives what decoding, grouping and sizing each case gave.
+    blob = encode_log(log)
+    cases = decode_cases(blob)
+    split = {iid: EventLog(tuple(events)) for iid, (events, _) in cases.items()}
+    assert split == group_by_iid(decode_log(blob)) == group_by_iid(log)
+    for events, size in cases.values():
+        assert size == len(encode_log(EventLog(tuple(events))))
+        assert size == EMPTY_LOG_SIZE + sum(map(event_size, events))
+
+
+def test_duplicate_ids_across_cases_of_one_payload_are_rejected():
+    # Hand-assembled: two cases whose events share an id; each case alone is
+    # a valid log, so only a check across the whole payload rejects it.
+    first = _event_bytes(1000, b"e1", b"c1", b"A", b"p1")
+    second = _event_bytes(2000, b"e1", b"c2", b"B", b"p1")
+    blob = struct.pack(">HI", 1, 2) + first + second
+    for decode in (decode_cases, decode_log):
+        with pytest.raises(DuplicateEvent):
+            decode(blob)
+
+
 @st.composite
 def _malformed_payloads(draw):
     blob = bytearray(encode_log(draw(_logs())))
@@ -294,6 +321,19 @@ def test_malformed_payload_raises_only_typed_errors(blob):
         return
     assert isinstance(log, EventLog)
     assert encode_log(log) == blob
+
+
+@settings(max_examples=300, deadline=None)
+@given(_malformed_payloads())
+def test_decode_cases_raises_what_decode_log_raises(blob):
+    def outcome(decode):
+        try:
+            decode(blob)
+        except (WireError, ModelError) as exc:
+            return type(exc)
+        return None
+
+    assert outcome(decode_cases) is outcome(decode_log)
 
 
 @pytest.mark.parametrize(
