@@ -80,7 +80,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--mode",
         choices=("incremental", "batch"),
-        help="incremental yields cases as they complete; batch mines one merged log",
+        help="incremental mines each case as it completes; batch mines every case at the end",
     )
     p.add_argument("--log", dest="log_path", help="input log file (CSV or XES)")
     p.add_argument("--org-map", dest="org_map_path", help="JSON activity-to-org map")

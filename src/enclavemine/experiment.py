@@ -25,9 +25,9 @@ from .enclave import BuildManifest, OrgIdentity, compute_measurement
 from .logio import LogIoError, load_log, split_log
 from .mining.declare import ConformanceState, fitness_report_json
 from .mining.dfg import DfgState, hm_observe
-from .mining.heuristics import HeuristicsConfig, hm_finalize
+from .mining.heuristics import PARAMS, hm_finalize
 from .mining.pnml import to_pnml
-from .model import EventLog, ModelError, group_by_iid
+from .model import EventLog, ModelError, group_by_iid, merge_all
 from .protocol import MinerConfig, Provisioner, ProvisionerConfig, SecureMiner
 from .scenario import generate_scenario_log, max_case_events, org_map_for, scenario_declare_model
 from .stats import RegressionStats, check_xs, fit_stats
@@ -38,7 +38,6 @@ __all__ = [
     "MINER_ORG_PROOF",
     "ALGORITHMS",
     "SESSION",
-    "HEURISTICS",
     "ExperimentConfig",
     "MetricSample",
     "RunMetrics",
@@ -59,9 +58,6 @@ __all__ = [
 MINER_ORG_PROOF = "org:miner"
 ALGORITHMS = ("heuristics", "declare")
 SESSION = "session-1"
-# The heuristics parameters the miner runs with and attests to: the build
-# manifest digests them, and HeuristicsSink mines with them.
-HEURISTICS = HeuristicsConfig()
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,8 @@ def _done(result: ExperimentResult) -> ExperimentResult:
 
 
 class HeuristicsSink:
-    """Feeds yielded cases (or a final log) into directly-follows counters."""
+    """Feeds cases, in any order (``on_case``), or a whole log (``on_log``,
+    for :func:`standalone_mining`) into directly-follows counters."""
 
     def __init__(self) -> None:
         self.state = DfgState()
@@ -182,11 +179,11 @@ class HeuristicsSink:
             hm_observe(self.state, cases[iid])
 
     def finalize_bytes(self) -> bytes:
-        return to_pnml(hm_finalize(self.state, HEURISTICS))
+        return to_pnml(hm_finalize(self.state))
 
 
 class DeclareSink:
-    """Checks yielded cases (or a final log) against a constraint model."""
+    """Checks cases against a constraint model; fed as :class:`HeuristicsSink`."""
 
     def __init__(self) -> None:
         self.model = scenario_declare_model()
@@ -211,7 +208,7 @@ def build_manifest(algorithm: str) -> BuildManifest:
         component="secure-miner",
         version=__version__,
         algorithm=algorithm,
-        params=HEURISTICS.as_params() if algorithm == "heuristics" else (),
+        params=PARAMS if algorithm == "heuristics" else (),
     )
 
 
@@ -383,7 +380,7 @@ def scale_run(
     input, else ``ValueError``) before any session runs: an input file
     fixes the cases and their lengths, and an org map the orgs, so sweeping
     them over one is an error. A session that is not done raises
-    :class:`SessionFailed`. Each point's input is loaded once.
+    :class:`SessionFailed`. Each point's input is loaded once, a file read once.
     """
     field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
     if dimension not in field_of:
@@ -399,15 +396,20 @@ def scale_run(
     check_xs([x for x, _ in points])
     # Only the swept field differs between the sessions' configs. A malformed
     # input file is reported as such before the sweep is checked against it.
-    inputs = {getattr(cfg, field): _load_inputs(cfg)}
+    base = _load_inputs(cfg)
+    inputs = {getattr(cfg, field): base}
     fixed_by = cfg.org_map_path if dimension == "orgs" else cfg.log_path
     if fixed_by is not None:
         raise ValueError("cannot sweep %s: %s fixes them" % (dimension, fixed_by))
 
     def measure(point_cfg: ExperimentConfig) -> ExperimentResult:
         value = getattr(point_cfg, field)
-        if value not in inputs:
-            inputs[value] = _load_inputs(point_cfg)
+        if value not in inputs:  # an orgs sweep over a file re-splits the log read once
+            inputs[value] = (
+                split_log(merge_all(base.values()), org_map_for(value))
+                if cfg.log_path is not None
+                else _load_inputs(point_cfg)
+            )
         return _done(_run_session(point_cfg, inputs[value]))
 
     measure(cfg)

@@ -1,13 +1,13 @@
 """Heuristic net discovery from directly-follows statistics.
 
-Finalization is pure: the same :class:`~enclavemine.mining.dfg.DfgState` and
-config always yield the same workflow net, with every node and arc emitted
-in sorted order, so downstream serialization is byte-stable.
+Finalization is pure: the same :class:`~enclavemine.mining.dfg.DfgState`
+always yields the same workflow net, with every node and arc emitted in
+sorted order, so downstream serialization is byte-stable.
 
 Arc selection follows the usual heuristic-miner recipe: keep an arc when its
 dependency clears the threshold and sits within ``relative_to_best`` of the
-source's best outgoing arc; when ``all_connected`` is set, every activity
-additionally keeps its single best incoming and outgoing arc so the net stays
+source's best outgoing arc; every activity also keeps its single best
+incoming and outgoing arc (the all-connected rule), so the net stays
 connected even below threshold. Length-two loops are recovered from a-b-a
 pattern counts, length-one loops from the self-dependency measure.
 
@@ -31,7 +31,7 @@ from .dfg import DfgState, dependency
 
 __all__ = [
     "NoObservations",
-    "HeuristicsConfig",
+    "PARAMS",
     "Transition",
     "WorkflowNet",
     "dependency_graph",
@@ -43,22 +43,19 @@ class NoObservations(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HeuristicsConfig:
-    dependency_threshold: float = 0.9
-    relative_to_best: float = 0.05
-    loop2_threshold: float = 0.9
-    and_threshold: float = 0.65
-    all_connected: bool = True
-
-    def as_params(self) -> Tuple[Tuple[str, str], ...]:
-        return (
-            ("all_connected", str(self.all_connected)),
-            ("and_threshold", repr(self.and_threshold)),
-            ("dependency_threshold", repr(self.dependency_threshold)),
-            ("loop2_threshold", repr(self.loop2_threshold)),
-            ("relative_to_best", repr(self.relative_to_best)),
-        )
+# Heuristics Miner parameters. PARAMS is what the attested build manifest
+# digests of them, the all-connected rule (always on) included.
+DEPENDENCY_THRESHOLD = 0.9
+RELATIVE_TO_BEST = 0.05
+LOOP2_THRESHOLD = 0.9
+AND_THRESHOLD = 0.65
+PARAMS = (
+    ("all_connected", "True"),
+    ("and_threshold", repr(AND_THRESHOLD)),
+    ("dependency_threshold", repr(DEPENDENCY_THRESHOLD)),
+    ("loop2_threshold", repr(LOOP2_THRESHOLD)),
+    ("relative_to_best", repr(RELATIVE_TO_BEST)),
+)
 
 
 @dataclass(frozen=True)
@@ -78,7 +75,7 @@ class WorkflowNet:
     sink: str
 
 
-def dependency_graph(state: DfgState, config: HeuristicsConfig) -> Set[Tuple[str, str]]:
+def dependency_graph(state: DfgState) -> Set[Tuple[str, str]]:
     """Causal arcs kept by the thresholds (self-loops included as (a, a))."""
     if state.cases_seen == 0:
         raise NoObservations("no cases observed")
@@ -97,22 +94,21 @@ def dependency_graph(state: DfgState, config: HeuristicsConfig) -> Set[Tuple[str
     best_out = {a: max((d for _, d in lst), default=None) for a, lst in candidates.items()}
     for a in activities:
         for b, d in candidates[a]:
-            if d >= config.dependency_threshold and (
-                best_out[a] is not None and best_out[a] - d <= config.relative_to_best
+            if d >= DEPENDENCY_THRESHOLD and (
+                best_out[a] is not None and best_out[a] - d <= RELATIVE_TO_BEST
             ):
                 arcs.add((a, b))
 
-    if config.all_connected:
-        for a in activities:
-            if candidates[a]:
-                # Deterministic tie-break: highest dependency, then smallest label.
-                best_d = max(d for _, d in candidates[a])
-                choice = min(b for b, d in candidates[a] if d == best_d)
-                arcs.add((a, choice))
-            if incoming[a]:
-                best_d = max(d for _, d in incoming[a])
-                choice = min(b for b, d in incoming[a] if d == best_d)
-                arcs.add((choice, a))
+    for a in activities:
+        if candidates[a]:
+            # Deterministic tie-break: highest dependency, then smallest label.
+            best_d = max(d for _, d in candidates[a])
+            choice = min(b for b, d in candidates[a] if d == best_d)
+            arcs.add((a, choice))
+        if incoming[a]:
+            best_d = max(d for _, d in incoming[a])
+            choice = min(b for b, d in incoming[a] if d == best_d)
+            arcs.add((choice, a))
 
     seen_l2 = set()
     for (a, b), c1 in state.loop2_counts.items():
@@ -121,12 +117,12 @@ def dependency_graph(state: DfgState, config: HeuristicsConfig) -> Set[Tuple[str
         seen_l2.add((a, b))
         c2 = state.loop2_counts[(b, a)]
         measure = (c1 + c2) / (c1 + c2 + 1.0)
-        if measure >= config.loop2_threshold:
+        if measure >= LOOP2_THRESHOLD:
             arcs.add((a, b))
             arcs.add((b, a))
 
     for a in activities:
-        if state.directly_follows[(a, a)] > 0 and dependency(state, a, a) >= config.dependency_threshold:
+        if state.directly_follows[(a, a)] > 0 and dependency(state, a, a) >= DEPENDENCY_THRESHOLD:
             arcs.add((a, a))
     return arcs
 
@@ -163,11 +159,9 @@ def _xor_groups(
     return sorted(tuple(sorted(g)) for g in groups.values())
 
 
-def hm_finalize(state: DfgState, config: Optional[HeuristicsConfig] = None) -> WorkflowNet:
+def hm_finalize(state: DfgState) -> WorkflowNet:
     """Freeze the counters into a workflow net."""
-    if config is None:
-        config = HeuristicsConfig()
-    arcs = dependency_graph(state, config)
+    arcs = dependency_graph(state)
     activities = sorted(state.activity_counts)
     df = state.directly_follows
 
@@ -188,14 +182,14 @@ def hm_finalize(state: DfgState, config: Optional[HeuristicsConfig] = None) -> W
     def out_parallel(a: str):
         def rel(b: str, c: str) -> bool:
             m = (df[(b, c)] + df[(c, b)]) / (df[(a, b)] + df[(a, c)] + 1.0)
-            return m >= config.and_threshold
+            return m >= AND_THRESHOLD
 
         return rel
 
     def in_parallel(b: str):
         def rel(a: str, c: str) -> bool:
             m = (df[(a, c)] + df[(c, a)]) / (df[(a, b)] + df[(c, b)] + 1.0)
-            return m >= config.and_threshold
+            return m >= AND_THRESHOLD
 
         return rel
 

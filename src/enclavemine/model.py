@@ -32,6 +32,7 @@ __all__ = [
     "DuplicateEvent",
     "canonical_key",
     "check_events",
+    "check_unique_ids",
     "log_from_events",
     "merge",
     "merge_all",
@@ -89,6 +90,11 @@ def check_events(events: Sequence[Event]) -> None:
             "events out of canonical order: %s after %s"
             % (events[i].event_id, events[i - 1].event_id)
         )
+    check_unique_ids(events)
+
+
+def check_unique_ids(events: Sequence[Event]) -> None:
+    """Raise :class:`DuplicateEvent` unless no two events share an id."""
     if len(set(map(_event_id, events))) != len(events):
         counts = Counter(map(_event_id, events))
         raise DuplicateEvent(event_id for event_id, n in counts.items() if n > 1)

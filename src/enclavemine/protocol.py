@@ -38,10 +38,13 @@ and cstor (iid -> the case's fragments received so far, one list of events
 in canonical order per provisioner that sent part of it, unmerged), with
 csize holding each stored case's encoded size. A case is complete when no
 pmap entry still holds its iid. Each case is merged once, by one sort of its
-fragments: in incremental mode when it completes, and it is then yielded to
-the sink and freed; in batch mode all stored fragments go through one sort
-into one log at the end. That merge is where an event id that two
-provisioners both sent is found (``DuplicateEvent``).
+fragments, and handed to the sink's ``on_case`` (the only sink method the
+protocol calls): in incremental mode when it completes, and it is then
+freed; in batch mode all cases once the last stream ends, in ascending iid
+order, after one check over the ids of all cases. A case's merge finds an
+event id it carries twice (``DuplicateEvent``), and the batch check an id
+reused in another case; incremental mode keeps no ids of freed cases and
+misses that one.
 
 The enclave accountant counts wire-encoding bytes without re-encoding
 anything. ``wire.decode_cases`` splits each segment by iid in its one decode
@@ -49,8 +52,8 @@ pass and reads each fragment's encoded size off the decode offsets; a
 fragment costs that size, minus ``EMPTY_LOG_SIZE`` when part of its case is
 already stored, because merging logs with disjoint events gives ``size(a) +
 size(b) - EMPTY_LOG_SIZE``. So csize holds the size the merged case will
-encode to. Freeing a case frees its csize entry, and the batch log of n cases
-costs ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
+encode to. Freeing a case frees its csize entry, and a batch session's n
+cases cost what their merged log would, ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
 
 A provisioner sends one cases_res per segment and marks its final one with
 ``"last": true``; a provisioner that owes nothing sends the single message
@@ -109,7 +112,7 @@ from .enclave import (
     unframe,
     verify_evidence,
 )
-from .model import Event, EventLog, ModelError, iid_set, log_from_events
+from .model import Event, EventLog, ModelError, check_unique_ids, iid_set, log_from_events
 from .segmenter import SegmenterError, segment_event_log
 from .wire import EMPTY_LOG_SIZE, WireError, decode_cases, encode_log
 
@@ -429,12 +432,13 @@ class SecureMiner:
     def _finish(self) -> None:
         self.phase_label = "computation"
         if not self.config.do_yield_cases:
-            fragments = chain.from_iterable(self.cstor.values())
-            final = log_from_events(chain.from_iterable(fragments))
+            cases = [log_from_events(chain.from_iterable(self.cstor[i])) for i in sorted(self.cstor)]
+            check_unique_ids([ev for case in cases for ev in case.events])
             final_size = sum(self.csize.values()) - EMPTY_LOG_SIZE * (len(self.csize) - 1)
             self.accountant.account(final_size)
             self.yield_count += 1
-            self.sink.on_log(final)
+            for case in cases:
+                self.sink.on_case(case)
             self.accountant.account(-final_size)
             self._release()
         self.phase = "done"
@@ -460,7 +464,6 @@ class Provisioner:
         self.node_id = config.identity.org_id
         self.phase = "idle"
         self.nonce: Optional[bytes] = None
-        self.segments_sent = 0
         self.miner_id: Optional[str] = None
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
@@ -513,6 +516,5 @@ class Provisioner:
             seal_segment(encode_log(s), k_sym, share, proof, session, self.node_id, i, i == n - 1)
             for i, s in enumerate(plan.segments)
         ]
-        self.segments_sent = n
         ends = [{}] * (n - 1) + [{"last": True}]
         return [(msg.sender, self._msg(KIND_CASES_RES, end, blob)) for end, blob in zip(ends, sealed)]

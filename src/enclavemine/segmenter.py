@@ -18,7 +18,7 @@ case's segment. The partition is in canonical order, so each segment is
 too, without a sort.
 
 A single case bigger than the budget still ships, alone, in an over-budget
-segment (a warning is emitted and the iid reported in the plan).
+segment, and a warning names it.
 """
 
 from __future__ import annotations
@@ -61,10 +61,9 @@ def size_of(log: EventLog) -> int:
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Ordered segments plus the iids of cases that alone pass the budget."""
+    """Ordered segments."""
 
     segments: Tuple[EventLog, ...]
-    oversized_iids: Tuple[str, ...]
 
 
 def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -> SegmentPlan:
@@ -87,7 +86,6 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
 
     buckets: List[List[Event]] = []
     bucket_of: Dict[str, List[Event]] = {}
-    oversized: List[str] = []
     open_size = EMPTY_LOG_SIZE
     for iid in requested:
         case_size = case_sizes[iid]
@@ -97,7 +95,6 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
                 % (iid, case_size, seg_size),
                 stacklevel=2,
             )
-            oversized.append(iid)
         if not buckets or open_size + case_size > seg_size:
             buckets.append([])
             open_size = EMPTY_LOG_SIZE
@@ -109,7 +106,4 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
         bucket = bucket_of.get(ev.iid)
         if bucket is not None:
             bucket.append(ev)
-    return SegmentPlan(
-        segments=tuple(EventLog(tuple(bucket)) for bucket in buckets),
-        oversized_iids=tuple(oversized),
-    )
+    return SegmentPlan(tuple(EventLog(tuple(bucket)) for bucket in buckets))

@@ -14,17 +14,14 @@ from enclavemine.transport import InProcessNetwork
 
 
 class CollectorSink:
-    """Collects yielded cases and/or the final merged log."""
+    """Collects the cases a session hands over, in arrival order; ``on_case``
+    is the only sink method the protocol calls, in either mode."""
 
     def __init__(self) -> None:
         self.cases: List[EventLog] = []
-        self.logs: List[EventLog] = []
 
     def on_case(self, case: EventLog) -> None:
         self.cases.append(case)
-
-    def on_log(self, log: EventLog) -> None:
-        self.logs.append(log)
 
 
 class LossyNetwork(InProcessNetwork):

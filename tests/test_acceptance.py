@@ -331,7 +331,7 @@ def _attestation_session(mutate):
         mutate(prov)
     network.bootstrap()
     network.run()
-    return miner, sink, provisioners, log
+    return network, miner, sink, provisioners, log
 
 
 @criterion(8, "attestation gate: tampered evidence ships zero segments; honest evidence completes")
@@ -361,19 +361,21 @@ def check_attestation_gate():
         "unauthorized miner org": ("MinerRefused", None),
     }
     for name, mutate in mutations.items():
-        miner, sink, provisioners, _ = _attestation_session(mutate)
+        network, miner, sink, provisioners, _ = _attestation_session(mutate)
         assert miner.phase != "done", "%s: session completed" % name
-        assert sink.cases == [] and sink.logs == [], "%s: data leaked" % name
+        assert sink.cases == [], "%s: data leaked" % name
         assert miner.accountant.peak_bytes == 0, "%s: segments reached the miner" % name
         for prov in provisioners:
-            assert prov.segments_sent == 0, "%s: provisioner shipped" % name
+            # At most its refs: no cases_res, not even an empty end mark.
+            sent = sum(1 for r in network.transcript if r.sender == prov.node_id)
+            assert sent <= 1, "%s: provisioner shipped" % name
             assert prov.phase == "aborted", "%s: provisioner phase %s" % (name, prov.phase)
             reason, message = expected_abort[name]
             assert prov.aborted_reason == reason, "%s: %s" % (name, prov.aborted_reason)
             if message is not None:
                 assert prov.aborted_message == message
 
-    miner, sink, provisioners, log = _attestation_session(lambda p: None)
+    _, miner, sink, provisioners, log = _attestation_session(lambda p: None)
     assert miner.phase == "done"
     assert all(p.phase == "done" for p in provisioners)
     assert merge_all(sink.cases) == log
@@ -386,8 +388,8 @@ def check_attestation_gate():
 def check_segmentation_invariants():
     rng = random.Random(90210)
     started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         for trial in range(1000):
             n_cases = rng.randint(1, 10)
             partition = log_from_events(
@@ -396,7 +398,9 @@ def check_segmentation_invariants():
             full = size_of(partition)
             seg_size = rng.randint(EMPTY_LOG_SIZE + 1, full + 50)
             requested = sorted(iid_set(partition))
+            caught.clear()
             plan = segment_event_log(partition, requested, seg_size)
+            warned = [str(w.message).split()[1] for w in caught]
             assert plan == segment_event_log(partition, reversed(requested), seg_size)
 
             landed = []
@@ -408,8 +412,10 @@ def check_segmentation_invariants():
                     assert size_of(seg) <= seg_size
             assert sorted(landed) == requested
             assert merge_all(plan.segments) == partition
-            for iid in plan.oversized_iids:
-                assert size_of(extract_case(partition, iid)) > seg_size
+            # A warning names each case that alone passes the budget, once.
+            assert warned == [
+                iid for iid in requested if size_of(extract_case(partition, iid)) > seg_size
+            ]
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, "segmentation sweep took %.2fs" % elapsed
 

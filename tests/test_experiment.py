@@ -2,12 +2,16 @@
 
 import csv
 import json
+import random
 import re
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enclavemine import experiment
+from doubles import make_random_log
+from enclavemine import __version__, experiment
 from enclavemine.enclave import CapacityExceeded
 from enclavemine.experiment import (
     ExperimentConfig,
@@ -22,6 +26,7 @@ from enclavemine.experiment import (
     write_transcript,
 )
 from enclavemine.logio import save_csv
+from enclavemine.model import group_by_iid
 from enclavemine.scenario import generate_scenario_log, org_map_for
 from enclavemine.stats import RegressionStats
 
@@ -80,6 +85,24 @@ def test_batch_and_incremental_outputs_agree():
     assert inc.output == bat.output
     assert inc.metrics.yield_count == SMALL.n_cases
     assert bat.metrics.yield_count == 1
+
+
+@pytest.mark.parametrize(
+    "sink_cls,algorithm",
+    [(experiment.HeuristicsSink, "heuristics"), (experiment.DeclareSink, "declare")],
+)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_cases=st.integers(1, 12), data=st.data())
+def test_a_sink_mines_the_same_output_from_its_cases_in_any_order(
+    sink_cls, algorithm, seed, n_cases, data
+):
+    # A session hands a sink its cases in the order they complete
+    # (incremental) or by iid (batch); the output must not depend on which.
+    log = make_random_log(random.Random(seed), n_cases, ["p1", "p2", "p3"])
+    sink = sink_cls()
+    for case in data.draw(st.permutations(list(group_by_iid(log).values()))):
+        sink.on_case(case)
+    assert sink.finalize_bytes() == standalone_mining(log, algorithm)
 
 
 def test_same_seed_reproduces_metrics_exactly():
@@ -194,12 +217,16 @@ def test_a_sweep_loads_each_distinct_input_once(tmp_path):
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         rows = sweep_segsize(cfg, [800, 4000, 40_000])
     assert (len(rows), loads.call_count) == (3, 1)
-    # An org sweep splits the file once per org count: the warm-up (3 orgs)
-    # shares its load with the point at 3, and both rounds reuse them.
+    # An org sweep reads the file once, for the warm-up (3 orgs), and splits
+    # that log again for each other org count; both rounds reuse the splits,
+    # which equal what loading the file for that count gives.
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
             scale_run(cfg, "orgs", [2, 3, 4], metric="peak_bytes", repeats=2)
-    assert (runs.call_count, loads.call_count) == (7, 3)
+    assert (runs.call_count, loads.call_count) == (7, 1)
+    for call in runs.call_args_list:
+        point_cfg, partitions = call.args
+        assert partitions == experiment._load_inputs(point_cfg)
     # Generated inputs differ per point: each is generated once.
     with mock.patch.object(
         experiment, "generate_scenario_log", wraps=experiment.generate_scenario_log
@@ -299,6 +326,8 @@ def test_scale_run_checks_the_fit_can_use_its_points_before_any_session():
 def test_manifest_pins_algorithm_and_params():
     hm = build_manifest("heuristics")
     dec = build_manifest("declare")
-    assert hm.algorithm == "heuristics"
-    assert dict(hm.params)["dependency_threshold"] == "0.9"
+    assert hm.canonical() == (
+        "secure-miner\n%s\nheuristics\nall_connected=True\nand_threshold=0.65"
+        "\ndependency_threshold=0.9\nloop2_threshold=0.9\nrelative_to_best=0.05" % __version__
+    ).encode()
     assert dec.params == ()

@@ -149,6 +149,16 @@ def _flip(data, position, mask):
     return bytes(out)
 
 
+def _kept(into):
+    """An edit that passes each message on and appends it to ``into``."""
+
+    def edit(msg):
+        into.append(msg)
+        return msg
+
+    return edit
+
+
 def _drop_unless_last(msg):
     return msg if msg.body.get("last") else []
 
@@ -219,8 +229,15 @@ def _shared_event_id(parts):
     return dict(parts, pharma=log_from_events([*parts["pharma"], stolen]))
 
 
+def _event_id_in_another_case(parts):
+    # Pharma carries a copy of hospital's first event (case 312), relabelled
+    # to case 711: each case alone has unique ids, the two together do not.
+    stolen = parts["hospital"].events[0]._replace(provisioner_id="pharma", iid="711")
+    return dict(parts, pharma=log_from_events([*parts["pharma"], stolen]))
+
+
 def _tight_capacity(parts):
-    # Streaming fits; the batch log's final copy does not (as in test_protocol).
+    # Streaming fits; the batch cases' final copy does not (as in test_protocol).
     return size_of(merge_all(parts.values())) + size_of(parts["hospital"]) + 80
 
 
@@ -244,10 +261,16 @@ FAULTS = [
     ("share for another session", dict(seal=_ForeignShareSeal), "miner", "AuthFailure"),
     ("duplicate event id across provisioners", dict(partitions=_shared_event_id),
      "miner", "DuplicateEvent"),
-    # Batch mode merges every stored fragment in one sort when the last
-    # stream ends, so the same duplicate surfaces there.
+    # Batch mode merges each stored case when the last stream ends, so the
+    # same duplicate surfaces there.
     ("duplicate event id across provisioners, batch",
      dict(partitions=_shared_event_id, incremental=False),
+     "miner", "DuplicateEvent"),
+    # Batch mode checks the ids of all cases together before any reaches
+    # the sink. (Incremental mode keeps no ids of mined cases and accepts
+    # this input.)
+    ("event id reused in another case, batch",
+     dict(partitions=_event_id_in_another_case, incremental=False),
      "miner", "DuplicateEvent"),
     ("capacity cap", dict(incremental=False, capacity=_tight_capacity),
      "miner", "CapacityExceeded"),
@@ -355,33 +378,33 @@ def test_evidence_that_is_not_utf8_text_is_rejected(three_partitions):
     # The identity proof arrives as bytes and is decoded as strict UTF-8, so
     # a proof with no text form is malformed evidence: it never reaches the
     # verifier, and nothing is shipped.
-    edit = (KIND_CASES_REQ, *TO_HOSPITAL, _evidence_field(1, b"org:\xff"))
-    nodes, early = _run(three_partitions, edits=[edit])
+    shipped = []
+    edits = [
+        (KIND_CASES_REQ, *TO_HOSPITAL, _evidence_field(1, b"org:\xff")),
+        (KIND_CASES_RES, *FROM_HOSPITAL, _kept(shipped)),
+    ]
+    nodes, early = _run(three_partitions, edits=edits)
     hospital = nodes["hospital"]
     assert (hospital.phase, hospital.aborted_reason) == ("aborted", "UnexpectedMessage")
     assert hospital.aborted_message.startswith("malformed evidence: ")
-    assert hospital.segments_sent == 0
+    assert shipped == []
     assert early == []
 
 
 def test_evidence_bound_to_another_provisioners_nonce_is_rejected(three_partitions):
     # The miner fans its case requests out in peer order, so clinic's
     # evidence passes the link before hospital's request does.
-    clinic_evidence = []
-
-    def keep(msg):
-        clinic_evidence.append(msg.blob)
-        return msg
-
+    to_clinic, shipped = [], []
     edits = [
-        (KIND_CASES_REQ, "miner", "clinic", keep),
-        (KIND_CASES_REQ, *TO_HOSPITAL, _blob(lambda b: clinic_evidence[0])),
+        (KIND_CASES_REQ, "miner", "clinic", _kept(to_clinic)),
+        (KIND_CASES_REQ, *TO_HOSPITAL, _blob(lambda b: to_clinic[0].blob)),
+        (KIND_CASES_RES, *FROM_HOSPITAL, _kept(shipped)),
     ]
     nodes, early = _run(three_partitions, edits=edits)
     hospital = nodes["hospital"]
     assert (hospital.phase, hospital.aborted_reason) == ("aborted", "EvidenceRejected")
     assert hospital.aborted_message == REASON_NONCE
-    assert hospital.segments_sent == 0
+    assert shipped == []
     assert nodes["clinic"].phase == "done"
     assert early == []
 
@@ -432,13 +455,8 @@ def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, m
 
 def test_a_segment_from_another_session_is_rejected(three_partitions):
     recorded = []
-
-    def keep(msg):
-        recorded.append(msg.blob)
-        return msg
-
-    _run(three_partitions, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, keep)])
-    replay = (KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda blob: recorded[0]))
+    _run(three_partitions, edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _kept(recorded))])
+    replay = (KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda blob: recorded[0].blob))
     nodes, early = _run(three_partitions, edits=[replay])
     miner = nodes["miner"]
     assert (miner.phase, miner.aborted_reason) == ("aborted", "AuthFailure")

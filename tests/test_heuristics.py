@@ -10,7 +10,7 @@ import pytest
 
 from enclavemine.mining.dfg import DfgState, hm_observe
 from enclavemine.mining.heuristics import (
-    HeuristicsConfig,
+    PARAMS,
     NoObservations,
     Transition,
     dependency_graph,
@@ -57,21 +57,23 @@ def test_two_step_sequence():
     )
 
 
-def test_below_threshold_without_rescue():
-    # A single observation gives dependency 1/2, below the default 0.9;
-    # with the connectivity rescue off the arc disappears.
-    cfg = HeuristicsConfig(all_connected=False)
-    arcs = dependency_graph(_observe(["A", "B"]), cfg)
-    assert arcs == set()
-    net = hm_finalize(_observe(["A", "B"]), cfg)
-    assert net.arcs == (("source", "t_A"), ("t_B", "sink"))
+def test_below_threshold_arc_is_dropped_where_the_rescue_keeps_others():
+    # a c seen once has dependency 1/2, below 0.9. The all-connected rule
+    # keeps a's best outgoing arc, a b (10/11), and c's best incoming one,
+    # x c (10/11), so nothing rescues a c.
+    state = _observe(*[["a", "b", "d"]] * 10, *[["x", "c", "d"]] * 10, ["a", "c", "d"])
+    arcs = dependency_graph(state)
+    assert ("a", "b") in arcs and ("x", "c") in arcs
+    assert ("a", "c") not in arcs
+    assert not any("t_a" in arc and "t_c" in arc for arc in hm_finalize(state).arcs)
 
 
 def test_threshold_cleared_by_repetition():
-    # Ten observations: dependency 10/11 clears 0.9 without the rescue.
-    cfg = HeuristicsConfig(all_connected=False)
-    arcs = dependency_graph(_observe(["A", "B"], repeat=10), cfg)
-    assert arcs == {("A", "B")}
+    # Ten observations of a c give dependency 10/11: it clears 0.9 and sits
+    # within 0.05 of a's best arc, a b (20/21). c's best incoming arc is
+    # x c (20/21), so only the thresholds keep a c.
+    state = _observe(*[["a", "b"]] * 20, *[["a", "c"]] * 10, *[["x", "c"]] * 20)
+    assert dependency_graph(state) == {("a", "b"), ("a", "c"), ("x", "c")}
 
 
 def test_xor_split_and_join():
@@ -125,13 +127,16 @@ def test_silent_transition_bridges_double_groups():
 
 def test_length_two_loop_recovered():
     # (ab)^5a: directly-follows cancels to dependency 0, only the a-b-a
-    # pattern counter can justify the pair of arcs.
-    state = _observe(list("abababababa"))
-    cfg = HeuristicsConfig(all_connected=False)
-    arcs = dependency_graph(state, cfg)
+    # pattern counter can justify the pair of arcs. The other traces give
+    # a and b better arcs in and out (x a, a c, y b, b d), so the
+    # all-connected rule keeps those instead.
+    state = _observe(
+        list("abababababa"), *[["x", "a", "c"]] * 10, *[["y", "b", "d"]] * 10
+    )
+    arcs = dependency_graph(state)
     assert ("a", "b") in arcs and ("b", "a") in arcs
-    net = hm_finalize(state, cfg)
-    assert "p__a__b" in net.places and "p__b__a" in net.places
+    # a's output place toward b and c, and b's toward a and d.
+    assert {"po__a__b+c", "po__b__a+d"} <= set(hm_finalize(state).places)
 
 
 def test_length_one_loop_becomes_cycling_transition():
@@ -179,6 +184,10 @@ def test_finalize_is_pure():
 
 
 def test_config_params_are_stable():
-    cfg = HeuristicsConfig()
-    assert cfg.as_params() == HeuristicsConfig().as_params()
-    assert dict(cfg.as_params())["dependency_threshold"] == "0.9"
+    assert PARAMS == (
+        ("all_connected", "True"),
+        ("and_threshold", "0.65"),
+        ("dependency_threshold", "0.9"),
+        ("loop2_threshold", "0.9"),
+        ("relative_to_best", "0.05"),
+    )

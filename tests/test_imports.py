@@ -20,6 +20,10 @@ No linter ships with the project, so these checks walk each module's AST.
   default counts as such a parameter of the ``__init__`` it generates. A
   default nothing overrides is a setting with one value in use, and that is
   a constant.
+* A field of a dataclass, and an attribute a method stores on ``self``, must
+  be read as an attribute (``x.name``) somewhere in the library or the
+  benchmark, unless ``UNREAD_FIELDS`` says why it stays. A field that is
+  only written is state nothing uses.
 """
 
 import ast
@@ -103,17 +107,14 @@ UNSET_ON_PURPOSE.update(
         )
     }
 )
-UNSET_ON_PURPOSE.update(
-    {
-        ("mining/heuristics.py", "HeuristicsConfig.__init__", name): (
-            "a Heuristics Miner parameter: the attested manifest digests it"
-        )
-        for name in (
-            "dependency_threshold", "relative_to_best", "loop2_threshold", "and_threshold",
-            "all_connected",
-        )
-    }
-)
+
+# Fields and ``self`` attributes nothing in the library or the benchmark
+# reads as an attribute, as ``(module, "Class.name")``, and why each stays.
+UNREAD_FIELDS = {
+    ("experiment.py", "RunMetrics.wall_ms"): (
+        "read by name through scale_run's metric (getattr); ROADMAP item 6 removes it"
+    ),
+}
 
 
 def _bindings(tree):
@@ -417,4 +418,81 @@ def test_the_check_finds_unset_parameters():
         ("lib.py", "Box.grow", "by"),
         ("lib.py", "Point.__init__", "z"),
         ("lib.py", "f", "d"),
+    ]
+
+
+def _stored_fields(tree):
+    """``(name, label)`` of each field of each top-level dataclass in ``tree``
+    and of each attribute its classes' methods store on ``self``, labelled
+    ``Class.name``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {
+            item.target.id
+            for item in (node.body if _is_dataclass(node) else ())
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        }
+        names.update(
+            item.attr
+            for item in ast.walk(node)
+            if isinstance(item, ast.Attribute)
+            and isinstance(item.ctx, ast.Store)
+            and isinstance(item.value, ast.Name)
+            and item.value.id == "self"
+        )
+        for name in sorted(names):
+            yield name, "%s.%s" % (node.name, name)
+
+
+def unread_fields(modules, readers):
+    """``(module, label)`` of each field stored in ``modules`` (name ->
+    source) that no source in ``readers`` reads as an attribute. Reads match
+    by name alone, so a read of any object's attribute of that name counts."""
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (module, label)
+        for module, source in modules.items()
+        for name, label in _stored_fields(ast.parse(source))
+        if name not in read
+    )
+
+
+def test_every_field_is_read():
+    modules = {str(path.relative_to(SRC)): path.read_text() for path in MODULES}
+    benchmark = [path.read_text() for path in sorted((ROOT / "perfbench").rglob("*.py"))]
+    assert unread_fields(modules, [*modules.values(), *benchmark]) == sorted(UNREAD_FIELDS)
+
+
+def test_the_check_finds_unread_fields():
+    lib = (
+        "@dataclass(frozen=True)\n"
+        "class Plan:\n"
+        "    segments: tuple\n"
+        "    oversized: tuple = ()\n"
+        "    cache: dict = field(default_factory=dict, init=False)\n"
+        "class Sender:\n"
+        "    def __init__(self):\n"
+        "        self.sent = 0\n"
+        "        self.phase = 'idle'\n"
+        "        self._log = []\n"
+        "    def send(self, plan):\n"
+        "        self.sent += len(plan.segments)\n"
+        "        self._log.append(self.phase)\n"
+        "class Local:\n"
+        "    def f(self, other):\n"
+        "        other.seen = True\n"
+        "        local = 1\n"
+        "        return local\n"
+    )
+    caller = "s = Sender()\nprint(s.phase)\n"
+    assert unread_fields({"lib.py": lib}, [lib, caller]) == [
+        ("lib.py", "Plan.cache"),
+        ("lib.py", "Plan.oversized"),
+        ("lib.py", "Sender.sent"),
     ]

@@ -41,7 +41,7 @@ from enclavemine.protocol import (
     UnexpectedMessage,
     UnknownProvisioner,
 )
-from enclavemine.segmenter import size_of
+from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.transport import InProcessNetwork
 from enclavemine.wire import encode_log
 
@@ -221,23 +221,31 @@ def test_incremental_session_yields_merged_cases(three_partitions):
     full = merge_all(three_partitions.values())
     assert by_iid["312"] == extract_case(full, "312")
     assert by_iid["711"] == extract_case(full, "711")
-    assert sink.logs == []
 
 
-def test_batch_session_emits_single_log(three_partitions):
-    net, miner, sink, _ = _session(three_partitions, do_yield=False)
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+def test_batch_session_hands_over_every_case_at_the_end_in_iid_order():
+    partitions = _random_partitions(3, n_cases=12)
+    net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=False, seed=3)
+    held = []  # (streams still open, cases handed over) after each delivery
+    net.on_delivered = lambda record: held.append((len(miner.pmap), len(sink.cases)))
     net.bootstrap()
     net.run()
     assert miner.phase == "done"
-    assert sink.cases == []
-    assert len(sink.logs) == 1
-    assert sink.logs[0] == merge_all(three_partitions.values())
+    full = merge_all(partitions.values())
+    iids = sorted(iid_set(full))
+    # Nothing before the delivery that ends the last stream, then every case.
+    assert [n for _, n in held[:-1]] == [0] * (len(held) - 1)
+    assert held[-1] == (0, len(iids))
+    assert [next(iter(iid_set(case))) for case in sink.cases] == iids
+    assert sink.cases == [extract_case(full, iid) for iid in iids]
+    assert miner.yield_count == 1
 
 
 def test_incremental_and_batch_agree(three_partitions):
     _, _, inc_sink, _ = _run_to_done(three_partitions, do_yield=True)
     _, _, bat_sink, _ = _run_to_done(three_partitions, do_yield=False)
-    assert merge_all(inc_sink.cases) == bat_sink.logs[0]
+    assert sorted(inc_sink.cases, key=lambda case: case.events[0].iid) == bat_sink.cases
 
 
 class RecordingNetwork(InProcessNetwork):
@@ -261,6 +269,11 @@ def _streams(net):
     return streams
 
 
+def _sealed(net):
+    """How many envelopes each sender sent, from a :class:`RecordingNetwork`."""
+    return Counter(msg.sender for msg in net.sent if msg.kind == KIND_CASES_RES and msg.blob)
+
+
 def _run_to_done(partitions, **kw):
     net, miner, sink, provisioners = _session(partitions, **kw)
     net.bootstrap()
@@ -271,10 +284,10 @@ def _run_to_done(partitions, **kw):
 def test_small_seg_size_streams_many_segments(three_partitions):
     single = size_of(extract_case(three_partitions["hospital"], "312"))
     net, miner, sink, provisioners = _run_to_done(
-        three_partitions, seg_size=max(single, 120), do_yield=True
+        three_partitions, seg_size=max(single, 120), do_yield=True, network_cls=RecordingNetwork
     )
     assert miner.phase == "done"
-    assert sum(p.segments_sent for p in provisioners.values()) >= 4
+    assert sum(_sealed(net).values()) >= 4
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
@@ -288,7 +301,9 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert sorted(streams) == sorted(provisioners)
     assert max(len(msgs) for msgs in streams.values()) > 1
     for org, msgs in streams.items():
-        assert len(msgs) == provisioners[org].segments_sent
+        partition = three_partitions[org]
+        plan = segment_event_log(partition, iid_set(partition), max(single, 120))
+        assert len(msgs) == len(plan.segments)
         assert all(msg.blob for msg in msgs)
         assert all(msg.body == {} for msg in msgs[:-1])
         assert msgs[-1].body == {"last": True}
@@ -319,16 +334,16 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
         )
     assert miner.phase == "done"
     streams = _streams(net)
-    assert sum(p.segments_sent for p in provisioners.values()) > len(streams)
+    sealed = _sealed(net)
+    assert sum(sealed.values()) > len(streams)
     assert agrees.call_count == len(provisioners)
-    assert derives.call_count == sum(1 for p in provisioners.values() if p.segments_sent)
+    assert derives.call_count == len(sealed)
     for msgs in streams.values():
         assert _key_fields(msgs) == [(32, 64)] + [(0, 0)] * (len(msgs) - 1)
     shares = {unframe(msgs[0].blob, 3)[0] for msgs in streams.values()}
     assert len(shares) == len(streams)
     assert miner.stream_keys == {}
-    full = merge_all(three_partitions.values())
-    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+    assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
 def test_one_sender_proof_per_stream(three_partitions):
@@ -475,7 +490,7 @@ def test_duplicated_traffic_detected(three_partitions):
     for p in provisioners.values():
         assert p.phase == "aborted"
         assert p.aborted_reason == UnexpectedMessage.__name__
-    assert sink.cases == [] and sink.logs == []
+    assert sink.cases == []
 
 
 class UnderAdvertisingProvisioner(Provisioner):
@@ -549,7 +564,6 @@ def test_provisioner_with_empty_partition(three_partitions):
     )
     assert miner.phase == "done"
     assert provisioners["archive"].phase == "done"
-    assert provisioners["archive"].segments_sent == 0
     assert [(m.body, m.blob) for m in _streams(net)["archive"]] == [({"last": True}, b"")]
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
@@ -595,7 +609,7 @@ def test_wrong_measurement_stops_everything(three_partitions):
         assert p.aborted_message == "measurement_mismatch"
     assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
     assert miner.aborted_message == "awaiting cases from clinic, hospital, pharma"
-    assert sink.cases == [] and sink.logs == []
+    assert sink.cases == []
     assert miner.accountant.peak_bytes == 0
 
 
@@ -704,17 +718,16 @@ def test_accountant_tracks_stored_case_encodings(seed, do_yield):
     assert miner.phase == "done"
     assert miner.accountant.current_bytes == 0
     assert most_stored >= 2
-    full = merge_all(partitions.values())
-    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+    assert merge_all(sink.cases) == merge_all(partitions.values())
 
 
 @pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
 @pytest.mark.parametrize("do_yield", [True, False])
 def test_each_case_is_merged_once(do_yield):
-    # Ingest stores each case's fragments unmerged; an incremental session
-    # merges each case once, when it completes, and a batch session merges
-    # every fragment in one sort, at the end. Nothing decodes a segment
-    # twice or merges fragments pairwise.
+    # Ingest stores each case's fragments unmerged; a session merges each
+    # case once, from its fragments: when it completes in incremental mode,
+    # at the end in batch mode. Nothing decodes a segment twice or merges
+    # fragments pairwise.
     partitions = _random_partitions(3)
     net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=do_yield, seed=3)
     merges = mock.patch.object(protocol, "log_from_events", wraps=protocol.log_from_events)
@@ -725,10 +738,10 @@ def test_each_case_is_merged_once(do_yield):
         net.run()
     assert miner.phase == "done"
     full = merge_all(partitions.values())
-    assert merged.call_count == (len(iid_set(full)) if do_yield else 1)
+    assert merged.call_count == len(iid_set(full))
     assert merged_pairwise.call_count == 0
     assert decoded.call_count == 0
-    assert (merge_all(sink.cases) if do_yield else sink.logs[0]) == full
+    assert merge_all(sink.cases) == full
 
 
 @pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
@@ -750,12 +763,13 @@ def test_session_encodes_once_per_segment(monkeypatch, do_yield):
     for module in (protocol, model):
         monkeypatch.setattr(module, "extract_case", counted("extract_case", module.extract_case))
     net, miner, _, provisioners = _session(
-        _random_partitions(7), seg_size=300, do_yield=do_yield, seed=7
+        _random_partitions(7), seg_size=300, do_yield=do_yield, seed=7,
+        network_cls=RecordingNetwork,
     )
     net.bootstrap()
     net.run()
     assert miner.phase == "done"
-    sealed = sum(p.segments_sent for p in provisioners.values())
+    sealed = sum(_sealed(net).values())
     assert sealed > len(provisioners)
     assert calls["encode_log"] == sealed
     assert calls["extract_case"] == 0

@@ -44,10 +44,11 @@ def test_whole_partition_fits_one_segment(hospital_log):
     # header, so one extra header per additional case must fit the budget.
     n = len(iid_set(hospital_log))
     budget = size_of(hospital_log) + EMPTY_LOG_SIZE * (n - 1)
-    plan = segment_event_log(hospital_log, iid_set(hospital_log), budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no case alone passes the budget
+        plan = segment_event_log(hospital_log, iid_set(hospital_log), budget)
     assert len(plan.segments) == 1
     assert plan.segments[0] == hospital_log
-    assert plan.oversized_iids == ()
 
 
 def test_budget_of_exact_merged_size_splits(hospital_log):
@@ -79,12 +80,10 @@ def test_subset_of_iids_only(hospital_log):
 
 def test_oversized_case_warns_and_ships(hospital_log):
     tiny = EMPTY_LOG_SIZE + 1
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with pytest.warns(UserWarning, match="exceeds seg_size") as caught:
         plan = segment_event_log(hospital_log, ["312", "711"], tiny)
-    assert sorted(plan.oversized_iids) == ["312", "711"]
+    assert [str(w.message).split()[1] for w in caught] == ["312", "711"]
     assert len(plan.segments) == 2
-    assert sum("exceeds seg_size" in str(w.message) for w in caught) == 2
 
 
 class SegmentPlanInvariants(unittest.TestCase):

@@ -373,5 +373,5 @@ def test_oversized_string_field_fails_at_seal_time():
     assert "65535" in prov.aborted_message
     # It fails after appraising the evidence, i.e. while encoding to seal.
     assert appraisals.call_count == 1
-    assert prov.segments_sent == 0
+    assert [r.sender for r in net.transcript].count("p1") == 1  # its refs only
     assert miner.accountant.peak_bytes == 0
