@@ -9,6 +9,7 @@ Message flow per session, as ``kind {body} + blob``:
 2. provisioner -> miner        cases_ref_res {iids}              + nonce
 3. miner -> all provisioners   cases_req {seg_size, iids}        + evidence   (after all refs)
 4. provisioner -> miner        cases_res {} or {last}            + envelope   (stream)
+5. miner -> provisioner        cases_grant {credit}              + nothing    (flow control)
 
 Attestation rides in messages 2 and 3: a provisioner draws a fresh nonce
 when it answers the ref request and sends it with its refs, and at fan-out
@@ -63,6 +64,51 @@ with body ``{"last": true}`` and an empty blob, and agrees no stream key. On
 cases_res from it is an :class:`UnexpectedMessage`. The session finishes
 when every stream has ended.
 
+Flow control. The miner grants each stream credit in plaintext segment
+bytes, in steps of the budget ``B = CREDIT_SEGMENTS * seg_size``, as HTTP/2
+stream windows do (RFC 9113, section 5.2). The first credit, ``B``, is
+implied by the case request. A provisioner plans its segments once it has
+appraised the evidence, but encodes and seals each one only when it sends
+it (encoding is lazy), and it sends while the bytes it has sent are below
+its credit. After its last segment it is ``done``; short of it, with its
+credit used up, it is ``streaming`` and waits for a grant. The miner keeps,
+per open stream in ``flow``, the bytes received and the credit granted. A
+stream is blocked when it has received at least its credit; its provisioner
+stopped at the segment that reached it, so nothing of it is in flight.
+After each cases_res the miner grants each blocked stream, in sorted order,
+``B`` more, sent as the new cumulative ``credit``, when
+
+(a) the accountant's current bytes are under ``B``;
+(b) the stream owes the smallest stored iid, the oldest incomplete case
+    (``stored_order``, a heap of stored iids that freed ones leave lazily,
+    finds it without a scan); or
+(c) the session is in batch mode, which holds every case to the end, so
+    withholding credit would save nothing: there the grant is more than
+    any stream sends, and a stream is granted at most once.
+
+A cases_res from a blocked stream is an :class:`UnexpectedMessage`, and so
+is a cases_grant outside ``streaming``, from another node than the miner, or
+one that does not raise the credit. The rule cannot deadlock in incremental
+mode: if every open stream is blocked and stored bytes are at least ``B``,
+the oldest stored case is incomplete, so a blocked stream owes it.
+
+The bound, in incremental mode. From each grant, the first credit included,
+a stream sends under ``B`` plus one segment before it is blocked again: call
+that a window. Let ``F_p`` be the most that the cases of one window of
+stream p cost stored: its segments' plaintext plus ``EMPTY_LOG_SIZE`` per
+case beyond the first in a segment. Stored bytes stay under ``B + sum(F_p)``,
+and the accountant's peak under that plus the largest segment, whose
+plaintext is held while it is ingested. Neither depends on the case count
+or the delivery order; each ``F_p`` is about ``B`` plus a segment, so the
+bound is per provisioner and grows with their number. Why: let t be the
+last grant given under (a), or the start, when nothing was stored. What is
+stored now and arrived before t was stored at t (a freed case is never
+stored again), under ``B``. Since its last grant each stream p has sent at
+most ``F_p``. If that grant came after t, it came under (b): p owed the
+oldest stored case and ships in ascending iid order, so every case it had
+sent was older still, and none was stored. Either way, whatever else of
+p's is stored arrived before t.
+
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
 issued; a refused miner or rejected evidence aborts the provisioner before it
@@ -83,17 +129,20 @@ sends and the scheduler runs on. An aborted node drops every later message,
 and an aborted miner frees its stored cases and stream keys. Once no
 message is pending, the transport calls each node's ``on_quiet`` (a
 deployment's timeout): a node still waiting aborts with :class:`Stalled`,
-naming what it waits for (``awaiting cases from clinic``).
+naming what it waits for (``awaiting cases from clinic``, or a
+``streaming`` provisioner's ``awaiting a grant from miner``).
 Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
     AttestationEvidence,
@@ -143,6 +192,8 @@ __all__ = [
     "KIND_CASES_REF_RES",
     "KIND_CASES_REQ",
     "KIND_CASES_RES",
+    "KIND_CASES_GRANT",
+    "CREDIT_SEGMENTS",
 ]
 
 
@@ -186,12 +237,18 @@ KIND_CASES_REF_REQ = "cases_ref_req"
 KIND_CASES_REF_RES = "cases_ref_res"
 KIND_CASES_REQ = "cases_req"
 KIND_CASES_RES = "cases_res"
+KIND_CASES_GRANT = "cases_grant"
+
+# A stream's first credit, and each grant, in segments of seg_size bytes.
+CREDIT_SEGMENTS = 10
+# A batch session's grant: more than any stream sends, so it is the last.
+_CREDIT_UNLIMITED = 2**63 - 1
 
 # Bytes of the freshness nonce a provisioner issues for the miner's evidence.
 _NONCE_SIZE = 16
 
 _MINER_KINDS = frozenset({KIND_CASES_REF_RES, KIND_CASES_RES})
-_PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ})
+_PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ, KIND_CASES_GRANT})
 
 # What input from a peer can make a handler raise; see "Failure contract".
 _FAULTS = (ProtocolError, EnclaveError, WireError, ModelError, SegmenterError)
@@ -264,7 +321,8 @@ def _stall(node, waiting: str, release: Optional[Callable] = None) -> None:
 
 def _field(msg: Msg, key: str, kind: type):
     value = msg.body.get(key)
-    if not isinstance(value, kind):
+    # JSON true and false decode to bools, which are ints to isinstance.
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise UnexpectedMessage("%s without %s" % (msg.kind, key))
     return value
 
@@ -307,6 +365,11 @@ class SecureMiner:
         self.cstor: Dict[str, List[List[Event]]] = {}
         self.csize: Dict[str, int] = {}
         self.stream_keys: Dict[str, Tuple[bytes, int]] = {}
+        # Per open stream: plaintext bytes received, and the credit granted.
+        self.flow: Dict[str, Tuple[int, int]] = {}
+        self.budget = CREDIT_SEGMENTS * config.seg_size
+        # Stored iids, smallest first; freed ones leave lazily (see _oldest).
+        self.stored_order: List[str] = []
         self.nonces: Dict[str, bytes] = {}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
@@ -326,6 +389,29 @@ class SecureMiner:
         self.accountant.account(-sum(self.csize.values()))
         self.cstor.clear()
         self.csize.clear()
+        self.stored_order.clear()
+
+    def _oldest(self) -> Optional[str]:
+        """The smallest stored iid, or None when nothing is stored."""
+        order = self.stored_order
+        while order and order[0] not in self.cstor:
+            heapq.heappop(order)
+        return order[0] if order else None
+
+    def _grants(self) -> List[Tuple[str, bytes]]:
+        """Grant each blocked stream more credit where the credit rule allows."""
+        out = []
+        for p in sorted(self.pmap):
+            received, credit = self.flow[p]
+            if received >= credit and (
+                not self.config.do_yield_cases
+                or self.accountant.current_bytes < self.budget
+                or self._oldest() in self.pmap[p]
+            ):
+                credit = credit + self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
+                self.flow[p] = (received, credit)
+                out.append((p, self._msg(KIND_CASES_GRANT, {"credit": credit}, b"")))
+        return out
 
     # -- lifecycle -------------------------------------------------------
 
@@ -365,6 +451,7 @@ class SecureMiner:
         self.phase_label = "attestation"
         out = []
         for p in self.peers:
+            self.flow[p] = (0, self.budget)
             evidence = build_evidence(
                 measurement=self.measurement,
                 identity_proof=self.config.org_proof,
@@ -382,6 +469,11 @@ class SecureMiner:
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
         if msg.sender not in self.pmap:
             raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
+        received, credit = self.flow[msg.sender]
+        if received >= credit:
+            raise UnexpectedMessage(
+                "cases_res from %s past its credit of %d bytes" % (msg.sender, credit)
+            )
         last = msg.body.get("last", False)
         if not isinstance(last, bool):
             raise UnexpectedMessage("cases_res last must be a boolean")
@@ -391,6 +483,7 @@ class SecureMiner:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
         if last:
             self.stream_keys.pop(msg.sender, None)
+            self.flow.pop(msg.sender)
             owed = self.pmap.pop(msg.sender)
             if owed:
                 raise IncompleteDelivery(
@@ -398,7 +491,7 @@ class SecureMiner:
                 )
             if not self.pmap:
                 self._finish()
-        return []
+        return self._grants()
 
     def _ingest_segment(self, sender: str, envelope: bytes, last: bool) -> None:
         sender_key = self.config.provisioner_keys[sender]
@@ -407,27 +500,40 @@ class SecureMiner:
             envelope, self.session_keys, sender_key, self.config.session, sender, index, last, k_sym
         )
         self.stream_keys[sender] = (k_sym, index + 1)
+        received, credit = self.flow[sender]
+        self.flow[sender] = (received + len(plain), credit)
         self.accountant.account(len(plain))
         owed = self.pmap[sender]
         try:
             for iid, (events, size) in sorted(decode_cases(plain).items()):
                 if iid not in owed:
                     raise UnexpectedIid("%s from %s" % (iid, sender))
-                delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
+                new = iid not in self.cstor
+                delta = size if new else size - EMPTY_LOG_SIZE
                 self.accountant.account(delta)
                 self.cstor.setdefault(iid, []).append(events)
                 self.csize[iid] = self.csize.get(iid, 0) + delta
                 owed.discard(iid)
+                if not self.config.do_yield_cases:
+                    continue
                 # The case is complete once no provisioner still owes it.
-                if self.config.do_yield_cases and not any(
-                    iid in other for other in self.pmap.values()
-                ):
+                if not any(iid in other for other in self.pmap.values()):
                     case = log_from_events(chain.from_iterable(self.cstor.pop(iid)))
                     self.accountant.account(-self.csize.pop(iid))
                     self.yield_count += 1
                     self.sink.on_case(case)
+                elif new:
+                    self._store_in_order(iid)
         finally:
             self.accountant.account(-len(plain))
+
+    def _store_in_order(self, iid: str) -> None:
+        order = self.stored_order
+        if len(order) > 2 * len(self.cstor):
+            # Drop freed iids, so the heap stays in proportion to cstor.
+            order[:] = [i for i in order if i in self.cstor]
+            heapq.heapify(order)
+        heapq.heappush(order, iid)
 
     def _finish(self) -> None:
         self.phase_label = "computation"
@@ -465,6 +571,14 @@ class Provisioner:
         self.phase = "idle"
         self.nonce: Optional[bytes] = None
         self.miner_id: Optional[str] = None
+        # The stream, once the evidence is appraised: its segments not yet
+        # sent, how many are sealed, its key, share and proof, the plaintext
+        # bytes sent and the credit granted.
+        self.unsent: Deque[EventLog] = deque()
+        self.sealed = 0
+        self.stream_key: Tuple[bytes, bytes, bytes] = (b"", b"", b"")
+        self.sent = 0
+        self.credit = 0
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
 
@@ -475,7 +589,11 @@ class Provisioner:
         return _serve(self, sender, payload, _PROVISIONER_KINDS)
 
     def on_quiet(self) -> None:
-        _stall(self, "a case request from %s" % self.miner_id if self.miner_id else "a ref request")
+        if self.phase == "streaming":
+            waiting = "a grant from %s" % self.miner_id
+        else:
+            waiting = "a case request from %s" % self.miner_id if self.miner_id else "a ref request"
+        _stall(self, waiting)
 
     def _on_cases_ref_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "idle":
@@ -505,16 +623,41 @@ class Provisioner:
             root_public=self.config.root_public,
         )
         plan = segment_event_log(self.config.partition, iids, seg_size)
-        self.phase = "done"
         if not plan.segments:
             # Nothing to seal, so no stream key: the one message is the end mark.
+            self.phase = "done"
             return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, b""))]
         k_sym, share = new_stream_key(k_pub)
-        session, n = self.config.session, len(plan.segments)
-        proof = sign_stream(self.config.identity, session, share)
-        sealed = [
-            seal_segment(encode_log(s), k_sym, share, proof, session, self.node_id, i, i == n - 1)
-            for i, s in enumerate(plan.segments)
-        ]
-        ends = [{}] * (n - 1) + [{"last": True}]
-        return [(msg.sender, self._msg(KIND_CASES_RES, end, blob)) for end, blob in zip(ends, sealed)]
+        proof = sign_stream(self.config.identity, self.config.session, share)
+        self.stream_key = (k_sym, share, proof)
+        self.unsent = deque(plan.segments)
+        self.credit = CREDIT_SEGMENTS * seg_size
+        return self._stream()
+
+    def _on_cases_grant(self, msg: Msg) -> List[Tuple[str, bytes]]:
+        if self.phase != "streaming" or msg.sender != self.miner_id:
+            raise UnexpectedMessage("cases_grant in phase %s" % self.phase)
+        credit = _field(msg, "credit", int)
+        if credit <= self.credit:
+            raise UnexpectedMessage(
+                "cases_grant of %d does not raise the credit of %d" % (credit, self.credit)
+            )
+        self.credit = credit
+        return self._stream()
+
+    def _stream(self) -> List[Tuple[str, bytes]]:
+        """Encode, seal and send segments while the bytes sent are below the
+        credit; the stream is ``done`` after its last, else ``streaming``."""
+        out = []
+        while self.unsent and self.sent < self.credit:
+            plain = encode_log(self.unsent.popleft())
+            last = not self.unsent
+            blob = seal_segment(
+                plain, *self.stream_key, self.config.session, self.node_id, self.sealed, last
+            )
+            end = {"last": True} if last else {}
+            out.append((self.miner_id, self._msg(KIND_CASES_RES, end, blob)))
+            self.sealed += 1
+            self.sent += len(plain)
+        self.phase = "streaming" if self.unsent else "done"
+        return out

@@ -182,6 +182,18 @@ def test_incremental_peak_stays_below_batch():
     assert inc.metrics.peak_bytes < bat.metrics.peak_bytes
 
 
+def test_incremental_peak_does_not_grow_with_the_case_count():
+    # Under credit the stored bytes are bounded by the budget and the
+    # streams' windows, not by the log: 8x the cases may not lift the peak
+    # past 1.5x. (With every segment pushed at once, without credit, the
+    # peak is 89 KB at 500 cases and 714 KB at 4000.)
+    cfg = ExperimentConfig(n_cases=500, seed=1, seg_size=2000, algorithm="declare")
+    small = run_experiment(cfg)
+    large = run_experiment(cfg.with_overrides(n_cases=4000))
+    assert small.miner_phase == large.miner_phase == "done"
+    assert large.metrics.peak_bytes <= 1.5 * small.metrics.peak_bytes
+
+
 def test_capacity_cap_is_enforced():
     result = run_experiment(SMALL.with_overrides(incremental=False, capacity=2000))
     assert result.miner_phase == "aborted"

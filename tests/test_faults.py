@@ -1,8 +1,9 @@
 """Fault injection against the protocol's failure contract.
 
 Each row runs a whole session over the seeded scheduler with one fault
-injected: a message rewritten or lost in flight, a corrupted plaintext, a
-bad input or a tight capacity. Every row checks the same five things:
+injected: a message rewritten, forged or lost in flight, a corrupted
+plaintext, a bad input or a tight capacity. Every row checks the same five
+things:
 
 * ``net.run()`` returns normally;
 * every node ends ``done`` or ``aborted``;
@@ -37,6 +38,7 @@ from enclavemine.enclave import (
 from enclavemine.experiment import build_session
 from enclavemine.model import log_from_events, merge_all
 from enclavemine.protocol import (
+    KIND_CASES_GRANT,
     KIND_CASES_REF_REQ,
     KIND_CASES_REF_RES,
     KIND_CASES_REQ,
@@ -159,6 +161,20 @@ def _kept(into):
     return edit
 
 
+def _drop(msg):
+    return []
+
+
+def _then_grant(credit):
+    """An edit that passes the message on and sends a grant of ``credit``
+    behind it on the same link, as if from the message's sender."""
+
+    def edit(msg):
+        return [msg, Msg(KIND_CASES_GRANT, msg.sender, msg.session, {"credit": credit}, b"")]
+
+    return edit
+
+
 def _drop_unless_last(msg):
     return msg if msg.body.get("last") else []
 
@@ -244,6 +260,12 @@ def _tight_capacity(parts):
 FROM_HOSPITAL = ("hospital", "miner")
 TO_HOSPITAL = ("miner", "hospital")
 
+# seg_size 30 ships every case alone over budget. Hospital's stream, cases
+# 312 and 711 of 347 and 313 plaintext bytes, outruns its first credit of
+# 300 with its first segment and needs one grant (to 600); pharma's (104 +
+# 104) and clinic's (171) fit their first credit.
+GRANTED = 30
+
 # id, run() keyword arguments, faulting node, expected reason
 FAULTS = [
     ("tampered envelope",
@@ -318,10 +340,37 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL,
                   lambda msg: dataclasses.replace(msg, body={"last": False}, blob=b""))]),
      "miner", "UnexpectedMessage"),
+    ("cases_grant before the case request",
+     dict(seg_size=GRANTED, edits=[(KIND_CASES_REF_REQ, *TO_HOSPITAL, _then_grant(600))]),
+     "hospital", "UnexpectedMessage"),
+    ("cases_grant that does not raise the credit",
+     dict(seg_size=GRANTED, edits=[(KIND_CASES_GRANT, *TO_HOSPITAL, _body(credit=300))]),
+     "hospital", "UnexpectedMessage"),
+    ("cases_grant with a forged sender",
+     dict(seg_size=GRANTED, edits=[(KIND_CASES_GRANT, *TO_HOSPITAL,
+                                    lambda msg: dataclasses.replace(msg, sender="pharma"))]),
+     "hospital", "UnexpectedMessage"),
+    # A forged grant behind the case request lets hospital send both its
+    # segments. Pharma's and clinic's streams are lost, so case 312 stays
+    # stored, over the budget and owed by them: the miner grants hospital
+    # nothing, and its second segment arrives past its credit.
+    ("provisioner that sends past its credit",
+     dict(seg_size=GRANTED, edits=[(KIND_CASES_RES, "pharma", "miner", _drop),
+                                   (KIND_CASES_RES, "clinic", "miner", _drop),
+                                   (KIND_CASES_REQ, *TO_HOSPITAL, _then_grant(10**9))]),
+     "miner", "UnexpectedMessage"),
+    ("dropped grant",
+     dict(seg_size=GRANTED, edits=[(KIND_CASES_GRANT, *TO_HOSPITAL, _drop)]),
+     "hospital", "Stalled"),
     ("forged sender",
      dict(edits=[(KIND_CASES_REF_RES, "pharma", "miner",
                   lambda msg: dataclasses.replace(msg, sender="hospital"))]),
      "miner", "UnexpectedMessage"),
+    # JSON true is an int to isinstance; taken as seg_size 1, it would give
+    # hospital another first credit than the miner's, and both would stall.
+    ("seg_size that is a boolean",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _body(seg_size=True))]),
+     "hospital", "UnexpectedMessage"),
     ("seg_size 0 sent to a provisioner",
      dict(edits=[(KIND_CASES_REQ, "miner", "clinic", _body(seg_size=0))]),
      "clinic", "InvalidSegSize"),
@@ -451,6 +500,46 @@ def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, m
     nodes, _ = _run(three_partitions, **kwargs)
     miner = nodes["miner"]
     assert (miner.aborted_reason, miner.aborted_message) == ("AuthFailure", message)
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize(
+    "row,node,message",
+    [
+        ("cases_grant before the case request", "hospital", "cases_grant in phase refs_sent"),
+        ("cases_grant that does not raise the credit", "hospital",
+         "cases_grant of 300 does not raise the credit of 300"),
+        ("cases_grant with a forged sender", "hospital", "sender 'miner' forged as 'pharma'"),
+        ("provisioner that sends past its credit", "miner",
+         "cases_res from hospital past its credit of 300 bytes"),
+        ("dropped grant", "hospital", "awaiting a grant from miner"),
+        ("dropped grant", "miner", "awaiting cases from hospital"),
+    ],
+)
+def test_a_credit_fault_names_what_went_wrong(three_partitions, row, node, message):
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == row]
+    nodes, _ = _run(three_partitions, **kwargs)
+    assert nodes[node].aborted_message == message
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+def test_a_grant_to_a_stream_with_credit_left_aborts_its_provisioner(three_partitions):
+    # Pharma's whole stream fits its first credit, so it has ended, with
+    # credit left, when the forged grant behind its case request arrives.
+    # An honest miner grants only a stream that has used all its credit.
+    shipped = []
+    edits = [
+        (KIND_CASES_REQ, "miner", "pharma", _then_grant(600)),
+        (KIND_CASES_RES, "pharma", "miner", _kept(shipped)),
+    ]
+    nodes, early = _run(three_partitions, seg_size=GRANTED, edits=edits)
+    pharma = nodes["pharma"]
+    assert (pharma.phase, pharma.aborted_reason) == ("aborted", "UnexpectedMessage")
+    assert pharma.aborted_message == "cases_grant in phase done"
+    assert pharma.sent == 208 < pharma.credit == 300
+    assert len(shipped) == 2 and shipped[-1].body == {"last": True}
+    assert nodes["miner"].phase == "done"
+    assert early == []
 
 
 def test_a_segment_from_another_session_is_rejected(three_partitions):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doubles import CollectorSink, LossyNetwork, make_random_log
-from enclavemine import model, protocol, segmenter
+from enclavemine import experiment, model, protocol, segmenter
 from enclavemine.enclave import (
     AttestationEvidence,
     BuildManifest,
@@ -25,6 +25,7 @@ from enclavemine.enclave import (
 )
 from enclavemine.model import EventLog, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
+    KIND_CASES_GRANT,
     KIND_CASES_REF_REQ,
     KIND_CASES_REF_RES,
     KIND_CASES_REQ,
@@ -43,7 +44,7 @@ from enclavemine.protocol import (
 )
 from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.transport import InProcessNetwork
-from enclavemine.wire import encode_log
+from enclavemine.wire import EMPTY_LOG_SIZE, encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 MINER_PROOF = "org:miner"
@@ -148,6 +149,12 @@ GOLDEN_MESSAGES = [
         + b'{"body":{"last":true},"kind":"cases_res","sender":"hospital","session":"s1"}'
         + struct.pack(">I", 8) + b"envelope",
     ),
+    (
+        Msg(KIND_CASES_GRANT, "miner", "s1", {"credit": 3000}, b""),
+        b"\x00\x01" + struct.pack(">I", 77)
+        + b'{"body":{"credit":3000},"kind":"cases_grant","sender":"miner","session":"s1"}'
+        + struct.pack(">I", 0),
+    ),
 ]
 
 
@@ -249,15 +256,17 @@ def test_incremental_and_batch_agree(three_partitions):
 
 
 class RecordingNetwork(InProcessNetwork):
-    """Keeps every message sent, decoded, in send order."""
+    """Keeps every message sent, decoded, in send order, and its receiver."""
 
     def __init__(self, seed=0):
         super().__init__(seed)
         self.sent = []
+        self.receivers = []
 
     def send(self, sender, receiver, payload):
         super().send(sender, receiver, payload)
         self.sent.append(Msg.decode(payload))
+        self.receivers.append(receiver)
 
 
 def _streams(net):
@@ -711,6 +720,8 @@ def test_accountant_tracks_stored_case_encodings(seed, do_yield):
         assert miner.csize == sizes
         assert miner.accountant.current_bytes == sum(sizes.values())
         most_stored = max(most_stored, len(sizes))
+        # Freed iids leave the heap of stored ones before it doubles.
+        assert len(miner.stored_order) <= 2 * most_stored + 1
 
     net.on_delivered = check
     net.bootstrap()
@@ -773,3 +784,113 @@ def test_session_encodes_once_per_segment(monkeypatch, do_yield):
     assert sealed > len(provisioners)
     assert calls["encode_log"] == sealed
     assert calls["extract_case"] == 0
+
+
+def _credits(net, receiver):
+    """The credit of each grant sent to ``receiver``, in send order."""
+    return [
+        msg.body["credit"]
+        for msg, to in zip(net.sent, net.receivers)
+        if msg.kind == KIND_CASES_GRANT and to == receiver
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+def test_a_stream_past_its_first_credit_is_granted_more_in_steps_of_the_budget():
+    partitions = _random_partitions(4, n_cases=60)
+    net, miner, sink, provisioners = _run_to_done(
+        partitions, seg_size=100, network_cls=RecordingNetwork, seed=4
+    )
+    assert miner.phase == "done"
+    budget = protocol.CREDIT_SEGMENTS * 100
+    granted = 0
+    for org, p in provisioners.items():
+        credits = _credits(net, org)
+        granted += len(credits)
+        assert credits == [budget * (i + 2) for i in range(len(credits))]
+        # The last segment was sent while credit was left, and every credit
+        # but the last was used up before the next came.
+        last = segment_event_log(partitions[org], iid_set(partitions[org]), 100).segments[-1]
+        assert p.phase == "done" and p.credit == budget * (len(credits) + 1)
+        assert p.sent - size_of(last) < p.credit
+        assert p.sent >= p.credit - budget
+    assert granted
+    assert merge_all(sink.cases) == merge_all(partitions.values())
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+def test_a_batch_session_grants_each_stream_once_for_all_it_has_left():
+    # Batch mode holds every case to the end, so credit is not withheld: a
+    # blocked stream's one grant covers the rest of it.
+    partitions = _random_partitions(4, n_cases=60)
+    net, miner, sink, provisioners = _run_to_done(
+        partitions, seg_size=100, do_yield=False, network_cls=RecordingNetwork, seed=4
+    )
+    assert miner.phase == "done"
+    credits = [_credits(net, org) for org in provisioners]
+    assert [c for c in credits if c] and all(c in ([], [2**63 - 1]) for c in credits)
+    assert merge_all(sink.cases) == merge_all(partitions.values())
+
+
+def _peak_bound(partitions, seg_size):
+    """The incremental peak bound of the protocol docstring: the budget, plus
+    per stream the most that the cases of one window cost stored, plus the
+    largest segment's plaintext, held while it is ingested."""
+    budget = protocol.CREDIT_SEGMENTS * seg_size
+    bound = budget
+    largest = 0
+    for part in partitions.values():
+        segments = segment_event_log(part, iid_set(part), seg_size).segments
+        plain = [size_of(s) for s in segments]
+        stored = [n + EMPTY_LOG_SIZE * (len(iid_set(s)) - 1) for n, s in zip(plain, segments)]
+        most = 0
+        for start in range(len(segments)):
+            sent = cost = 0
+            for n, c in zip(plain[start:], stored[start:]):
+                if sent >= budget:
+                    break
+                sent, cost = sent + n, cost + c
+            most = max(most, cost)
+        bound += most
+        largest = max([largest, *plain])
+    return bound + largest
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@settings(max_examples=60, deadline=None)
+@given(
+    log_seed=st.integers(0, 2**32 - 1),
+    n_cases=st.integers(1, 60),
+    # Small enough that most draws grant credit: a partition here is a few KB.
+    seg_size=st.integers(20, 300),
+    schedule=st.integers(0, 2**32 - 1),
+    incremental=st.booleans(),
+    algorithm=st.sampled_from(experiment.ALGORITHMS),
+)
+def test_any_session_under_credit_ends_done_with_the_standalone_output(
+    log_seed, n_cases, seg_size, schedule, incremental, algorithm
+):
+    # Random partitions, budgets and delivery orders: every session ends
+    # done with the bytes of mining the merged log directly, and in
+    # incremental mode the enclave's peak stays under the docstring's bound.
+    # This samples orders; it does not walk them all.
+    log = make_random_log(random.Random(log_seed), n_cases, list(ORGS))
+    partitions = {
+        org: log_from_events(ev for ev in log if ev.provisioner_id == org) for org in ORGS
+    }
+    sink = experiment.HeuristicsSink() if algorithm == "heuristics" else experiment.DeclareSink()
+    net, miner, provisioners = experiment.build_session(
+        partitions,
+        seed=schedule,
+        seg_size=seg_size,
+        incremental=incremental,
+        sink=sink,
+        manifest=experiment.build_manifest(algorithm),
+    )
+    net.bootstrap()
+    net.run()
+    assert miner.phase == "done"
+    assert all(p.phase == "done" for p in provisioners)
+    assert sink.finalize_bytes() == experiment.standalone_mining(log, algorithm)
+    if incremental:
+        assert miner.accountant.peak_bytes <= _peak_bound(partitions, seg_size)
