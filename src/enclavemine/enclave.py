@@ -28,12 +28,13 @@ simulated faithfully enough to exercise the protocol:
   in TLS 1.3: a stream's first envelope carries the share and the proof,
   every later one carries both fields empty, and the receiver verifies the
   proof and derives the key once per stream. AES-GCM authenticates the
-  rest: each segment is encrypted with the framed session, sender id, index
-  in the stream and end mark as associated data, as in the
-  sequence-numbered records of TLS 1.3 (RFC 8446, section 5.3). A segment
-  that is reordered, replayed, re-marked, sent after a lost one or taken
-  from another session fails its tag. Every signed or authenticated byte
-  string is a frame, so no byte moves across a field boundary unnoticed.
+  rest: each segment is encrypted with the framed session, sender id, the
+  seg_size it was cut to, index in the stream and end mark as associated
+  data, as in the sequence-numbered records of TLS 1.3 (RFC 8446, section
+  5.3). A segment that is reordered, replayed, re-marked, sent after a lost
+  one, cut to another seg_size or taken from another session fails its
+  tag. Every signed or authenticated byte string is a frame, so no byte
+  moves across a field boundary unnoticed.
 
 Verification order for evidence: signature, measurement, org allow-list,
 nonce; :func:`verify_evidence` raises :class:`EvidenceRejected` naming the
@@ -300,9 +301,16 @@ def _stream_payload(session: str, sender: str, share: bytes) -> bytes:
     return frame(session.encode("utf-8"), sender.encode("utf-8"), share)
 
 
-def _segment_ad(session: str, sender: str, index: int, last: bool) -> bytes:
-    """AES-GCM associated data: a segment's session, sender and place."""
-    return frame(session.encode("utf-8"), sender.encode("utf-8"), _INDEX.pack(index), bytes([last]))
+def _segment_ad(session: str, sender: str, seg_size: int, index: int, last: bool) -> bytes:
+    """AES-GCM associated data: a segment's session, sender, the seg_size it
+    was cut to (in decimal, as a case request may carry any int) and its place."""
+    return frame(
+        session.encode("utf-8"),
+        sender.encode("utf-8"),
+        b"%d" % seg_size,
+        _INDEX.pack(index),
+        bytes([last]),
+    )
 
 
 def sign_stream(sender: OrgIdentity, session: str, share: bytes) -> bytes:
@@ -318,6 +326,7 @@ def seal_segment(
     proof: bytes,
     session: str,
     sender: str,
+    seg_size: int,
     index: int,
     last: bool,
 ) -> bytes:
@@ -326,11 +335,11 @@ def seal_segment(
     ``k_sym`` and ``share`` are the stream's :func:`new_stream_key` and
     ``proof`` its :func:`sign_stream`; the share and proof ride in segment 0
     only, and later segments carry both fields empty. The ciphertext
-    authenticates the segment's session, sender, ``index`` in the stream
-    (from 0) and ``last`` end mark.
+    authenticates the segment's session, sender, ``seg_size``, ``index`` in
+    the stream (from 0) and ``last`` end mark.
     """
     nonce = os.urandom(12)
-    ad = _segment_ad(session, sender, index, last)
+    ad = _segment_ad(session, sender, seg_size, index, last)
     keyed = (share, proof) if index == 0 else (b"", b"")
     return frame(*keyed, nonce + AESGCM(k_sym).encrypt(nonce, segment_bytes, ad))
 
@@ -341,12 +350,14 @@ def open_segment(
     sender_public: bytes,
     session: str,
     sender: str,
+    seg_size: int,
     index: int,
     last: bool,
     k_sym: Optional[bytes] = None,
 ) -> Tuple[bytes, bytes]:
-    """Decrypt the segment at ``index`` of ``sender``'s stream, marked
-    ``last`` or not; return the plaintext and the stream key.
+    """Decrypt the segment at ``index`` of ``sender``'s stream, cut to
+    ``seg_size`` and marked ``last`` or not; return the plaintext and the
+    stream key.
 
     At index 0 the sender proof is verified and the key derived from the
     share, before any cipher is made. A later segment opens with ``k_sym``,
@@ -365,7 +376,7 @@ def open_segment(
     if len(ct) < 12 + 16:
         raise AuthFailure("ciphertext too short")
     try:
-        ad = _segment_ad(session, sender, index, last)
+        ad = _segment_ad(session, sender, seg_size, index, last)
         return AESGCM(k_sym).decrypt(ct[:12], ct[12:], ad), k_sym
     except InvalidTag as exc:
         raise AuthFailure("segment ciphertext failed authentication") from exc

@@ -21,14 +21,15 @@ agrees with the evidence's session key once, after appraising the evidence
 (``enclave.new_stream_key``), and one sender proof, which it signs once
 over the session, its id and the key share. The stream's first envelope
 carries the share and the proof, every later one carries both fields
-empty, and AES-GCM binds each segment to the session, the sender, its
-index in the stream (from 0) and its end mark. Links are FIFO, so the
-index never rides on the wire: the miner holds, per open stream in
-``stream_keys``, the stream key and the next index it expects. It verifies
-the proof and derives the key on the stream's first envelope only; a later
-envelope that carries key fields, and a segment lost, replayed, reordered
-or re-marked on the way, fail with ``AuthFailure``. The entry goes when
-the stream ends or the miner aborts.
+empty, and AES-GCM binds each segment to the session, the sender, the
+seg_size it was cut to, its index in the stream (from 0) and its end mark.
+Links are FIFO, so the index never rides on the wire: the miner holds, per
+open stream in ``stream_keys``, the stream key and the next index it
+expects. It verifies the proof and derives the key on the stream's first
+envelope only; a later envelope that carries key fields, and a segment
+lost, replayed, reordered, re-marked or cut to another seg_size on the way,
+fail with ``AuthFailure``. The entry goes when the stream ends or the miner
+aborts.
 
 The miner's peers are the keys of its key table (``provisioner_keys``),
 in sorted order; a provisioner's id is its identity's ``org_id``.
@@ -67,18 +68,22 @@ when every stream has ended.
 Flow control. The miner grants each stream credit in plaintext segment
 bytes, in steps of the budget ``B = CREDIT_SEGMENTS * seg_size``, as HTTP/2
 stream windows do (RFC 9113, section 5.2). The first credit, ``B``, is
-implied by the case request. A provisioner plans its segments once it has
-appraised the evidence, but encodes and seals each one only when it sends
-it (encoding is lazy), and it sends while the bytes it has sent are below
-its credit. After its last segment it is ``done``; short of it, with its
-credit used up, it is ``streaming`` and waits for a grant. The miner keeps,
-per open stream in ``flow``, the bytes received and the credit granted. A
-stream is blocked when it has received at least its credit; its provisioner
-stopped at the segment that reached it, so nothing of it is in flight.
-After each cases_res the miner grants each blocked stream, in sorted order,
-``B`` more, sent as the new cumulative ``credit``, when
+implied by the case request. Both ends derive it from ``seg_size``, which
+AES-GCM binds into every segment (the provisioner seals with the seg_size it
+received, the miner opens with its own), so a seg_size rewritten in flight
+fails the stream's first segment with ``AuthFailure`` instead of leaving the
+two ends waiting on different credits. A provisioner plans its segments once
+it has appraised the evidence, but encodes and seals each one only when it
+sends it (encoding is lazy), and it sends while the bytes it has sent are
+below its credit. After its last segment it is ``done``; short of it, with
+its credit used up, it is ``streaming`` and waits for a grant. The miner
+keeps, per open stream in ``flow``, the bytes received and the credit
+granted. A stream is blocked when it has received at least its credit; its
+provisioner stopped at the segment that reached it, so nothing of it is in
+flight. After each cases_res the miner grants each blocked stream, in sorted
+order, ``B`` more, sent as the new cumulative ``credit``, when
 
-(a) the accountant's current bytes are under ``B``;
+(a) nothing is stored;
 (b) the stream owes the smallest stored iid, the oldest incomplete case
     (``stored_order``, a heap of stored iids that freed ones leave lazily,
     finds it without a scan); or
@@ -89,25 +94,27 @@ After each cases_res the miner grants each blocked stream, in sorted order,
 A cases_res from a blocked stream is an :class:`UnexpectedMessage`, and so
 is a cases_grant outside ``streaming``, from another node than the miner, or
 one that does not raise the credit. The rule cannot deadlock in incremental
-mode: if every open stream is blocked and stored bytes are at least ``B``,
-the oldest stored case is incomplete, so a blocked stream owes it.
+mode: if every open stream is blocked and something is stored, the oldest
+stored case is incomplete, since a case is freed as soon as it completes,
+so a blocked stream owes it; if nothing is stored, every blocked stream is
+granted.
 
 The bound, in incremental mode. From each grant, the first credit included,
 a stream sends under ``B`` plus one segment before it is blocked again: call
 that a window. Let ``F_p`` be the most that the cases of one window of
 stream p cost stored: its segments' plaintext plus ``EMPTY_LOG_SIZE`` per
-case beyond the first in a segment. Stored bytes stay under ``B + sum(F_p)``,
-and the accountant's peak under that plus the largest segment, whose
+case beyond the first in a segment. Stored bytes stay at most ``sum(F_p)``,
+and the accountant's peak at most that plus the largest segment, whose
 plaintext is held while it is ingested. Neither depends on the case count
 or the delivery order; each ``F_p`` is about ``B`` plus a segment, so the
 bound is per provisioner and grows with their number. Why: let t be the
-last grant given under (a), or the start, when nothing was stored. What is
-stored now and arrived before t was stored at t (a freed case is never
-stored again), under ``B``. Since its last grant each stream p has sent at
-most ``F_p``. If that grant came after t, it came under (b): p owed the
-oldest stored case and ships in ascending iid order, so every case it had
-sent was older still, and none was stored. Either way, whatever else of
-p's is stored arrived before t.
+last grant given under (a), or the start. Nothing was stored at t, and a
+freed case is never stored again, so whatever is stored now arrived after
+t. If stream p's last grant came at or before t, what of p's arrived after
+t belongs to its current window. If it came after t, it came under (b): p
+owed the oldest stored case and ships in ascending iid order, so every case
+it had sent was older still, and none was stored; so again whatever of p's
+is stored belongs to its current window, which costs at most ``F_p``.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -401,12 +408,11 @@ class SecureMiner:
     def _grants(self) -> List[Tuple[str, bytes]]:
         """Grant each blocked stream more credit where the credit rule allows."""
         out = []
+        oldest = self._oldest()
         for p in sorted(self.pmap):
             received, credit = self.flow[p]
             if received >= credit and (
-                not self.config.do_yield_cases
-                or self.accountant.current_bytes < self.budget
-                or self._oldest() in self.pmap[p]
+                not self.config.do_yield_cases or oldest is None or oldest in self.pmap[p]
             ):
                 credit = credit + self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
                 self.flow[p] = (received, credit)
@@ -497,7 +503,15 @@ class SecureMiner:
         sender_key = self.config.provisioner_keys[sender]
         k_sym, index = self.stream_keys.get(sender, (None, 0))
         plain, k_sym = open_segment(
-            envelope, self.session_keys, sender_key, self.config.session, sender, index, last, k_sym
+            envelope,
+            self.session_keys,
+            sender_key,
+            self.config.session,
+            sender,
+            self.config.seg_size,
+            index,
+            last,
+            k_sym,
         )
         self.stream_keys[sender] = (k_sym, index + 1)
         received, credit = self.flow[sender]
@@ -572,9 +586,10 @@ class Provisioner:
         self.nonce: Optional[bytes] = None
         self.miner_id: Optional[str] = None
         # The stream, once the evidence is appraised: its segments not yet
-        # sent, how many are sealed, its key, share and proof, the plaintext
-        # bytes sent and the credit granted.
+        # sent, the seg_size they were cut to, how many are sealed, its key,
+        # share and proof, the plaintext bytes sent and the credit granted.
         self.unsent: Deque[EventLog] = deque()
+        self.seg_size = 0
         self.sealed = 0
         self.stream_key: Tuple[bytes, bytes, bytes] = (b"", b"", b"")
         self.sent = 0
@@ -631,6 +646,7 @@ class Provisioner:
         proof = sign_stream(self.config.identity, self.config.session, share)
         self.stream_key = (k_sym, share, proof)
         self.unsent = deque(plan.segments)
+        self.seg_size = seg_size
         self.credit = CREDIT_SEGMENTS * seg_size
         return self._stream()
 
@@ -653,7 +669,13 @@ class Provisioner:
             plain = encode_log(self.unsent.popleft())
             last = not self.unsent
             blob = seal_segment(
-                plain, *self.stream_key, self.config.session, self.node_id, self.sealed, last
+                plain,
+                *self.stream_key,
+                self.config.session,
+                self.node_id,
+                self.seg_size,
+                self.sealed,
+                last,
             )
             end = {"last": True} if last else {}
             out.append((self.miner_id, self._msg(KIND_CASES_RES, end, blob)))

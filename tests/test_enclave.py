@@ -184,7 +184,8 @@ def _fields(envelope):
 
 
 SESSION = "s1"
-PLACE = (SESSION, "hospital", 0, True)  # session, sender, index, end mark
+SEG_SIZE = 2000
+PLACE = (SESSION, "hospital", SEG_SIZE, 0, True)  # session, sender, seg_size, index, end mark
 
 
 def _stream_signed(share, session=SESSION, sender="hospital"):
@@ -239,7 +240,7 @@ class SealingTest(unittest.TestCase):
         # The share and proof ride in segment 0 only; later segments carry
         # both fields empty.
         for index, keyed in ((0, (32, 64)), (1, (0, 0)), (7, (0, 0))):
-            envelope = seal_segment(self.payload, k_sym, share, proof, *PLACE[:2], index, True)
+            envelope = seal_segment(self.payload, k_sym, share, proof, *PLACE[:3], index, True)
             (version,) = struct.unpack(">H", envelope[:2])
             self.assertEqual(version, FRAME_VERSION)
             pos = 2
@@ -346,18 +347,21 @@ class StreamKeyTest(unittest.TestCase):
 
     def seal(self, payload, index=0, last=True):
         return seal_segment(
-            payload, self.k_sym, self.share, self.proof, SESSION, "hospital", index, last
+            payload, self.k_sym, self.share, self.proof, SESSION, "hospital", SEG_SIZE, index, last
         )
 
-    def open(self, envelope, k_sym=None, index=0, last=True, session=SESSION, sender="hospital"):
+    def open(
+        self, envelope, k_sym=None, index=0, last=True, session=SESSION, sender="hospital",
+        seg_size=SEG_SIZE,
+    ):
         """Open, and count the proofs verified, keys derived and ciphers made."""
         kdfs, derives, ciphers = _counting(self.session)
         with kdfs, derives as derives, ciphers as ciphers:
             with mock.patch.object(OrgIdentity, "verify", wraps=OrgIdentity.verify) as verifies:
                 try:
                     out = open_segment(
-                        envelope, self.session, self.sender.public_bytes, session, sender, index,
-                        last, k_sym,
+                        envelope, self.session, self.sender.public_bytes, session, sender,
+                        seg_size, index, last, k_sym,
                     )
                 finally:
                     self.counts = (verifies.call_count, derives.call_count, ciphers.call_count)
@@ -390,7 +394,7 @@ class StreamKeyTest(unittest.TestCase):
         # key: in place, with empty key fields, it still fails its tag under
         # the key this stream holds.
         k_other, share_other = new_stream_key(SessionKeys().k_pub)
-        envelope = seal_segment(b"two", k_other, share_other, self.proof, *PLACE[:2], 1, True)
+        envelope = seal_segment(b"two", k_other, share_other, self.proof, *PLACE[:3], 1, True)
         with self.assertRaisesRegex(AuthFailure, "^segment ciphertext failed authentication$"):
             self.open(envelope, self.k_sym, index=1)
 
@@ -421,6 +425,7 @@ class StreamKeyTest(unittest.TestCase):
             dict(index=1, last=True),  # end mark flipped
             dict(index=1, last=False, session="s2"),  # another session
             dict(index=1, last=False, sender="pharma"),  # another sender's stream
+            dict(index=1, last=False, seg_size=30),  # cut to another seg_size
         ]
         for place in elsewhere:
             with self.subTest(**place):
@@ -489,13 +494,13 @@ def test_a_later_envelope_with_any_key_field_fails_before_any_cipher(share, proo
     # The ciphertext is genuine for its place: a valid tag does not help.
     assume(share or proof)
     k_sym, own = new_stream_key(_SESSION.k_pub)
-    _, _, ct = _fields(seal_segment(payload, k_sym, own, b"p", SESSION, "hospital", index, True))
+    _, _, ct = _fields(seal_segment(payload, k_sym, own, b"p", *PLACE[:3], index, True))
     kdfs, derives, ciphers = _counting(_SESSION)
     with kdfs as kdfs, derives as derives, ciphers as ciphers:
         with pytest.raises(AuthFailure, match="^key fields on segment %d of a stream$" % index):
             open_segment(
-                _framed(share, proof, ct), _SESSION, _SENDER.public_bytes, SESSION, "hospital",
-                index, True, k_sym,
+                _framed(share, proof, ct), _SESSION, _SENDER.public_bytes, *PLACE[:3], index, True,
+                k_sym,
             )
     assert (kdfs.call_count, derives.call_count, ciphers.call_count) == (0, 0, 0)
 

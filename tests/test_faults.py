@@ -199,11 +199,13 @@ class _RekeyAfterFirstSeal:
     def __init__(self, nodes):
         self.nodes = nodes
 
-    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, index, last):
+    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, seg_size, index, last):
         if index:
             k_sym, share = new_stream_key(self.nodes["miner"].session_keys.k_pub)
             proof = sign_stream(self.nodes[sender].config.identity, session, share)
-        envelope = _REAL_SEAL(segment_bytes, k_sym, share, proof, session, sender, index, last)
+        envelope = _REAL_SEAL(
+            segment_bytes, k_sym, share, proof, session, sender, seg_size, index, last
+        )
         return frame(share, proof, unframe(envelope, 3)[2])
 
 
@@ -215,12 +217,12 @@ class _ForeignShareSeal:
         self.nodes = nodes
         self.keys = {}
 
-    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, index, last):
+    def __call__(self, segment_bytes, k_sym, share, proof, session, sender, *place):
         if sender not in self.keys:
             k_sym, share = new_stream_key(SessionKeys().k_pub)
             proof = sign_stream(self.nodes[sender].config.identity, session, share)
             self.keys[sender] = (k_sym, share, proof)
-        return _REAL_SEAL(segment_bytes, *self.keys[sender], session, sender, index, last)
+        return _REAL_SEAL(segment_bytes, *self.keys[sender], session, sender, *place)
 
 
 def _held_back_until_last():
@@ -352,8 +354,9 @@ FAULTS = [
      "hospital", "UnexpectedMessage"),
     # A forged grant behind the case request lets hospital send both its
     # segments. Pharma's and clinic's streams are lost, so case 312 stays
-    # stored, over the budget and owed by them: the miner grants hospital
-    # nothing, and its second segment arrives past its credit.
+    # stored and owed by them: hospital does not owe the oldest stored case,
+    # the miner grants it nothing, and its second segment arrives past its
+    # credit.
     ("provisioner that sends past its credit",
      dict(seg_size=GRANTED, edits=[(KIND_CASES_RES, "pharma", "miner", _drop),
                                    (KIND_CASES_RES, "clinic", "miner", _drop),
@@ -366,11 +369,18 @@ FAULTS = [
      dict(edits=[(KIND_CASES_REF_RES, "pharma", "miner",
                   lambda msg: dataclasses.replace(msg, sender="hospital"))]),
      "miner", "UnexpectedMessage"),
-    # JSON true is an int to isinstance; taken as seg_size 1, it would give
-    # hospital another first credit than the miner's, and both would stall.
+    # JSON true is an int to isinstance; it is refused, not taken as 1.
     ("seg_size that is a boolean",
      dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _body(seg_size=True))]),
      "hospital", "UnexpectedMessage"),
+    # The evidence does not cover the request body, but every segment's
+    # associated data binds the seg_size it was cut to. Hospital seals under
+    # the 30 it received, the miner opens under its own 1,000,000, and the
+    # first segment fails its tag (both ends would otherwise wait on
+    # different first credits, with no named cause).
+    ("seg_size rewritten in flight",
+     dict(edits=[(KIND_CASES_REQ, *TO_HOSPITAL, _body(seg_size=GRANTED))]),
+     "miner", "AuthFailure"),
     ("seg_size 0 sent to a provisioner",
      dict(edits=[(KIND_CASES_REQ, "miner", "clinic", _body(seg_size=0))]),
      "clinic", "InvalidSegSize"),
@@ -490,12 +500,14 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
         ("dropped segment", "sender proof rejected"),
         ("key fields on a later segment", "key fields on segment 1 of a stream"),
         ("share for another session", "segment ciphertext failed authentication"),
+        ("seg_size rewritten in flight", "segment ciphertext failed authentication"),
     ],
 )
 def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, message):
     # The first segment lost (the dropped segment is hospital's first of
     # two), key fields on a later one, and a share for another session each
-    # fail a check of their own.
+    # fail a check of their own; a seg_size rewritten in flight fails the
+    # tag, as the foreign share does.
     (kwargs,) = [r[1] for r in FAULTS if r[0] == row]
     nodes, _ = _run(three_partitions, **kwargs)
     miner = nodes["miner"]

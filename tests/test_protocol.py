@@ -519,6 +519,7 @@ class UnderAdvertisingProvisioner(Provisioner):
             sign_stream(self.config.identity, msg.session, share),
             msg.session,
             self.node_id,
+            msg.body["seg_size"],
             0,
             True,
         )
@@ -832,12 +833,43 @@ def test_a_batch_session_grants_each_stream_once_for_all_it_has_left():
     assert merge_all(sink.cases) == merge_all(partitions.values())
 
 
+class GrantWatchingNetwork(InProcessNetwork):
+    """Records, as the miner sends each cases_grant, its receiver, the
+    smallest stored iid (None when nothing is stored) and the iids the
+    receiver still owes. The miner's handler has returned by then, so this
+    is its state when it granted."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.grants = []
+
+    def send(self, sender, receiver, payload):
+        super().send(sender, receiver, payload)
+        if Msg.decode(payload).kind == KIND_CASES_GRANT:
+            miner = self._nodes[sender]
+            oldest = min(miner.cstor) if miner.cstor else None
+            self.grants.append((receiver, oldest, set(miner.pmap[receiver])))
+
+
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(seed):
+    # Credit withheld from a stream that does not owe the oldest stored case
+    # keeps that stream from running ahead in case order, whatever is stored.
+    net, miner, _, _ = _run_to_done(
+        _random_partitions(seed, n_cases=60), seg_size=100, network_cls=GrantWatchingNetwork
+    )
+    assert miner.phase == "done" and net.grants
+    for receiver, oldest, owed in net.grants:
+        assert oldest is None or oldest in owed, (receiver, oldest)
+
+
 def _peak_bound(partitions, seg_size):
-    """The incremental peak bound of the protocol docstring: the budget, plus
-    per stream the most that the cases of one window cost stored, plus the
-    largest segment's plaintext, held while it is ingested."""
+    """The incremental peak bound of the protocol docstring: per stream the
+    most that the cases of one window cost stored, plus the largest
+    segment's plaintext, held while it is ingested."""
     budget = protocol.CREDIT_SEGMENTS * seg_size
-    bound = budget
+    bound = 0
     largest = 0
     for part in partitions.values():
         segments = segment_event_log(part, iid_set(part), seg_size).segments
