@@ -6,7 +6,7 @@ Subcommands:
 * ``split``               partition a log per organization
 * ``run``                 one protocol session with metrics and mining output
 * ``sweep-segsize``       message/memory behavior across segment budgets
-* ``scale``               input-scaling sweeps with linear/log fits
+* ``scale``               input-scaling sweeps of a counted metric with linear/log fits
 * ``stats``               fit linear/log models to columns of a CSV
 * ``verify-convergence``  protocol output equals standalone mining, byte-wise
 
@@ -14,14 +14,16 @@ Subcommands:
 ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
-so is a case, org or loop count below 1 from a file, a flag or a ``scale``
-value. So is an input log or org map that cannot be read, parsed or split,
-a ``split`` org name that is not a plain file name, a ``generate`` count
-below 1, a ``--sizes`` or ``--values`` list that is not integers, and a
+so is a case, org or loop count below 1, or an org count above 19 (one per
+scenario activity), from a file, a flag or a ``scale`` value. So is an
+input log or org map that cannot be read, parsed or split, a ``split`` org
+name that is not a plain file name, a ``generate`` count out of the same
+range, a ``--sizes`` or ``--values`` list that is not integers, and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
 finite number among them).
 So is a ``scale`` sweep of cases or events over ``--log``, or of orgs with
-``--org-map``, which fix them, and ``--repeats`` below 1.
+``--org-map``, which fix them. ``scale`` runs one session per point, since
+the seed fixes every ``--metric`` it fits, and writes every metric's column.
 A ``run``, ``sweep-segsize``, ``scale`` or ``verify-convergence`` session
 that is not done prints ``session aborted: <Reason>: <message>`` and exits 1.
 """
@@ -37,6 +39,7 @@ from typing import List, NoReturn
 
 from .experiment import (
     ALGORITHMS,
+    SCALE_METRICS,
     ExperimentConfig,
     SessionFailed,
     _done,
@@ -205,9 +208,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
     }
     values = _integers(args, "--values", args.values) if args.values else defaults[args.dimension]
     try:
-        rows, stats = scale_run(
-            cfg, args.dimension, values, metric=args.metric, repeats=args.repeats
-        )
+        rows, stats = scale_run(cfg, args.dimension, values, metric=args.metric)
     except ValueError as exc:  # a value out of range, or too few points to fit
         _usage_error(args, exc)
     out = Path(args.out)
@@ -294,12 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dimension", choices=("events", "cases", "orgs"))
     _add_config_flags(p)
     p.add_argument("--values", help="comma-separated sweep values")
-    p.add_argument(
-        "--metric",
-        default="wall_ms",
-        choices=("wall_ms", "peak_bytes", "mean_bytes", "message_count"),
-    )
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--metric", default="peak_bytes", choices=SCALE_METRICS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scale)
 

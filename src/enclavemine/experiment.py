@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
@@ -29,7 +28,13 @@ from .mining.heuristics import PARAMS, hm_finalize
 from .mining.pnml import to_pnml
 from .model import EventLog, ModelError, group_by_iid, merge_all
 from .protocol import MinerConfig, Provisioner, ProvisionerConfig, SecureMiner
-from .scenario import generate_scenario_log, max_case_events, org_map_for, scenario_declare_model
+from .scenario import (
+    ALL_ACTIVITIES,
+    generate_scenario_log,
+    max_case_events,
+    org_map_for,
+    scenario_declare_model,
+)
 from .stats import RegressionStats, check_xs, fit_stats
 from .transport import DeliveryRecord, InProcessNetwork
 
@@ -37,6 +42,7 @@ __all__ = [
     "SessionFailed",
     "MINER_ORG_PROOF",
     "ALGORITHMS",
+    "SCALE_METRICS",
     "SESSION",
     "ExperimentConfig",
     "MetricSample",
@@ -57,6 +63,7 @@ __all__ = [
 
 MINER_ORG_PROOF = "org:miner"
 ALGORITHMS = ("heuristics", "declare")
+SCALE_METRICS = ("peak_bytes", "mean_bytes", "message_count")  # each fixed by the seed
 SESSION = "session-1"
 
 
@@ -80,6 +87,10 @@ class ExperimentConfig:
         for name in ("n_cases", "n_orgs", "loop_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
+        if self.n_orgs > len(ALL_ACTIVITIES):  # each org needs an activity of its own
+            raise ValueError(
+                "n_orgs must be at most %d, got %d" % (len(ALL_ACTIVITIES), self.n_orgs)
+            )
 
     @classmethod
     def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
@@ -125,17 +136,6 @@ class RunMetrics:
     mean_bytes: float = 0.0
     message_count: int = 0
     yield_count: int = 0
-    wall_ms: float = 0.0
-
-    def comparable(self) -> Tuple:
-        """Everything deterministic under a fixed seed (wall time excluded)."""
-        return (
-            tuple(self.samples),
-            self.peak_bytes,
-            self.mean_bytes,
-            self.message_count,
-            self.yield_count,
-        )
 
 
 @dataclass
@@ -317,13 +317,11 @@ def _run_session(
         )
 
     network.on_delivered = sample
-    started = time.perf_counter()
     network.bootstrap()
     if replay_order is None:
         network.run()
     else:
         network.run_replay(replay_order)
-    metrics.wall_ms = (time.perf_counter() - started) * 1000.0
     metrics.peak_bytes = miner.accountant.peak_bytes
     metrics.message_count = network.step
     metrics.yield_count = miner.yield_count
@@ -364,29 +362,27 @@ def scale_run(
     dimension: str,
     values: Sequence[int],
     *,
-    metric: str = "wall_ms",
-    repeats: int = 3,
+    metric: str = "peak_bytes",
 ) -> Tuple[List[Dict[str, float]], RegressionStats]:
     """Sweep one input dimension and fit linear/log models to a metric.
 
     ``dimension`` is one of ``events`` (loop iterations; x is the maximum
     case length), ``cases`` (x is the case count), or ``orgs`` (x is the
-    organization count). The metric per point is the median over
-    ``repeats`` runs; one untimed warmup run precedes the sweep so cold
-    caches do not distort the first point. Repeats are interleaved in
-    rounds across all points so slow machine-wide drift does not bias the
-    curve shape. ``repeats`` (at least 1), every point's config, the fit's
-    x values, the input and the sweep are checked (``LogIoError`` for the
-    input, else ``ValueError``) before any session runs: an input file
-    fixes the cases and their lengths, and an org map the orgs, so sweeping
-    them over one is an error. A session that is not done raises
-    :class:`SessionFailed`. Each point's input is loaded once, a file read once.
+    organization count). ``metric`` is one of :data:`SCALE_METRICS`, which
+    the seed fixes, so each point runs one session. Every row is ``{x,
+    peak_bytes, mean_bytes, message_count}``. The metric, every point's
+    config, the fit's x values, the input and the sweep are checked
+    (``LogIoError`` for the input, else ``ValueError``) before any session
+    runs: an input file fixes the cases and their lengths, and an org map
+    the orgs, so sweeping them over one is an error. A session that is not
+    done raises :class:`SessionFailed`. An input file is read once and
+    re-split per org count; a generated input is generated once per point.
     """
     field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
     if dimension not in field_of:
         raise ValueError("dimension must be events, cases, or orgs")
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1, got %d" % repeats)
+    if metric not in SCALE_METRICS:
+        raise ValueError("metric must be one of %s, got %r" % (", ".join(SCALE_METRICS), metric))
     field = field_of[dimension]
     points = [
         (float(max_case_events(v) if dimension == "events" else v),
@@ -394,36 +390,19 @@ def scale_run(
         for v in values
     ]
     check_xs([x for x, _ in points])
-    # Only the swept field differs between the sessions' configs. A malformed
-    # input file is reported as such before the sweep is checked against it.
-    base = _load_inputs(cfg)
-    inputs = {getattr(cfg, field): base}
+    # A malformed input file is reported as such before the sweep is checked against it.
+    log = None if cfg.log_path is None else merge_all(_load_inputs(cfg).values())
     fixed_by = cfg.org_map_path if dimension == "orgs" else cfg.log_path
     if fixed_by is not None:
         raise ValueError("cannot sweep %s: %s fixes them" % (dimension, fixed_by))
-
-    def measure(point_cfg: ExperimentConfig) -> ExperimentResult:
-        value = getattr(point_cfg, field)
-        if value not in inputs:  # an orgs sweep over a file re-splits the log read once
-            inputs[value] = (
-                split_log(merge_all(base.values()), org_map_for(value))
-                if cfg.log_path is not None
-                else _load_inputs(point_cfg)
-            )
-        return _done(_run_session(point_cfg, inputs[value]))
-
-    measure(cfg)
-    runs: List[List[ExperimentResult]] = [[] for _ in points]
-    for _ in range(repeats):
-        for slot, (_, point_cfg) in zip(runs, points):
-            slot.append(measure(point_cfg))
     rows: List[Dict[str, float]] = []
-    for (x, _), slot in zip(points, runs):
-        picked = sorted(getattr(r.metrics, metric) for r in slot)[len(slot) // 2]
-        row = {"x": x, metric: float(picked)}  # the metric's column, once
-        row.setdefault("peak_bytes", float(slot[0].metrics.peak_bytes))
-        row.setdefault("message_count", float(slot[0].metrics.message_count))
-        rows.append(row)
+    for x, point_cfg in points:
+        if log is None:
+            partitions = _load_inputs(point_cfg)
+        else:
+            partitions = split_log(log, org_map_for(point_cfg.n_orgs))
+        metrics = _done(_run_session(point_cfg, partitions)).metrics
+        rows.append({"x": x, **{name: float(getattr(metrics, name)) for name in SCALE_METRICS}})
     stats = fit_stats([r["x"] for r in rows], [r[metric] for r in rows])
     return rows, stats
 

@@ -84,9 +84,14 @@ def default_org_map() -> Dict[str, str]:
 
 
 def org_map_for(n_orgs: int) -> Dict[str, str]:
-    """Activity-to-org map for a given org count (3 gives the named split)."""
+    """Activity-to-org map for a given org count (3 gives the named split);
+    each org gets at least one of the activities, so at most 19 orgs."""
     if n_orgs < 1:
         raise ValueError("need at least one org")
+    if n_orgs > len(ALL_ACTIVITIES):
+        raise ValueError(
+            "need at most %d orgs, one per activity, got %d" % (len(ALL_ACTIVITIES), n_orgs)
+        )
     if n_orgs == 3:
         return default_org_map()
     return {

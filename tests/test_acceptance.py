@@ -299,9 +299,7 @@ def check_scaling_statistics():
     # simulation: every extra provisioner adds a fixed handshake plus its
     # own segment stream, so message volume grows linearly with orgs.
     cfg = ExperimentConfig(n_cases=200, seed=1, seg_size=100_000)
-    _, stats = scale_run(
-        cfg, "orgs", list(range(1, 9)), metric="message_count", repeats=1
-    )
+    _, stats = scale_run(cfg, "orgs", list(range(1, 9)), metric="message_count")
     assert stats.slope > 0
     assert stats.r2_linear > stats.r2_log, (
         "org sweep: r2_linear %.4f <= r2_log %.4f" % (stats.r2_linear, stats.r2_log)

@@ -168,6 +168,7 @@ def test_run_rejects_a_malformed_config_with_a_usage_error(tmp_path, capsys, doc
     [
         ("--cases", 0, "n_cases must be at least 1, got 0"),
         ("--orgs", 0, "n_orgs must be at least 1, got 0"),
+        ("--orgs", 20, "n_orgs must be at most 19, got 20"),
         ("--loop", -1, "loop_iterations must be at least 1, got -1"),
     ],
 )
@@ -307,7 +308,7 @@ def test_scale_rejects_an_out_of_range_value_before_any_session(tmp_path, capsys
     out = tmp_path / "scale.csv"
     with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(SystemExit) as stop:
-            run_cli("scale", "cases", "--cases", 10, "--values", 0, "--repeats", 1, "--out", out)
+            run_cli("scale", "cases", "--cases", 10, "--values", 0, "--out", out)
     assert stop.value.code == 2
     assert capsys.readouterr().err == "enclavemine scale: error: n_cases must be at least 1, got 0\n"
     assert runs.call_count == 0
@@ -322,23 +323,22 @@ def test_scale_writes_points_and_fit(tmp_path):
         "--seed", 2,
         "--values", "5,10,15",
         "--metric", "peak_bytes",
-        "--repeats", 1,
         "--out", out,
     )
     assert rc == 0
     with out.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    # Each column once: the metric is also one of the columns always written.
-    assert rows[0] == ["x", "peak_bytes", "message_count"]
+    # Every metric's column, whichever one is fitted.
+    assert rows[0] == ["x", "peak_bytes", "mean_bytes", "message_count"]
     assert len(rows) == 4
     stats = json.loads(out.with_suffix(".stats.json").read_text())
     assert set(stats) >= {"r2_linear", "r2_log", "slope"}
-    rc = run_cli(
-        "scale", "cases", "--cases", 5, "--values", "5,10,15", "--repeats", 1, "--out", out
-    )
+    # peak_bytes is the default metric: the same points and the same fit.
+    rc = run_cli("scale", "cases", "--cases", 5, "--seed", 2, "--values", "5,10,15", "--out", out)
     assert rc == 0
     with out.open(newline="") as fh:
-        assert next(csv.reader(fh)) == ["x", "wall_ms", "peak_bytes", "message_count"]
+        assert list(csv.reader(fh)) == rows
+    assert json.loads(out.with_suffix(".stats.json").read_text()) == stats
 
 
 @pytest.mark.parametrize(
@@ -348,11 +348,9 @@ def test_scale_writes_points_and_fit(tmp_path):
         (["events", "--log", "{log}"], "cannot sweep events: {log} fixes them"),
         (["orgs", "--log", "{log}", "--org-map", "{org_map}"],
          "cannot sweep orgs: {org_map} fixes them"),
-        (["cases", "--repeats", "0"], "repeats must be at least 1, got 0"),
-        (["cases", "--repeats", "-4"], "repeats must be at least 1, got -4"),
+        (["orgs", "--values", "2,3,40"], "n_orgs must be at most 19, got 40"),
     ],
-    ids=["cases over a log", "events over a log", "orgs over an org map", "repeats 0",
-         "repeats -4"],
+    ids=["cases over a log", "events over a log", "orgs over an org map", "orgs above 19"],
 )
 def test_scale_rejects_a_sweep_that_cannot_measure_before_any_session(
     tmp_path, capsys, generated_log, argv, named

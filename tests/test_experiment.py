@@ -36,6 +36,8 @@ SMALL = ExperimentConfig(n_cases=30, seed=5, seg_size=4000)
 def test_config_validation_and_overrides():
     with pytest.raises(ValueError):
         ExperimentConfig(algorithm="alpha")
+    with pytest.raises(ValueError, match="n_orgs must be at most 19, got 20"):
+        ExperimentConfig(n_orgs=20)
     for name, value in (("n_cases", 0), ("n_orgs", 0), ("loop_iterations", -1)):
         with pytest.raises(ValueError, match="%s must be at least 1, got %d" % (name, value)):
             ExperimentConfig(**{name: value})
@@ -108,7 +110,7 @@ def test_a_sink_mines_the_same_output_from_its_cases_in_any_order(
 def test_same_seed_reproduces_metrics_exactly():
     a = run_experiment(SMALL)
     b = run_experiment(SMALL)
-    assert a.metrics.comparable() == b.metrics.comparable()
+    assert a.metrics == b.metrics
     assert a.transcript == b.transcript
 
 
@@ -125,7 +127,7 @@ def test_transcript_replay_reproduces_metrics(tmp_path):
     order = read_transcript(path)
     assert len(order) == original.metrics.message_count
     replayed = run_experiment(SMALL, replay_order=order)
-    assert replayed.metrics.comparable() == original.metrics.comparable()
+    assert replayed.metrics == original.metrics
     assert replayed.output == original.output
     assert [(r.sender, r.receiver) for r in replayed.transcript] == order
 
@@ -142,7 +144,7 @@ def test_replay_of_a_stalled_session_ends_in_the_same_abort():
         original.aborted_reason,
         original.aborted_message,
     )
-    assert replayed.metrics.comparable() == original.metrics.comparable()
+    assert replayed.metrics == original.metrics
 
 
 def test_replay_rejects_incomplete_order():
@@ -229,21 +231,22 @@ def test_a_sweep_loads_each_distinct_input_once(tmp_path):
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         rows = sweep_segsize(cfg, [800, 4000, 40_000])
     assert (len(rows), loads.call_count) == (3, 1)
-    # An org sweep reads the file once, for the warm-up (3 orgs), and splits
-    # that log again for each other org count; both rounds reuse the splits,
-    # which equal what loading the file for that count gives.
+    # An org sweep reads the file once and splits that log again for each
+    # org count, one session per point; each split equals what loading the
+    # file for that count gives.
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
         with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
-            scale_run(cfg, "orgs", [2, 3, 4], metric="peak_bytes", repeats=2)
-    assert (runs.call_count, loads.call_count) == (7, 1)
+            scale_run(cfg, "orgs", [2, 3, 4], metric="peak_bytes")
+    assert (runs.call_count, loads.call_count) == (3, 1)
     for call in runs.call_args_list:
         point_cfg, partitions = call.args
         assert partitions == experiment._load_inputs(point_cfg)
-    # Generated inputs differ per point: each is generated once.
+    # Generated inputs differ per point: each is generated once, and the
+    # base config's, which is not a point, never.
     with mock.patch.object(
         experiment, "generate_scenario_log", wraps=experiment.generate_scenario_log
     ) as generates:
-        scale_run(SMALL.with_overrides(n_cases=10), "cases", [10, 20, 30], repeats=2)
+        scale_run(SMALL.with_overrides(n_cases=1000), "cases", [10, 20, 30])
     assert generates.call_count == 3
 
 
@@ -253,9 +256,9 @@ def test_scale_run_cases_dimension():
         "cases",
         [10, 20, 30],
         metric="peak_bytes",
-        repeats=1,
     )
     assert [r["x"] for r in rows] == [10.0, 20.0, 30.0]
+    assert all(list(r) == ["x", "peak_bytes", "mean_bytes", "message_count"] for r in rows)
     assert isinstance(stats, RegressionStats)
     assert all(r["peak_bytes"] > 0 for r in rows)
 
@@ -266,7 +269,6 @@ def test_scale_run_events_dimension_uses_case_length():
         "events",
         [1, 2, 3],
         metric="peak_bytes",
-        repeats=1,
     )
     assert [r["x"] for r in rows] == [18.0, 34.0, 50.0]
 
@@ -285,14 +287,14 @@ def test_a_sweep_point_that_does_not_finish_raises():
     # A miner that aborts names its reason and message.
     tight = SMALL.with_overrides(n_cases=5, incremental=False, capacity=2000)
     with pytest.raises(SessionFailed, match="^session aborted: CapacityExceeded: .*capacity 2000"):
-        scale_run(tight, "cases", [5, 10, 15], metric="peak_bytes", repeats=1)
+        scale_run(tight, "cases", [5, 10, 15], metric="peak_bytes")
 
 
 @pytest.mark.parametrize("dimension", ["cases", "orgs", "events"])
 def test_scale_run_checks_every_value_before_any_session(dimension):
     with mock.patch.object(experiment, "_run_session") as runs:
         with pytest.raises(ValueError, match="must be at least 1"):
-            scale_run(SMALL, dimension, [2, 0], repeats=1)
+            scale_run(SMALL, dimension, [2, 0])
     assert runs.call_count == 0
 
 
@@ -315,15 +317,15 @@ def test_scale_run_rejects_a_sweep_its_input_file_fixes(tmp_path, dimension, pat
         with pytest.raises(ValueError, match="^cannot sweep %s: %s fixes them$" % (
             dimension, re.escape(fixed)
         )):
-            scale_run(cfg, dimension, [1, 2, 3], repeats=1)
+            scale_run(cfg, dimension, [1, 2, 3])
     assert runs.call_count == 0
 
 
-@pytest.mark.parametrize("repeats", [0, -4])
-def test_scale_run_rejects_repeats_below_one_before_any_session(repeats):
+def test_scale_run_rejects_an_unknown_metric_before_any_session():
+    named = "^metric must be one of peak_bytes, mean_bytes, message_count, got 'bogus'$"
     with mock.patch.object(experiment, "_run_session") as runs:
-        with pytest.raises(ValueError, match="^repeats must be at least 1, got %d$" % repeats):
-            scale_run(SMALL, "cases", [10, 20, 30], repeats=repeats)
+        with pytest.raises(ValueError, match=named):
+            scale_run(ExperimentConfig(n_cases=10), "cases", [10, 20, 30], metric="bogus")
     assert runs.call_count == 0
 
 
@@ -331,7 +333,7 @@ def test_scale_run_checks_the_fit_can_use_its_points_before_any_session():
     cfg = ExperimentConfig(n_cases=10)
     with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
         with pytest.raises(ValueError, match="need at least 3 points, got 1"):
-            scale_run(cfg, "cases", [10], repeats=1)
+            scale_run(cfg, "cases", [10])
     assert runs.call_count == 0
 
 

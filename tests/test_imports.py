@@ -66,10 +66,6 @@ UNREAD_ON_PURPOSE = {
         " replace the wrapping (ROADMAP item 5)"
     ),
     ("experiment.py", "read_transcript"): "the replay half of write_transcript",
-    ("experiment.py", "RunMetrics.comparable"): (
-        "ROADMAP aim 4: the deterministic fields of a run, wall time excluded,"
-        " that runs under one seed must agree on"
-    ),
 }
 
 # Parameters with a default that nothing in the library or the benchmark
@@ -95,7 +91,7 @@ UNSET_ON_PURPOSE.update(
 UNSET_ON_PURPOSE.update(
     {
         ("experiment.py", "RunMetrics.__init__", name): "an accumulator, filled after construction"
-        for name in ("samples", "peak_bytes", "mean_bytes", "message_count", "yield_count", "wall_ms")
+        for name in ("samples", "peak_bytes", "mean_bytes", "message_count", "yield_count")
     }
 )
 UNSET_ON_PURPOSE.update(
@@ -110,11 +106,7 @@ UNSET_ON_PURPOSE.update(
 
 # Fields and ``self`` attributes nothing in the library or the benchmark
 # reads as an attribute, as ``(module, "Class.name")``, and why each stays.
-UNREAD_FIELDS = {
-    ("experiment.py", "RunMetrics.wall_ms"): (
-        "read by name through scale_run's metric (getattr); ROADMAP item 6 removes it"
-    ),
-}
+UNREAD_FIELDS = {}
 
 
 def _bindings(tree):

@@ -48,8 +48,11 @@ def test_org_map_for_other_org_counts():
     assert set(m1.values()) == {"org1"}
     m5 = org_map_for(5)
     assert set(m5.values()) == {"org%d" % i for i in range(1, 6)}
+    assert set(org_map_for(19).values()) == {"org%d" % i for i in range(1, 20)}
     with pytest.raises(ValueError):
         org_map_for(0)
+    with pytest.raises(ValueError, match="^need at most 19 orgs, one per activity, got 20$"):
+        org_map_for(20)
 
 
 def test_case_traces_are_exactly_one_variant():
