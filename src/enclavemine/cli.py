@@ -5,27 +5,28 @@ Subcommands:
 * ``generate``            write a synthetic scenario log as CSV
 * ``split``               partition a log per organization
 * ``run``                 one protocol session with metrics and mining output
-* ``sweep-segsize``       message/memory behavior across segment budgets
-* ``scale``               input-scaling sweeps of a counted metric with linear/log fits
+* ``scale``               sweeps of a counted metric over events, cases, orgs or
+                          segment size, with linear/log fits
 * ``stats``               fit linear/log models to columns of a CSV
 * ``verify-convergence``  protocol output equals standalone mining, byte-wise
 
-``run``, ``sweep-segsize``, and ``scale`` accept ``--config`` (a JSON file of
-ExperimentConfig fields); explicit flags override file values. A file that
+``run``, ``scale`` and ``verify-convergence`` accept ``--config`` (a JSON file
+of ExperimentConfig fields); explicit flags override file values. A file that
 cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1, or an org count above 19 (one per
 scenario activity), from a file, a flag or a ``scale`` value. So is an
 input log or org map that cannot be read, parsed or split, a ``split`` org
 name that is not a plain file name, a ``generate`` count out of the same
-range, a ``--sizes`` or ``--values`` list that is not integers, and a
+range, a ``--values`` list that is not integers, and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
 finite number among them).
 So is a ``scale`` sweep of cases or events over ``--log``, or of orgs with
-``--org-map``, which fix them. ``scale`` runs one session per point, since
-the seed fixes every ``--metric`` it fits, and writes every metric's column.
-A ``run``, ``sweep-segsize``, ``scale`` or ``verify-convergence`` session
-that is not done prints ``session aborted: <Reason>: <message>`` and exits 1.
+``--org-map``, which fix them; a segsize sweep loads its input once. ``scale``
+runs one session per point, since the seed fixes every ``--metric`` it fits,
+and writes every metric's column.
+A ``run``, ``scale`` or ``verify-convergence`` session that is not done
+prints ``session aborted: <Reason>: <message>`` and exits 1.
 """
 
 from __future__ import annotations
@@ -34,11 +35,13 @@ import argparse
 import csv
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, NoReturn
 
 from .experiment import (
     ALGORITHMS,
+    SCALE_DIMENSIONS,
     SCALE_METRICS,
     ExperimentConfig,
     SessionFailed,
@@ -48,12 +51,11 @@ from .experiment import (
     run_experiment,
     scale_run,
     standalone_mining,
-    sweep_segsize,
     write_metrics_csv,
     write_transcript,
 )
 from .logio import LogIoError, save_csv
-from .model import merge_all
+from .model import iid_set, merge_all
 from .scenario import generate_scenario_log, org_map_for
 from .stats import fit_stats
 
@@ -122,9 +124,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         cfg.n_cases, cfg.seed, loop_iterations=cfg.loop_iterations, org_map=org_map_for(cfg.n_orgs)
     )
     save_csv(log, args.out)
-    lengths = {}
-    for ev in log:
-        lengths[ev.iid] = lengths.get(ev.iid, 0) + 1
+    lengths = Counter(ev.iid for ev in log)
     sizes = sorted(lengths.values())
     print(
         "wrote %s: %d events, %d cases, %d activities, events/case min %d max %d mean %.2f"
@@ -154,7 +154,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for org, partition in sorted(parts.items()):
         save_csv(partition, out_dir / ("%s.csv" % org))
-        print("%s: %d events, %d cases" % (org, len(partition), len(set(e.iid for e in partition))))
+        print("%s: %d events, %d cases" % (org, len(partition), len(iid_set(partition))))
     return 0
 
 
@@ -181,30 +181,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_segsize(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    rows = sweep_segsize(cfg, _integers(args, "--sizes", args.sizes))
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seg_size", "messages", "peak_bytes", "mean_bytes"])
-        for seg_size, metrics in rows:
-            writer.writerow(
-                [seg_size, metrics.message_count, metrics.peak_bytes, "%.2f" % metrics.mean_bytes]
-            )
-    counts = [m.message_count for _, m in rows]
-    verdict = "non-increasing" if all(a >= b for a, b in zip(counts, counts[1:])) else "NOT monotone"
-    print("wrote %s; message counts %s (%s)" % (out, counts, verdict))
-    return 0
-
-
 def _cmd_scale(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     defaults = {
         "events": [2, 4, 6, 8, 10, 12, 14, 16],
         "cases": [2 ** x for x in range(7, 14)],
         "orgs": list(range(1, 9)),
+        "segsize": [50_000, 100_000, 500_000, 1_000_000, 5_000_000],
     }
     values = _integers(args, "--values", args.values) if args.values else defaults[args.dimension]
     try:
@@ -285,14 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep-segsize", help="sweep segment budgets")
-    _add_config_flags(p)
-    p.add_argument("--sizes", default="50000,100000,500000,1000000,5000000")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep_segsize)
-
     p = sub.add_parser("scale", help="scaling sweep with linear/log fits")
-    p.add_argument("dimension", choices=("events", "cases", "orgs"))
+    p.add_argument("dimension", choices=SCALE_DIMENSIONS)
     _add_config_flags(p)
     p.add_argument("--values", help="comma-separated sweep values")
     p.add_argument("--metric", default="peak_bytes", choices=SCALE_METRICS)

@@ -383,12 +383,21 @@ def open_segment(
 
 
 class EnclaveAccountant:
-    """Tracks simulated enclave memory in bytes: current, peak, optional cap."""
+    """Tracks simulated enclave memory in bytes: current, peak, optional cap,
+    and ``mean_bytes``, the mean of the bytes held after each ``account``
+    call (0.0 before the first), so bytes held only inside one delivered
+    message count too."""
 
     def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
         self.current_bytes = 0
         self.peak_bytes = 0
+        self._held_sum = 0
+        self._calls = 0
+
+    @property
+    def mean_bytes(self) -> float:
+        return self._held_sum / self._calls if self._calls else 0.0
 
     def account(self, delta: int) -> None:
         nxt = self.current_bytes + delta
@@ -401,5 +410,7 @@ class EnclaveAccountant:
                 "%d bytes needed, capacity %d" % (nxt, self.capacity)
             )
         self.current_bytes = nxt
+        self._held_sum += nxt
+        self._calls += 1
         if nxt > self.peak_bytes:
             self.peak_bytes = nxt

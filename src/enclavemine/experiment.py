@@ -42,6 +42,7 @@ __all__ = [
     "SessionFailed",
     "MINER_ORG_PROOF",
     "ALGORITHMS",
+    "SCALE_DIMENSIONS",
     "SCALE_METRICS",
     "SESSION",
     "ExperimentConfig",
@@ -53,8 +54,8 @@ __all__ = [
     "build_manifest",
     "build_session",
     "run_experiment",
+    "feed_log",
     "standalone_mining",
-    "sweep_segsize",
     "scale_run",
     "write_metrics_csv",
     "write_transcript",
@@ -64,6 +65,13 @@ __all__ = [
 MINER_ORG_PROOF = "org:miner"
 ALGORITHMS = ("heuristics", "declare")
 SCALE_METRICS = ("peak_bytes", "mean_bytes", "message_count")  # each fixed by the seed
+# Each scale_run dimension and the config field its values set.
+SCALE_DIMENSIONS = {
+    "events": "loop_iterations",
+    "cases": "n_cases",
+    "orgs": "n_orgs",
+    "segsize": "seg_size",
+}
 SESSION = "session-1"
 
 
@@ -133,7 +141,7 @@ class MetricSample:
 class RunMetrics:
     samples: List[MetricSample] = field(default_factory=list)
     peak_bytes: int = 0
-    mean_bytes: float = 0.0
+    mean_bytes: float = 0.0  # the accountant's, over its account calls
     message_count: int = 0
     yield_count: int = 0
 
@@ -163,9 +171,16 @@ def _done(result: ExperimentResult) -> ExperimentResult:
     return result
 
 
+def feed_log(sink, log: EventLog) -> None:
+    """Hand each case of ``log`` to ``sink.on_case`` in ascending iid order,
+    as a batch session does."""
+    cases = group_by_iid(log)
+    for iid in sorted(cases):
+        sink.on_case(cases[iid])
+
+
 class HeuristicsSink:
-    """Feeds cases, in any order (``on_case``), or a whole log (``on_log``,
-    for :func:`standalone_mining`) into directly-follows counters."""
+    """Feeds cases, in any order, into directly-follows counters."""
 
     def __init__(self) -> None:
         self.state = DfgState()
@@ -173,10 +188,9 @@ class HeuristicsSink:
     def on_case(self, case: EventLog) -> None:
         hm_observe(self.state, case)
 
-    def on_log(self, log: EventLog) -> None:
-        cases = group_by_iid(log)
-        for iid in sorted(cases):
-            hm_observe(self.state, cases[iid])
+    # Bound for the benchmark's traced run (perfbench/spans.py), which wraps
+    # it by name, until in-program spans replace the wrapping (ROADMAP item 5).
+    on_log = feed_log
 
     def finalize_bytes(self) -> bytes:
         return to_pnml(hm_finalize(self.state))
@@ -192,8 +206,7 @@ class DeclareSink:
     def on_case(self, case: EventLog) -> None:
         self.state.add_case(case)
 
-    def on_log(self, log: EventLog) -> None:
-        self.state.add_log(log)
+    on_log = feed_log  # as HeuristicsSink's
 
     def finalize_bytes(self) -> bytes:
         return fitness_report_json(self.state.finalize(), self.model)
@@ -324,9 +337,8 @@ def _run_session(
         network.run_replay(replay_order)
     metrics.peak_bytes = miner.accountant.peak_bytes
     metrics.message_count = network.step
+    metrics.mean_bytes = miner.accountant.mean_bytes
     metrics.yield_count = miner.yield_count
-    if metrics.samples:
-        metrics.mean_bytes = sum(s.current_bytes for s in metrics.samples) / len(metrics.samples)
     return ExperimentResult(
         config=cfg,
         metrics=metrics,
@@ -341,20 +353,8 @@ def _run_session(
 def standalone_mining(log: EventLog, algorithm: str) -> bytes:
     """Mining output for a pre-merged log, bypassing the protocol entirely."""
     sink = _make_sink(algorithm)
-    sink.on_log(log)
+    feed_log(sink, log)
     return sink.finalize_bytes()
-
-
-def sweep_segsize(
-    cfg: ExperimentConfig, sizes: Sequence[int]
-) -> List[Tuple[int, RunMetrics]]:
-    """Each budget's metrics; :class:`SessionFailed` if a session is not done.
-    The input is loaded once for the whole sweep."""
-    partitions = _load_inputs(cfg)
-    return [
-        (seg_size, _done(_run_session(cfg.with_overrides(seg_size=seg_size), partitions)).metrics)
-        for seg_size in sizes
-    ]
 
 
 def scale_run(
@@ -366,24 +366,27 @@ def scale_run(
 ) -> Tuple[List[Dict[str, float]], RegressionStats]:
     """Sweep one input dimension and fit linear/log models to a metric.
 
-    ``dimension`` is one of ``events`` (loop iterations; x is the maximum
-    case length), ``cases`` (x is the case count), or ``orgs`` (x is the
-    organization count). ``metric`` is one of :data:`SCALE_METRICS`, which
-    the seed fixes, so each point runs one session. Every row is ``{x,
-    peak_bytes, mean_bytes, message_count}``. The metric, every point's
-    config, the fit's x values, the input and the sweep are checked
-    (``LogIoError`` for the input, else ``ValueError``) before any session
-    runs: an input file fixes the cases and their lengths, and an org map
-    the orgs, so sweeping them over one is an error. A session that is not
-    done raises :class:`SessionFailed`. An input file is read once and
-    re-split per org count; a generated input is generated once per point.
+    ``dimension`` is a key of :data:`SCALE_DIMENSIONS`: ``events`` (loop
+    iterations; x is the maximum case length), ``cases`` (x is the case
+    count), ``orgs`` (x is the organization count) or ``segsize`` (x is the
+    segment budget, ``seg_size``). ``metric`` is one of
+    :data:`SCALE_METRICS`, which the seed fixes, so each point runs one
+    session. Every row is ``{x, peak_bytes, mean_bytes, message_count}``.
+    The metric, every point's config, the fit's x values, the input and the
+    sweep are checked (``LogIoError`` for the input, else ``ValueError``)
+    before any session runs: an input file fixes the cases and their
+    lengths, and an org map the orgs, so sweeping them over one is an error.
+    A session that is not done raises :class:`SessionFailed`. A segsize
+    sweep loads its input once and mines it at every point; otherwise an
+    input file is read once and re-split per org count, and a generated
+    input is generated once per point.
     """
-    field_of = {"events": "loop_iterations", "cases": "n_cases", "orgs": "n_orgs"}
-    if dimension not in field_of:
-        raise ValueError("dimension must be events, cases, or orgs")
+    if dimension not in SCALE_DIMENSIONS:
+        dims = ", ".join(SCALE_DIMENSIONS)
+        raise ValueError("dimension must be one of %s, got %r" % (dims, dimension))
     if metric not in SCALE_METRICS:
         raise ValueError("metric must be one of %s, got %r" % (", ".join(SCALE_METRICS), metric))
-    field = field_of[dimension]
+    field = SCALE_DIMENSIONS[dimension]
     points = [
         (float(max_case_events(v) if dimension == "events" else v),
          cfg.with_overrides(**{field: v}))
@@ -391,16 +394,18 @@ def scale_run(
     ]
     check_xs([x for x, _ in points])
     # A malformed input file is reported as such before the sweep is checked against it.
-    log = None if cfg.log_path is None else merge_all(_load_inputs(cfg).values())
-    fixed_by = cfg.org_map_path if dimension == "orgs" else cfg.log_path
+    loaded = _load_inputs(cfg) if dimension == "segsize" or cfg.log_path else None
+    fixed_by = {"segsize": None, "orgs": cfg.org_map_path}.get(dimension, cfg.log_path)
     if fixed_by is not None:
         raise ValueError("cannot sweep %s: %s fixes them" % (dimension, fixed_by))
     rows: List[Dict[str, float]] = []
     for x, point_cfg in points:
-        if log is None:
+        if loaded is None:
             partitions = _load_inputs(point_cfg)
-        else:
-            partitions = split_log(log, org_map_for(point_cfg.n_orgs))
+        elif dimension == "segsize":  # a budget leaves the input as it is
+            partitions = loaded
+        else:  # orgs over a log file: the file's log, split per org count
+            partitions = split_log(merge_all(loaded.values()), org_map_for(point_cfg.n_orgs))
         metrics = _done(_run_session(point_cfg, partitions)).metrics
         rows.append({"x": x, **{name: float(getattr(metrics, name)) for name in SCALE_METRICS}})
     stats = fit_stats([r["x"] for r in rows], [r[metric] for r in rows])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..model import EventLog, group_by_iid
+from ..model import EventLog
 from .dfg import EmptyCase
 
 __all__ = [
@@ -185,11 +185,6 @@ class ConformanceState:
         res = check_case(self.model, case)
         self._results[res.iid] = res
         return res
-
-    def add_log(self, log: EventLog) -> None:
-        cases = group_by_iid(log)
-        for iid in sorted(cases):
-            self.add_case(cases[iid])
 
     def finalize(self) -> FitnessReport:
         if not self._results:

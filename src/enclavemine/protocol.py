@@ -81,7 +81,10 @@ keeps, per open stream in ``flow``, the bytes received and the credit
 granted. A stream is blocked when it has received at least its credit; its
 provisioner stopped at the segment that reached it, so nothing of it is in
 flight. After each cases_res the miner grants each blocked stream, in sorted
-order, ``B`` more, sent as the new cumulative ``credit``, when
+order, the next multiple of ``B`` above the bytes it has received, sent as
+the new cumulative ``credit``: ``B`` more than its credit, unless its last
+segment passed the credit by ``B`` or more, which only a case bigger than
+``B``, shipped alone, can do. It grants when
 
 (a) nothing is stored;
 (b) the stream owes the smallest stored iid, the oldest incomplete case
@@ -94,27 +97,31 @@ order, ``B`` more, sent as the new cumulative ``credit``, when
 A cases_res from a blocked stream is an :class:`UnexpectedMessage`, and so
 is a cases_grant outside ``streaming``, from another node than the miner, or
 one that does not raise the credit. The rule cannot deadlock in incremental
-mode: if every open stream is blocked and something is stored, the oldest
-stored case is incomplete, since a case is freed as soon as it completes,
-so a blocked stream owes it; if nothing is stored, every blocked stream is
-granted.
+mode. A grant lifts the credit above the bytes received, so the granted
+stream sends at least one more segment, and its cases_res makes the miner
+grant again. And some stream is always granted while every open stream is
+blocked: if something is stored, the oldest stored case is incomplete,
+since a case is freed as soon as it completes, so a blocked stream owes it;
+if nothing is stored, every blocked stream is granted.
 
-The bound, in incremental mode. From each grant, the first credit included,
-a stream sends under ``B`` plus one segment before it is blocked again: call
-that a window. Let ``F_p`` be the most that the cases of one window of
-stream p cost stored: its segments' plaintext plus ``EMPTY_LOG_SIZE`` per
-case beyond the first in a segment. Stored bytes stay at most ``sum(F_p)``,
-and the accountant's peak at most that plus the largest segment, whose
-plaintext is held while it is ingested. Neither depends on the case count
-or the delivery order; each ``F_p`` is about ``B`` plus a segment, so the
-bound is per provisioner and grows with their number. Why: let t be the
-last grant given under (a), or the start. Nothing was stored at t, and a
-freed case is never stored again, so whatever is stored now arrived after
-t. If stream p's last grant came at or before t, what of p's arrived after
-t belongs to its current window. If it came after t, it came under (b): p
-owed the oldest stored case and ships in ascending iid order, so every case
-it had sent was older still, and none was stored; so again whatever of p's
-is stored belongs to its current window, which costs at most ``F_p``.
+The bound, in incremental mode. A grant lifts a stream's credit at most
+``B`` above the bytes it has received, so from each grant, the first credit
+included, a stream sends under ``B`` plus one segment before it is blocked
+again: call that a window. Let ``F_p`` be the most that the cases of one
+window of stream p cost stored: its segments' plaintext plus
+``EMPTY_LOG_SIZE`` per case beyond the first in a segment. Stored bytes
+stay at most ``sum(F_p)``, and the accountant's peak at most that plus the
+largest segment, whose plaintext is held while it is ingested. Neither
+depends on the case count or the delivery order; each ``F_p`` is about
+``B`` plus a segment, so the bound is per provisioner and grows with their
+number. Why: let t be the last grant given under (a), or the start. Nothing
+was stored at t, and a freed case is never stored again, so whatever is
+stored now arrived after t. If stream p's last grant came at or before t,
+what of p's arrived after t belongs to its current window. If it came after
+t, it came under (b): p owed the oldest stored case and ships in ascending
+iid order, so every case it had sent was older still, and none was stored;
+so again whatever of p's is stored belongs to its current window, which
+costs at most ``F_p``.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -246,9 +253,9 @@ KIND_CASES_REQ = "cases_req"
 KIND_CASES_RES = "cases_res"
 KIND_CASES_GRANT = "cases_grant"
 
-# A stream's first credit, and each grant, in segments of seg_size bytes.
+# A stream's first credit, and the step of its grants, in segments of seg_size bytes.
 CREDIT_SEGMENTS = 10
-# A batch session's grant: more than any stream sends, so it is the last.
+# A batch session's grant step: more than any stream sends, so its grant is the last.
 _CREDIT_UNLIMITED = 2**63 - 1
 
 # Bytes of the freshness nonce a provisioner issues for the miner's evidence.
@@ -414,7 +421,8 @@ class SecureMiner:
             if received >= credit and (
                 not self.config.do_yield_cases or oldest is None or oldest in self.pmap[p]
             ):
-                credit = credit + self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
+                step = self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
+                credit = (received // step + 1) * step  # the next multiple above received
                 self.flow[p] = (received, credit)
                 out.append((p, self._msg(KIND_CASES_GRANT, {"credit": credit}, b"")))
         return out

@@ -22,7 +22,6 @@ from enclavemine.experiment import (
     run_experiment,
     scale_run,
     standalone_mining,
-    sweep_segsize,
 )
 from enclavemine.mining.declare import ConformanceState
 from enclavemine.model import (
@@ -185,7 +184,8 @@ def check_convergence_at_scale():
     reported = json.loads(direct)["aggregate_exact"]
     num, den = (int(x) for x in reported.split("/"))
     state = ConformanceState(scenario_declare_model())
-    state.add_log(log)
+    for case in group_by_iid(log).values():
+        state.add_case(case)
     assert Fraction(num, den) == state.finalize().aggregate
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0, "convergence checks took %.2fs" % elapsed
@@ -234,8 +234,8 @@ def check_incremental_memory_win():
 def check_segsize_traffic():
     sizes = [50_000, 100_000, 500_000, 1_000_000, 5_000_000]
     cfg = ExperimentConfig(n_cases=1000, seed=1)
-    rows = sweep_segsize(cfg, sizes)
-    counts = [m.message_count for _, m in rows]
+    rows, _ = scale_run(cfg, "segsize", sizes, metric="message_count")
+    counts = [row["message_count"] for row in rows]
     assert all(a >= b for a, b in zip(counts, counts[1:])), "counts %s" % counts
 
     log = generate_scenario_log(1000, 1, org_map=org_map_for(3))

@@ -197,12 +197,12 @@ def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, f
     "command,before,after",
     [
         ("run", [], ["--out-dir"]),
-        ("sweep-segsize", [], ["--out"]),
+        ("scale", ["segsize"], ["--out"]),
         ("scale", ["cases"], ["--out"]),
         ("verify-convergence", [], []),
         ("split", [], ["--out-dir"]),
     ],
-    ids=["run", "sweep-segsize", "scale", "verify-convergence", "split"],
+    ids=["run", "scale-segsize", "scale", "verify-convergence", "split"],
 )
 def test_a_malformed_input_log_is_a_usage_error(
     tmp_path, capsys, text, named, command, before, after
@@ -275,31 +275,37 @@ def _rerun_model(tmp_path, cases, seed, seg):
     return (out_dir / "model.pnml").read_bytes()
 
 
-def test_sweep_segsize_csv(tmp_path, capsys):
+def test_scale_segsize_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = run_cli(
-        "sweep-segsize",
+        "scale", "segsize",
         "--cases", 10,
         "--seed", 2,
-        "--sizes", "600,2000,100000",
+        "--values", "600,2000,100000",
+        "--metric", "message_count",
         "--out", out,
     )
     assert rc == 0
     with out.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["seg_size", "messages", "peak_bytes", "mean_bytes"]
-    assert [r[0] for r in rows[1:]] == ["600", "2000", "100000"]
-    counts = [int(r[1]) for r in rows[1:]]
+    assert rows[0] == ["x", "peak_bytes", "mean_bytes", "message_count"]
+    assert [r[0] for r in rows[1:]] == ["600.0", "2000.0", "100000.0"]
+    counts = [float(r[3]) for r in rows[1:]]
     assert counts == sorted(counts, reverse=True)
-    assert "non-increasing" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("wrote %s; r2_linear=" % out)
 
 
-def test_sweep_segsize_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
+def test_scale_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
+    config = tmp_path / "tight.json"
+    config.write_text(json.dumps({"capacity": 2000, "incremental": False}))
     out = tmp_path / "sweep.csv"
-    rc = run_cli("sweep-segsize", "--cases", 10, "--sizes", 0, "--out", out)
+    rc = run_cli(
+        "scale", "segsize", "--config", config, "--cases", 10, "--values", "800,4000,40000",
+        "--out", out,
+    )
     assert rc == 1
     assert capsys.readouterr().out == (
-        "session aborted: Stalled: awaiting cases from clinic, hospital, pharma\n"
+        "session aborted: CapacityExceeded: 2034 bytes needed, capacity 2000\n"
     )
     assert not out.exists()
 
@@ -424,15 +430,15 @@ def test_stats_reports_bad_input_in_one_line(tmp_path, capsys, rows, x, named):
     "argv,named",
     [
         (
-            ["sweep-segsize", "--sizes", "1000,abc"],
-            "--sizes takes comma-separated integers, not '1000,abc'",
+            ["scale", "segsize", "--values", "1000,abc"],
+            "--values takes comma-separated integers, not '1000,abc'",
         ),
         (
             ["scale", "cases", "--values", "10,abc"],
             "--values takes comma-separated integers, not '10,abc'",
         ),
     ],
-    ids=["sweep-segsize", "scale"],
+    ids=["scale-segsize", "scale"],
 )
 def test_a_number_list_that_is_not_integers_is_a_usage_error_before_any_session(
     tmp_path, capsys, argv, named

@@ -126,10 +126,18 @@ def test_fixture_case_fitness(three_partitions):
     assert short_res.violated_labels(model) == ("chain_response(AD,TP)",)
 
 
+def _checked(model, log):
+    """A state fed every case of ``log``, one at a time, in ascending iid order."""
+    state = ConformanceState(model)
+    cases = group_by_iid(log)
+    for iid in sorted(cases):
+        state.add_case(cases[iid])
+    return state
+
+
 def test_fixture_aggregate_is_exact(three_partitions):
     model = scenario_declare_model()
-    state = ConformanceState(model)
-    state.add_log(merge_all(three_partitions.values()))
+    state = _checked(model, merge_all(three_partitions.values()))
     report = state.finalize()
     assert report.aggregate == Fraction(23, 24)
     assert dict(report.violations)["chain_response(AD,TP)"] == 1
@@ -139,8 +147,7 @@ def test_fixture_aggregate_is_exact(three_partitions):
 def test_streaming_matches_batch():
     log = generate_scenario_log(40, seed=9)
     model = scenario_declare_model()
-    batch = ConformanceState(model)
-    batch.add_log(log)
+    batch = _checked(model, log)
     stream = ConformanceState(model)
     for case in reversed(list(group_by_iid(log).values())):
         stream.add_case(case)
@@ -155,8 +162,7 @@ def test_finalize_without_cases():
 
 def test_report_json_shape(three_partitions):
     model = scenario_declare_model()
-    state = ConformanceState(model)
-    state.add_log(merge_all(three_partitions.values()))
+    state = _checked(model, merge_all(three_partitions.values()))
     report = state.finalize()
     blob = fitness_report_json(report, model)
     assert fitness_report_json(report, model) == blob

@@ -547,6 +547,14 @@ class AccountantTest(unittest.TestCase):
         self.assertEqual(acc.current_bytes, 60)
         self.assertEqual(acc.peak_bytes, 350)
 
+    def test_mean_is_over_the_bytes_held_after_each_call(self):
+        acc = EnclaveAccountant()
+        self.assertEqual(acc.mean_bytes, 0.0)
+        acc.account(100)
+        acc.account(250)
+        acc.account(-350)
+        self.assertEqual(acc.mean_bytes, (100 + 350 + 0) / 3)
+
     def test_underflow_is_a_bug(self):
         acc = EnclaveAccountant()
         acc.account(5)

@@ -21,7 +21,6 @@ from enclavemine.experiment import (
     run_experiment,
     scale_run,
     standalone_mining,
-    sweep_segsize,
     write_metrics_csv,
     write_transcript,
 )
@@ -205,6 +204,14 @@ def test_capacity_cap_is_enforced():
     assert result.metrics.samples[-1].current_bytes == 0
 
 
+def test_mean_bytes_counts_what_is_held_inside_one_delivery():
+    # One org at 100 KB segments: each segment is opened, mined and freed
+    # inside its delivery, so every sample taken between deliveries reads 0.
+    result = run_experiment(ExperimentConfig(n_cases=200, seed=1, seg_size=100_000, n_orgs=1))
+    assert result.metrics.samples and all(s.current_bytes == 0 for s in result.metrics.samples)
+    assert 0 < result.metrics.mean_bytes < result.metrics.peak_bytes == 100_460
+
+
 def test_file_backed_run_matches_generated(tmp_path):
     log = generate_scenario_log(SMALL.n_cases, SMALL.seed)
     path = tmp_path / "log.csv"
@@ -214,14 +221,15 @@ def test_file_backed_run_matches_generated(tmp_path):
     assert from_file.output == generated.output
 
 
-def test_sweep_segsize_message_counts_monotone():
-    rows = sweep_segsize(SMALL, [800, 4000, 40_000])
-    counts = [m.message_count for _, m in rows]
+def test_scale_run_segsize_message_counts_monotone():
+    rows, _ = scale_run(SMALL, "segsize", [800, 4000, 40_000], metric="message_count")
+    assert [r["x"] for r in rows] == [800.0, 4000.0, 40_000.0]
+    counts = [r["message_count"] for r in rows]
     assert counts == sorted(counts, reverse=True) or all(
         a >= b for a, b in zip(counts, counts[1:])
     )
     # Outputs do not depend on the segment budget, only traffic shape does.
-    assert len({m.peak_bytes for _, m in rows}) >= 1
+    assert len({r["peak_bytes"] for r in rows}) >= 1
 
 
 def test_a_sweep_loads_each_distinct_input_once(tmp_path):
@@ -229,7 +237,7 @@ def test_a_sweep_loads_each_distinct_input_once(tmp_path):
     save_csv(generate_scenario_log(10, SMALL.seed), path)
     cfg = SMALL.with_overrides(n_cases=10, log_path=str(path))
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
-        rows = sweep_segsize(cfg, [800, 4000, 40_000])
+        rows, _ = scale_run(cfg, "segsize", [800, 4000, 40_000])
     assert (len(rows), loads.call_count) == (3, 1)
     # An org sweep reads the file once and splits that log again for each
     # org count, one session per point; each split equals what loading the
@@ -248,6 +256,31 @@ def test_a_sweep_loads_each_distinct_input_once(tmp_path):
     ) as generates:
         scale_run(SMALL.with_overrides(n_cases=1000), "cases", [10, 20, 30])
     assert generates.call_count == 3
+    # A segment budget leaves a generated input as it is: generated once.
+    with mock.patch.object(
+        experiment, "generate_scenario_log", wraps=experiment.generate_scenario_log
+    ) as generates:
+        scale_run(SMALL.with_overrides(n_cases=10), "segsize", [800, 4000, 40_000])
+    assert generates.call_count == 1
+
+
+def test_a_segsize_sweep_over_a_log_and_org_map_reads_the_file_once(tmp_path):
+    # An org map fixes the orgs but not the budget, so the sweep runs, on the
+    # file's split by that map at every point.
+    save_csv(generate_scenario_log(10, SMALL.seed), tmp_path / "log.csv")
+    (tmp_path / "orgs.json").write_text(json.dumps(org_map_for(2)))
+    cfg = SMALL.with_overrides(
+        n_cases=10, log_path=str(tmp_path / "log.csv"), org_map_path=str(tmp_path / "orgs.json")
+    )
+    with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
+        with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+            rows, _ = scale_run(cfg, "segsize", [800, 4000, 40_000])
+    assert (len(rows), runs.call_count, loads.call_count) == (3, 3, 1)
+    for call, seg_size in zip(runs.call_args_list, [800, 4000, 40_000]):
+        point_cfg, partitions = call.args
+        assert point_cfg.seg_size == seg_size
+        assert sorted(partitions) == ["org1", "org2"]
+        assert partitions == experiment._load_inputs(point_cfg)
 
 
 def test_scale_run_cases_dimension():
@@ -274,16 +307,19 @@ def test_scale_run_events_dimension_uses_case_length():
 
 
 def test_scale_run_rejects_unknown_dimension():
-    with pytest.raises(ValueError):
+    named = "^dimension must be one of events, cases, orgs, segsize, got 'threads'$"
+    with pytest.raises(ValueError, match=named):
         scale_run(SMALL, "threads", [1, 2, 3])
 
 
 def test_a_sweep_point_that_does_not_finish_raises():
-    # seg_size 0: every provisioner aborts and the miner, left waiting,
-    # aborts once the session goes quiet.
-    stalled = "^session aborted: Stalled: awaiting cases from clinic, hospital, pharma$"
-    with pytest.raises(SessionFailed, match=stalled):
-        sweep_segsize(SMALL.with_overrides(n_cases=10), [4000, 0])
+    # The 800-byte point peaks near 3.7 KB and finishes; the 4000-byte point
+    # needs more than the capacity, and its abort ends the sweep.
+    tight = SMALL.with_overrides(n_cases=10, capacity=5000)
+    with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+        with pytest.raises(SessionFailed, match="^session aborted: CapacityExceeded: .*5000$"):
+            scale_run(tight, "segsize", [800, 4000, 40_000])
+    assert runs.call_count == 2
     # A miner that aborts names its reason and message.
     tight = SMALL.with_overrides(n_cases=5, incremental=False, capacity=2000)
     with pytest.raises(SessionFailed, match="^session aborted: CapacityExceeded: .*capacity 2000"):

@@ -864,6 +864,20 @@ def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(
         assert oldest is None or oldest in owed, (receiver, oldest)
 
 
+@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.parametrize("seg_size", [1, 10, 30])
+def test_a_segment_past_the_credit_by_more_than_b_does_not_stall_the_stream(seg_size):
+    # Every case ships alone, and hospital's (about 500 bytes) are bigger than
+    # B = CREDIT_SEGMENTS * seg_size, so one segment can take the bytes
+    # received past the credit by B or more: a grant must still lift the
+    # credit above them, or the stream never sends again.
+    cfg = experiment.ExperimentConfig(n_cases=10, seed=1, seg_size=seg_size)
+    result = experiment.run_experiment(cfg)
+    assert (result.miner_phase, result.aborted_message) == ("done", "")
+    log = merge_all(experiment._load_inputs(cfg).values())
+    assert result.output == experiment.standalone_mining(log, cfg.algorithm)
+
+
 def _peak_bound(partitions, seg_size):
     """The incremental peak bound of the protocol docstring: per stream the
     most that the cases of one window cost stored, plus the largest
@@ -894,7 +908,8 @@ def _peak_bound(partitions, seg_size):
     log_seed=st.integers(0, 2**32 - 1),
     n_cases=st.integers(1, 60),
     # Small enough that most draws grant credit: a partition here is a few KB.
-    seg_size=st.integers(20, 300),
+    # Near 1 byte a case can be bigger than B and overshoot the credit by B.
+    seg_size=st.integers(1, 300),
     schedule=st.integers(0, 2**32 - 1),
     incremental=st.booleans(),
     algorithm=st.sampled_from(experiment.ALGORITHMS),
