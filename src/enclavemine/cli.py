@@ -37,7 +37,7 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import List, NoReturn
+from typing import NoReturn
 
 from .experiment import (
     ALGORITHMS,
@@ -65,13 +65,6 @@ __all__ = ["main", "build_parser"]
 def _usage_error(args: argparse.Namespace, message) -> NoReturn:
     print("enclavemine %s: error: %s" % (args.command, message), file=sys.stderr)
     raise SystemExit(2)
-
-
-def _integers(args: argparse.Namespace, flag: str, text: str) -> List[int]:
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        _usage_error(args, "%s takes comma-separated integers, not %r" % (flag, text))
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -189,7 +182,12 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         "orgs": list(range(1, 9)),
         "segsize": [50_000, 100_000, 500_000, 1_000_000, 5_000_000],
     }
-    values = _integers(args, "--values", args.values) if args.values else defaults[args.dimension]
+    values = defaults[args.dimension]
+    if args.values:
+        try:
+            values = [int(v) for v in args.values.split(",")]
+        except ValueError:
+            _usage_error(args, "--values takes comma-separated integers, not %r" % args.values)
     try:
         rows, stats = scale_run(cfg, args.dimension, values, metric=args.metric)
     except ValueError as exc:  # a value out of range, or too few points to fit

@@ -394,18 +394,20 @@ def scale_run(
     ]
     check_xs([x for x, _ in points])
     # A malformed input file is reported as such before the sweep is checked against it.
-    loaded = _load_inputs(cfg) if dimension == "segsize" or cfg.log_path else None
+    loaded = _load_inputs(cfg) if dimension == "segsize" or cfg.log_path is not None else None
     fixed_by = {"segsize": None, "orgs": cfg.org_map_path}.get(dimension, cfg.log_path)
     if fixed_by is not None:
         raise ValueError("cannot sweep %s: %s fixes them" % (dimension, fixed_by))
+    # Orgs over a log file: the file's log, split again per org count.
+    log = merge_all(loaded.values()) if loaded is not None and dimension == "orgs" else None
     rows: List[Dict[str, float]] = []
     for x, point_cfg in points:
-        if loaded is None:
-            partitions = _load_inputs(point_cfg)
-        elif dimension == "segsize":  # a budget leaves the input as it is
+        if log is not None:
+            partitions = split_log(log, org_map_for(point_cfg.n_orgs))
+        elif loaded is not None:  # a segment budget leaves the input as it is
             partitions = loaded
-        else:  # orgs over a log file: the file's log, split per org count
-            partitions = split_log(merge_all(loaded.values()), org_map_for(point_cfg.n_orgs))
+        else:
+            partitions = _load_inputs(point_cfg)
         metrics = _done(_run_session(point_cfg, partitions)).metrics
         rows.append({"x": x, **{name: float(getattr(metrics, name)) for name in SCALE_METRICS}})
     stats = fit_stats([r["x"] for r in rows], [r[metric] for r in rows])
