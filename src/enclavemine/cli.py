@@ -16,9 +16,10 @@ cannot be read, is not a JSON object, has a key that is not a field, or has
 a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1, or an org count above 19 (one per
 scenario activity), from a file, a flag or a ``scale`` value. So is an
-input log or org map that cannot be read, parsed or split, a ``split`` org
-name that is not a plain file name, a ``generate`` count out of the same
-range, a ``--values`` list that is not integers, and a
+input log or org map that cannot be read, parsed or split, an input log
+that holds no events, a ``split`` org name that is not a plain file name, a
+``generate`` count out of the same range, a ``--values`` list that is not
+integers (an empty one among them), and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
 finite number among them).
 So is a ``scale`` sweep of cases or events over ``--log``, or of orgs with
@@ -183,7 +184,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         "segsize": [50_000, 100_000, 500_000, 1_000_000, 5_000_000],
     }
     values = defaults[args.dimension]
-    if args.values:
+    if args.values is not None:
         try:
             values = [int(v) for v in args.values.split(",")]
         except ValueError:

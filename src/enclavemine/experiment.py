@@ -281,6 +281,8 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
     path = cfg.log_path
     try:
         log = load_log(path, iid_column=cfg.iid_column)
+        if not log.events:
+            raise LogIoError("the log holds no events")
         if cfg.org_map_path is not None:
             path = cfg.org_map_path
             with Path(path).open() as fh:

@@ -23,23 +23,25 @@ over the session, its id and the key share. The stream's first envelope
 carries the share and the proof, every later one carries both fields
 empty, and AES-GCM binds each segment to the session, the sender, the
 seg_size it was cut to, its index in the stream (from 0) and its end mark.
-Links are FIFO, so the index never rides on the wire: the miner holds, per
-open stream in ``stream_keys``, the stream key and the next index it
-expects. It verifies the proof and derives the key on the stream's first
-envelope only; a later envelope that carries key fields, and a segment
-lost, replayed, reordered, re-marked or cut to another seg_size on the way,
-fail with ``AuthFailure``. The entry goes when the stream ends or the miner
-aborts.
+Links are FIFO, so the index never rides on the wire: the miner holds, in
+the stream's record, the stream key and the next index it expects. It
+verifies the proof and derives the key on the stream's first envelope only;
+a later envelope that carries key fields, and a segment lost, replayed,
+reordered, re-marked or cut to another seg_size on the way, fail with
+``AuthFailure``. The record goes when the stream ends or the miner aborts.
 
 The miner's peers are the keys of its key table (``provisioner_keys``),
 in sorted order; a provisioner's id is its identity's ``org_id``.
 
-The miner keeps two indexes: pmap (provisioner -> iids it still owes; its
-keys are the provisioners whose refs arrived and whose stream has not ended)
-and cstor (iid -> the case's fragments received so far, one list of events
-in canonical order per provisioner that sent part of it, unmerged), with
-csize holding each stored case's encoded size. A case is complete when no
-pmap entry still holds its iid. Each case is merged once, by one sort of its
+The miner keeps one record per stream and one store of cases. streams
+(provisioner -> its stream's record; its keys are the provisioners whose refs
+arrived and whose stream has not ended) holds in each record the iids the
+provisioner still owes, the nonce its refs carried, the bytes received and
+the credit granted, and the stream key and next index. cstor (iid -> the
+case's fragments received so far, one list of events in canonical order per
+provisioner that sent part of it, unmerged) holds the stored cases, with
+csize holding each one's encoded size. A case is complete when no stream
+still owes its iid. Each case is merged once, by one sort of its
 fragments, and handed to the sink's ``on_case`` (the only sink method the
 protocol calls): in incremental mode when it completes, and it is then
 freed; in batch mode all cases once the last stream ends, in ascending iid
@@ -61,7 +63,7 @@ A provisioner sends one cases_res per segment and marks its final one with
 ``"last": true``; a provisioner that owes nothing sends the single message
 with body ``{"last": true}`` and an empty blob, and agrees no stream key. On
 ``last`` the miner checks that the sender owes nothing (else
-:class:`IncompleteDelivery`) and removes its pmap entry, so a later
+:class:`IncompleteDelivery`) and deletes its stream's record, so a later
 cases_res from it is an :class:`UnexpectedMessage`. The session finishes
 when every stream has ended.
 
@@ -77,7 +79,7 @@ it has appraised the evidence, but encodes and seals each one only when it
 sends it (encoding is lazy), and it sends while the bytes it has sent are
 below its credit. After its last segment it is ``done``; short of it, with
 its credit used up, it is ``streaming`` and waits for a grant. The miner
-keeps, per open stream in ``flow``, the bytes received and the credit
+keeps, in each open stream's record, the bytes received and the credit
 granted. A stream is blocked when it has received at least its credit; its
 provisioner stopped at the segment that reached it, so nothing of it is in
 flight. After each cases_res the miner grants each blocked stream, in sorted
@@ -87,9 +89,8 @@ segment passed the credit by ``B`` or more, which only a case bigger than
 ``B``, shipped alone, can do. It grants when
 
 (a) nothing is stored;
-(b) the stream owes the smallest stored iid, the oldest incomplete case
-    (``stored_order``, a heap of stored iids that freed ones leave lazily,
-    finds it without a scan); or
+(b) the stream owes the smallest stored iid, ``min(cstor)``, the oldest
+    incomplete case (one scan of cstor per round of grants); or
 (c) the session is in batch mode, which holds every case to the end, so
     withholding credit would save nothing: there the grant is more than
     any stream sends, and a stream is granted at most once.
@@ -140,7 +141,7 @@ envelope, ``EvidenceRejected``, capacity cap), a ``WireError`` or
 ``ModelError`` (malformed segment, event id carried twice) or a
 ``SegmenterError`` (bad ``seg_size``) aborts the node; ``handle`` returns no
 sends and the scheduler runs on. An aborted node drops every later message,
-and an aborted miner frees its stored cases and stream keys. Once no
+and an aborted miner frees its stored cases and its streams' records. Once no
 message is pending, the transport calls each node's ``on_quiet`` (a
 deployment's timeout): a node still waiting aborts with :class:`Stalled`,
 naming what it waits for (``awaiting cases from clinic``, or a
@@ -150,7 +151,6 @@ Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
 
 from __future__ import annotations
 
-import heapq
 import json
 import os
 from collections import deque
@@ -349,6 +349,18 @@ def _iids(msg: Msg) -> List[str]:
 
 
 @dataclass
+class _Stream:
+    """One provisioner's stream at the miner, from its refs to its last segment."""
+
+    owed: Set[str]  # iids it still owes
+    nonce: bytes  # the freshness nonce its refs carried
+    credit: int  # plaintext bytes granted, cumulative
+    received: int = 0  # plaintext bytes received
+    key: Optional[bytes] = None  # the stream key, once its first envelope is open
+    index: int = 0  # the index its next segment must carry
+
+
+@dataclass
 class MinerConfig:
     miner_id: str
     org_proof: str
@@ -375,16 +387,10 @@ class SecureMiner:
         self.accountant = EnclaveAccountant(capacity=config.capacity)
         self.phase = "init"
         self.phase_label = "initialization"
-        self.pmap: Dict[str, Set[str]] = {}
+        self.streams: Dict[str, _Stream] = {}
         self.cstor: Dict[str, List[List[Event]]] = {}
         self.csize: Dict[str, int] = {}
-        self.stream_keys: Dict[str, Tuple[bytes, int]] = {}
-        # Per open stream: plaintext bytes received, and the credit granted.
-        self.flow: Dict[str, Tuple[int, int]] = {}
         self.budget = CREDIT_SEGMENTS * config.seg_size
-        # Stored iids, smallest first; freed ones leave lazily (see _oldest).
-        self.stored_order: List[str] = []
-        self.nonces: Dict[str, bytes] = {}
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
@@ -399,32 +405,22 @@ class SecureMiner:
             raise UnknownProvisioner(sender)
 
     def _release(self) -> None:
-        self.stream_keys.clear()
+        self.streams.clear()
         self.accountant.account(-sum(self.csize.values()))
         self.cstor.clear()
         self.csize.clear()
-        self.stored_order.clear()
-
-    def _oldest(self) -> Optional[str]:
-        """The smallest stored iid, or None when nothing is stored."""
-        order = self.stored_order
-        while order and order[0] not in self.cstor:
-            heapq.heappop(order)
-        return order[0] if order else None
 
     def _grants(self) -> List[Tuple[str, bytes]]:
         """Grant each blocked stream more credit where the credit rule allows."""
+        incremental = self.config.do_yield_cases
+        oldest = min(self.cstor, default=None) if incremental else None
+        step = self.budget if incremental else _CREDIT_UNLIMITED
         out = []
-        oldest = self._oldest()
-        for p in sorted(self.pmap):
-            received, credit = self.flow[p]
-            if received >= credit and (
-                not self.config.do_yield_cases or oldest is None or oldest in self.pmap[p]
-            ):
-                step = self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
-                credit = (received // step + 1) * step  # the next multiple above received
-                self.flow[p] = (received, credit)
-                out.append((p, self._msg(KIND_CASES_GRANT, {"credit": credit}, b"")))
+        for p in sorted(self.streams):
+            s = self.streams[p]
+            if s.received >= s.credit and (oldest is None or oldest in s.owed):
+                s.credit = (s.received // step + 1) * step  # the next multiple above received
+                out.append((p, self._msg(KIND_CASES_GRANT, {"credit": s.credit}, b"")))
         return out
 
     # -- lifecycle -------------------------------------------------------
@@ -441,9 +437,9 @@ class SecureMiner:
 
     def on_quiet(self) -> None:
         if self.phase == "awaiting_cases":
-            waiting = "cases from " + ", ".join(sorted(self.pmap))
+            waiting = "cases from " + ", ".join(sorted(self.streams))
         else:  # a miner that never bootstrapped also awaits every peer's refs
-            waiting = "refs from " + ", ".join(p for p in self.peers if p not in self.pmap)
+            waiting = "refs from " + ", ".join(p for p in self.peers if p not in self.streams)
         _stall(self, waiting, self._release)
 
     # -- handlers --------------------------------------------------------
@@ -453,26 +449,26 @@ class SecureMiner:
         self._require_known(msg.sender)
         if self.phase != "awaiting_refs":
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
-        if msg.sender in self.pmap:
+        if msg.sender in self.streams:
             raise DuplicateResponse(msg.sender)
         if len(msg.blob) != _NONCE_SIZE:
             raise UnexpectedMessage("cases_ref_res nonce is not %d bytes" % _NONCE_SIZE)
-        self.pmap[msg.sender] = set(_iids(msg))
-        self.nonces[msg.sender] = msg.blob
-        if len(self.pmap) != len(self.peers):
+        # The first credit, B, is implied by the case request.
+        self.streams[msg.sender] = _Stream(set(_iids(msg)), msg.blob, self.budget)
+        if len(self.streams) != len(self.peers):
             return []
         self.phase = "awaiting_cases"
         self.phase_label = "attestation"
         out = []
         for p in self.peers:
-            self.flow[p] = (0, self.budget)
+            s = self.streams[p]
             evidence = build_evidence(
                 measurement=self.measurement,
                 identity_proof=self.config.org_proof,
                 k_pub=self.session_keys.k_pub,
-                nonce=self.nonces[p],
+                nonce=s.nonce,
             )
-            body = {"seg_size": self.config.seg_size, "iids": sorted(self.pmap[p])}
+            body = {"seg_size": self.config.seg_size, "iids": sorted(s.owed)}
             out.append((p, self._msg(KIND_CASES_REQ, body, evidence.to_bytes())))
         return out
 
@@ -481,81 +477,64 @@ class SecureMiner:
         self._require_known(msg.sender)
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
-        if msg.sender not in self.pmap:
+        s = self.streams.get(msg.sender)
+        if s is None:
             raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
-        received, credit = self.flow[msg.sender]
-        if received >= credit:
+        if s.received >= s.credit:
             raise UnexpectedMessage(
-                "cases_res from %s past its credit of %d bytes" % (msg.sender, credit)
+                "cases_res from %s past its credit of %d bytes" % (msg.sender, s.credit)
             )
         last = msg.body.get("last", False)
         if not isinstance(last, bool):
             raise UnexpectedMessage("cases_res last must be a boolean")
         if msg.blob:
-            self._ingest_segment(msg.sender, msg.blob, last)
+            self._ingest_segment(msg.sender, s, msg.blob, last)
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
         if last:
-            self.stream_keys.pop(msg.sender, None)
-            self.flow.pop(msg.sender)
-            owed = self.pmap.pop(msg.sender)
-            if owed:
+            del self.streams[msg.sender]
+            if s.owed:
                 raise IncompleteDelivery(
-                    "%s ended its stream owing %s" % (msg.sender, ", ".join(sorted(owed)))
+                    "%s ended its stream owing %s" % (msg.sender, ", ".join(sorted(s.owed)))
                 )
-            if not self.pmap:
+            if not self.streams:
                 self._finish()
         return self._grants()
 
-    def _ingest_segment(self, sender: str, envelope: bytes, last: bool) -> None:
-        sender_key = self.config.provisioner_keys[sender]
-        k_sym, index = self.stream_keys.get(sender, (None, 0))
-        plain, k_sym = open_segment(
+    def _ingest_segment(self, sender: str, s: _Stream, envelope: bytes, last: bool) -> None:
+        plain, s.key = open_segment(
             envelope,
             self.session_keys,
-            sender_key,
+            self.config.provisioner_keys[sender],
             self.config.session,
             sender,
             self.config.seg_size,
-            index,
+            s.index,
             last,
-            k_sym,
+            s.key,
         )
-        self.stream_keys[sender] = (k_sym, index + 1)
-        received, credit = self.flow[sender]
-        self.flow[sender] = (received + len(plain), credit)
+        s.index += 1
+        s.received += len(plain)
         self.accountant.account(len(plain))
-        owed = self.pmap[sender]
         try:
             for iid, (events, size) in sorted(decode_cases(plain).items()):
-                if iid not in owed:
+                if iid not in s.owed:
                     raise UnexpectedIid("%s from %s" % (iid, sender))
-                new = iid not in self.cstor
-                delta = size if new else size - EMPTY_LOG_SIZE
+                delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
                 self.accountant.account(delta)
                 self.cstor.setdefault(iid, []).append(events)
                 self.csize[iid] = self.csize.get(iid, 0) + delta
-                owed.discard(iid)
+                s.owed.discard(iid)
                 if not self.config.do_yield_cases:
                     continue
-                # The case is complete once no provisioner still owes it.
-                if not any(iid in other for other in self.pmap.values()):
+                # The case is complete once no stream still owes it.
+                if not any(iid in other.owed for other in self.streams.values()):
                     case = log_from_events(chain.from_iterable(self.cstor.pop(iid)))
                     self.accountant.account(-self.csize.pop(iid))
                     self.yield_count += 1
                     self.sink.on_case(case)
-                elif new:
-                    self._store_in_order(iid)
         finally:
             self.accountant.account(-len(plain))
-
-    def _store_in_order(self, iid: str) -> None:
-        order = self.stored_order
-        if len(order) > 2 * len(self.cstor):
-            # Drop freed iids, so the heap stays in proportion to cstor.
-            order[:] = [i for i in order if i in self.cstor]
-            heapq.heapify(order)
-        heapq.heappush(order, iid)
 
     def _finish(self) -> None:
         self.phase_label = "computation"

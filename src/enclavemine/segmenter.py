@@ -18,7 +18,7 @@ case's segment. The partition is in canonical order, so each segment is
 too, without a sort.
 
 A single case bigger than the budget still ships, alone, in an over-budget
-segment, and a warning names it.
+segment. One warning per plan counts such cases and names each of them.
 """
 
 from __future__ import annotations
@@ -87,14 +87,15 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
     buckets: List[List[Event]] = []
     bucket_of: Dict[str, List[Event]] = {}
     open_size = EMPTY_LOG_SIZE
+    oversized = [iid for iid in requested if case_sizes[iid] > seg_size]
+    if oversized:
+        warnings.warn(
+            "%d case(s) exceed seg_size %d and ship alone over budget: %s"
+            % (len(oversized), seg_size, ", ".join(oversized)),
+            stacklevel=2,
+        )
     for iid in requested:
         case_size = case_sizes[iid]
-        if case_size > seg_size:
-            warnings.warn(
-                "case %s (%d bytes) exceeds seg_size %d; shipping alone over budget"
-                % (iid, case_size, seg_size),
-                stacklevel=2,
-            )
         if not buckets or open_size + case_size > seg_size:
             buckets.append([])
             open_size = EMPTY_LOG_SIZE

@@ -398,7 +398,8 @@ def check_segmentation_invariants():
             requested = sorted(iid_set(partition))
             caught.clear()
             plan = segment_event_log(partition, requested, seg_size)
-            warned = [str(w.message).split()[1] for w in caught]
+            assert len(caught) <= 1, "one warning per plan at most"
+            warned = [iid for w in caught for iid in str(w.message).split(": ", 1)[1].split(", ")]
             assert plan == segment_event_log(partition, reversed(requested), seg_size)
 
             landed = []

@@ -190,8 +190,17 @@ def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, f
         ("case,activity,timestamp\nc1,A,5\nc1,C,6\n", "{org_map}: activities without an org: C"),
         ("case,activity,timestamp,event_id\nc1,A,5,e1\nc1,B,6,e1\n", "{log}: duplicate event ids: e1"),
         (None, "{log}: [Errno 2] No such file or directory: '{log}'"),
+        ("case,activity,timestamp\n", "{log}: the log holds no events"),
     ],
-    ids=["negative timestamp", "unparsable timestamp", "no timestamp column", "unmapped", "duplicate id", "no file"],
+    ids=[
+        "negative timestamp",
+        "unparsable timestamp",
+        "no timestamp column",
+        "unmapped",
+        "duplicate id",
+        "no file",
+        "no events",
+    ],
 )
 @pytest.mark.parametrize(
     "command,before,after",
@@ -437,8 +446,9 @@ def test_stats_reports_bad_input_in_one_line(tmp_path, capsys, rows, x, named):
             ["scale", "cases", "--values", "10,abc"],
             "--values takes comma-separated integers, not '10,abc'",
         ),
+        (["scale", "cases", "--values", ""], "--values takes comma-separated integers, not ''"),
     ],
-    ids=["scale-segsize", "scale"],
+    ids=["scale-segsize", "scale", "scale-empty"],
 )
 def test_a_number_list_that_is_not_integers_is_a_usage_error_before_any_session(
     tmp_path, capsys, argv, named

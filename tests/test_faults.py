@@ -468,7 +468,7 @@ def test_evidence_bound_to_another_provisioners_nonce_is_rejected(three_partitio
     assert early == []
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize(
     "kwargs,faulty,reason", [pytest.param(*row[1:], id=row[0]) for row in FAULTS]
 )
@@ -489,11 +489,11 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
         assert faulty in miner.aborted_message
     assert miner.cstor == {} and miner.csize == {}
     assert miner.accountant.current_bytes == 0
-    assert miner.stream_keys == {}
+    assert miner.streams == {}
     assert early == []
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize(
     "row,message",
     [
@@ -514,7 +514,7 @@ def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, m
     assert (miner.aborted_reason, miner.aborted_message) == ("AuthFailure", message)
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize(
     "row,node,message",
     [
@@ -534,7 +534,7 @@ def test_a_credit_fault_names_what_went_wrong(three_partitions, row, node, messa
     assert nodes[node].aborted_message == message
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 def test_a_grant_to_a_stream_with_credit_left_aborts_its_provisioner(three_partitions):
     # Pharma's whole stream fits its first credit, so it has ended, with
     # credit left, when the forged grant behind its case request arrives.
@@ -562,7 +562,7 @@ def test_a_segment_from_another_session_is_rejected(three_partitions):
     miner = nodes["miner"]
     assert (miner.phase, miner.aborted_reason) == ("aborted", "AuthFailure")
     assert miner.cstor == {} and miner.accountant.current_bytes == 0
-    assert miner.stream_keys == {}
+    assert miner.streams == {}
     assert early == []
 
 
@@ -587,7 +587,7 @@ CORRUPTION_REASONS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @settings(max_examples=120, deadline=None)
 @given(
     sealed=st.booleans(),
@@ -617,7 +617,7 @@ def test_corrupted_segment_ends_done_or_aborted(three_partitions, sealed, target
     elif sealed and target < count[0]:
         pytest.fail("a flipped envelope byte went unnoticed")
     assert miner.cstor == {} and miner.accountant.current_bytes == 0
-    assert miner.stream_keys == {}
+    assert miner.streams == {}
     assert all(p.phase == "done" for p in nodes.values())
     assert early == []
 
@@ -641,5 +641,5 @@ def test_corrupted_control_message_never_escapes(three_partitions, target, posit
     for node in nodes.values():
         assert (node.phase == "aborted") == (node.aborted_reason is not None)
     assert miner.cstor == {} and miner.accountant.current_bytes == 0
-    assert miner.stream_keys == {}
+    assert miner.streams == {}
     assert early == []

@@ -207,7 +207,7 @@ def test_case_index_after_refs(three_partitions):
     # Deliver exactly the three ref round-trips.
     for _ in range(6):
         net.deliver_next()
-    assert miner.pmap == {
+    assert {p: s.owed for p, s in miner.streams.items()} == {
         "hospital": {"312", "711"},
         "pharma": {"312", "711"},
         "clinic": {"312"},
@@ -230,12 +230,12 @@ def test_incremental_session_yields_merged_cases(three_partitions):
     assert by_iid["711"] == extract_case(full, "711")
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 def test_batch_session_hands_over_every_case_at_the_end_in_iid_order():
     partitions = _random_partitions(3, n_cases=12)
     net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=False, seed=3)
     held = []  # (streams still open, cases handed over) after each delivery
-    net.on_delivered = lambda record: held.append((len(miner.pmap), len(sink.cases)))
+    net.on_delivered = lambda record: held.append((len(miner.streams), len(sink.cases)))
     net.bootstrap()
     net.run()
     assert miner.phase == "done"
@@ -351,7 +351,7 @@ def test_one_key_encapsulation_per_stream(three_partitions, do_yield):
         assert _key_fields(msgs) == [(32, 64)] + [(0, 0)] * (len(msgs) - 1)
     shares = {unframe(msgs[0].blob, 3)[0] for msgs in streams.values()}
     assert len(shares) == len(streams)
-    assert miner.stream_keys == {}
+    assert miner.streams == {}
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
@@ -700,7 +700,7 @@ def _random_partitions(seed, n_cases=40):
     }
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("do_yield", [True, False])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 def test_accountant_tracks_stored_case_encodings(seed, do_yield):
@@ -721,8 +721,6 @@ def test_accountant_tracks_stored_case_encodings(seed, do_yield):
         assert miner.csize == sizes
         assert miner.accountant.current_bytes == sum(sizes.values())
         most_stored = max(most_stored, len(sizes))
-        # Freed iids leave the heap of stored ones before it doubles.
-        assert len(miner.stored_order) <= 2 * most_stored + 1
 
     net.on_delivered = check
     net.bootstrap()
@@ -733,7 +731,7 @@ def test_accountant_tracks_stored_case_encodings(seed, do_yield):
     assert merge_all(sink.cases) == merge_all(partitions.values())
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("do_yield", [True, False])
 def test_each_case_is_merged_once(do_yield):
     # Ingest stores each case's fragments unmerged; a session merges each
@@ -756,7 +754,7 @@ def test_each_case_is_merged_once(do_yield):
     assert merge_all(sink.cases) == full
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("do_yield", [True, False])
 def test_session_encodes_once_per_segment(monkeypatch, do_yield):
     # Sizes come from arithmetic, so the only encodings are the ones sealed,
@@ -796,7 +794,7 @@ def _credits(net, receiver):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 def test_a_stream_past_its_first_credit_is_granted_more_in_steps_of_the_budget():
     partitions = _random_partitions(4, n_cases=60)
     net, miner, sink, provisioners = _run_to_done(
@@ -819,7 +817,7 @@ def test_a_stream_past_its_first_credit_is_granted_more_in_steps_of_the_budget()
     assert merge_all(sink.cases) == merge_all(partitions.values())
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 def test_a_batch_session_grants_each_stream_once_for_all_it_has_left():
     # Batch mode holds every case to the end, so credit is not withheld: a
     # blocked stream's one grant covers the rest of it.
@@ -848,10 +846,10 @@ class GrantWatchingNetwork(InProcessNetwork):
         if Msg.decode(payload).kind == KIND_CASES_GRANT:
             miner = self._nodes[sender]
             oldest = min(miner.cstor) if miner.cstor else None
-            self.grants.append((receiver, oldest, set(miner.pmap[receiver])))
+            self.grants.append((receiver, oldest, set(miner.streams[receiver].owed)))
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(seed):
     # Credit withheld from a stream that does not owe the oldest stored case
@@ -864,7 +862,7 @@ def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(
         assert oldest is None or oldest in owed, (receiver, oldest)
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("seg_size", [1, 10, 30])
 def test_a_segment_past_the_credit_by_more_than_b_does_not_stall_the_stream(seg_size):
     # Every case ships alone, and hospital's (about 500 bytes) are bigger than
@@ -902,7 +900,7 @@ def _peak_bound(partitions, seg_size):
     return bound + largest
 
 
-@pytest.mark.filterwarnings("ignore:case .* exceeds seg_size")
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @settings(max_examples=60, deadline=None)
 @given(
     log_seed=st.integers(0, 2**32 - 1),

@@ -80,9 +80,12 @@ def test_subset_of_iids_only(hospital_log):
 
 def test_oversized_case_warns_and_ships(hospital_log):
     tiny = EMPTY_LOG_SIZE + 1
-    with pytest.warns(UserWarning, match="exceeds seg_size") as caught:
+    with pytest.warns(UserWarning, match="exceed seg_size") as caught:
         plan = segment_event_log(hospital_log, ["312", "711"], tiny)
-    assert [str(w.message).split()[1] for w in caught] == ["312", "711"]
+    # One warning for the plan, naming each over-budget case once.
+    assert [str(w.message) for w in caught] == [
+        "2 case(s) exceed seg_size %d and ship alone over budget: 312, 711" % tiny
+    ]
     assert len(plan.segments) == 2
 
 
