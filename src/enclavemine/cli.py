@@ -17,7 +17,9 @@ a value of the wrong type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1, or an org count above 19 (one per
 scenario activity), from a file, a flag or a ``scale`` value. So is an
 input log or org map that cannot be read, parsed or split, an input log
-that holds no events, a ``split`` org name that is not a plain file name, a
+that holds no events, an input log with an event over a wire limit (a
+timestamp past u64, or a string field over 65535 encoded bytes) that no
+session could ship, a ``split`` org name that is not a plain file name, a
 ``generate`` count out of the same range, a ``--values`` list that is not
 integers (an empty one among them), and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a
@@ -108,8 +110,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:  # the counts are checked where a session's are
-        cfg = ExperimentConfig(
+    try:  # unset flags keep the config's defaults; counts are checked where a session's are
+        cfg = ExperimentConfig().with_overrides(
             n_cases=args.cases, seed=args.seed, n_orgs=args.orgs, loop_iterations=args.loop
         )
     except ValueError as exc:
@@ -248,10 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic scenario log")
-    p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--loop", type=int, default=1)
-    p.add_argument("--orgs", type=int, default=3)
+    p.add_argument("--cases", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--loop", type=int)
+    p.add_argument("--orgs", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 

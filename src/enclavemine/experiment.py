@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hin
 from . import __version__
 from .enclave import BuildManifest, OrgIdentity, compute_measurement
 from .logio import LogIoError, load_log, split_log
-from .mining.declare import ConformanceState, fitness_report_json
+from .mining.declare import ConformanceState
 from .mining.dfg import DfgState, hm_observe
 from .mining.heuristics import PARAMS, hm_finalize
 from .mining.pnml import to_pnml
@@ -37,6 +37,7 @@ from .scenario import (
 )
 from .stats import RegressionStats, check_xs, fit_stats
 from .transport import DeliveryRecord, InProcessNetwork
+from .wire import WireError, encode_log
 
 __all__ = [
     "SessionFailed",
@@ -200,8 +201,7 @@ class DeclareSink:
     """Checks cases against a constraint model; fed as :class:`HeuristicsSink`."""
 
     def __init__(self) -> None:
-        self.model = scenario_declare_model()
-        self.state = ConformanceState(self.model)
+        self.state = ConformanceState(scenario_declare_model())
 
     def on_case(self, case: EventLog) -> None:
         self.state.add_case(case)
@@ -209,7 +209,7 @@ class DeclareSink:
     on_log = feed_log  # as HeuristicsSink's
 
     def finalize_bytes(self) -> bytes:
-        return fitness_report_json(self.state.finalize(), self.model)
+        return self.state.report_json()
 
 
 def _make_sink(algorithm: str):
@@ -283,6 +283,7 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
         log = load_log(path, iid_column=cfg.iid_column)
         if not log.events:
             raise LogIoError("the log holds no events")
+        encode_log(log)  # every event must fit the wire, or no session could ship it
         if cfg.org_map_path is not None:
             path = cfg.org_map_path
             with Path(path).open() as fh:
@@ -290,7 +291,7 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
             if not isinstance(org_map, dict) or not all(isinstance(o, str) for o in org_map.values()):
                 raise LogIoError("an org map is a JSON object that maps activities to org names")
         return split_log(log, org_map)
-    except (OSError, ValueError, LogIoError, ModelError) as exc:
+    except (OSError, ValueError, LogIoError, ModelError, WireError) as exc:
         raise LogIoError("%s: %s" % (path, exc)) from exc
 
 

@@ -21,10 +21,12 @@ not_succession(a, b)    no a is ever followed (even later) by a b
 Unary templates ignore ``b``. Constraints whose activation never occurs are
 vacuously satisfied (e.g. response(a, b) on a trace without a).
 
-Per-case fitness is the fraction of satisfied constraints, kept as an exact
-rational; the aggregate over a log is the arithmetic mean of case values.
-Checking is per-case, so streaming cases one at a time and checking a whole
-log agree exactly.
+The state is one bitmask per case: bit ``i`` is set when the model's
+``i``-th constraint holds. Fitness is computed exactly when the report is
+rendered: a case's is the fraction of satisfied constraints, and the
+aggregate over a log is the mean of the case values, ``sum(held) / (n * m)``
+for ``n`` constraints and ``m`` cases. Checking is per-case, so streaming
+cases one at a time and checking a whole log agree exactly.
 """
 
 from __future__ import annotations
@@ -41,11 +43,8 @@ __all__ = [
     "TEMPLATES",
     "Constraint",
     "DeclareModel",
-    "CaseResult",
-    "FitnessReport",
-    "check_case",
+    "case_mask",
     "ConformanceState",
-    "fitness_report_json",
 ]
 
 TEMPLATES = (
@@ -96,6 +95,16 @@ class DeclareModel:
             raise ValueError("model needs at least one constraint")
 
 
+def _response(a: str, b: str, seq: Sequence[str]) -> bool:
+    last_a = max((i for i, x in enumerate(seq) if x == a), default=None)
+    return last_a is None or b in seq[last_a + 1 :]
+
+
+def _precedence(a: str, b: str, seq: Sequence[str]) -> bool:
+    first_b = next((i for i, x in enumerate(seq) if x == b), None)
+    return first_b is None or a in seq[:first_b]
+
+
 def _holds(c: Constraint, seq: Sequence[str]) -> bool:
     a, b = c.a, c.b
     t = c.template
@@ -112,19 +121,11 @@ def _holds(c: Constraint, seq: Sequence[str]) -> bool:
     if t == "responded_existence":
         return (a not in seq) or (b in seq)
     if t == "response":
-        last_a = max((i for i, x in enumerate(seq) if x == a), default=None)
-        if last_a is None:
-            return True
-        return b in seq[last_a + 1 :]
+        return _response(a, b, seq)
     if t == "precedence":
-        first_b = next((i for i, x in enumerate(seq) if x == b), None)
-        if first_b is None:
-            return True
-        return a in seq[:first_b]
+        return _precedence(a, b, seq)
     if t == "succession":
-        return _holds(Constraint("response", a, b), seq) and _holds(
-            Constraint("precedence", a, b), seq
-        )
+        return _response(a, b, seq) and _precedence(a, b, seq)
     if t == "chain_response":
         return all(
             i + 1 < len(seq) and seq[i + 1] == b
@@ -141,87 +142,59 @@ def _holds(c: Constraint, seq: Sequence[str]) -> bool:
     raise AssertionError("unhandled template %s" % t)
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    iid: str
-    satisfied: Tuple[bool, ...]
-    fitness: Fraction
-
-    def violated_labels(self, model: DeclareModel) -> Tuple[str, ...]:
-        return tuple(
-            c.label() for c, ok in zip(model.constraints, self.satisfied) if not ok
-        )
-
-
-def check_case(model: DeclareModel, case: EventLog) -> CaseResult:
+def case_mask(model: DeclareModel, case: EventLog) -> int:
+    """Bit ``i`` is set when ``model.constraints[i]`` holds on ``case``."""
     if not case:
         raise EmptyCase("cannot check an empty case")
     if not case.is_case():
         raise ValueError("log spans multiple iids; check one case at a time")
     seq = case.activities()
-    flags = tuple(_holds(c, seq) for c in model.constraints)
-    return CaseResult(
-        iid=case.events[0].iid,
-        satisfied=flags,
-        fitness=Fraction(sum(flags), len(flags)),
-    )
-
-
-@dataclass(frozen=True)
-class FitnessReport:
-    per_trace: Tuple[CaseResult, ...]
-    aggregate: Fraction
-    violations: Tuple[Tuple[str, int], ...]
-
-
-class ConformanceState:
-    """Accumulates per-case results; order of arrival never matters."""
-
-    def __init__(self, model: DeclareModel):
-        self.model = model
-        self._results: Dict[str, CaseResult] = {}
-
-    def add_case(self, case: EventLog) -> CaseResult:
-        res = check_case(self.model, case)
-        self._results[res.iid] = res
-        return res
-
-    def finalize(self) -> FitnessReport:
-        if not self._results:
-            raise EmptyCase("no cases checked")
-        ordered = tuple(self._results[iid] for iid in sorted(self._results))
-        agg = sum((r.fitness for r in ordered), Fraction(0)) / len(ordered)
-        counts: Dict[str, int] = {c.label(): 0 for c in self.model.constraints}
-        for r in ordered:
-            for c, ok in zip(self.model.constraints, r.satisfied):
-                if not ok:
-                    counts[c.label()] += 1
-        return FitnessReport(
-            per_trace=ordered,
-            aggregate=agg,
-            violations=tuple(sorted(counts.items())),
-        )
+    return sum(1 << i for i, c in enumerate(model.constraints) if _holds(c, seq))
 
 
 def _frac_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def fitness_report_json(report: FitnessReport, model: DeclareModel) -> bytes:
-    """Deterministic JSON rendering with exact rationals alongside floats."""
-    doc = {
-        "aggregate": float(report.aggregate),
-        "aggregate_exact": _frac_str(report.aggregate),
-        "constraints": [c.label() for c in model.constraints],
-        "n_cases": len(report.per_trace),
-        "per_trace": {
-            r.iid: {
-                "fitness": float(r.fitness),
-                "fitness_exact": _frac_str(r.fitness),
-                "violated": list(r.violated_labels(model)),
+class ConformanceState:
+    """One bitmask per case; order of arrival never matters."""
+
+    def __init__(self, model: DeclareModel):
+        self.model = model
+        self._masks: Dict[str, int] = {}
+
+    def add_case(self, case: EventLog) -> None:
+        mask = case_mask(self.model, case)
+        self._masks[case.events[0].iid] = mask
+
+    def report_json(self) -> bytes:
+        """Deterministic JSON rendering with exact rationals alongside floats."""
+        if not self._masks:
+            raise EmptyCase("no cases checked")
+        labels = [c.label() for c in self.model.constraints]
+        n = len(labels)
+        violations = dict.fromkeys(labels, 0)
+        per_trace = {}
+        held_total = 0
+        for iid, mask in sorted(self._masks.items()):
+            violated = [label for i, label in enumerate(labels) if not mask >> i & 1]
+            for label in violated:
+                violations[label] += 1
+            held = n - len(violated)
+            held_total += held
+            fitness = Fraction(held, n)
+            per_trace[iid] = {
+                "fitness": float(fitness),
+                "fitness_exact": _frac_str(fitness),
+                "violated": violated,
             }
-            for r in report.per_trace
-        },
-        "violations": dict(report.violations),
-    }
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        aggregate = Fraction(held_total, n * len(per_trace))
+        doc = {
+            "aggregate": float(aggregate),
+            "aggregate_exact": _frac_str(aggregate),
+            "constraints": labels,
+            "n_cases": len(per_trace),
+            "per_trace": per_trace,
+            "violations": violations,
+        }
+        return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")

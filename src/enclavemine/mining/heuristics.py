@@ -94,16 +94,13 @@ def dependency_graph(state: DfgState) -> Set[Tuple[str, str]]:
     best_out = {a: max((d for _, d in lst), default=None) for a, lst in candidates.items()}
     for a in activities:
         for b, d in candidates[a]:
-            if d >= DEPENDENCY_THRESHOLD and (
-                best_out[a] is not None and best_out[a] - d <= RELATIVE_TO_BEST
-            ):
+            if d >= DEPENDENCY_THRESHOLD and best_out[a] - d <= RELATIVE_TO_BEST:
                 arcs.add((a, b))
 
     for a in activities:
         if candidates[a]:
             # Deterministic tie-break: highest dependency, then smallest label.
-            best_d = max(d for _, d in candidates[a])
-            choice = min(b for b, d in candidates[a] if d == best_d)
+            choice = min(b for b, d in candidates[a] if d == best_out[a])
             arcs.add((a, choice))
         if incoming[a]:
             best_d = max(d for _, d in incoming[a])
@@ -208,10 +205,6 @@ def hm_finalize(state: DfgState) -> WorkflowNet:
     net_arcs: Set[Tuple[str, str]] = set()
     extra_transitions: Dict[str, Optional[str]] = {}
 
-    def add_place(pid: str) -> str:
-        places.add(pid)
-        return pid
-
     for a in sorted(state.start_counts):
         net_arcs.add(("source", tid_of[a]))
     for a in sorted(state.end_counts):
@@ -222,27 +215,21 @@ def hm_finalize(state: DfgState) -> WorkflowNet:
             continue
         g = out_group_of[(a, b)]
         h = in_group_of[(a, b)]
+        po = "po__%s__%s" % (_sanitize(a), "+".join(_sanitize(x) for x in g))
+        pi = "pi__%s__%s" % ("+".join(_sanitize(x) for x in h), _sanitize(b))
+        # Alternating transitions and places, from a's transition to b's.
         if len(g) == 1 and len(h) == 1:
-            pid = add_place("p__%s__%s" % (_sanitize(a), _sanitize(b)))
-            net_arcs.add((tid_of[a], pid))
-            net_arcs.add((pid, tid_of[b]))
+            path = (tid_of[a], "p__%s__%s" % (_sanitize(a), _sanitize(b)), tid_of[b])
         elif len(h) == 1:
-            pid = add_place("po__%s__%s" % (_sanitize(a), "+".join(_sanitize(x) for x in g)))
-            net_arcs.add((tid_of[a], pid))
-            net_arcs.add((pid, tid_of[b]))
+            path = (tid_of[a], po, tid_of[b])
         elif len(g) == 1:
-            pid = add_place("pi__%s__%s" % ("+".join(_sanitize(x) for x in h), _sanitize(b)))
-            net_arcs.add((tid_of[a], pid))
-            net_arcs.add((pid, tid_of[b]))
+            path = (tid_of[a], pi, tid_of[b])
         else:
-            po = add_place("po__%s__%s" % (_sanitize(a), "+".join(_sanitize(x) for x in g)))
-            pi = add_place("pi__%s__%s" % ("+".join(_sanitize(x) for x in h), _sanitize(b)))
             tau = "tau__%s__%s" % (_sanitize(a), _sanitize(b))
             extra_transitions[tau] = None
-            net_arcs.add((tid_of[a], po))
-            net_arcs.add((po, tau))
-            net_arcs.add((tau, pi))
-            net_arcs.add((pi, tid_of[b]))
+            path = (tid_of[a], po, tau, pi, tid_of[b])
+        places.update(path[1::2])
+        net_arcs.update(zip(path, path[1:]))
 
     for a, b in sorted(arcs):
         if a != b:

@@ -119,9 +119,10 @@ def encode_log(log: EventLog) -> bytes:
                 key_raw, value_raw = key.encode("utf-8"), value.encode("utf-8")
                 out += (pack_len(len(key_raw)), key_raw, pack_len(len(value_raw)), value_raw)
         except struct.error as exc:
+            name = ev.event_id if len(ev.event_id) <= 40 else ev.event_id[:40] + "..."
             raise WireError(
                 "event %r exceeds a wire limit: 65535 encoded bytes per string field,"
-                " 65535 extras, a u64 timestamp" % ev.event_id
+                " 65535 extras, a u64 timestamp" % name
             ) from exc
     return b"".join(out)
 

@@ -1,6 +1,7 @@
 """Command-line entry points, driven in-process through main()."""
 
 import csv
+import hashlib
 import json
 from unittest import mock
 
@@ -11,6 +12,8 @@ from enclavemine.cli import main
 from enclavemine.logio import load_csv
 from enclavemine.model import iid_set
 from enclavemine.scenario import org_map_for
+
+WIRE_LIMITS = "65535 encoded bytes per string field, 65535 extras, a u64 timestamp"
 
 
 def run_cli(*argv):
@@ -37,6 +40,14 @@ def test_generate_prints_summary(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "8 cases" in text
     assert str(out) in text
+
+
+def test_generate_defaults_are_the_config_defaults(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    assert run_cli("generate", "--out", out) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "9f1632f9b401eddcd8916f4e9bd3449d5c4810e56e617806d54d8e7768c52361"
+    assert "1000 cases" in capsys.readouterr().out
 
 
 def test_split_writes_partitions(tmp_path, generated_log):
@@ -191,6 +202,14 @@ def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, f
         ("case,activity,timestamp,event_id\nc1,A,5,e1\nc1,B,6,e1\n", "{log}: duplicate event ids: e1"),
         (None, "{log}: [Errno 2] No such file or directory: '{log}'"),
         ("case,activity,timestamp\n", "{log}: the log holds no events"),
+        (
+            "case,activity,timestamp\nc1,A,5\nc1,B,99999999999999999999999\n",
+            "{log}: event 'log-r000001' exceeds a wire limit: " + WIRE_LIMITS,
+        ),
+        (
+            "case,activity,timestamp,event_id\nc1,A,5,%s\nc1,B,6,e2\n" % ("e" * 70_000),
+            "{log}: event '%s...' exceeds a wire limit: %s" % ("e" * 40, WIRE_LIMITS),
+        ),
     ],
     ids=[
         "negative timestamp",
@@ -200,6 +219,8 @@ def test_run_rejects_an_out_of_range_flag_with_a_usage_error(tmp_path, capsys, f
         "duplicate id",
         "no file",
         "no events",
+        "timestamp past u64",
+        "event id past u16",
     ],
 )
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ followed", activation at the last position) would flip the verdict.
 """
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -15,8 +14,7 @@ from enclavemine.mining.declare import (
     ConformanceState,
     Constraint,
     DeclareModel,
-    check_case,
-    fitness_report_json,
+    case_mask,
 )
 from enclavemine.mining.dfg import EmptyCase
 from enclavemine.model import Event, EventLog, extract_case, group_by_iid, merge_all
@@ -41,7 +39,7 @@ def _case(activities, iid="c1"):
 def _holds_on(template, a, b, activities):
     c = Constraint(template, a, b)
     model = DeclareModel((c,))
-    return check_case(model, _case(list(activities))).satisfied[0]
+    return bool(case_mask(model, _case(list(activities))) & 1)
 
 
 TRUTH_TABLE = [
@@ -101,10 +99,10 @@ def test_empty_model_rejected():
         DeclareModel(())
 
 
-def test_check_case_guards():
+def test_case_mask_guards():
     model = DeclareModel((Constraint("existence", "a"),))
     with pytest.raises(EmptyCase):
-        check_case(model, EventLog())
+        case_mask(model, EventLog())
     two = EventLog(
         (
             Event(event_id="x", iid="c1", activity="a", timestamp=0, provisioner_id="p"),
@@ -112,18 +110,23 @@ def test_check_case_guards():
         )
     )
     with pytest.raises(ValueError):
-        check_case(model, two)
+        case_mask(model, two)
 
 
 def test_fixture_case_fitness(three_partitions):
     full = merge_all(three_partitions.values())
     model = scenario_declare_model()
-    long_res = check_case(model, extract_case(full, "312"))
-    short_res = check_case(model, extract_case(full, "711"))
-    assert long_res.fitness == Fraction(1)
-    assert long_res.violated_labels(model) == ()
-    assert short_res.fitness == Fraction(11, 12)
-    assert short_res.violated_labels(model) == ("chain_response(AD,TP)",)
+    labels = [c.label() for c in model.constraints]
+    assert case_mask(model, extract_case(full, "312")) == (1 << len(labels)) - 1
+    short = case_mask(model, extract_case(full, "711"))
+    assert [labels[i] for i in range(len(labels)) if not short >> i & 1] == [
+        "chain_response(AD,TP)"
+    ]
+    per_trace = json.loads(_checked(model, full).report_json())["per_trace"]
+    assert per_trace["312"]["fitness_exact"] == "1/1"
+    assert per_trace["312"]["violated"] == []
+    assert per_trace["711"]["fitness_exact"] == "11/12"
+    assert per_trace["711"]["violated"] == ["chain_response(AD,TP)"]
 
 
 def _checked(model, log):
@@ -138,10 +141,10 @@ def _checked(model, log):
 def test_fixture_aggregate_is_exact(three_partitions):
     model = scenario_declare_model()
     state = _checked(model, merge_all(three_partitions.values()))
-    report = state.finalize()
-    assert report.aggregate == Fraction(23, 24)
-    assert dict(report.violations)["chain_response(AD,TP)"] == 1
-    assert dict(report.violations)["existence(PH)"] == 0
+    doc = json.loads(state.report_json())
+    assert doc["aggregate_exact"] == "23/24"
+    assert doc["violations"]["chain_response(AD,TP)"] == 1
+    assert doc["violations"]["existence(PH)"] == 0
 
 
 def test_streaming_matches_batch():
@@ -151,21 +154,20 @@ def test_streaming_matches_batch():
     stream = ConformanceState(model)
     for case in reversed(list(group_by_iid(log).values())):
         stream.add_case(case)
-    assert stream.finalize() == batch.finalize()
+    assert stream.report_json() == batch.report_json()
 
 
-def test_finalize_without_cases():
+def test_report_without_cases():
     state = ConformanceState(scenario_declare_model())
     with pytest.raises(EmptyCase):
-        state.finalize()
+        state.report_json()
 
 
 def test_report_json_shape(three_partitions):
     model = scenario_declare_model()
     state = _checked(model, merge_all(three_partitions.values()))
-    report = state.finalize()
-    blob = fitness_report_json(report, model)
-    assert fitness_report_json(report, model) == blob
+    blob = state.report_json()
+    assert state.report_json() == blob
     doc = json.loads(blob)
     assert doc["aggregate_exact"] == "23/24"
     assert doc["aggregate"] == pytest.approx(23 / 24)
@@ -190,10 +192,10 @@ def test_aggregate_mean_is_exact_not_float():
     state.add_case(_case(["a", "b", "c"], iid="t1"))
     state.add_case(_case(["a", "x"], iid="t2"))
     state.add_case(_case(["a", "b"], iid="t3"))
-    report = state.finalize()
-    assert [r.fitness for r in report.per_trace] == [
-        Fraction(1),
-        Fraction(1, 3),
-        Fraction(2, 3),
+    doc = json.loads(state.report_json())
+    assert [doc["per_trace"][iid]["fitness_exact"] for iid in ("t1", "t2", "t3")] == [
+        "1/1",
+        "1/3",
+        "2/3",
     ]
-    assert report.aggregate == Fraction(2, 3)
+    assert doc["aggregate_exact"] == "2/3"

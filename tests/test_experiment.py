@@ -1,6 +1,7 @@
 """End-to-end experiment runs: determinism, replay, metrics, convergence."""
 
 import csv
+import hashlib
 import json
 import random
 import re
@@ -78,6 +79,21 @@ def test_declare_output_matches_standalone():
     assert result.output == standalone_mining(log, "declare")
     doc = json.loads(result.output)
     assert doc["n_cases"] == SMALL.n_cases
+
+
+@pytest.mark.parametrize(
+    "n_cases,seed,loop,algorithm,digest",
+    [
+        (1000, 1, 1, "heuristics", "ce2f72597bf58d42fd1eabad980a032d247c8a39b12110cbe09621b8cda83003"),
+        (1000, 1, 1, "declare", "e1457e4414a7a56a20a340af7e21a3f68de2959ccd9c9b8414b59e5d71b481e9"),
+        (500, 7, 3, "heuristics", "dedca804669655bd0312f26a1cb1d6be8da6452bebe08a1c66c35d4750dadf82"),
+        (500, 7, 3, "declare", "c2bf0c1e90010c3e5007a052a6945407e85982618fb5502d693e5945ecc2d166"),
+    ],
+)
+def test_standalone_mining_output_is_pinned(n_cases, seed, loop, algorithm, digest):
+    # Golden digests: a rewrite of a miner or its rendering must keep its bytes.
+    log = generate_scenario_log(n_cases, seed, loop_iterations=loop)
+    assert hashlib.sha256(standalone_mining(log, algorithm)).hexdigest() == digest
 
 
 def test_batch_and_incremental_outputs_agree():

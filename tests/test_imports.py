@@ -85,7 +85,10 @@ UNSET_ON_PURPOSE.update(
         ("experiment.py", "ExperimentConfig.__init__", name): (
             "set by name from a --config file (cls(**data)) or a flag (replace)"
         )
-        for name in ("seg_size", "incremental", "algorithm", "capacity")
+        for name in (
+            "n_cases", "seed", "seg_size", "incremental", "algorithm", "n_orgs",
+            "loop_iterations", "capacity",
+        )
     }
 )
 UNSET_ON_PURPOSE.update(
