@@ -18,8 +18,9 @@ so is a case, org or loop count below 1, or an org count above 19 (one per
 scenario activity), from a file, a flag or a ``scale`` value. So is an
 input log or org map that cannot be read, parsed or split, an input log
 that holds no events, an input log with an event over a wire limit (a
-timestamp past u64, or a string field over 65535 encoded bytes) that no
-session could ship, a ``split`` org name that is not a plain file name, a
+timestamp past u64, or a string field over 65535 encoded bytes) or an org
+name over 65535 encoded bytes that no session could ship, a ``split`` org
+name that is not a plain file name, a
 ``generate`` count out of the same range, a ``--values`` list that is not
 integers (an empty one among them), and a
 ``stats`` CSV that cannot be read, parsed or fitted (a cell that is not a

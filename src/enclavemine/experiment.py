@@ -290,6 +290,13 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
                 org_map = json.load(fh)
             if not isinstance(org_map, dict) or not all(isinstance(o, str) for o in org_map.values()):
                 raise LogIoError("an org map is a JSON object that maps activities to org names")
+            # Each org name becomes its events' provisioner id on the wire.
+            for org in org_map.values():
+                if len(org.encode("utf-8")) > 65535:
+                    name = org if len(org) <= 40 else org[:40] + "..."
+                    raise LogIoError(
+                        "org name %r exceeds a wire limit: 65535 encoded bytes" % name
+                    )
         return split_log(log, org_map)
     except (OSError, ValueError, LogIoError, ModelError, WireError) as exc:
         raise LogIoError("%s: %s" % (path, exc)) from exc

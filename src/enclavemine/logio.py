@@ -23,7 +23,7 @@ import csv
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Set
 
 from .model import Event, EventLog, log_from_events
 
@@ -205,17 +205,25 @@ def split_log(log: EventLog, org_map: Mapping[str, str]) -> Dict[str, EventLog]:
     mapped org as their provisioner id (ids and everything else preserved),
     so merging the partitions back gives the input exactly whenever the
     input's provisioner ids already agree with the map.
+
+    A partition with no relabeled event is a subsequence of the canonical
+    input, so it is canonical already and is not re-sorted. Relabeling
+    changes ``provisioner_id``, part of the sort key, so it can reorder
+    events that share a timestamp; a partition with a relabeled event is
+    sorted again.
     """
     unmapped = sorted(set(log.activities()) - set(org_map))
     if unmapped:
         raise MissingOrg("activities without an org: %s" % ", ".join(unmapped))
     buckets: Dict[str, List[Event]] = {}
+    relabeled: Set[str] = set()
     for ev in log:
         org = org_map[ev.activity]
-        moved = (
-            ev
-            if ev.provisioner_id == org
-            else Event(ev.event_id, ev.iid, ev.activity, ev.timestamp, org, ev.extras)
-        )
-        buckets.setdefault(org, []).append(moved)
-    return {org: log_from_events(evs) for org, evs in sorted(buckets.items())}
+        if ev.provisioner_id != org:
+            ev = Event(ev.event_id, ev.iid, ev.activity, ev.timestamp, org, ev.extras)
+            relabeled.add(org)
+        buckets.setdefault(org, []).append(ev)
+    return {
+        org: log_from_events(evs) if org in relabeled else EventLog(tuple(evs))
+        for org, evs in sorted(buckets.items())
+    }

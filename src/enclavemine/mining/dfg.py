@@ -50,13 +50,13 @@ def hm_observe(state: DfgState, case: EventLog) -> DfgState:
     seq = case.activities()
     state.start_counts[seq[0]] += 1
     state.end_counts[seq[-1]] += 1
-    for act in seq:
-        state.activity_counts[act] += 1
-    for a, b in zip(seq, seq[1:]):
-        state.directly_follows[(a, b)] += 1
-    for a, b, c in zip(seq, seq[1:], seq[2:]):
-        if a == c and a != b:
-            state.loop2_counts[(a, b)] += 1
+    # Counter.update counts in C and adds new keys in first-seen order, as
+    # the ``+= 1`` loops it stands for did.
+    state.activity_counts.update(seq)
+    state.directly_follows.update(zip(seq, seq[1:]))
+    state.loop2_counts.update(
+        (a, b) for a, b, c in zip(seq, seq[1:], seq[2:]) if a == c and a != b
+    )
     state.cases_seen += 1
     return state
 

@@ -276,6 +276,25 @@ def test_an_org_map_that_is_not_an_object_of_strings_is_a_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command,after", [("run", "--out-dir"), ("split", "--out-dir")], ids=["run", "split"]
+)
+def test_an_org_name_over_the_wire_limit_is_a_usage_error(tmp_path, capsys, command, after):
+    log = tmp_path / "log.csv"
+    log.write_text("case,activity,timestamp\nc1,A,5\nc2,B,6\n")
+    org_map = tmp_path / "orgs.json"
+    org_map.write_text(json.dumps({"A": "a", "B": "b" * 70_000}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        run_cli(command, "--log", log, "--org-map", org_map, after, out)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == (
+        "enclavemine %s: error: %s: org name %r exceeds a wire limit: 65535 encoded bytes\n"
+        % (command, org_map, "b" * 40 + "...")
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("org", ["../escaped", "sub/dir", "..", ".", ""])
 def test_split_rejects_an_org_name_that_is_not_a_plain_file_name(tmp_path, capsys, org):
     log = tmp_path / "log.csv"

@@ -1,8 +1,14 @@
 """File ingestion, persistence, and org splitting."""
 
+import hashlib
+import random
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from doubles import make_random_log
 
 from enclavemine.logio import (
     LogIoError,
@@ -16,8 +22,9 @@ from enclavemine.logio import (
     save_csv,
     split_log,
 )
-from enclavemine.model import Event, EventLog, iid_set, merge_all
-from enclavemine.scenario import default_org_map, generate_scenario_log
+from enclavemine.model import Event, EventLog, iid_set, log_from_events, merge_all
+from enclavemine.scenario import default_org_map, generate_scenario_log, org_map_for
+from enclavemine.wire import encode_log
 
 
 class TestTimestamps:
@@ -208,3 +215,50 @@ def test_split_log_rejects_unmapped_activity():
     )
     with pytest.raises(MissingOrg, match="MYSTERY"):
         split_log(log, {"OTHER": "org1"})
+
+
+@pytest.mark.parametrize(
+    "n_orgs,digest",
+    [
+        # The generator labels events with org_map_for(3): nothing is relabeled.
+        (3, "4dd650b3bf8a97f4ad748061ae83844bcb3e8ba6d04e2eb690be6f98e9df8595"),
+        # Every event moves to an org named org1..org5.
+        (5, "574406fba48a59c0450163ff10d56f2cd63fc342b5d546d2b93ab28bfd2586b1"),
+    ],
+)
+def test_split_log_partitions_are_pinned(n_orgs, digest):
+    log = generate_scenario_log(400, 3)
+    h = hashlib.sha256()
+    for org, part in split_log(log, org_map_for(n_orgs)).items():
+        h.update(org.encode() + b"\0" + encode_log(part))
+    assert h.hexdigest() == digest
+
+
+def test_split_log_reorders_events_a_relabel_moves_past_each_other():
+    # Canonical order breaks a timestamp tie by provisioner id, then event id:
+    # k2 (from a) comes before k1 (from b), but both land in z, where k1 wins.
+    log = EventLog(
+        (
+            Event(event_id="k2", iid="c", activity="X", timestamp=5, provisioner_id="a"),
+            Event(event_id="k1", iid="c", activity="Y", timestamp=5, provisioner_id="b"),
+        )
+    )
+    parts = split_log(log, {"X": "z", "Y": "z"})
+    assert [ev.event_id for ev in parts["z"]] == ["k1", "k2"]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_split_log_is_the_sorted_relabeled_events_per_org(seed, n_orgs):
+    rng = random.Random(seed)
+    log = make_random_log(rng, rng.randint(1, 8), ["org1", "org2", "p"])
+    org_map = {act: "org%d" % rng.randint(1, n_orgs) for act in "ABCDEFGH"}
+    expected = {}
+    for ev in log:
+        expected.setdefault(org_map[ev.activity], []).append(
+            ev._replace(provisioner_id=org_map[ev.activity])
+        )
+    parts = split_log(log, org_map)
+    assert list(parts) == sorted(expected)
+    for org, part in parts.items():
+        assert part == log_from_events(expected[org])

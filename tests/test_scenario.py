@@ -1,5 +1,6 @@
 """Synthetic scenario generator."""
 
+import hashlib
 import statistics
 
 import pytest
@@ -18,6 +19,7 @@ from enclavemine.scenario import (
     org_map_for,
     scenario_declare_model,
 )
+from enclavemine.wire import encode_log
 
 
 def test_variant_vocabulary():
@@ -130,3 +132,22 @@ def test_reference_model_separates_variants():
     labels = [c.label() for c in model.constraints]
     assert "chain_response(AD,TP)" in labels
     assert "absence(XRAY)" in labels
+
+
+@pytest.mark.parametrize(
+    "n_cases,loop,n_orgs,digest",
+    [
+        (1000, 1, 3, "a5b1a0ca45cf2f7c05ed6774d581c51a957baffa7648ee3cec7a4ceb804822f9"),
+        (500, 3, 3, "b003be84aac9db2b7a45180d0621d12ac1980d45e55dd9f90a32059d9726dbfc"),
+        (300, 2, 7, "c9c1272a2c06c7a710ba7964c11e851194ca99ddf5229cbdbf292cb841d35ef0"),
+    ],
+)
+def test_generated_logs_are_pinned(n_cases, loop, n_orgs, digest):
+    # Golden digest over seeds 1-5: a faster generator must draw the same logs.
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        log = generate_scenario_log(
+            n_cases, seed, loop_iterations=loop, org_map=org_map_for(n_orgs)
+        )
+        h.update(encode_log(log))
+    assert h.hexdigest() == digest
