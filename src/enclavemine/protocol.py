@@ -75,9 +75,12 @@ AES-GCM binds into every segment (the provisioner seals with the seg_size it
 received, the miner opens with its own), so a seg_size rewritten in flight
 fails the stream's first segment with ``AuthFailure`` instead of leaving the
 two ends waiting on different credits. A provisioner plans its segments once
-it has appraised the evidence, but encodes and seals each one only when it
-sends it (encoding is lazy), and it sends while the bytes it has sent are
-below its credit. After its last segment it is ``done``; short of it, with
+it has appraised the evidence, in one sizing pass that encodes nothing and
+builds no log per segment. It gathers a segment's events out of its
+partition, encodes and seals them only when it sends that segment, so its
+first window costs the plan and the segments the first credit lets out, not
+the encoding of the whole partition. It sends while the bytes it has sent
+are below its credit. After its last segment it is ``done``; short of it, with
 its credit used up, it is ``streaming`` and waits for a grant. The miner
 keeps, in each open stream's record, the bytes received and the credit
 granted. A stream is blocked when it has received at least its credit; its
@@ -153,6 +156,7 @@ from __future__ import annotations
 
 import json
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -176,7 +180,7 @@ from .enclave import (
     verify_evidence,
 )
 from .model import Event, EventLog, ModelError, check_unique_ids, iid_set, log_from_events
-from .segmenter import SegmenterError, segment_event_log
+from .segmenter import SegmenterError, gather, segment_event_log
 from .wire import EMPTY_LOG_SIZE, WireError, decode_cases, encode_log
 
 # Ingest decodes, splits and sizes a segment in one pass and merges each case
@@ -573,9 +577,10 @@ class Provisioner:
         self.nonce: Optional[bytes] = None
         self.miner_id: Optional[str] = None
         # The stream, once the evidence is appraised: its segments not yet
-        # sent, the seg_size they were cut to, how many are sealed, its key,
-        # share and proof, the plaintext bytes sent and the credit granted.
-        self.unsent: Deque[EventLog] = deque()
+        # sent, as positions in the partition, the seg_size they were cut
+        # to, how many are sealed, its key, share and proof, the plaintext
+        # bytes sent and the credit granted.
+        self.unsent: Deque[array] = deque()
         self.seg_size = 0
         self.sealed = 0
         self.stream_key: Tuple[bytes, bytes, bytes] = (b"", b"", b"")
@@ -625,14 +630,14 @@ class Provisioner:
             root_public=self.config.root_public,
         )
         plan = segment_event_log(self.config.partition, iids, seg_size)
-        if not plan.segments:
+        if not plan.positions:
             # Nothing to seal, so no stream key: the one message is the end mark.
             self.phase = "done"
             return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, b""))]
         k_sym, share = new_stream_key(k_pub)
         proof = sign_stream(self.config.identity, self.config.session, share)
         self.stream_key = (k_sym, share, proof)
-        self.unsent = deque(plan.segments)
+        self.unsent = deque(plan.positions)
         self.seg_size = seg_size
         self.credit = CREDIT_SEGMENTS * seg_size
         return self._stream()
@@ -649,11 +654,12 @@ class Provisioner:
         return self._stream()
 
     def _stream(self) -> List[Tuple[str, bytes]]:
-        """Encode, seal and send segments while the bytes sent are below the
-        credit; the stream is ``done`` after its last, else ``streaming``."""
+        """Gather, encode, seal and send segments while the bytes sent are
+        below the credit; the stream is ``done`` after its last, else
+        ``streaming``."""
         out = []
         while self.unsent and self.sent < self.credit:
-            plain = encode_log(self.unsent.popleft())
+            plain = encode_log(gather(self.config.partition, self.unsent.popleft()))
             last = not self.unsent
             blob = seal_segment(
                 plain,

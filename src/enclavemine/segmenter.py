@@ -4,18 +4,22 @@ Greedy first-fit over cases in ascending lexicographic iid order. A case is
 never split across segments; when the open segment's size plus the next
 case's standalone size would pass the budget, the open segment is sealed and
 a new one started. Sizes are bytes of the canonical wire encoding (see
-``wire``), computed by arithmetic: a case's size is ``EMPTY_LOG_SIZE`` plus
-its events' ``event_size``, and adding a case to the open segment adds its
-size minus ``EMPTY_LOG_SIZE``, the header the two logs share. So the open
-segment's size stays exact without encoding anything, and ``seg_size`` binds
-to the bytes a segment occupies on the wire before encryption. The budget
-check counts that shared header once more, so a planned segment is at most
-``seg_size - EMPTY_LOG_SIZE`` bytes unless it holds one case that does not
-fit. Planning is linear in the partition and builds no per-case log: one
-pass over its events sums each case's size, the greedy rule assigns each
-requested case a segment, and a second pass drops each event into its
-case's segment. The partition is in canonical order, so each segment is
-too, without a sort.
+``wire``), computed by arithmetic: adding a case to the open segment adds
+its size minus ``EMPTY_LOG_SIZE``, the header the two logs share. So the
+open segment's size stays exact without encoding anything, and ``seg_size``
+binds to the bytes a segment occupies on the wire before encryption. The
+budget check counts that shared header once more, so a planned segment is at
+most ``seg_size - EMPTY_LOG_SIZE`` bytes unless it holds one case that does
+not fit.
+
+Planning makes one pass over the partition, ``wire.size_cases``, which sums
+each case's size and records the positions of its events; the greedy rule
+then gives each segment the positions of the cases it holds. A plan builds
+no log per segment: :func:`gather` picks a segment's events out of the
+partition when the segment is sent, in position order. The partition is in
+canonical order, so any subsequence of it is too, without a sort of the
+events or a check. :attr:`SegmentPlan.segments` views the same cut as one
+:class:`EventLog` per segment, for readers off the session path.
 
 A single case bigger than the budget still ships, alone, in an over-budget
 segment. One warning per plan counts such cases and names each of them.
@@ -24,11 +28,12 @@ segment. One warning per plan counts such cases and names each of them.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Iterable, List, Tuple
 
 from .model import Event, EventLog
-from .wire import EMPTY_LOG_SIZE, event_size
+from .wire import EMPTY_LOG_SIZE, size_cases
 
 # Planning never encodes; the name stays bound so that the benchmark's traced
 # run (perfbench/spans.py) can wrap segmenter.encode_log and count its calls.
@@ -38,6 +43,7 @@ __all__ = [
     "SegmenterError",
     "InvalidSegSize",
     "SegmentPlan",
+    "gather",
     "size_of",
     "segment_event_log",
 ]
@@ -56,20 +62,33 @@ def size_of(log: EventLog) -> int:
 
     Equals ``len(encode_log(log))`` for every log.
     """
-    return EMPTY_LOG_SIZE + sum(map(event_size, log.events))
+    return EMPTY_LOG_SIZE + sum(size - EMPTY_LOG_SIZE for _, size in size_cases(log).values())
+
+
+def gather(partition: EventLog, positions: array) -> List[Event]:
+    """The partition's events at ``positions``, in canonical order."""
+    events = partition.events
+    return [events[i] for i in sorted(positions)]
 
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Ordered segments."""
+    """Ordered segments of a partition, each the positions of its events in
+    ``partition.events``, case by case."""
 
-    segments: Tuple[EventLog, ...]
+    partition: EventLog
+    positions: Tuple[array, ...]
+
+    @property
+    def segments(self) -> Tuple[EventLog, ...]:
+        """Each segment as a log."""
+        return tuple(EventLog(tuple(gather(self.partition, p))) for p in self.positions)
 
 
 def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -> SegmentPlan:
     """Plan case-complete segments for the requested iids.
 
-    ``iids`` must all occur in the partition. Returned segments are nonempty,
+    ``iids`` must all occur in the partition. Planned segments are nonempty,
     each requested case lands in exactly one segment, case order inside a
     segment is canonical, and any segment holding two or more cases fits the
     budget.
@@ -77,34 +96,27 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
     if seg_size <= 0:
         raise InvalidSegSize("seg_size must be positive, got %d" % seg_size)
     requested = sorted(set(iids))
-    case_sizes: Dict[str, int] = {}
-    for ev in partition.events:
-        case_sizes[ev.iid] = case_sizes.get(ev.iid, EMPTY_LOG_SIZE) + event_size(ev)
-    missing = [iid for iid in requested if iid not in case_sizes]
+    cases = size_cases(partition)
+    missing = [iid for iid in requested if iid not in cases]
     if missing:
         raise SegmenterError("iids not in partition: %s" % ", ".join(missing))
 
-    buckets: List[List[Event]] = []
-    bucket_of: Dict[str, List[Event]] = {}
-    open_size = EMPTY_LOG_SIZE
-    oversized = [iid for iid in requested if case_sizes[iid] > seg_size]
+    oversized = [iid for iid in requested if cases[iid][1] > seg_size]
     if oversized:
         warnings.warn(
             "%d case(s) exceed seg_size %d and ship alone over budget: %s"
             % (len(oversized), seg_size, ", ".join(oversized)),
             stacklevel=2,
         )
+    segments: List[array] = []
+    open_size = EMPTY_LOG_SIZE
     for iid in requested:
-        case_size = case_sizes[iid]
-        if not buckets or open_size + case_size > seg_size:
-            buckets.append([])
+        positions, case_size = cases[iid]
+        if not segments or open_size + case_size > seg_size:
+            segments.append(array("L"))
             open_size = EMPTY_LOG_SIZE
-        bucket_of[iid] = buckets[-1]
+        segments[-1] += positions
         # Merging a case into the open segment costs its encoding minus the
         # shared envelope constant, so the running size stays exact.
         open_size += case_size - EMPTY_LOG_SIZE
-    for ev in partition.events:
-        bucket = bucket_of.get(ev.iid)
-        if bucket is not None:
-            bucket.append(ev)
-    return SegmentPlan(tuple(EventLog(tuple(bucket)) for bucket in buckets))
+    return SegmentPlan(partition, tuple(segments))

@@ -2,9 +2,8 @@
 
 This encoding is the unit of size accounting: segment budgets and the
 enclave's byte accounting both count encoded bytes. They get the count by
-arithmetic over the layout below (:func:`event_size`), never by encoding;
-``EMPTY_LOG_SIZE + sum(event_size(ev) for ev in log)`` equals
-``len(encode_log(log))`` for every log. Layout (all integers big-endian):
+arithmetic over the layout below (:func:`size_cases`), never by encoding.
+Layout (all integers big-endian):
 
     u16  version (currently 1)
     u32  event count
@@ -17,6 +16,16 @@ Events are written in canonical order, extras sorted by key, so equal logs
 encode to equal bytes. An empty log encodes to exactly EMPTY_LOG_SIZE bytes.
 Because a log's size is the header plus its events' sizes, merging two logs
 with disjoint events gives ``size(a) + size(b) - EMPTY_LOG_SIZE``.
+
+The size model is :func:`size_cases`, one pass that sizes every case of a
+log and records where its events are. Text counts its UTF-8 bytes. ASCII
+text is sized by ``len``: a string for which ``str.isascii()`` holds has one
+byte per character, and CPython answers ``isascii`` from a flag, without a
+scan; any other text is encoded to measure it. :func:`encode_log` takes an
+:class:`~enclavemine.model.EventLog` or any sequence of events in canonical
+order, such as a subsequence of a log's events, and writes each distinct
+iid, activity and provisioner id with its length prefix once per call: the
+memo lives as long as the call, so it holds no state between segments.
 
 Decoding has one loop, :func:`decode_cases`, which splits a payload into
 its cases and reads each case's encoded size off the decode offsets, so a
@@ -34,15 +43,17 @@ do not form a log (events out of canonical order, duplicate ids, checked
 across the whole payload, not per case) or whose extras pairs are out of key
 order. Decoding never reorders anything, so a payload that decodes
 re-encodes to its own bytes. Encoding a field over its wire limit raises
-:class:`WireError`.
+:class:`WireError` naming the event; sizing does not check the limits.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from collections import defaultdict
+from functools import partial
 from itertools import chain
-from typing import DefaultDict, Dict, List, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Sequence, Tuple
 
 from .model import Event, EventLog, ModelError, check_events, log_from_events
 
@@ -52,7 +63,7 @@ __all__ = [
     "WireError",
     "TruncatedPayload",
     "UnsupportedVersion",
-    "event_size",
+    "size_cases",
     "encode_log",
     "decode_cases",
     "decode_log",
@@ -84,42 +95,61 @@ _COUNT = struct.Struct(">I")
 # An event opens with its timestamp and the length of its first string.
 _STAMP_LEN = struct.Struct(">QH")
 _LEN = struct.Struct(">H")
+# The extras count of an event without extras, which most events are.
+_NO_EXTRAS = _LEN.pack(0)
 
 
-def event_size(ev: Event) -> int:
-    """Bytes :func:`encode_log` writes for one event, by arithmetic.
+def size_cases(events: Iterable[Event]) -> Dict[str, Tuple[array, int]]:
+    """Size every case of a log in one pass, by arithmetic.
 
-    Does not check the wire limits; encoding a field over them raises
-    :class:`WireError`.
+    Returns, per iid in order of first appearance, the positions of the
+    case's events in ``events``, ascending, and the size of the case's own
+    encoding, ``len(encode_log(case))``. Does not check the wire limits.
+    Positions are an ``array("L")``: a list would hold an int object per
+    event for as long as a plan keeps them.
     """
-    text = ev.event_id + ev.iid + ev.activity + ev.provisioner_id
-    size = EVENT_FIXED_SIZE + len(text.encode("utf-8"))
-    for key, value in ev.extras:
-        size += EXTRA_FIXED_SIZE + len((key + value).encode("utf-8"))
-    return size
+    positions: DefaultDict[str, array] = defaultdict(partial(array, "L"))
+    sizes: DefaultDict[str, int] = defaultdict(int)
+    for i, (event_id, iid, activity, _, provisioner_id, extras) in enumerate(events):
+        text = event_id + iid + activity + provisioner_id
+        size = EVENT_FIXED_SIZE
+        if extras:
+            text += "".join(chain.from_iterable(extras))
+            size += EXTRA_FIXED_SIZE * len(extras)
+        # One byte per character is exact for ASCII text; see the module doc.
+        size += len(text) if text.isascii() else len(text.encode("utf-8"))
+        positions[iid].append(i)
+        sizes[iid] += size
+    return {iid: (pos, EMPTY_LOG_SIZE + sizes[iid]) for iid, pos in positions.items()}
 
 
-def encode_log(log: EventLog) -> bytes:
+class _Prefixed(dict):
+    """Text -> its UTF-8 bytes behind their u16 length, encoded on first use."""
+
+    def __missing__(self, text: str) -> bytes:
+        raw = text.encode("utf-8")
+        field = self[text] = _LEN.pack(len(raw)) + raw
+        return field
+
+
+def encode_log(events: Sequence[Event]) -> bytes:
+    """The bytes of a log, or of a sequence of events in canonical order."""
     pack_stamp_len, pack_len = _STAMP_LEN.pack, _LEN.pack
-    out: List[bytes] = [_VERSION.pack(WIRE_VERSION), _COUNT.pack(len(log.events))]
-    for ev in log.events:
-        event_id = ev.event_id.encode("utf-8")
-        iid = ev.iid.encode("utf-8")
-        activity = ev.activity.encode("utf-8")
-        provisioner_id = ev.provisioner_id.encode("utf-8")
+    prefixed = _Prefixed()
+    out: List[bytes] = [_VERSION.pack(WIRE_VERSION), _COUNT.pack(len(events))]
+    for event_id, iid, activity, timestamp, provisioner_id, extras in events:
         try:
+            raw_id = event_id.encode("utf-8")
             out += (
-                pack_stamp_len(ev.timestamp, len(event_id)), event_id,
-                pack_len(len(iid)), iid,
-                pack_len(len(activity)), activity,
-                pack_len(len(provisioner_id)), provisioner_id,
-                pack_len(len(ev.extras)),
+                pack_stamp_len(timestamp, len(raw_id)), raw_id,
+                prefixed[iid], prefixed[activity], prefixed[provisioner_id],
+                pack_len(len(extras)) if extras else _NO_EXTRAS,
             )
-            for key, value in ev.extras:
+            for key, value in extras:
                 key_raw, value_raw = key.encode("utf-8"), value.encode("utf-8")
                 out += (pack_len(len(key_raw)), key_raw, pack_len(len(value_raw)), value_raw)
         except struct.error as exc:
-            name = ev.event_id if len(ev.event_id) <= 40 else ev.event_id[:40] + "..."
+            name = event_id if len(event_id) <= 40 else event_id[:40] + "..."
             raise WireError(
                 "event %r exceeds a wire limit: 65535 encoded bytes per string field,"
                 " 65535 extras, a u64 timestamp" % name

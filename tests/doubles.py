@@ -64,16 +64,32 @@ def make_random_log(
     min_events: int = 2,
     max_events: int = 8,
     id_prefix: str = "e",
+    multibyte: bool = False,
 ) -> EventLog:
-    """Random multi-provisioner log; tight timestamp range forces tie-breaks."""
+    """Random multi-provisioner log; tight timestamp range forces tie-breaks.
+
+    With ``multibyte``, every text field mixes in characters of two, three
+    and four UTF-8 bytes: event ids, iids, activities and provisioner ids
+    get a marker, and each event gets up to two extras pairs drawn from
+    multibyte text, so character counts and encoded lengths differ.
+    """
     activities = ["A", "B", "C", "D", "E", "F", "G", "H"]
+    if multibyte:
+        activities = [a + "éケ" for a in activities[:4]] + ["🙂", "Ω", "I", "J"]
+        provisioners = [p + "-ø" for p in provisioners]
+        id_prefix += "é"
     events = []
     counter = 0
     for c in range(n_cases):
-        iid = "c%04d" % c
+        iid = ("cケ%04d" if multibyte else "c%04d") % c
         t = rng.randint(0, 50)
         for _ in range(rng.randint(min_events, max_events)):
             t += rng.randint(0, 3)
+            extras = ()
+            if multibyte:
+                texts = ["", "k", "å", "ключ", "表🙂"]
+                pairs = {rng.choice(texts): rng.choice(texts) for _ in range(rng.randint(0, 2))}
+                extras = tuple(sorted(pairs.items()))
             events.append(
                 Event(
                     event_id="%s%06d" % (id_prefix, counter),
@@ -81,6 +97,7 @@ def make_random_log(
                     activity=rng.choice(activities),
                     timestamp=t,
                     provisioner_id=rng.choice(provisioners),
+                    extras=extras,
                 )
             )
             counter += 1

@@ -785,6 +785,51 @@ def test_session_encodes_once_per_segment(monkeypatch, do_yield):
     assert calls["extract_case"] == 0
 
 
+def test_a_provisioner_encodes_a_segment_only_when_it_sends_it(monkeypatch):
+    # About 40 segments, more than the first credit (10 segments' bytes) lets
+    # out: answering the case request plans them all, but builds no log and
+    # encodes only the segments it sends; each later segment is encoded once,
+    # when a grant lets it out.
+    partition = make_random_log(random.Random(11), 160, ["hospital"])
+    seg_size = size_of(partition) // 33
+    plan = segment_event_log(partition, iid_set(partition), seg_size)
+    sizes = [size_of(seg) for seg in plan.segments]
+    assert 35 <= len(sizes) <= 45
+    # The first window: segments go out while the bytes sent are below the credit.
+    credit = protocol.CREDIT_SEGMENTS * seg_size
+    window = next(k for k in range(1, len(sizes)) if sum(sizes[:k]) >= credit)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(protocol, "encode_log", counted("encoded", protocol.encode_log))
+    post_init = counted("built", model.EventLog.__post_init__)
+    monkeypatch.setattr(model.EventLog, "__post_init__", post_init)
+    on_cases_req = Provisioner._on_cases_req
+    at_request = {}
+
+    def answering(self, msg):
+        before = {name: counts[name] for name in ("built", "encoded")}
+        sends = on_cases_req(self, msg)
+        at_request.update({name: counts[name] - n for name, n in before.items()}, sent=len(sends))
+        return sends
+
+    monkeypatch.setattr(Provisioner, "_on_cases_req", answering)
+    net, miner, _, _ = _session(
+        {"hospital": partition}, seg_size=seg_size, network_cls=RecordingNetwork
+    )
+    net.bootstrap()
+    net.run()
+    assert miner.phase == "done"
+    assert at_request == {"built": 0, "encoded": window, "sent": window}
+    assert counts["encoded"] == _sealed(net)["hospital"] == len(sizes)
+
+
 def _credits(net, receiver):
     """The credit of each grant sent to ``receiver``, in send order."""
     return [

@@ -6,24 +6,31 @@ stays readable without baking in byte counts that would drift if the fixture
 data changed.
 """
 
+import hashlib
 import random
 import unittest
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enclavemine import protocol
+from enclavemine.experiment import build_manifest, build_session
+from enclavemine.logio import split_log
 from enclavemine.model import extract_case, group_by_iid, iid_set, log_from_events, merge_all
+from enclavemine.scenario import generate_scenario_log, org_map_for
 from enclavemine.segmenter import (
     InvalidSegSize,
     SegmenterError,
+    gather,
     segment_event_log,
     size_of,
 )
 from enclavemine.wire import EMPTY_LOG_SIZE, encode_log
 
-from doubles import make_random_log
+from doubles import CollectorSink, make_random_log
 
 
 def test_invalid_seg_size():
@@ -194,16 +201,18 @@ def _greedy(partition, iids, seg_size):
     budget_factor=st.floats(min_value=0.05, max_value=1.5),
     share=st.floats(min_value=0.1, max_value=1.0),
     exact=st.integers(min_value=0, max_value=10),
+    multibyte=st.booleans(),
 )
 def test_segments_follow_the_greedy_rule_and_hold_their_cases(
-    seed, n_cases, budget_factor, share, exact
+    seed, n_cases, budget_factor, share, exact, multibyte
 ):
     # Fixes each segment's bytes: the canonical log of exactly the cases the
     # greedy rule assigns it, with unrequested cases left out. A nonzero
     # ``exact`` sets the budget to the merged size of the first requested
-    # cases, where the rule's boundary lies.
+    # cases, where the rule's boundary lies. Multibyte text makes a field's
+    # character count differ from its encoded length.
     rng = random.Random(seed)
-    partition = make_random_log(rng, n_cases, ["p1", "p2"])
+    partition = make_random_log(rng, n_cases, ["p1", "p2"], multibyte=multibyte)
     all_iids = sorted(iid_set(partition))
     iids = sorted(rng.sample(all_iids, max(1, round(share * len(all_iids)))))
     if exact:
@@ -217,7 +226,70 @@ def test_segments_follow_the_greedy_rule_and_hold_their_cases(
         plan = segment_event_log(partition, iids, seg_size)
     groups = _greedy(partition, iids, seg_size)
     assert [sorted(iid_set(seg)) for seg in plan.segments] == groups
-    for seg, group in zip(plan.segments, groups):
+    for index, (seg, group) in enumerate(zip(plan.segments, groups)):
         expected = log_from_events(ev for iid in group for ev in extract_case(partition, iid))
         assert seg == expected
-        assert encode_log(seg) == encode_log(expected)
+        # What the provisioner sends: the events gathered out of the partition.
+        assert encode_log(gather(partition, plan.positions[index])) == encode_log(expected)
+
+
+# The benchmark's three workload configs, as (n_cases, loop_iterations,
+# seg_size): bulk-hm-inc, chatty-decl-inc and whole-hm-batch.
+WORKLOAD_CONFIGS = {
+    "bulk": (500, 1, 100_000),
+    "chatty": (500, 1, 2_000),
+    "whole": (200, 3, 5_000_000),
+}
+# sha256 of each provisioner's segment plaintexts, concatenated in send
+# order, for input seed 1 split over 3 orgs. Each segment's header carries
+# its event count, so the concatenation also pins where the cuts fall.
+GOLDEN_SEGMENT_DIGESTS = {
+    "bulk": {
+        "clinic": "22d3b84a66cab4809492629ce6e3477556a35a3a56ec23dd3445cca2334aecf7",
+        "hospital": "b45f1d1ecf74e7aa9623219e18768e855e987d7693d059eff11ee77f60816f01",
+        "pharma": "7844fa50d8013028ebfd9537725f2f4e23f41287e93618d41b343c44a43aaf72",
+    },
+    "chatty": {
+        "clinic": "4e065fc45e5c2c1b5c136bff54dfd900c0d09fba1196e19ec0ce98dc32d64ac2",
+        "hospital": "d67ced2139a00f23fa17d7f1c7ceebf46642067fa44d1d6bd5e8c65e2da3da09",
+        "pharma": "56e77c29858faa02839fd3fedf9c81379b9f3c02a61d337de3ac0a137331f661",
+    },
+    "whole": {
+        "clinic": "bf5241fbf4e622a0e910edeaa0f690d58521fd79865eb78aac88684d8b8495ea",
+        "hospital": "d4850a3a128d4bea4c351f3d131ed2652c4a71be9b630f3d8d29ed8cd567032a",
+        "pharma": "82c0e17ba1624ba47cd3a85356235ecb5ec8bcf2c00e6ace40fbaed14edaba0c",
+    },
+}
+
+
+def _sent_plaintexts(n_cases, loop_iterations, seg_size):
+    """Each provisioner's segment plaintexts, in the order its stream seals them."""
+    org_map = org_map_for(3)
+    log = generate_scenario_log(n_cases, 1, loop_iterations=loop_iterations, org_map=org_map)
+    net, miner, _ = build_session(
+        split_log(log, org_map),
+        seed=0,
+        seg_size=seg_size,
+        incremental=True,
+        sink=CollectorSink(),
+        manifest=build_manifest("heuristics"),
+    )
+    sent = {}
+
+    def recording_seal(plain, *args):
+        sent.setdefault(args[4], []).append(plain)  # args[4] is the sender's id
+        return seal(plain, *args)
+
+    seal = protocol.seal_segment
+    with mock.patch.object(protocol, "seal_segment", recording_seal):
+        net.bootstrap()
+        net.run()
+    assert miner.phase == "done"
+    return sent
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CONFIGS))
+def test_segment_bytes_of_each_workload_keep_their_digests(workload):
+    sent = _sent_plaintexts(*WORKLOAD_CONFIGS[workload])
+    digests = {org: hashlib.sha256(b"".join(plains)).hexdigest() for org, plains in sent.items()}
+    assert digests == GOLDEN_SEGMENT_DIGESTS[workload]

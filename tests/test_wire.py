@@ -22,7 +22,7 @@ from enclavemine.wire import (
     decode_cases,
     decode_log,
     encode_log,
-    event_size,
+    size_cases,
 )
 
 from doubles import CollectorSink, make_random_log
@@ -280,9 +280,14 @@ def test_decode_cases_splits_and_sizes_each_case(log):
     cases = decode_cases(blob)
     split = {iid: EventLog(tuple(events)) for iid, (events, _) in cases.items()}
     assert split == group_by_iid(decode_log(blob)) == group_by_iid(log)
-    for events, size in cases.values():
+    # The arithmetic size model agrees, and finds each case's events.
+    sized = size_cases(log)
+    assert list(sized) == list(cases)
+    for iid, (events, size) in cases.items():
         assert size == len(encode_log(EventLog(tuple(events))))
-        assert size == EMPTY_LOG_SIZE + sum(map(event_size, events))
+        positions, sized_size = sized[iid]
+        assert size == sized_size
+        assert [log.events[i] for i in positions] == events
 
 
 def test_duplicate_ids_across_cases_of_one_payload_are_rejected():
@@ -343,11 +348,21 @@ def test_decode_cases_raises_what_decode_log_raises(blob):
         Event("e1", "c1", "A", 5, "p1", extras=tuple(("k%05d" % i, "") for i in range(0x10000))),
         Event("e1", "c1", "A", 2**64, "p1"),
         Event("e1", "c1", "A", -1, "p1"),
+        Event("e1", "c" * 0x10000, "A", 5, "p1"),
+        Event("e1", "c1", "A", 5, "p" * 0x10000),
+        # 32,768 characters, but 65,536 bytes in UTF-8.
+        Event("e1", "c1", "ø" * 0x8000, 5, "p1"),
     ],
-    ids=["string", "extras", "timestamp", "negative timestamp"],
+    ids=[
+        "string", "extras", "timestamp", "negative timestamp", "iid", "provisioner id",
+        "multibyte activity",
+    ],
 )
 def test_encode_rejects_fields_over_wire_limits(event):
-    with pytest.raises(WireError, match="wire limit"):
+    # The encoder writes each distinct iid, activity and provisioner id once
+    # per call; the rows for those fields pin that their length prefix counts
+    # UTF-8 bytes, not characters, and that the error names the event.
+    with pytest.raises(WireError, match="event 'e1' exceeds a wire limit"):
         encode_log(EventLog((event,)))
 
 
