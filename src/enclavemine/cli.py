@@ -11,9 +11,10 @@ Subcommands:
 * ``verify-convergence``  protocol output equals standalone mining, byte-wise
 
 ``run``, ``scale`` and ``verify-convergence`` accept ``--config`` (a JSON file
-of ExperimentConfig fields); explicit flags override file values. A file that
-cannot be read, is not a JSON object, has a key that is not a field, or has
-a value of the wrong type is a one-line usage error with exit status 2, and
+of ExperimentConfig fields); explicit flags override file values, once the
+file gives a valid config on its own. A file that cannot be read, is not a
+JSON object, has a key that is not a field, or has a value of the wrong
+type is a one-line usage error with exit status 2, and
 so is a case, org or loop count below 1, or an org count above 19 (one per
 scenario activity), from a file, a flag or a ``scale`` value. So is an
 input log or org map that cannot be read, parsed or split, an input log
@@ -27,8 +28,9 @@ integers (an empty one among them), and a
 finite number among them).
 So is a ``scale`` sweep of cases or events over ``--log``, or of orgs with
 ``--org-map``, which fix them; a segsize sweep loads its input once. ``scale``
-runs one session per point, since the seed fixes every ``--metric`` it fits,
-and writes every metric's column.
+runs one session per point, since the seed fixes every metric it measures,
+writes every metric's column and fits each one: ``stats`` on a column of
+its CSV gives the same fit.
 A ``run``, ``scale`` or ``verify-convergence`` session that is not done
 prints ``session aborted: <Reason>: <message>`` and exits 1.
 """
@@ -46,7 +48,6 @@ from typing import NoReturn
 from .experiment import (
     ALGORITHMS,
     SCALE_DIMENSIONS,
-    SCALE_METRICS,
     ExperimentConfig,
     SessionFailed,
     _done,
@@ -103,11 +104,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "iid_column": args.iid_column,
     }
     try:
-        if args.config:
-            return ExperimentConfig.from_json_file(args.config, **overrides)
-        return ExperimentConfig().with_overrides(**overrides)
+        cfg = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
     except (OSError, ValueError) as exc:
-        _usage_error(args, "--config %s: %s" % (args.config, exc) if args.config else exc)
+        _usage_error(args, "--config %s: %s" % (args.config, exc))
+    try:
+        return cfg.with_overrides(**overrides)
+    except ValueError as exc:
+        _usage_error(args, exc)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -162,8 +165,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     write_transcript(result.transcript, out_dir / "transcript.jsonl")
-    if result.miner_phase != "done":
-        raise SessionFailed(result)
+    _done(result)
     out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
     (out_dir / out_name).write_bytes(result.output)
     print(
@@ -193,7 +195,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         except ValueError:
             _usage_error(args, "--values takes comma-separated integers, not %r" % args.values)
     try:
-        rows, stats = scale_run(cfg, args.dimension, values, metric=args.metric)
+        rows, fits = scale_run(cfg, args.dimension, values)
     except ValueError as exc:  # a value out of range, or too few points to fit
         _usage_error(args, exc)
     out = Path(args.out)
@@ -202,12 +204,14 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(list(rows[0]))
         writer.writerows(row.values() for row in rows)
-    stats_path = out.with_suffix(".stats.json")
-    stats_path.write_text(json.dumps(stats.to_dict(), indent=2, sort_keys=True) + "\n")
-    print(
-        "wrote %s; r2_linear=%.4f r2_log=%.4f slope=%.4f"
-        % (out, stats.r2_linear, stats.r2_log, stats.slope)
-    )
+    doc = {name: fit.to_dict() for name, fit in fits.items()}
+    out.with_suffix(".stats.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print("wrote %s" % out)
+    for name, fit in fits.items():
+        print(
+            "%s: r2_linear=%.4f r2_log=%.4f slope=%.4f"
+            % (name, fit.r2_linear, fit.r2_log, fit.slope)
+        )
     return 0
 
 
@@ -274,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dimension", choices=SCALE_DIMENSIONS)
     _add_config_flags(p)
     p.add_argument("--values", help="comma-separated sweep values")
-    p.add_argument("--metric", default="peak_bytes", choices=SCALE_METRICS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_scale)
 

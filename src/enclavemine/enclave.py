@@ -6,9 +6,10 @@ simulated faithfully enough to exercise the protocol:
 * Every signed, sealed or sent byte string is one :func:`frame` (the
   version, then each field behind its u32 length), which :func:`unframe`
   parses: envelopes, evidence, their signed payloads and messages.
-* A fixed Ed25519 keypair plays the hardware manufacturer root. Evidence is
-  signed with it, verifiers hold the public half. The root signs the framed
-  measurement, identity proof, session public key and nonce.
+* One Ed25519 keypair from a fixed seed, :data:`DEFAULT_ROOT`, plays the
+  hardware manufacturer root, so every party in the simulation agrees on it.
+  It signs all evidence: the framed measurement, identity proof, session
+  public key and nonce. Verifiers hold the public half as their trust anchor.
 * The *measurement* is the SHA-256 digest of a canonical build-manifest
   string (component, version, algorithm, sorted parameters). Verifiers
   compare it against a reference measurement they computed themselves.
@@ -77,7 +78,6 @@ __all__ = [
     "unframe",
     "BuildManifest",
     "compute_measurement",
-    "HardwareRoot",
     "DEFAULT_ROOT",
     "OrgIdentity",
     "SessionKeys",
@@ -172,19 +172,9 @@ class OrgIdentity:
             return False
 
 
-class HardwareRoot(OrgIdentity):
-    """Simulated CPU-manufacturer signing identity.
-
-    The default root derives its key from a fixed seed so every party in the
-    simulation agrees on the manufacturer. Tests build alternate roots to
-    model evidence signed by unknown hardware.
-    """
-
-    def __init__(self, seed: bytes):
-        super().__init__("hardware-root", seed)
-
-
-DEFAULT_ROOT = HardwareRoot(hashlib.sha256(b"enclavemine simulated hardware root").digest())
+DEFAULT_ROOT = OrgIdentity(
+    "hardware-root", hashlib.sha256(b"enclavemine simulated hardware root").digest()
+)
 
 
 def frame(*fields: bytes) -> bytes:
@@ -257,10 +247,9 @@ def build_evidence(
     identity_proof: str,
     k_pub: bytes,
     nonce: bytes,
-    root: HardwareRoot = DEFAULT_ROOT,
 ) -> AttestationEvidence:
     unsigned = AttestationEvidence(measurement, identity_proof, k_pub, nonce, b"")
-    return replace(unsigned, signature=root.sign(unsigned.signed_payload()))
+    return replace(unsigned, signature=DEFAULT_ROOT.sign(unsigned.signed_payload()))
 
 
 def verify_evidence(

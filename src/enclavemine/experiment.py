@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
@@ -102,8 +102,8 @@ class ExperimentConfig:
             )
 
     @classmethod
-    def from_json_file(cls, path, **overrides) -> "ExperimentConfig":
-        """Fields from a JSON object, then every override that is not None.
+    def from_json_file(cls, path) -> "ExperimentConfig":
+        """The config a JSON object of fields gives.
 
         Raises ``ValueError`` for a document that is not an object, for a
         key that is not a field, and for a value of another type than its
@@ -122,7 +122,6 @@ class ExperimentConfig:
             if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
                 names = " or ".join("None" if t is type(None) else t.__name__ for t in allowed)
                 raise ValueError("config key %s must be %s, not %r" % (key, names, value))
-        data.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**data)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
@@ -140,11 +139,11 @@ class MetricSample:
 
 @dataclass
 class RunMetrics:
-    samples: List[MetricSample] = field(default_factory=list)
-    peak_bytes: int = 0
-    mean_bytes: float = 0.0  # the accountant's, over its account calls
-    message_count: int = 0
-    yield_count: int = 0
+    samples: List[MetricSample]
+    peak_bytes: int
+    mean_bytes: float  # the accountant's, over its account calls
+    message_count: int
+    yield_count: int
 
 
 @dataclass
@@ -326,10 +325,10 @@ def _run_session(
         manifest=build_manifest(cfg.algorithm),
         capacity=cfg.capacity,
     )
-    metrics = RunMetrics()
+    samples: List[MetricSample] = []
 
     def sample(record: DeliveryRecord) -> None:
-        metrics.samples.append(
+        samples.append(
             MetricSample(
                 step=record.step,
                 phase=miner.phase_label,
@@ -345,10 +344,8 @@ def _run_session(
         network.run()
     else:
         network.run_replay(replay_order)
-    metrics.peak_bytes = miner.accountant.peak_bytes
-    metrics.message_count = network.step
-    metrics.mean_bytes = miner.accountant.mean_bytes
-    metrics.yield_count = miner.yield_count
+    acc = miner.accountant
+    metrics = RunMetrics(samples, acc.peak_bytes, acc.mean_bytes, network.step, miner.yield_count)
     return ExperimentResult(
         config=cfg,
         metrics=metrics,
@@ -371,20 +368,18 @@ def scale_run(
     cfg: ExperimentConfig,
     dimension: str,
     values: Sequence[int],
-    *,
-    metric: str = "peak_bytes",
-) -> Tuple[List[Dict[str, float]], RegressionStats]:
-    """Sweep one input dimension and fit linear/log models to a metric.
+) -> Tuple[List[Dict[str, float]], Dict[str, RegressionStats]]:
+    """Sweep one input dimension and fit linear/log models to every metric.
 
     ``dimension`` is a key of :data:`SCALE_DIMENSIONS`: ``events`` (loop
     iterations; x is the maximum case length), ``cases`` (x is the case
     count), ``orgs`` (x is the organization count) or ``segsize`` (x is the
-    segment budget, ``seg_size``). ``metric`` is one of
-    :data:`SCALE_METRICS`, which the seed fixes, so each point runs one
-    session. Every row is ``{x, peak_bytes, mean_bytes, message_count}``.
-    The metric, every point's config, the fit's x values, the input and the
-    sweep are checked (``LogIoError`` for the input, else ``ValueError``)
-    before any session runs: an input file fixes the cases and their
+    segment budget, ``seg_size``). The seed fixes each of
+    :data:`SCALE_METRICS`, so each point runs one session. Every row is
+    ``{x, peak_bytes, mean_bytes, message_count}``, and the fits map each
+    metric to its fit over the rows. Every point's config, the fit's x
+    values, the input and the sweep are checked (``LogIoError`` for the
+    input, else ``ValueError``) before any session runs: an input file fixes the cases and their
     lengths, and an org map the orgs, so sweeping them over one is an error.
     A session that is not done raises :class:`SessionFailed`. A segsize
     sweep loads its input once and mines it at every point; otherwise an
@@ -394,8 +389,6 @@ def scale_run(
     if dimension not in SCALE_DIMENSIONS:
         dims = ", ".join(SCALE_DIMENSIONS)
         raise ValueError("dimension must be one of %s, got %r" % (dims, dimension))
-    if metric not in SCALE_METRICS:
-        raise ValueError("metric must be one of %s, got %r" % (", ".join(SCALE_METRICS), metric))
     field = SCALE_DIMENSIONS[dimension]
     points = [
         (float(max_case_events(v) if dimension == "events" else v),
@@ -420,8 +413,8 @@ def scale_run(
             partitions = _load_inputs(point_cfg)
         metrics = _done(_run_session(point_cfg, partitions)).metrics
         rows.append({"x": x, **{name: float(getattr(metrics, name)) for name in SCALE_METRICS}})
-    stats = fit_stats([r["x"] for r in rows], [r[metric] for r in rows])
-    return rows, stats
+    xs = [r["x"] for r in rows]
+    return rows, {name: fit_stats(xs, [r[name] for r in rows]) for name in SCALE_METRICS}
 
 
 def write_metrics_csv(metrics: RunMetrics, path) -> None:

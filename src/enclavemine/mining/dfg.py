@@ -29,12 +29,12 @@ class DfgState:
     from noise.
     """
 
-    activity_counts: CounterT[str] = field(default_factory=Counter)
-    directly_follows: CounterT[Tuple[str, str]] = field(default_factory=Counter)
-    loop2_counts: CounterT[Tuple[str, str]] = field(default_factory=Counter)
-    start_counts: CounterT[str] = field(default_factory=Counter)
-    end_counts: CounterT[str] = field(default_factory=Counter)
-    cases_seen: int = 0
+    activity_counts: CounterT[str] = field(default_factory=Counter, init=False)
+    directly_follows: CounterT[Tuple[str, str]] = field(default_factory=Counter, init=False)
+    loop2_counts: CounterT[Tuple[str, str]] = field(default_factory=Counter, init=False)
+    start_counts: CounterT[str] = field(default_factory=Counter, init=False)
+    end_counts: CounterT[str] = field(default_factory=Counter, init=False)
+    cases_seen: int = field(default=0, init=False)
 
 
 def hm_observe(state: DfgState, case: EventLog) -> DfgState:

@@ -143,10 +143,11 @@ refused miner: :class:`MinerRefused`), an ``EnclaveError`` (tampered
 envelope, ``EvidenceRejected``, capacity cap), a ``WireError`` or
 ``ModelError`` (malformed segment, event id carried twice) or a
 ``SegmenterError`` (bad ``seg_size``) aborts the node; ``handle`` returns no
-sends and the scheduler runs on. An aborted node drops every later message,
-and an aborted miner frees its stored cases and its streams' records. Once no
-message is pending, the transport calls each node's ``on_quiet`` (a
-deployment's timeout): a node still waiting aborts with :class:`Stalled`,
+sends and the scheduler runs on. An aborted node drops every later message
+and releases its state in its ``_release``: the miner its stored cases and
+its streams' records, a provisioner its plan (the segments not yet sent) and
+its stream key. Once no message is pending, the transport calls each node's
+``on_quiet`` (a deployment's timeout): a node still waiting aborts with :class:`Stalled`,
 naming what it waits for (``awaiting cases from clinic``, or a
 ``streaming`` provisioner's ``awaiting a grant from miner``).
 Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
@@ -160,7 +161,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
     AttestationEvidence,
@@ -300,9 +301,7 @@ class Msg:
         return cls(*fields, body, blob)
 
 
-def _serve(
-    node, sender: str, payload: bytes, kinds: FrozenSet[str], release: Optional[Callable] = None
-) -> List[Tuple[str, bytes]]:
+def _serve(node, sender: str, payload: bytes, kinds: FrozenSet[str]) -> List[Tuple[str, bytes]]:
     """Both roles' ``handle``: check, dispatch, abort (see "Failure contract")."""
     if node.phase == "aborted":
         return []
@@ -318,23 +317,22 @@ def _serve(
             raise UnexpectedMessage("%s cannot handle %r" % (node.node_id, msg.kind))
         return getattr(node, "_on_" + msg.kind)(msg)
     except _FAULTS as exc:
-        _abort(node, exc, release)
+        _abort(node, exc)
         return []
 
 
-def _abort(node, exc: Exception, release: Optional[Callable] = None) -> None:
+def _abort(node, exc: Exception) -> None:
     """The only way into phase ``aborted`` (see "Failure contract")."""
     node.phase = "aborted"
     node.aborted_reason = type(exc).__name__
     node.aborted_message = str(exc)
-    if release is not None:
-        release()
+    node._release()
 
 
-def _stall(node, waiting: str, release: Optional[Callable] = None) -> None:
+def _stall(node, waiting: str) -> None:
     """Both roles' ``on_quiet``: a node still waiting aborts with :class:`Stalled`."""
     if node.phase not in ("done", "aborted"):
-        _abort(node, Stalled("awaiting " + waiting), release)
+        _abort(node, Stalled("awaiting " + waiting))
 
 
 def _field(msg: Msg, key: str, kind: type):
@@ -437,14 +435,14 @@ class SecureMiner:
         return [(p, self._msg(KIND_CASES_REF_REQ, body, b"")) for p in self.peers]
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
-        return _serve(self, sender, payload, _MINER_KINDS, self._release)
+        return _serve(self, sender, payload, _MINER_KINDS)
 
     def on_quiet(self) -> None:
         if self.phase == "awaiting_cases":
             waiting = "cases from " + ", ".join(sorted(self.streams))
         else:  # a miner that never bootstrapped also awaits every peer's refs
             waiting = "refs from " + ", ".join(p for p in self.peers if p not in self.streams)
-        _stall(self, waiting, self._release)
+        _stall(self, waiting)
 
     # -- handlers --------------------------------------------------------
 
@@ -591,6 +589,10 @@ class Provisioner:
 
     def _msg(self, kind: str, body: Dict[str, object], blob: bytes) -> bytes:
         return Msg(kind, self.node_id, self.config.session, body, blob).encode()
+
+    def _release(self) -> None:
+        self.unsent.clear()
+        self.stream_key = (b"", b"", b"")
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
         return _serve(self, sender, payload, _PROVISIONER_KINDS)

@@ -6,7 +6,9 @@ link, each message delivered exactly once, and handlers run one at a time
 ``bootstrap()`` and a ``handle(sender, payload)`` that return sends as
 ``(receiver, payload_bytes)`` lists, and an ``on_quiet()`` that ``run`` and
 ``run_replay`` call on every node, in sorted id order, once no message is
-pending: the moment a deployment's timeout would fire.
+pending: the moment a deployment's timeout would fire. ``run`` gives up
+with :class:`TransportError` after :data:`MAX_DELIVERIES` deliveries, so a
+session that never goes quiet ends instead of spinning.
 
 A seeded RNG picks which nonempty link delivers next, so one seed fixes the
 whole interleaving, and the recorded delivery order can be replayed
@@ -24,7 +26,10 @@ __all__ = [
     "TransportError",
     "DeliveryRecord",
     "InProcessNetwork",
+    "MAX_DELIVERIES",
 ]
+
+MAX_DELIVERIES = 1_000_000
 
 
 class TransportError(Exception):
@@ -92,12 +97,12 @@ class InProcessNetwork:
             self.on_delivered(record)
         return record
 
-    def run(self, max_steps: int = 1_000_000) -> int:
+    def run(self) -> int:
         """Deliver until quiescent; returns the number of deliveries made."""
-        made = 0
+        made, limit = 0, MAX_DELIVERIES
         while self.pending():
-            if made >= max_steps:
-                raise TransportError("exceeded %d deliveries" % max_steps)
+            if made >= limit:
+                raise TransportError("exceeded %d deliveries" % limit)
             self.deliver_next()
             made += 1
         self._quiet()

@@ -14,7 +14,7 @@ import time
 import warnings
 from fractions import Fraction
 
-from enclavemine.enclave import HardwareRoot
+from enclavemine.enclave import OrgIdentity
 from enclavemine.experiment import (
     ExperimentConfig,
     build_manifest,
@@ -230,7 +230,7 @@ def check_incremental_memory_win():
 def check_segsize_traffic():
     sizes = [50_000, 100_000, 500_000, 1_000_000, 5_000_000]
     cfg = ExperimentConfig(n_cases=1000, seed=1)
-    rows, _ = scale_run(cfg, "segsize", sizes, metric="message_count")
+    rows, _ = scale_run(cfg, "segsize", sizes)
     counts = [row["message_count"] for row in rows]
     assert all(a >= b for a, b in zip(counts, counts[1:])), "counts %s" % counts
 
@@ -295,7 +295,8 @@ def check_scaling_statistics():
     # simulation: every extra provisioner adds a fixed handshake plus its
     # own segment stream, so message volume grows linearly with orgs.
     cfg = ExperimentConfig(n_cases=200, seed=1, seg_size=100_000)
-    _, stats = scale_run(cfg, "orgs", list(range(1, 9)), metric="message_count")
+    _, fits = scale_run(cfg, "orgs", list(range(1, 9)))
+    stats = fits["message_count"]
     assert stats.slope > 0
     assert stats.r2_linear > stats.r2_log, (
         "org sweep: r2_linear %.4f <= r2_log %.4f" % (stats.r2_linear, stats.r2_log)
@@ -336,7 +337,7 @@ def check_attestation_gate():
     wrong_measurement = compute_measurement(
         BuildManifest(component="secure-miner", version="0.1.0", algorithm="other")
     )
-    rogue_root = HardwareRoot(bytes(range(32)))
+    rogue_root = OrgIdentity("hardware-root", bytes(range(32)))
 
     mutations = {
         "wrong measurement": lambda p: setattr(

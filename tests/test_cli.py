@@ -9,6 +9,7 @@ import pytest
 
 from enclavemine import experiment
 from enclavemine.cli import main
+from enclavemine.experiment import SCALE_METRICS
 from enclavemine.logio import load_csv
 from enclavemine.model import iid_set
 from enclavemine.scenario import org_map_for
@@ -114,6 +115,17 @@ def test_run_accepts_config_file_with_overrides(tmp_path):
     # Six cases, not ten: the flag overrides the file.
     model = (out_dir / "model.pnml").read_bytes()
     assert model == _rerun_model(tmp_path, 6, 4, 3000)
+
+
+def test_a_config_file_is_checked_before_any_flag_applies(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_cases": 0}))
+    with pytest.raises(SystemExit) as stop:
+        run_cli("run", "--config", cfg, "--cases", 6, "--out-dir", tmp_path / "out")
+    assert stop.value.code == 2
+    assert capsys.readouterr().err == (
+        "enclavemine run: error: --config %s: n_cases must be at least 1, got 0\n" % cfg
+    )
 
 
 def test_run_reports_an_aborted_session_and_exits_1(tmp_path, capsys):
@@ -331,7 +343,6 @@ def test_scale_segsize_csv(tmp_path, capsys):
         "--cases", 10,
         "--seed", 2,
         "--values", "600,2000,100000",
-        "--metric", "message_count",
         "--out", out,
     )
     assert rc == 0
@@ -341,7 +352,9 @@ def test_scale_segsize_csv(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["600.0", "2000.0", "100000.0"]
     counts = [float(r[3]) for r in rows[1:]]
     assert counts == sorted(counts, reverse=True)
-    assert capsys.readouterr().out.startswith("wrote %s; r2_linear=" % out)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "wrote %s" % out
+    assert [line.split(": r2_linear=")[0] for line in lines[1:]] == list(SCALE_METRICS)
 
 
 def test_scale_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
@@ -377,23 +390,28 @@ def test_scale_writes_points_and_fit(tmp_path):
         "--cases", 5,
         "--seed", 2,
         "--values", "5,10,15",
-        "--metric", "peak_bytes",
         "--out", out,
     )
     assert rc == 0
     with out.open(newline="") as fh:
         rows = list(csv.reader(fh))
-    # Every metric's column, whichever one is fitted.
+    # Every metric's column, and every metric's fit.
     assert rows[0] == ["x", "peak_bytes", "mean_bytes", "message_count"]
     assert len(rows) == 4
-    stats = json.loads(out.with_suffix(".stats.json").read_text())
-    assert set(stats) >= {"r2_linear", "r2_log", "slope"}
-    # peak_bytes is the default metric: the same points and the same fit.
-    rc = run_cli("scale", "cases", "--cases", 5, "--seed", 2, "--values", "5,10,15", "--out", out)
+    fits = json.loads(out.with_suffix(".stats.json").read_text())
+    assert list(fits) == sorted(SCALE_METRICS)
+    assert all(set(fit) >= {"r2_linear", "r2_log", "slope"} for fit in fits.values())
+
+
+def test_scale_fits_each_metric_as_stats_does_on_its_column(tmp_path, capsys):
+    out = tmp_path / "scale.csv"
+    rc = run_cli("scale", "orgs", "--cases", 10, "--seed", 2, "--values", "2,3,4", "--out", out)
     assert rc == 0
-    with out.open(newline="") as fh:
-        assert list(csv.reader(fh)) == rows
-    assert json.loads(out.with_suffix(".stats.json").read_text()) == stats
+    fits = json.loads(out.with_suffix(".stats.json").read_text())
+    capsys.readouterr()
+    for metric in SCALE_METRICS:
+        assert run_cli("stats", "--csv", out, "--x", "x", "--y", metric) == 0
+        assert json.loads(capsys.readouterr().out) == fits[metric]
 
 
 @pytest.mark.parametrize(

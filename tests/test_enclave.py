@@ -17,7 +17,6 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from enclavemine import enclave
 from enclavemine.enclave import (
-    DEFAULT_ROOT,
     FRAME_VERSION,
     REASON_MEASUREMENT,
     REASON_NONCE,
@@ -29,7 +28,6 @@ from enclavemine.enclave import (
     CapacityExceeded,
     EnclaveAccountant,
     EvidenceRejected,
-    HardwareRoot,
     OrgIdentity,
     SessionKeys,
     UnderflowBug,
@@ -74,12 +72,10 @@ class MeasurementTest(unittest.TestCase):
         self.assertNotIn(compute_measurement(base), digests)
 
 
-def _fresh_evidence(nonce=b"n" * 16, org="org:miner", root=DEFAULT_ROOT):
+def _fresh_evidence(nonce=b"n" * 16, org="org:miner"):
     manifest = BuildManifest("miner", "1", "heuristics")
     session = SessionKeys()
-    ev = build_evidence(
-        compute_measurement(manifest), org, session.k_pub, nonce, root=root
-    )
+    ev = build_evidence(compute_measurement(manifest), org, session.k_pub, nonce)
     return manifest, session, ev
 
 
@@ -126,8 +122,10 @@ class EvidenceTest(unittest.TestCase):
             AttestationEvidence.from_bytes(data)
 
     def test_wrong_root_rejected(self):
-        rogue = HardwareRoot(os.urandom(32))
-        _, _, ev = _fresh_evidence(self.nonce, root=rogue)
+        # Evidence from other hardware: the same payload, signed by another root.
+        rogue = OrgIdentity("hardware-root", os.urandom(32))
+        signature = rogue.sign(self.evidence.signed_payload())
+        ev = dataclasses.replace(self.evidence, signature=signature)
         reference = compute_measurement(BuildManifest("miner", "1", "heuristics"))
         with self.assertRaisesRegex(EvidenceRejected, "^%s$" % REASON_SIGNATURE):
             verify_evidence(ev, reference, ["org:miner"], self.nonce)
@@ -534,7 +532,7 @@ def test_stream_key_rejects_a_malformed_or_low_order_share():
 
 def test_root_requires_exact_seed_length():
     with pytest.raises(ValueError):
-        HardwareRoot(b"short seed")
+        OrgIdentity("hardware-root", b"short seed")
 
 
 class AccountantTest(unittest.TestCase):

@@ -72,11 +72,8 @@ UNREAD_ON_PURPOSE = {
 # passes, as ``(module, function, parameter)``, and why each one stays.
 UNSET_ON_PURPOSE = {
     ("cli.py", "main", "argv"): "None reads sys.argv; tests pass their own argv",
-    ("enclave.py", "build_evidence", "root"): "key material: tests sign with a rogue root",
-    ("enclave.py", "OrgIdentity.__init__", "seed"): "key material: a fixed seed gives a fixed key",
     ("experiment.py", "build_session", "network"): "the seam tests swap a tampering network in by",
     ("experiment.py", "run_experiment", "replay_order"): "replays a recorded transcript",
-    ("transport.py", "InProcessNetwork.run", "max_steps"): "bounds a session that never quiesces",
     ("protocol.py", "ProvisionerConfig.__init__", "root_public"): "key material: tests pin a rogue root",
 }
 # Dataclass fields: the generated ``__init__`` takes one parameter per field.
@@ -88,21 +85,6 @@ UNSET_ON_PURPOSE.update(
         for name in (
             "n_cases", "seed", "seg_size", "incremental", "algorithm", "n_orgs",
             "loop_iterations", "capacity",
-        )
-    }
-)
-UNSET_ON_PURPOSE.update(
-    {
-        ("experiment.py", "RunMetrics.__init__", name): "an accumulator, filled after construction"
-        for name in ("samples", "peak_bytes", "mean_bytes", "message_count", "yield_count")
-    }
-)
-UNSET_ON_PURPOSE.update(
-    {
-        ("mining/dfg.py", "DfgState.__init__", name): "a mining accumulator, starts empty"
-        for name in (
-            "activity_counts", "directly_follows", "loop2_counts", "start_counts",
-            "end_counts", "cases_seen",
         )
     }
 )

@@ -8,6 +8,7 @@ injection.
 import pytest
 
 from doubles import LossyNetwork
+from enclavemine import transport
 from enclavemine.transport import DeliveryRecord, InProcessNetwork, TransportError
 
 
@@ -163,14 +164,15 @@ def test_on_delivered_hook_sees_every_record():
     assert seen == net.transcript
 
 
-def test_run_respects_step_budget():
+def test_run_respects_step_budget(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_DELIVERIES", 3)
     net = InProcessNetwork(seed=0)
     a = Chatter("a", peers=["b"], fanout=10)
     net.register(a)
     net.register(Chatter("b"))
     net.bootstrap()
     with pytest.raises(TransportError, match="exceeded"):
-        net.run(max_steps=3)
+        net.run()
 
 
 def test_run_tells_every_node_once_when_no_message_is_pending():
@@ -194,14 +196,15 @@ def test_replay_tells_every_node_once_it_drains():
     assert replayed == heard == [("a", 4), ("b", 2), ("c", 2)]
 
 
-def test_no_node_is_told_while_messages_are_pending():
+def test_no_node_is_told_while_messages_are_pending(monkeypatch):
+    monkeypatch.setattr(transport, "MAX_DELIVERIES", 1)
     heard = []
     net = InProcessNetwork(seed=4)
     _listeners(net, heard)
     with pytest.raises(TransportError, match="pending"):
         net.run_replay([("a", "b")])
     with pytest.raises(TransportError, match="exceeded"):
-        net.run(max_steps=1)
+        net.run()
     assert heard == []
 
 
