@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, count, islice
+from operator import attrgetter, ge
 from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 __all__ = [
@@ -74,22 +74,25 @@ class Event(NamedTuple):
 # event_id). An attrgetter builds the same tuple as a function would, in C.
 canonical_key = attrgetter("timestamp", "provisioner_id", "event_id")
 _event_id = attrgetter("event_id")
+_timestamp = attrgetter("timestamp")
 
 
 def check_events(events: Sequence[Event]) -> None:
     """Raise unless ``events`` form a log: canonical order, unique ids.
 
-    Raises :class:`ModelError` for events out of order, else
-    :class:`DuplicateEvent`. Both checks run in C on valid events; the
-    offenders are looked up in Python only when a check fails.
+    Raises :class:`ModelError` naming the first adjacent pair out of order,
+    else :class:`DuplicateEvent`. The order check reads timestamps first:
+    only a pair whose timestamps do not strictly increase can be out of
+    order, so whole canonical keys are compared for those pairs alone. The
+    scan for them and the id check run in C.
     """
-    keys = list(map(canonical_key, events))
-    if keys != sorted(keys):
-        i = next(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
-        raise ModelError(
-            "events out of canonical order: %s after %s"
-            % (events[i].event_id, events[i - 1].event_id)
-        )
+    stamps = list(map(_timestamp, events))
+    for i in compress(count(1), map(ge, stamps, islice(stamps, 1, None))):
+        if canonical_key(events[i - 1]) > canonical_key(events[i]):
+            raise ModelError(
+                "events out of canonical order: %s after %s"
+                % (events[i].event_id, events[i - 1].event_id)
+            )
     check_unique_ids(events)
 
 

@@ -80,16 +80,17 @@ builds no log per segment. It gathers a segment's events out of its
 partition, encodes and seals them only when it sends that segment, so its
 first window costs the plan and the segments the first credit lets out, not
 the encoding of the whole partition. It sends while the bytes it has sent
-are below its credit. After its last segment it is ``done``; short of it, with
-its credit used up, it is ``streaming`` and waits for a grant. The miner
-keeps, in each open stream's record, the bytes received and the credit
-granted. A stream is blocked when it has received at least its credit; its
-provisioner stopped at the segment that reached it, so nothing of it is in
-flight. After each cases_res the miner grants each blocked stream, in sorted
-order, the next multiple of ``B`` above the bytes it has received, sent as
-the new cumulative ``credit``: ``B`` more than its credit, unless its last
-segment passed the credit by ``B`` or more, which only a case bigger than
-``B``, shipped alone, can do. It grants when
+are below its credit. After its last segment it is ``done`` and drops the
+stream key, share and proof; short of it, with its credit used up, it is
+``streaming`` and waits for a grant. The miner keeps, in each open stream's
+record, the bytes received and the credit granted. A stream is blocked when
+it has received at least its credit; its provisioner stopped at the segment
+that reached it, so nothing of it is in flight. After each cases_res the
+miner grants each blocked stream, in sorted order, the next multiple of
+``B`` above the bytes it has received, sent as the new cumulative
+``credit``: ``B`` more than its credit, unless its last segment passed the
+credit by ``B`` or more, which only a case bigger than ``B``, shipped alone,
+can do. It grants when
 
 (a) nothing is stored;
 (b) the stream owes the smallest stored iid, ``min(cstor)``, the oldest
@@ -657,8 +658,8 @@ class Provisioner:
 
     def _stream(self) -> List[Tuple[str, bytes]]:
         """Gather, encode, seal and send segments while the bytes sent are
-        below the credit; the stream is ``done`` after its last, else
-        ``streaming``."""
+        below the credit; the stream is ``done``, its key dropped, after its
+        last, else ``streaming``."""
         out = []
         while self.unsent and self.sent < self.credit:
             plain = encode_log(gather(self.config.partition, self.unsent.popleft()))
@@ -676,5 +677,9 @@ class Provisioner:
             out.append((self.miner_id, self._msg(KIND_CASES_RES, end, blob)))
             self.sealed += 1
             self.sent += len(plain)
-        self.phase = "streaming" if self.unsent else "done"
+        if self.unsent:
+            self.phase = "streaming"
+        else:
+            self.phase = "done"
+            self.stream_key = (b"", b"", b"")
         return out

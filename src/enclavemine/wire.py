@@ -29,8 +29,11 @@ memo lives as long as the call, so it holds no state between segments.
 
 Decoding has one loop, :func:`decode_cases`, which splits a payload into
 its cases and reads each case's encoded size off the decode offsets, so a
-receiver needs no second pass to group or size what it got.
-:func:`decode_log` returns the same events as one log.
+receiver needs no second pass to group or size what it got. Like the
+encoder, it decodes each distinct iid, activity and provisioner id once per
+call, from a memo of raw bytes to text that lives as long as the call: the
+events that carry a value share one string, which is what a receiver keeps
+while it stores them. :func:`decode_log` returns the same events as one log.
 
 Error contract: :func:`decode_cases` and :func:`decode_log` take bytes from
 outside the program, both run the same checks, and every malformed payload
@@ -177,6 +180,12 @@ def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
     # Builds an Event from a tuple of its fields in C, without the Python
     # frame of the named tuple's own constructor.
     new_event = tuple.__new__
+    # Raw bytes -> text of the iids, activities and provisioner ids decoded
+    # so far. It is looked up inline: a ``__missing__`` hook, as the encoder
+    # uses, costs a Python call per new value, which segments of a few
+    # cases pay for every case.
+    text: Dict[bytes, str] = {}
+    known = text.get
     size = len(data)
     pos = end = 0
     events: List[Event] = []
@@ -201,15 +210,24 @@ def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
             (n,) = unpack_len(data, end)
             pos = end + 2
             end = pos + n
-            iid = data[pos:end].decode("utf-8")
+            raw = data[pos:end]
+            iid = known(raw)
+            if iid is None:
+                iid = text[raw] = raw.decode("utf-8")
             (n,) = unpack_len(data, end)
             pos = end + 2
             end = pos + n
-            activity = data[pos:end].decode("utf-8")
+            raw = data[pos:end]
+            activity = known(raw)
+            if activity is None:
+                activity = text[raw] = raw.decode("utf-8")
             (n,) = unpack_len(data, end)
             pos = end + 2
             end = pos + n
-            provisioner_id = data[pos:end].decode("utf-8")
+            raw = data[pos:end]
+            provisioner_id = known(raw)
+            if provisioner_id is None:
+                provisioner_id = text[raw] = raw.decode("utf-8")
             (n_extras,) = unpack_len(data, end)
             pos = end + 2
             if n_extras:

@@ -11,6 +11,8 @@ from enclavemine.model import (
     EventLog,
     ModelError,
     canonical_key,
+    check_events,
+    check_unique_ids,
     extract_case,
     group_by_iid,
     iid_set,
@@ -119,6 +121,64 @@ def test_eventlog_rejects_out_of_order():
     with pytest.raises(ModelError) as exc:
         EventLog((a, c, d, b))
     assert str(exc.value) == "events out of canonical order: d after c"
+
+
+def _key_list_check(events):
+    """The order and id check over the list of every whole canonical key;
+    the oracle for :func:`check_events`, which reads timestamps first."""
+    keys = list(map(canonical_key, events))
+    if keys != sorted(keys):
+        i = next(i for i in range(1, len(keys)) if keys[i - 1] > keys[i])
+        raise ModelError(
+            "events out of canonical order: %s after %s"
+            % (events[i].event_id, events[i - 1].event_id)
+        )
+    check_unique_ids(events)
+
+
+@st.composite
+def _near_logs(draw):
+    """Event lists that are often in canonical order, with timestamps from
+    a small range so that equal and falling neighbours are common, and now
+    and then one neighbour's timestamp forced equal or made to fall."""
+    events = draw(
+        st.lists(
+            st.builds(
+                Event,
+                event_id=st.sampled_from(["a", "b", "c", "d", "e", "f"]),
+                iid=st.just("i"),
+                activity=st.just("A"),
+                timestamp=st.integers(0, 5),
+                provisioner_id=st.sampled_from(["p", "q"]),
+            ),
+            max_size=10,
+        )
+    )
+    if draw(st.booleans()):
+        events.sort(key=canonical_key)
+    if len(events) > 1:
+        i = draw(st.integers(1, len(events) - 1))
+        how = draw(st.sampled_from(["keep", "equal", "fall"]))
+        if how == "equal":
+            events[i] = events[i]._replace(timestamp=events[i - 1].timestamp)
+        elif how == "fall":
+            events[i] = events[i]._replace(timestamp=max(events[i - 1].timestamp - 1, 0))
+    return events
+
+
+def _outcome(check, events):
+    try:
+        check(events)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_logs())
+def test_check_events_matches_the_key_list_check(events):
+    assert _outcome(check_events, events) == _outcome(_key_list_check, events)
+    assert _outcome(check_events, tuple(events)) == _outcome(_key_list_check, events)
 
 
 def test_eventlog_rejects_duplicate_ids():

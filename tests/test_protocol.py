@@ -319,6 +319,24 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert not any("last" in msg.body for msg in net.sent if msg.kind != KIND_CASES_RES)
 
 
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+@pytest.mark.parametrize("seg_size", [300, 1_000_000])
+def test_a_finished_stream_keeps_no_key(seg_size):
+    # A provisioner drops its stream key, share and proof with its last
+    # segment, and a grant after that still aborts it.
+    partitions = _random_partitions(5, n_cases=50)
+    net, miner, _, provisioners = _run_to_done(partitions, seg_size=seg_size)
+    assert miner.phase == "done"
+    for p in provisioners.values():
+        assert (p.phase, p.sealed > 0) == ("done", True)
+        assert p.stream_key == (b"", b"", b"")
+    late = Msg(KIND_CASES_GRANT, "miner", "s1", {"credit": 10**9}, b"").encode()
+    for p in provisioners.values():
+        assert p.handle("miner", late) == []
+        assert (p.phase, p.aborted_reason) == ("aborted", "UnexpectedMessage")
+        assert p.aborted_message == "cases_grant in phase done"
+
+
 def _key_fields(msgs):
     """The share and proof field lengths of each envelope of a stream."""
     return [tuple(len(f) for f in unframe(msg.blob, 3)[:2]) for msg in msgs]

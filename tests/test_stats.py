@@ -1,15 +1,23 @@
 """Regression fits for the scaling experiments.
 
-The closed-form oracle below solves the two-parameter normal equations
-directly; the implementation under test goes through a least-squares solver,
+The float oracle below solves the uncentred two-parameter normal equations;
+the implementation under test works from sums of deviations from the means,
 so agreement to 1e-9 relative is an independent check, not a tautology.
+The exact oracle solves the same problem in rational arithmetic, so it
+checks the fit far from 0 too, where the uncentred float sums cancel.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import enclavemine
 from enclavemine.stats import DegenerateInput, RegressionStats, fit_stats
 
 
@@ -114,3 +122,55 @@ def test_to_dict_shape():
         "r2_log",
     }
     assert isinstance(st, RegressionStats)
+
+
+def _exact_ols(ts, ys):
+    """Slope, intercept and r-squared of ys on ts (floats, taken exactly)."""
+    ts, ys = [Fraction(t) for t in ts], [Fraction(y) for y in ys]
+    t_mean, y_mean = sum(ts) / len(ts), sum(ys) / len(ys)
+    slope = sum((t - t_mean) * (y - y_mean) for t, y in zip(ts, ys)) / sum(
+        (t - t_mean) ** 2 for t in ts
+    )
+    intercept = y_mean - slope * t_mean
+    ss_res = sum((y - intercept - slope * t) ** 2 for t, y in zip(ts, ys))
+    ss_tot = sum((y - y_mean) ** 2 for y in ys)
+    r2 = 1 if ss_tot == 0 else 1 - ss_res / ss_tot
+    return float(slope), float(intercept), float(r2)
+
+
+@pytest.mark.parametrize("offset", [1, 1e3, 1e6, 1e9])
+def test_matches_exact_rational_fit_far_from_zero(offset):
+    rng = random.Random(2026)
+    xs = [offset + k for k in range(12)]
+    ys = [0.5 * k + rng.random() for k in range(12)]
+    st = fit_stats(xs, ys)
+    slope, intercept, r2 = _exact_ols(xs, ys)
+    _assert_close(st.slope, slope)
+    _assert_close(st.intercept, intercept)
+    _assert_close(st.r2_linear, r2)
+    lslope, lintercept, lr2 = _exact_ols([math.log(x) for x in xs], ys)
+    _assert_close(st.log_slope, lslope)
+    _assert_close(st.log_intercept, lintercept)
+    _assert_close(st.r2_log, lr2)
+
+
+def test_a_session_process_does_not_load_numpy():
+    code = (
+        "import sys\n"
+        "from enclavemine.experiment import ExperimentConfig, run_experiment\n"
+        "from enclavemine.stats import fit_stats\n"
+        "assert run_experiment(ExperimentConfig(n_cases=20, seed=1)).miner_phase == 'done'\n"
+        "fit_stats([1, 2, 3], [2.0, 4.0, 7.0])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(enclavemine.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

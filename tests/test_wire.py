@@ -301,6 +301,50 @@ def test_duplicate_ids_across_cases_of_one_payload_are_rejected():
             decode(blob)
 
 
+def _shared_fields_log():
+    activities = ("Register", "Approve", "Approve")
+    return EventLog(tuple(
+        Event("e%d" % k, "case-%d" % (k % 2), activities[k % 3], 1000 + k, "hospital")
+        for k in range(12)
+    ))
+
+
+def test_decode_shares_one_string_per_distinct_field_value():
+    events = [ev for evs, _ in decode_cases(encode_log(_shared_fields_log())).values() for ev in evs]
+    for field in ("iid", "activity", "provisioner_id"):
+        values = [getattr(ev, field) for ev in events]
+        for value in set(values):
+            assert len({id(v) for v in values if v == value}) == 1, (field, value)
+
+
+def test_the_decode_memo_lasts_one_call():
+    # A memo kept between calls would hand the second decode the first
+    # one's strings.
+    blob = encode_log(_shared_fields_log())
+    first, second = decode_log(blob), decode_log(blob)
+    assert first == second
+    for a, b in zip(first, second):
+        assert (a.iid, a.activity, a.provisioner_id) == (b.iid, b.activity, b.provisioner_id)
+        assert a.iid is not b.iid
+        assert a.activity is not b.activity
+        assert a.provisioner_id is not b.provisioner_id
+
+
+def test_a_later_non_utf8_field_is_reported_at_its_own_offset():
+    # The first "Ab" decodes and is remembered; the second event's activity
+    # differs in its last byte, which is not UTF-8.
+    first = _event_bytes(1000, b"e1", b"c1", b"Ab", b"p1")
+    second = _event_bytes(2000, b"e2", b"c1", b"A\xff", b"p1")
+    blob = struct.pack(">HI", 1, 2) + first + second
+    offset = EMPTY_LOG_SIZE + len(first) + 8 + (2 + 2) + (2 + 2) + 2
+    assert blob[offset : offset + 2] == b"A\xff"
+    for decode in (decode_cases, decode_log):
+        with pytest.raises(WireError) as caught:
+            decode(blob)
+        assert type(caught.value) is WireError
+        assert str(caught.value) == "string field at offset %d is not UTF-8" % offset
+
+
 @st.composite
 def _malformed_payloads(draw):
     blob = bytearray(encode_log(draw(_logs())))
