@@ -13,6 +13,9 @@ simulated faithfully enough to exercise the protocol:
 * The *measurement* is the SHA-256 digest of a canonical build-manifest
   string (component, version, algorithm, sorted parameters). Verifiers
   compare it against a reference measurement they computed themselves.
+  SHA-256 comes from ``cryptography``, the process's one crypto library:
+  ``hashlib`` would load the system's libcrypto, a second OpenSSL beside
+  the one ``cryptography`` bundles.
 * Evidence carries custom data: the miner org's identity proof, the fresh
   session public key, and the verifier-supplied nonce. Binding the nonce
   into the signed payload gives replay freshness; this is an extension past
@@ -44,7 +47,6 @@ first failing check.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 from dataclasses import dataclass, replace
@@ -140,9 +142,15 @@ class BuildManifest:
         return "\n".join(parts).encode("utf-8")
 
 
+def _sha256(data: bytes) -> bytes:
+    digest = hashes.Hash(hashes.SHA256())
+    digest.update(data)
+    return digest.finalize()
+
+
 def compute_measurement(manifest: BuildManifest) -> bytes:
     """32-byte digest of the canonical manifest string."""
-    return hashlib.sha256(manifest.canonical()).digest()
+    return _sha256(manifest.canonical())
 
 
 def _raw(public_key) -> bytes:
@@ -173,7 +181,7 @@ class OrgIdentity:
 
 
 DEFAULT_ROOT = OrgIdentity(
-    "hardware-root", hashlib.sha256(b"enclavemine simulated hardware root").digest()
+    "hardware-root", _sha256(b"enclavemine simulated hardware root")
 )
 
 

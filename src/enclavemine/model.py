@@ -15,6 +15,11 @@ a case holds events of a single instance id (iid), a partition holds events
 of a single provisioner. ``merge`` is the safe set union of two logs with
 disjoint event ids; it is associative and commutative with the empty log as
 identity, so partitions can be folded back together in any order.
+
+A log's own check finds a duplicate id only among its events. The protocol's
+incremental mode builds one log per case and frees it, so an event id reused
+in another case passes there; batch mode and ``merge_all`` over the
+partitions raise ``DuplicateEvent`` for it.
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ from enclavemine.enclave import (
     sign_stream,
     verify_evidence,
 )
+from enclavemine.experiment import build_manifest
 
 
 class MeasurementTest(unittest.TestCase):
@@ -70,6 +71,20 @@ class MeasurementTest(unittest.TestCase):
         digests = {compute_measurement(v) for v in variants}
         self.assertEqual(len(digests), 4)
         self.assertNotIn(compute_measurement(base), digests)
+
+    def test_known_answers(self):
+        # Recorded from the hashlib-based build: the trust anchor and the
+        # reference measurements of both miners stay byte for byte.
+        self.assertEqual(
+            enclave.DEFAULT_ROOT.public_bytes.hex(),
+            "2ed664cac100452a8c9461302a50d51550fc93c8945baad8f5ff0309cbe5141c",
+        )
+        for algorithm, digest in (
+            ("heuristics", "0c4312b4a120340d60c488a7952ceaa07786f6c8956f3b23a707fa0d31a4c362"),
+            ("declare", "65850c4a31b369302b117d887d90df32d78c663e858d953c9a90dec8f9a34357"),
+        ):
+            with self.subTest(algorithm=algorithm):
+                self.assertEqual(compute_measurement(build_manifest(algorithm)).hex(), digest)
 
 
 def _fresh_evidence(nonce=b"n" * 16, org="org:miner"):

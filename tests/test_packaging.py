@@ -1,8 +1,11 @@
-"""Package metadata: the version is written in one place, and the declared
-dependencies are what the package imports."""
+"""Package metadata: the version is written in one place, the declared
+dependencies are what the package imports, and a session process loads no
+module it does not use."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +48,40 @@ def test_declared_dependencies_are_what_the_package_imports():
         for req in doc["project"]["dependencies"]
     }
     assert declared == _third_party_imports(ROOT / "src" / "enclavemine")
+
+
+# A second OpenSSL (hashlib's _hashlib links the system libcrypto) and the
+# web stack that xml.sax.saxutils pulls in through urllib.request.
+_UNUSED_MODULES = (
+    "_hashlib",
+    "hashlib",
+    "_ssl",
+    "urllib.request",
+    "http.client",
+    "email",
+    "xml.sax",
+)
+
+
+def test_a_session_process_loads_one_openssl_and_no_web_stack(tmp_path):
+    code = (
+        "import sys\n"
+        "from enclavemine import cli\n"
+        "from enclavemine.experiment import ExperimentConfig, run_experiment\n"
+        "for algorithm in ('heuristics', 'declare'):\n"
+        "    cfg = ExperimentConfig(n_cases=20, seed=1, algorithm=algorithm)\n"
+        "    assert run_experiment(cfg).miner_phase == 'done'\n"
+        "assert cli.main(['run', '--cases', '20', '--out-dir', sys.argv[1]]) == 0\n"
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules)))\n"
+    )
+    src = str(Path(enclavemine.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), *_UNUSED_MODULES],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,7 +1,13 @@
+import hashlib
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape, quoteattr
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from enclavemine.mining import pnml
 from enclavemine.mining.dfg import DfgState, hm_observe
-from enclavemine.mining.heuristics import hm_finalize
+from enclavemine.mining.heuristics import Transition, WorkflowNet, hm_finalize
 from enclavemine.mining.pnml import to_pnml
 from enclavemine.model import Event, EventLog, group_by_iid
 from enclavemine.scenario import generate_scenario_log
@@ -89,3 +95,49 @@ def test_labels_with_markup_are_escaped():
         for t in root.find("pnml:net/pnml:page", NS).findall("pnml:transition", NS)
     }
     assert {"a<b>", "c&d"} <= labels
+
+
+# Text weighted towards the characters the escaping rules treat specially.
+_MARKUP_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("&<>\"'\n\r\t"), st.characters()), max_size=30
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_MARKUP_TEXT)
+def test_escaping_matches_saxutils(text):
+    assert pnml._escape(text) == escape(text)
+    assert pnml._quoteattr(text) == quoteattr(text)
+
+
+def test_markup_in_ids_and_labels_serializes_to_golden_bytes():
+    # Every id and label below holds characters the escaping rules treat
+    # specially; the digest was recorded from the saxutils-based writer.
+    net = WorkflowNet(
+        places=("source", "sink", 'p"1', "p'2", "p\"'3", "p&<>\n\r\t4"),
+        transitions=(
+            Transition("t&1", "a&b<c>d"),
+            Transition('t"2', 'say "hi"'),
+            Transition("t'3", "it's"),
+            Transition("t\n\r\t4", "line\nfeed\rreturn\ttab"),
+            Transition("t\"'5", None),
+        ),
+        arcs=(
+            ("source", "t&1"),
+            ("t&1", 'p"1'),
+            ('p"1', 't"2'),
+            ('t"2', "p'2"),
+            ("p'2", "t'3"),
+            ("t'3", "p\"'3"),
+            ("p\"'3", "t\n\r\t4"),
+            ("t\n\r\t4", "p&<>\n\r\t4"),
+            ("p&<>\n\r\t4", "t\"'5"),
+            ("t\"'5", "sink"),
+        ),
+        source="source",
+        sink="sink",
+    )
+    assert (
+        hashlib.sha256(to_pnml(net)).hexdigest()
+        == "a0958132d46f8424600f6eef655df58bbc97d37f000ca422b55b50fa184521bb"
+    )
