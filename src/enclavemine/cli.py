@@ -42,6 +42,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -52,7 +53,6 @@ from .experiment import (
     SessionFailed,
     _done,
     _load_inputs,
-    _run_session,
     run_experiment,
     scale_run,
     standalone_mining,
@@ -91,18 +91,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {
-        "n_cases": args.n_cases,
-        "seed": args.seed,
-        "seg_size": args.seg_size,
-        "n_orgs": args.n_orgs,
-        "loop_iterations": args.loop_iterations,
-        "algorithm": args.algorithm,
-        "incremental": None if args.mode is None else args.mode == "incremental",
-        "log_path": args.log_path,
-        "org_map_path": args.org_map_path,
-        "iid_column": args.iid_column,
-    }
+    # Each config flag's dest is its field's name; --mode alone sets incremental.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    overrides["incremental"] = None if args.mode is None else args.mode == "incremental"
     try:
         cfg = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
     except (OSError, ValueError) as exc:
@@ -114,12 +105,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:  # unset flags keep the config's defaults; counts are checked where a session's are
-        cfg = ExperimentConfig().with_overrides(
-            n_cases=args.cases, seed=args.seed, n_orgs=args.orgs, loop_iterations=args.loop
-        )
-    except ValueError as exc:
-        _usage_error(args, exc)
+    cfg = _config_from_args(args)  # counts are checked where a session's are
     log = generate_scenario_log(
         cfg.n_cases, cfg.seed, loop_iterations=cfg.loop_iterations, org_map=org_map_for(cfg.n_orgs)
     )
@@ -166,7 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     write_transcript(result.transcript, out_dir / "transcript.jsonl")
     _done(result)
-    out_name = "model.pnml" if cfg.algorithm == "heuristics" else "fitness.json"
+    out_name = ALGORITHMS[cfg.algorithm].output_name
     (out_dir / out_name).write_bytes(result.output)
     print(
         "session done: %d messages, peak %d bytes, %d yields, output %s"
@@ -239,7 +225,7 @@ def _cmd_verify_convergence(args: argparse.Namespace) -> int:
     failures = 0
     for algorithm in ALGORITHMS:
         direct = standalone_mining(log, algorithm)
-        session = _run_session(cfg.with_overrides(algorithm=algorithm), partitions)
+        session = run_experiment(cfg.with_overrides(algorithm=algorithm), partitions)
         via_protocol = _done(session).output
         ok = direct == via_protocol
         failures += 0 if ok else 1
@@ -255,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic scenario log")
-    p.add_argument("--cases", type=int)
+    p.add_argument("--cases", type=int, dest="n_cases", metavar="CASES")
     p.add_argument("--seed", type=int)
-    p.add_argument("--loop", type=int)
-    p.add_argument("--orgs", type=int)
+    p.add_argument("--loop", type=int, dest="loop_iterations", metavar="LOOP")
+    p.add_argument("--orgs", type=int, dest="n_orgs", metavar="ORGS")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_generate)
+    p.set_defaults(func=_cmd_generate, config=None, mode=None)
 
     p = sub.add_parser("split", help="partition a log per organization")
     p.add_argument("--log", required=True)

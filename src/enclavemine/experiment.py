@@ -1,11 +1,16 @@
 """Experiment orchestration: wire up a session, run it, measure it.
 
 ``run_experiment`` builds partitions (from the scenario generator or a log
-file), spins up one secure miner and one provisioner per organization over
-the deterministic in-process network, runs the session to quiescence, and
-returns the mining output plus a metrics trail sampled after every
-delivered message. One seed fixes the interleaving, so runs are replayable:
-the recorded transcript can be fed back to reproduce identical metrics.
+file) unless it is given them, spins up one secure miner and one
+provisioner per organization over the deterministic in-process network,
+runs the session to quiescence, and returns the mining output plus a
+metrics trail sampled after every delivered message. One seed fixes the
+interleaving, so runs are replayable: the recorded transcript can be fed
+back to reproduce identical metrics.
+
+:data:`ALGORITHMS` maps each algorithm's name to its sink class, which
+names the parameters its build manifest pins (``params``) and the file
+its output is written to (``output_name``).
 
 ``standalone_mining`` runs the same mining code directly on a pre-merged
 log; protocol runs must converge to its outputs byte for byte.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, get_args, get_type_hints
 
@@ -64,7 +69,6 @@ __all__ = [
 ]
 
 MINER_ORG_PROOF = "org:miner"
-ALGORITHMS = ("heuristics", "declare")
 SCALE_METRICS = ("peak_bytes", "mean_bytes", "message_count")  # each fixed by the seed
 # Each scale_run dimension and the config field its values set.
 SCALE_DIMENSIONS = {
@@ -92,7 +96,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
-            raise ValueError("algorithm must be one of %s" % (ALGORITHMS,))
+            raise ValueError("algorithm must be one of %s" % (tuple(ALGORITHMS),))
         for name in ("n_cases", "n_orgs", "loop_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError("%s must be at least 1, got %d" % (name, getattr(self, name)))
@@ -182,6 +186,9 @@ def feed_log(sink, log: EventLog) -> None:
 class HeuristicsSink:
     """Feeds cases, in any order, into directly-follows counters."""
 
+    params = PARAMS
+    output_name = "model.pnml"
+
     def __init__(self) -> None:
         self.state = DfgState()
 
@@ -199,6 +206,9 @@ class HeuristicsSink:
 class DeclareSink:
     """Checks cases against a constraint model; fed as :class:`HeuristicsSink`."""
 
+    params = ()
+    output_name = "fitness.json"
+
     def __init__(self) -> None:
         self.state = ConformanceState(scenario_declare_model())
 
@@ -211,8 +221,7 @@ class DeclareSink:
         return self.state.report_json()
 
 
-def _make_sink(algorithm: str):
-    return HeuristicsSink() if algorithm == "heuristics" else DeclareSink()
+ALGORITHMS = {"heuristics": HeuristicsSink, "declare": DeclareSink}
 
 
 def build_manifest(algorithm: str) -> BuildManifest:
@@ -220,7 +229,7 @@ def build_manifest(algorithm: str) -> BuildManifest:
         component="secure-miner",
         version=__version__,
         algorithm=algorithm,
-        params=PARAMS if algorithm == "heuristics" else (),
+        params=ALGORITHMS[algorithm].params,
     )
 
 
@@ -303,19 +312,16 @@ def _load_inputs(cfg: ExperimentConfig) -> Dict[str, EventLog]:
 
 def run_experiment(
     cfg: ExperimentConfig,
+    partitions: Optional[Dict[str, EventLog]] = None,
     *,
     replay_order: Optional[Sequence[Tuple[str, str]]] = None,
 ) -> ExperimentResult:
-    return _run_session(cfg, _load_inputs(cfg), replay_order)
-
-
-def _run_session(
-    cfg: ExperimentConfig,
-    partitions: Dict[str, EventLog],
-    replay_order: Optional[Sequence[Tuple[str, str]]] = None,
-) -> ExperimentResult:
-    """:func:`run_experiment` on partitions already loaded for ``cfg``."""
-    sink = _make_sink(cfg.algorithm)
+    """One session of ``cfg``, on ``partitions`` if given (already loaded
+    for ``cfg``), else on the inputs ``cfg`` names or generates; with
+    ``replay_order``, messages are delivered in that recorded order."""
+    if partitions is None:
+        partitions = _load_inputs(cfg)
+    sink = ALGORITHMS[cfg.algorithm]()
     network, miner, _ = build_session(
         partitions,
         seed=cfg.seed,
@@ -359,7 +365,7 @@ def _run_session(
 
 def standalone_mining(log: EventLog, algorithm: str) -> bytes:
     """Mining output for a pre-merged log, bypassing the protocol entirely."""
-    sink = _make_sink(algorithm)
+    sink = ALGORITHMS[algorithm]()
     feed_log(sink, log)
     return sink.finalize_bytes()
 
@@ -411,7 +417,7 @@ def scale_run(
             partitions = loaded
         else:
             partitions = _load_inputs(point_cfg)
-        metrics = _done(_run_session(point_cfg, partitions)).metrics
+        metrics = _done(run_experiment(point_cfg, partitions)).metrics
         rows.append({"x": x, **{name: float(getattr(metrics, name)) for name in SCALE_METRICS}})
     xs = [r["x"] for r in rows]
     return rows, {name: fit_stats(xs, [r[name] for r in rows]) for name in SCALE_METRICS}
@@ -422,9 +428,8 @@ def write_metrics_csv(metrics: RunMetrics, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "phase", "current_bytes", "peak_bytes", "messages"])
-        for s in metrics.samples:
-            writer.writerow([s.step, s.phase, s.current_bytes, s.peak_bytes, s.messages])
+        writer.writerow([f.name for f in fields(MetricSample)])
+        writer.writerows(astuple(s) for s in metrics.samples)
 
 
 def write_transcript(transcript: Sequence[DeliveryRecord], path) -> None:
@@ -432,17 +437,7 @@ def write_transcript(transcript: Sequence[DeliveryRecord], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         for rec in transcript:
-            fh.write(
-                json.dumps(
-                    {
-                        "step": rec.step,
-                        "sender": rec.sender,
-                        "receiver": rec.receiver,
-                        "size": rec.size,
-                    },
-                    sort_keys=True,
-                )
-            )
+            fh.write(json.dumps(asdict(rec), sort_keys=True))
             fh.write("\n")
 
 

@@ -1,18 +1,20 @@
 """Command-line entry points, driven in-process through main()."""
 
+import argparse
 import csv
 import hashlib
 import json
+from dataclasses import fields
 from unittest import mock
 
 import pytest
 
 from enclavemine import experiment
-from enclavemine.cli import main
-from enclavemine.experiment import SCALE_METRICS
-from enclavemine.logio import load_csv
+from enclavemine.cli import build_parser, main
+from enclavemine.experiment import SCALE_METRICS, ExperimentConfig
+from enclavemine.logio import load_csv, save_csv
 from enclavemine.model import iid_set
-from enclavemine.scenario import org_map_for
+from enclavemine.scenario import generate_scenario_log, org_map_for
 
 WIRE_LIMITS = "65535 encoded bytes per string field, 65535 extras, a u64 timestamp"
 
@@ -51,6 +53,29 @@ def test_generate_defaults_are_the_config_defaults(tmp_path, capsys):
     assert "1000 cases" in capsys.readouterr().out
 
 
+def test_generate_flags_set_the_config_fields(tmp_path):
+    out, expected = tmp_path / "g.csv", tmp_path / "expected.csv"
+    argv = ["--cases", 15, "--seed", 3, "--loop", 2, "--orgs", 4]
+    assert run_cli("generate", *argv, "--out", out) == 0
+    save_csv(generate_scenario_log(15, 3, loop_iterations=2, org_map=org_map_for(4)), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+# Options a verb reads itself; each other option sets the config field its dest names.
+VERB_OPTIONS = {"--config", "--mode", "--out", "--out-dir", "--values", "dimension"}
+
+
+@pytest.mark.parametrize("verb", ["run", "scale", "verify-convergence", "generate"])
+def test_every_other_option_of_a_config_verb_is_a_config_field(verb):
+    # The config is built from the fields, so an option whose dest is not a
+    # field's name would be dropped without a word.
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {(a.option_strings or [a.dest])[0]: a.dest for a in verbs.choices[verb]._actions}
+    names = {f.name for f in fields(ExperimentConfig)}
+    strays = [o for o, dest in dests.items() if o not in {"-h", *VERB_OPTIONS} and dest not in names]
+    assert strays == []
+
+
 def test_split_writes_partitions(tmp_path, generated_log):
     org_map = tmp_path / "orgs.json"
     from enclavemine.scenario import default_org_map
@@ -85,6 +110,45 @@ def test_run_writes_model_and_metrics(tmp_path, capsys):
         header = next(csv.reader(fh))
     assert header == ["step", "phase", "current_bytes", "peak_bytes", "messages"]
     assert "session done" in capsys.readouterr().out
+
+
+# SHA-256 of metrics.csv and transcript.jsonl by mode, and of the output by
+# algorithm, for `run --cases 60 --seed 3 --seg-size 3000`. The two record
+# files count bytes and messages, which the algorithm does not change.
+RECORD_DIGESTS = {
+    "incremental": (
+        "1655c7ad5cfd70470a7ac3ac537649f2775d7665319088a36745ae4838f8da52",
+        "d2c5d8c06078d321fab2319c5148c5118ab7748032b772feb37fbf55554172a2",
+    ),
+    "batch": (
+        "91845054ef9a36dc14686ed3a81ce7b917314f85d6b90b8028704ff35556b421",
+        "d2c5d8c06078d321fab2319c5148c5118ab7748032b772feb37fbf55554172a2",
+    ),
+}
+OUTPUT_DIGESTS = {
+    "heuristics": (
+        "model.pnml",
+        "ce2f72597bf58d42fd1eabad980a032d247c8a39b12110cbe09621b8cda83003",
+    ),
+    "declare": (
+        "fitness.json",
+        "bd77a16a980a49cdd660272ee3b10541403804942402eb9a87aa4cf137ce72eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(RECORD_DIGESTS))
+@pytest.mark.parametrize("algorithm", list(OUTPUT_DIGESTS))
+def test_run_writes_golden_files(tmp_path, algorithm, mode):
+    out_dir = tmp_path / "out"
+    argv = ["--cases", 60, "--seed", 3, "--seg-size", 3000, "--algorithm", algorithm]
+    assert run_cli("run", *argv, "--mode", mode, "--out-dir", out_dir) == 0
+    output_name, output_digest = OUTPUT_DIGESTS[algorithm]
+    digests = [
+        hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("metrics.csv", "transcript.jsonl", output_name)
+    ]
+    assert digests == [*RECORD_DIGESTS[mode], output_digest]
 
 
 def test_run_declare_writes_fitness(tmp_path):
@@ -374,7 +438,7 @@ def test_scale_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
 
 def test_scale_rejects_an_out_of_range_value_before_any_session(tmp_path, capsys):
     out = tmp_path / "scale.csv"
-    with mock.patch.object(experiment, "_run_session") as runs:
+    with mock.patch.object(experiment, "run_experiment") as runs:
         with pytest.raises(SystemExit) as stop:
             run_cli("scale", "cases", "--cases", 10, "--values", 0, "--out", out)
     assert stop.value.code == 2
@@ -432,7 +496,7 @@ def test_scale_rejects_a_sweep_that_cannot_measure_before_any_session(
     org_map.write_text(json.dumps(org_map_for(3)))
     paths = dict(log=generated_log, org_map=org_map)
     out = tmp_path / "scale.csv"
-    with mock.patch.object(experiment, "_run_session") as runs:
+    with mock.patch.object(experiment, "run_experiment") as runs:
         with pytest.raises(SystemExit) as stop:
             run_cli("scale", *[a.format(**paths) for a in argv], "--cases", 10, "--out", out)
     assert stop.value.code == 2
@@ -512,7 +576,7 @@ def test_a_number_list_that_is_not_integers_is_a_usage_error_before_any_session(
     tmp_path, capsys, argv, named
 ):
     out = tmp_path / "out.csv"
-    with mock.patch.object(experiment, "_run_session") as runs:
+    with mock.patch.object(experiment, "run_experiment") as runs:
         with pytest.raises(SystemExit) as stop:
             run_cli(*argv, "--cases", 10, "--out", out)
     assert stop.value.code == 2

@@ -295,7 +295,9 @@ def test_a_sweep_loads_each_distinct_input_once(tmp_path):
     # org count, one session per point; each split equals what loading the
     # file for that count gives.
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
-        with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+        with mock.patch.object(
+            experiment, "run_experiment", wraps=experiment.run_experiment
+        ) as runs:
             scale_run(cfg, "orgs", [2, 3, 4])
     assert (runs.call_count, loads.call_count) == (3, 1)
     for call in runs.call_args_list:
@@ -325,7 +327,9 @@ def test_a_segsize_sweep_over_a_log_and_org_map_reads_the_file_once(tmp_path):
         n_cases=10, log_path=str(tmp_path / "log.csv"), org_map_path=str(tmp_path / "orgs.json")
     )
     with mock.patch.object(experiment, "load_log", wraps=experiment.load_log) as loads:
-        with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+        with mock.patch.object(
+            experiment, "run_experiment", wraps=experiment.run_experiment
+        ) as runs:
             rows, _ = scale_run(cfg, "segsize", [800, 4000, 40_000])
     assert (len(rows), runs.call_count, loads.call_count) == (3, 3, 1)
     for call, seg_size in zip(runs.call_args_list, [800, 4000, 40_000]):
@@ -368,7 +372,7 @@ def test_a_sweep_point_that_does_not_finish_raises():
     # The 800-byte point peaks near 3.7 KB and finishes; the 4000-byte point
     # needs more than the capacity, and its abort ends the sweep.
     tight = SMALL.with_overrides(n_cases=10, capacity=5000)
-    with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+    with mock.patch.object(experiment, "run_experiment", wraps=experiment.run_experiment) as runs:
         with pytest.raises(SessionFailed, match="^session aborted: CapacityExceeded: .*5000$"):
             scale_run(tight, "segsize", [800, 4000, 40_000])
     assert runs.call_count == 2
@@ -380,7 +384,7 @@ def test_a_sweep_point_that_does_not_finish_raises():
 
 @pytest.mark.parametrize("dimension", ["cases", "orgs", "events"])
 def test_scale_run_checks_every_value_before_any_session(dimension):
-    with mock.patch.object(experiment, "_run_session") as runs:
+    with mock.patch.object(experiment, "run_experiment") as runs:
         with pytest.raises(ValueError, match="must be at least 1"):
             scale_run(SMALL, dimension, [2, 0])
     assert runs.call_count == 0
@@ -401,7 +405,7 @@ def test_scale_run_rejects_a_sweep_its_input_file_fixes(tmp_path, dimension, pat
     (tmp_path / "m.json").write_text(json.dumps(org_map_for(3)))
     cfg = SMALL.with_overrides(**{k: str(tmp_path / v) for k, v in paths.items()})
     fixed = cfg.org_map_path if dimension == "orgs" else cfg.log_path
-    with mock.patch.object(experiment, "_run_session") as runs:
+    with mock.patch.object(experiment, "run_experiment") as runs:
         with pytest.raises(ValueError, match="^cannot sweep %s: %s fixes them$" % (
             dimension, re.escape(fixed)
         )):
@@ -411,7 +415,7 @@ def test_scale_run_rejects_a_sweep_its_input_file_fixes(tmp_path, dimension, pat
 
 def test_scale_run_checks_the_fit_can_use_its_points_before_any_session():
     cfg = ExperimentConfig(n_cases=10)
-    with mock.patch.object(experiment, "_run_session", wraps=experiment._run_session) as runs:
+    with mock.patch.object(experiment, "run_experiment", wraps=experiment.run_experiment) as runs:
         with pytest.raises(ValueError, match="need at least 3 points, got 1"):
             scale_run(cfg, "cases", [10])
     assert runs.call_count == 0

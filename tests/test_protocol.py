@@ -973,7 +973,7 @@ def _peak_bound(partitions, seg_size):
     seg_size=st.integers(1, 300),
     schedule=st.integers(0, 2**32 - 1),
     incremental=st.booleans(),
-    algorithm=st.sampled_from(experiment.ALGORITHMS),
+    algorithm=st.sampled_from(list(experiment.ALGORITHMS)),
 )
 def test_any_session_under_credit_ends_done_with_the_standalone_output(
     log_seed, n_cases, seg_size, schedule, incremental, algorithm
