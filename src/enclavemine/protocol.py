@@ -31,7 +31,11 @@ reordered, re-marked or cut to another seg_size on the way, fail with
 ``AuthFailure``. The record goes when the stream ends or the miner aborts.
 
 The miner's peers are the keys of its key table (``provisioner_keys``),
-in sorted order; a provisioner's id is its identity's ``org_id``.
+in sorted order; a provisioner's id is its identity's ``org_id``, and
+every event it holds carries that id as its ``provisioner_id``: a
+``Provisioner`` refuses a partition that holds another (``ValueError``), and
+the miner a segment that does, before it stores any fragment of it
+(:class:`ForeignEvent`), in one scan over the segment's events.
 
 The miner keeps one record per stream and one store of cases. streams
 (provisioner -> its stream's record; its keys are the provisioners whose refs
@@ -42,10 +46,12 @@ case's fragments received so far, one list of events in canonical order per
 provisioner that sent part of it, unmerged) holds the stored cases, with
 csize holding each one's encoded size. A case is complete when no stream
 still owes its iid. Each case is merged once, by one sort of its
-fragments, and handed to the sink's ``on_case`` (the only sink method the
-protocol calls): in incremental mode when it completes, and it is then
-freed; in batch mode all cases once the last stream ends, in ascending iid
-order, after one check over the ids of all cases. A case's merge finds an
+fragments on their timestamps (``log_from_events``, which re-sorts a run of
+tied events only if it is out of canonical order), and handed to the
+sink's ``on_case`` (the only sink method the protocol calls): in
+incremental mode when it completes, and it is then freed; in batch mode
+all cases once the last stream ends, in ascending iid order, after one
+check over the ids of all cases. A case's merge finds an
 event id it carries twice (``DuplicateEvent``), and the batch check an id
 reused in another case; incremental mode keeps no ids of freed cases and
 misses that one.
@@ -139,9 +145,10 @@ class name) and ``aborted_message`` (its text). Both roles handle a message
 in :func:`_serve`, which decodes it, checks its session and sender, and
 calls the role's ``_on_<kind>`` handler (a kind the role does not handle is
 an :class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
-(bad or out-of-order control input, a forged sender, an unowed case, a
-refused miner: :class:`MinerRefused`), an ``EnclaveError`` (tampered
-envelope, ``EvidenceRejected``, capacity cap), a ``WireError`` or
+(bad or out-of-order control input, a forged sender, an unowed case, an
+event of another provisioner: :class:`ForeignEvent`, a refused miner:
+:class:`MinerRefused`), an ``EnclaveError`` (tampered envelope,
+``EvidenceRejected``, capacity cap), a ``WireError`` or
 ``ModelError`` (malformed segment, event id carried twice) or a
 ``SegmenterError`` (bad ``seg_size``) aborts the node; ``handle`` returns no
 sends and the scheduler runs on. An aborted node drops every later message
@@ -162,6 +169,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
@@ -199,6 +207,7 @@ __all__ = [
     "UnknownProvisioner",
     "DuplicateResponse",
     "UnexpectedIid",
+    "ForeignEvent",
     "UnexpectedMessage",
     "IncompleteDelivery",
     "MinerRefused",
@@ -237,6 +246,10 @@ class UnexpectedIid(ProtocolError):
     """A segment carried a case the miner was not owed by that sender."""
 
 
+class ForeignEvent(ProtocolError):
+    """A segment carried an event labelled with another provisioner's id."""
+
+
 class UnexpectedMessage(ProtocolError):
     pass
 
@@ -263,6 +276,9 @@ KIND_CASES_GRANT = "cases_grant"
 CREDIT_SEGMENTS = 10
 # A batch session's grant step: more than any stream sends, so its grant is the last.
 _CREDIT_UNLIMITED = 2**63 - 1
+
+# An event's provisioner id, read in C over a segment or a partition.
+_provisioner_id = attrgetter("provisioner_id")
 
 # Bytes of the freshness nonce a provisioner issues for the miner's evidence.
 _NONCE_SIZE = 16
@@ -520,7 +536,12 @@ class SecureMiner:
         s.received += len(plain)
         self.accountant.account(len(plain))
         try:
-            for iid, (events, size) in sorted(decode_cases(plain).items()):
+            cases = decode_cases(plain)
+            fragments = map(itemgetter(0), cases.values())
+            labels = set(map(_provisioner_id, chain.from_iterable(fragments))) - {sender}
+            if labels:
+                raise ForeignEvent("events of %s from %s" % (", ".join(sorted(labels)), sender))
+            for iid, (events, size) in sorted(cases.items()):
                 if iid not in s.owed:
                     raise UnexpectedIid("%s from %s" % (iid, sender))
                 delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
@@ -568,8 +589,12 @@ class Provisioner:
     """Provisioner-side state machine: advertise, attest the miner, stream."""
 
     def __init__(self, config: ProvisionerConfig) -> None:
-        if not config.partition.is_partition():
-            raise ValueError("partition must hold a single provisioner's events")
+        labels = set(map(_provisioner_id, config.partition.events)) - {config.identity.org_id}
+        if labels:
+            raise ValueError(
+                "partition of %s holds events of %s"
+                % (config.identity.org_id, ", ".join(sorted(labels)))
+            )
         self.config = config
         self.node_id = config.identity.org_id
         self.phase = "idle"

@@ -47,6 +47,7 @@ from enclavemine.protocol import (
 )
 from enclavemine.segmenter import size_of
 from enclavemine.transport import InProcessNetwork
+from enclavemine.wire import decode_log, encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 
@@ -191,6 +192,15 @@ def _trailing_byte_seal(segment_bytes, *args):
     return _REAL_SEAL(segment_bytes + b"\x00", *args)
 
 
+def _clinic_as_pharma_seal(segment_bytes, k_sym, share, proof, session, sender, *place):
+    """Clinic's segments carry its events labelled with pharma's id, sealed
+    under clinic's own stream key; the relabelling keeps their order."""
+    if sender == "clinic":
+        log = decode_log(segment_bytes)
+        segment_bytes = encode_log([ev._replace(provisioner_id="pharma") for ev in log])
+    return _REAL_SEAL(segment_bytes, k_sym, share, proof, session, sender, *place)
+
+
 class _RekeyAfterFirstSeal:
     """A seal for one session: from a stream's second segment on, the sender
     agrees a fresh key with the session's own key and sends its share and
@@ -274,6 +284,10 @@ FAULTS = [
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, _blob(lambda b: _flip(b, -1, 0x01)))]),
      "miner", "AuthFailure"),
     ("malformed wire bytes", dict(seal=_trailing_byte_seal), "miner", "WireError"),
+    # The segment opens under clinic's key, so its sender is clinic, but its
+    # events say they are pharma's: the miner stores none of them.
+    ("events labelled with another org's id",
+     dict(seal=_clinic_as_pharma_seal), "miner", "ForeignEvent"),
     # Key material rides on a stream's first envelope only: a later one
     # that carries a share and proof, even a fresh share correctly signed
     # for this session (a mid-stream re-key), fails before any cipher.
@@ -514,6 +528,20 @@ def test_a_stream_key_fault_names_the_check_that_failed(three_partitions, row, m
     assert (miner.aborted_reason, miner.aborted_message) == ("AuthFailure", message)
 
 
+def test_a_segment_of_another_orgs_events_is_refused_before_it_is_stored(three_partitions):
+    # Clinic holds a fragment of case 312 only, so the case never completes,
+    # and the miner names the label it found and the sender it checked.
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == "events labelled with another org's id"]
+    nodes, _ = _run(three_partitions, **kwargs)
+    miner = nodes["miner"]
+    assert (miner.aborted_reason, miner.aborted_message) == (
+        "ForeignEvent",
+        "events of pharma from clinic",
+    )
+    assert all(case.events[0].iid != "312" for case in miner.sink.cases)
+    assert miner.accountant.current_bytes == 0
+
+
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize(
     "row,node,message",
@@ -589,6 +617,7 @@ def test_honest_session_passes_the_same_checks(three_partitions):
 
 # A byte changed in the plaintext can still decode into a valid segment, so
 # such a session may complete; the ones that do not must name one of these.
+# A changed byte of a provisioner id names another provisioner: ForeignEvent.
 CORRUPTION_REASONS = {
     "AuthFailure",
     "WireError",
@@ -598,6 +627,7 @@ CORRUPTION_REASONS = {
     "DuplicateEvent",
     "UnexpectedIid",
     "IncompleteDelivery",
+    "ForeignEvent",
 }
 
 

@@ -201,7 +201,6 @@ def test_split_log_covers_and_relabels():
     parts = split_log(log, default_org_map())
     assert set(parts) <= {"hospital", "pharma", "clinic"}
     for org, part in parts.items():
-        assert part.is_partition()
         assert {ev.provisioner_id for ev in part} == {org}
     assert sum(len(p) for p in parts.values()) == len(log)
     # The generator already labels events with the same map, so the split is

@@ -1,4 +1,6 @@
 import random
+from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,79 @@ def _outcome(check, events):
 def test_check_events_matches_the_key_list_check(events):
     assert _outcome(check_events, events) == _outcome(_key_list_check, events)
     assert _outcome(check_events, tuple(events)) == _outcome(_key_list_check, events)
+
+
+def _reference_log(events):
+    """One sort under the whole canonical key: the oracle for the model's
+    sorts, which sort on the timestamp and re-sort only tied runs."""
+    return EventLog(tuple(sorted(events, key=canonical_key)))
+
+
+def _result(build, *args):
+    try:
+        return build(*args).events
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _shuffled_events(draw):
+    """Events in shuffled order whose timestamps are all distinct, drawn
+    from a range some share, or all one; their ids are distinct or drawn
+    from a few, so that some repeat."""
+    n = draw(st.integers(0, 24))
+    ties = draw(st.sampled_from(["none", "some", "all"]))
+    if ties == "none":
+        stamps = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    elif ties == "some":
+        high = draw(st.integers(1, 2 * n + 1))
+        stamps = draw(st.lists(st.integers(0, high), min_size=n, max_size=n))
+    else:
+        stamps = [draw(st.integers(0, 10**6))] * n
+    if draw(st.booleans()):
+        ids = ["e%d" % i for i in range(n)]
+    else:
+        ids = draw(st.lists(st.sampled_from("abcdefgh"), min_size=n, max_size=n))
+    provisioners = draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=n, max_size=n))
+    events = [Event(*fields) for fields in zip(ids, ["i"] * n, ["A"] * n, stamps, provisioners)]
+    return draw(st.permutations(events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shuffled_events(), st.data())
+def test_the_model_sorts_match_one_sort_under_the_whole_key(events, data):
+    assert _result(log_from_events, events) == _result(_reference_log, events)
+    # Three logs of the same events, each keeping the first of an id it gets
+    # twice, so that an id repeats across logs but not within one.
+    owners = data.draw(st.lists(st.integers(0, 2), min_size=len(events), max_size=len(events)))
+    kept = [{}, {}, {}]
+    for ev, owner in zip(events, owners):
+        kept[owner].setdefault(ev.event_id, ev)
+    a, b, c = (_reference_log(part.values()) for part in kept)
+    assert _result(merge, a, b) == _result(_reference_log, a.events + b.events)
+    everything = chain(c.events, a.events, b.events)
+    assert _result(merge_all, [c, a, b]) == _result(_reference_log, everything)
+
+
+def test_a_sort_builds_its_log_again_only_for_a_tied_run_out_of_order():
+    # perfbench counts log builds (model.eventlog_builds); a duplicate id
+    # found by the first build is raised at once, not re-sorted first.
+    early = Event("x", "i", "A", 1, "p")
+    p_late = Event("y", "i", "A", 2, "p")
+    q_late = Event("z", "i", "A", 2, "q")
+    reused = p_late._replace(event_id="x")
+    real = EventLog.__post_init__
+    for events, builds in [
+        ([q_late, early], 1),
+        ([p_late, q_late, early], 1),
+        ([q_late, p_late, early], 2),
+        ([reused, early], 1),
+    ]:
+        with mock.patch.object(EventLog, "__post_init__", autospec=True, side_effect=real) as built:
+            got = _result(log_from_events, events)
+        assert built.call_count == builds
+        assert got == _result(_reference_log, events)
+    assert got[0] is DuplicateEvent
 
 
 def test_eventlog_rejects_duplicate_ids():

@@ -404,6 +404,56 @@ def test_one_sender_proof_per_stream(three_partitions):
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
 
 
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+def test_the_host_sees_case_ids_counts_and_lengths_but_no_event_content(three_partitions):
+    # Every field of every message that is not under a seal, decoded: the
+    # JSON head, and each blob's frame fields. seg_size 30 makes hospital's
+    # stream wait for a grant, so all five kinds cross.
+    net, miner, _, provisioners = _run_to_done(
+        three_partitions, seg_size=30, do_yield=True, network_cls=RecordingNetwork
+    )
+    assert miner.phase == "done"
+    owned = {org: sorted(iid_set(part)) for org, part in three_partitions.items()}
+    texts, numbers = set(), set()
+    lengths = Counter()
+    for msg, receiver in zip(net.sent, net.receivers):
+        texts.update((msg.kind, msg.sender, msg.session))
+        if msg.kind == KIND_CASES_REF_REQ:
+            assert set(msg.body) == {"identity_proof"} and msg.blob == b""
+            texts.add(msg.body["identity_proof"])
+        elif msg.kind == KIND_CASES_REF_RES:
+            assert set(msg.body) == {"iids"} and len(msg.blob) == 16  # the nonce
+            assert msg.body["iids"] == owned[msg.sender]
+        elif msg.kind == KIND_CASES_REQ:
+            assert set(msg.body) == {"seg_size", "iids"}
+            numbers.add(msg.body["seg_size"])
+            # The echo: the receiver's own case ids, back to it.
+            assert msg.body["iids"] == owned[receiver]
+            # Measurement, identity proof, public key, nonce and signature.
+            texts.add(AttestationEvidence.from_bytes(msg.blob).identity_proof)
+        elif msg.kind == KIND_CASES_RES:
+            assert msg.body in ({}, {"last": True})
+            # Key share and sender proof (first segment only), then a
+            # 12-byte nonce, the ciphertext and a 16-byte tag.
+            _, _, sealed = unframe(msg.blob, 3)
+            lengths[msg.sender] += len(sealed) - 28
+        else:
+            assert msg.kind == KIND_CASES_GRANT
+            assert set(msg.body) == {"credit"} and msg.blob == b""
+            numbers.add(msg.body["credit"])
+        texts.update(iid for v in msg.body.values() if isinstance(v, list) for iid in v)
+    assert Counter(msg.kind for msg in net.sent)[KIND_CASES_GRANT] == 1
+    assert lengths == {org: p.sent for org, p in provisioners.items()}
+    iids = {iid for ids in owned.values() for iid in ids}
+    kinds = {KIND_CASES_REF_REQ, KIND_CASES_REF_RES, KIND_CASES_REQ, KIND_CASES_RES,
+             KIND_CASES_GRANT}
+    assert texts == kinds | {"miner", *three_partitions, "s1", MINER_PROOF} | iids
+    assert numbers == {30, 600}
+    events = [ev for part in three_partitions.values() for ev in part]
+    assert not texts & ({ev.activity for ev in events} | {ev.event_id for ev in events})
+    assert not numbers & {ev.timestamp for ev in events}
+
+
 def test_accounting_returns_to_zero(three_partitions):
     for do_yield in (True, False):
         _, miner, _, _ = _run_to_done(three_partitions, do_yield=do_yield)
@@ -594,6 +644,19 @@ def test_provisioner_with_empty_partition(three_partitions):
     assert provisioners["archive"].phase == "done"
     assert [(m.body, m.blob) for m in _streams(net)["archive"]] == [({"last": True}, b"")]
     assert merge_all(sink.cases) == merge_all(three_partitions.values())
+
+
+def test_a_partition_with_another_orgs_events_is_refused(three_partitions):
+    # Every clinic event labelled as pharma's, and one pharma event among
+    # hospital's own: neither provisioner is built.
+    clinic = log_from_events(
+        ev._replace(provisioner_id="pharma") for ev in three_partitions["clinic"]
+    )
+    with pytest.raises(ValueError, match="^partition of clinic holds events of pharma$"):
+        _provisioner("clinic", clinic)
+    hospital = merge_all([three_partitions["hospital"], three_partitions["pharma"]])
+    with pytest.raises(ValueError, match="^partition of hospital holds events of pharma$"):
+        _provisioner("hospital", hospital)
 
 
 def test_an_empty_plan_agrees_no_stream_key(three_partitions):
