@@ -7,7 +7,7 @@ Message flow per session, as ``kind {body} + blob``:
 
 1. miner -> all provisioners   cases_ref_req {identity_proof}    + nothing
 2. provisioner -> miner        cases_ref_res {iids}              + nonce
-3. miner -> all provisioners   cases_req {seg_size, iids}        + evidence   (after all refs)
+3. miner -> all provisioners   cases_req {seg_size}              + evidence   (after all refs)
 4. provisioner -> miner        cases_res {} or {last}            + envelope   (stream)
 5. miner -> provisioner        cases_grant {credit}              + nothing    (flow control)
 
@@ -80,7 +80,7 @@ implied by the case request. Both ends derive it from ``seg_size``, which
 AES-GCM binds into every segment (the provisioner seals with the seg_size it
 received, the miner opens with its own), so a seg_size rewritten in flight
 fails the stream's first segment with ``AuthFailure`` instead of leaving the
-two ends waiting on different credits. A provisioner plans its segments once
+two ends waiting on different credits. A provisioner plans all its cases once
 it has appraised the evidence, in one sizing pass that encodes nothing and
 builds no log per segment. It gathers a segment's events out of its
 partition, encodes and seals them only when it sends that segment, so its
@@ -487,7 +487,7 @@ class SecureMiner:
                 k_pub=self.session_keys.k_pub,
                 nonce=s.nonce,
             )
-            body = {"seg_size": self.config.seg_size, "iids": sorted(s.owed)}
+            body = {"seg_size": self.config.seg_size}
             out.append((p, self._msg(KIND_CASES_REQ, body, evidence.to_bytes())))
         return out
 
@@ -645,7 +645,7 @@ class Provisioner:
     def _on_cases_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
         if self.phase != "refs_sent" or msg.sender != self.miner_id:
             raise UnexpectedMessage("cases_req in phase %s" % self.phase)
-        seg_size, iids = _field(msg, "seg_size", int), _iids(msg)
+        seg_size = _field(msg, "seg_size", int)
         try:
             evidence = AttestationEvidence.from_bytes(msg.blob)
         except ValueError as exc:
@@ -657,7 +657,7 @@ class Provisioner:
             expected_nonce=self.nonce,
             root_public=self.config.root_public,
         )
-        plan = segment_event_log(self.config.partition, iids, seg_size)
+        plan = segment_event_log(self.config.partition, seg_size)
         if not plan.positions:
             # Nothing to seal, so no stream key: the one message is the end mark.
             self.phase = "done"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from .model import Event, EventLog
 from .wire import EMPTY_LOG_SIZE, size_cases
@@ -85,23 +85,19 @@ class SegmentPlan:
         return tuple(EventLog(tuple(gather(self.partition, p))) for p in self.positions)
 
 
-def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -> SegmentPlan:
-    """Plan case-complete segments for the requested iids.
+def segment_event_log(partition: EventLog, seg_size: int) -> SegmentPlan:
+    """Plan case-complete segments for every case of the partition.
 
-    ``iids`` must all occur in the partition. Planned segments are nonempty,
-    each requested case lands in exactly one segment, case order inside a
-    segment is canonical, and any segment holding two or more cases fits the
-    budget.
+    Planned segments are nonempty, each case lands in exactly one segment,
+    case order inside a segment is canonical, and any segment holding two or
+    more cases fits the budget.
     """
     if seg_size <= 0:
         raise InvalidSegSize("seg_size must be positive, got %d" % seg_size)
-    requested = sorted(set(iids))
     cases = size_cases(partition)
-    missing = [iid for iid in requested if iid not in cases]
-    if missing:
-        raise SegmenterError("iids not in partition: %s" % ", ".join(missing))
+    order = sorted(cases)
 
-    oversized = [iid for iid in requested if cases[iid][1] > seg_size]
+    oversized = [iid for iid in order if cases[iid][1] > seg_size]
     if oversized:
         warnings.warn(
             "%d case(s) exceed seg_size %d and ship alone over budget: %s"
@@ -110,7 +106,7 @@ def segment_event_log(partition: EventLog, iids: Iterable[str], seg_size: int) -
         )
     segments: List[array] = []
     open_size = EMPTY_LOG_SIZE
-    for iid in requested:
+    for iid in order:
         positions, case_size = cases[iid]
         if not segments or open_size + case_size > seg_size:
             segments.append(array("L"))

@@ -394,10 +394,9 @@ def check_segmentation_invariants():
             seg_size = rng.randint(EMPTY_LOG_SIZE + 1, full + 50)
             requested = sorted(iid_set(partition))
             caught.clear()
-            plan = segment_event_log(partition, requested, seg_size)
+            plan = segment_event_log(partition, seg_size)
             assert len(caught) <= 1, "one warning per plan at most"
             warned = [iid for w in caught for iid in str(w.message).split(": ", 1)[1].split(", ")]
-            assert plan == segment_event_log(partition, reversed(requested), seg_size)
 
             landed = []
             for seg in plan.segments:

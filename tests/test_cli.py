@@ -118,11 +118,11 @@ def test_run_writes_model_and_metrics(tmp_path, capsys):
 RECORD_DIGESTS = {
     "incremental": (
         "1655c7ad5cfd70470a7ac3ac537649f2775d7665319088a36745ae4838f8da52",
-        "d2c5d8c06078d321fab2319c5148c5118ab7748032b772feb37fbf55554172a2",
+        "162cbae5e281ce09f440d8b22b3574870d92519866918a0d17ff7747ec20bf84",
     ),
     "batch": (
         "91845054ef9a36dc14686ed3a81ce7b917314f85d6b90b8028704ff35556b421",
-        "d2c5d8c06078d321fab2319c5148c5118ab7748032b772feb37fbf55554172a2",
+        "162cbae5e281ce09f440d8b22b3574870d92519866918a0d17ff7747ec20bf84",
     ),
 }
 OUTPUT_DIGESTS = {

@@ -312,10 +312,15 @@ FAULTS = [
      "miner", "DuplicateEvent"),
     ("capacity cap", dict(incremental=False, capacity=_tight_capacity),
      "miner", "CapacityExceeded"),
+    # Refs rewritten by the host: hospital plans its whole partition whatever
+    # they say, so the miner meets a case it was not told of, or a stream
+    # that ends owing one.
     ("unrequested iid",
-     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(iids=["312"])),
-                 (KIND_CASES_REQ, *TO_HOSPITAL, _body(iids=["312", "711"]))]),
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(iids=["312"]))]),
      "miner", "UnexpectedIid"),
+    ("refs naming a case the provisioner does not hold",
+     dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(iids=["312", "711", "999"]))]),
+     "miner", "IncompleteDelivery"),
     ("cases_res after a completed stream",
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda msg: [msg, msg])]),
      "miner", "UnexpectedMessage"),
@@ -540,6 +545,19 @@ def test_a_segment_of_another_orgs_events_is_refused_before_it_is_stored(three_p
     )
     assert all(case.events[0].iid != "312" for case in miner.sink.cases)
     assert miner.accountant.current_bytes == 0
+
+
+def test_refs_naming_a_case_the_provisioner_lacks_end_its_stream_owing_it(three_partitions):
+    # Hospital streams its whole partition and ends, so nothing but the
+    # miner aborts: it names the case the rewritten refs promised.
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == "refs naming a case the provisioner does not hold"]
+    nodes, _ = _run(three_partitions, **kwargs)
+    miner = nodes.pop("miner")
+    assert (miner.aborted_reason, miner.aborted_message) == (
+        "IncompleteDelivery",
+        "hospital ended its stream owing 999",
+    )
+    assert all(p.phase == "done" for p in nodes.values())
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")

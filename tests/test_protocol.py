@@ -20,7 +20,6 @@ from enclavemine.enclave import (
     compute_measurement,
     new_stream_key,
     seal_segment,
-    sign_stream,
     unframe,
 )
 from enclavemine.model import EventLog, extract_case, iid_set, log_from_events, merge_all
@@ -137,10 +136,9 @@ GOLDEN_MESSAGES = [
         + struct.pack(">I", 16) + bytes(range(16)),
     ),
     (
-        Msg(KIND_CASES_REQ, "miner", "s1", {"seg_size": 300, "iids": ["312", "711"]}, b"evidence"),
-        b"\x00\x01" + struct.pack(">I", 97)
-        + b'{"body":{"iids":["312","711"],"seg_size":300},'
-        + b'"kind":"cases_req","sender":"miner","session":"s1"}'
+        Msg(KIND_CASES_REQ, "miner", "s1", {"seg_size": 300}, b"evidence"),
+        b"\x00\x01" + struct.pack(">I", 76)
+        + b'{"body":{"seg_size":300},"kind":"cases_req","sender":"miner","session":"s1"}'
         + struct.pack(">I", 8) + b"evidence",
     ),
     (
@@ -311,7 +309,7 @@ def test_each_stream_ends_on_its_last_segment(three_partitions):
     assert max(len(msgs) for msgs in streams.values()) > 1
     for org, msgs in streams.items():
         partition = three_partitions[org]
-        plan = segment_event_log(partition, iid_set(partition), max(single, 120))
+        plan = segment_event_log(partition, max(single, 120))
         assert len(msgs) == len(plan.segments)
         assert all(msg.blob for msg in msgs)
         assert all(msg.body == {} for msg in msgs[:-1])
@@ -416,7 +414,7 @@ def test_the_host_sees_case_ids_counts_and_lengths_but_no_event_content(three_pa
     owned = {org: sorted(iid_set(part)) for org, part in three_partitions.items()}
     texts, numbers = set(), set()
     lengths = Counter()
-    for msg, receiver in zip(net.sent, net.receivers):
+    for msg in net.sent:
         texts.update((msg.kind, msg.sender, msg.session))
         if msg.kind == KIND_CASES_REF_REQ:
             assert set(msg.body) == {"identity_proof"} and msg.blob == b""
@@ -425,10 +423,8 @@ def test_the_host_sees_case_ids_counts_and_lengths_but_no_event_content(three_pa
             assert set(msg.body) == {"iids"} and len(msg.blob) == 16  # the nonce
             assert msg.body["iids"] == owned[msg.sender]
         elif msg.kind == KIND_CASES_REQ:
-            assert set(msg.body) == {"seg_size", "iids"}
+            assert set(msg.body) == {"seg_size"}
             numbers.add(msg.body["seg_size"])
-            # The echo: the receiver's own case ids, back to it.
-            assert msg.body["iids"] == owned[receiver]
             # Measurement, identity proof, public key, nonce and signature.
             texts.add(AttestationEvidence.from_bytes(msg.blob).identity_proof)
         elif msg.kind == KIND_CASES_RES:
@@ -442,6 +438,10 @@ def test_the_host_sees_case_ids_counts_and_lengths_but_no_event_content(three_pa
             assert set(msg.body) == {"credit"} and msg.blob == b""
             numbers.add(msg.body["credit"])
         texts.update(iid for v in msg.body.values() if isinstance(v, list) for iid in v)
+    # Each organization's case ids cross in the clear once, in its refs.
+    lists = [(msg.kind, msg.sender, v) for msg in net.sent for v in msg.body.values()
+             if isinstance(v, list)]
+    assert sorted(lists) == [(KIND_CASES_REF_RES, org, ids) for org, ids in sorted(owned.items())]
     assert Counter(msg.kind for msg in net.sent)[KIND_CASES_GRANT] == 1
     assert lengths == {org: p.sent for org, p in provisioners.items()}
     iids = {iid for ids in owned.values() for iid in ids}
@@ -571,27 +571,11 @@ def test_duplicated_traffic_detected(three_partitions):
 
 
 class UnderAdvertisingProvisioner(Provisioner):
-    """Advertises one case, then ships its whole partition anyway."""
+    """Advertises one case; a provisioner ships its whole partition anyway."""
 
     def _on_cases_ref_req(self, msg):
         super()._on_cases_ref_req(msg)
         return [(msg.sender, self._msg(KIND_CASES_REF_RES, {"iids": ["312"]}, self.nonce))]
-
-    def _on_cases_req(self, msg):
-        super()._on_cases_req(msg)
-        k_sym, share = new_stream_key(AttestationEvidence.from_bytes(msg.blob).k_pub)
-        envelope = seal_segment(
-            encode_log(self.config.partition),
-            k_sym,
-            share,
-            sign_stream(self.config.identity, msg.session, share),
-            msg.session,
-            self.node_id,
-            msg.body["seg_size"],
-            0,
-            True,
-        )
-        return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, envelope))]
 
 
 def test_unrequested_case_aborts_session(three_partitions):
@@ -873,7 +857,7 @@ def test_a_provisioner_encodes_a_segment_only_when_it_sends_it(monkeypatch):
     # when a grant lets it out.
     partition = make_random_log(random.Random(11), 160, ["hospital"])
     seg_size = size_of(partition) // 33
-    plan = segment_event_log(partition, iid_set(partition), seg_size)
+    plan = segment_event_log(partition, seg_size)
     sizes = [size_of(seg) for seg in plan.segments]
     assert 35 <= len(sizes) <= 45
     # The first window: segments go out while the bytes sent are below the credit.
@@ -935,7 +919,7 @@ def test_a_stream_past_its_first_credit_is_granted_more_in_steps_of_the_budget()
         assert credits == [budget * (i + 2) for i in range(len(credits))]
         # The last segment was sent while credit was left, and every credit
         # but the last was used up before the next came.
-        last = segment_event_log(partitions[org], iid_set(partitions[org]), 100).segments[-1]
+        last = segment_event_log(partitions[org], 100).segments[-1]
         assert p.phase == "done" and p.credit == budget * (len(credits) + 1)
         assert p.sent - size_of(last) < p.credit
         assert p.sent >= p.credit - budget
@@ -1010,7 +994,7 @@ def _peak_bound(partitions, seg_size):
     bound = 0
     largest = 0
     for part in partitions.values():
-        segments = segment_event_log(part, iid_set(part), seg_size).segments
+        segments = segment_event_log(part, seg_size).segments
         plain = [size_of(s) for s in segments]
         stored = [n + EMPTY_LOG_SIZE * (len(iid_set(s)) - 1) for n, s in zip(plain, segments)]
         most = 0

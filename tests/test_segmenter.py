@@ -23,7 +23,6 @@ from enclavemine.model import extract_case, group_by_iid, iid_set, log_from_even
 from enclavemine.scenario import generate_scenario_log, org_map_for
 from enclavemine.segmenter import (
     InvalidSegSize,
-    SegmenterError,
     gather,
     segment_event_log,
     size_of,
@@ -37,13 +36,7 @@ def test_invalid_seg_size():
     log = make_random_log(random.Random(0), 1, ["p"])
     for bad in (0, -1, -100):
         with pytest.raises(InvalidSegSize):
-            segment_event_log(log, iid_set(log), bad)
-
-
-def test_unknown_iid_rejected():
-    log = make_random_log(random.Random(0), 2, ["p"])
-    with pytest.raises(SegmenterError, match="nosuch"):
-        segment_event_log(log, ["c0000", "nosuch"], 10_000)
+            segment_event_log(log, bad)
 
 
 def test_whole_partition_fits_one_segment(hospital_log):
@@ -53,15 +46,13 @@ def test_whole_partition_fits_one_segment(hospital_log):
     budget = size_of(hospital_log) + EMPTY_LOG_SIZE * (n - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no case alone passes the budget
-        plan = segment_event_log(hospital_log, iid_set(hospital_log), budget)
+        plan = segment_event_log(hospital_log, budget)
     assert len(plan.segments) == 1
     assert plan.segments[0] == hospital_log
 
 
 def test_budget_of_exact_merged_size_splits(hospital_log):
-    plan = segment_event_log(
-        hospital_log, iid_set(hospital_log), size_of(hospital_log)
-    )
+    plan = segment_event_log(hospital_log, size_of(hospital_log))
     assert len(plan.segments) == 2
 
 
@@ -70,7 +61,7 @@ def test_pharma_budget_of_one_case_gives_two_segments(pharma_log):
     c312 = extract_case(pharma_log, "312")
     c711 = extract_case(pharma_log, "711")
     budget = max(size_of(c312), size_of(c711))
-    plan = segment_event_log(pharma_log, ["312", "711"], budget)
+    plan = segment_event_log(pharma_log, budget)
     assert len(plan.segments) == 2
     assert plan.segments[0] == c312
     assert plan.segments[1] == c711
@@ -78,17 +69,10 @@ def test_pharma_budget_of_one_case_gives_two_segments(pharma_log):
     assert [ev.event_id for ev in plan.segments[1]] == ["e21", "e23", "e25"]
 
 
-def test_subset_of_iids_only(hospital_log):
-    plan = segment_event_log(hospital_log, ["711"], size_of(hospital_log))
-    assert len(plan.segments) == 1
-    assert iid_set(plan.segments[0]) == {"711"}
-    assert plan.segments[0] == extract_case(hospital_log, "711")
-
-
 def test_oversized_case_warns_and_ships(hospital_log):
     tiny = EMPTY_LOG_SIZE + 1
     with pytest.warns(UserWarning, match="exceed seg_size") as caught:
-        plan = segment_event_log(hospital_log, ["312", "711"], tiny)
+        plan = segment_event_log(hospital_log, tiny)
     # One warning for the plan, naming each over-budget case once.
     assert [str(w.message) for w in caught] == [
         "2 case(s) exceed seg_size %d and ship alone over budget: 312, 711" % tiny
@@ -102,9 +86,8 @@ class SegmentPlanInvariants(unittest.TestCase):
     def setUp(self):
         self.rng = random.Random(2024)
 
-    def check_plan(self, partition, iids, seg_size):
-        plan = segment_event_log(partition, iids, seg_size)
-        requested = sorted(set(iids))
+    def check_plan(self, partition, seg_size):
+        plan = segment_event_log(partition, seg_size)
 
         seen = []
         for seg in plan.segments:
@@ -119,15 +102,8 @@ class SegmentPlanInvariants(unittest.TestCase):
                     summed - EMPTY_LOG_SIZE * (len(cases) - 1), seg_size
                 )
                 self.assertLessEqual(size_of(seg), seg_size)
-        self.assertEqual(sorted(seen), requested, "cases lost or duplicated")
-
-        reunion = merge_all(plan.segments) if plan.segments else None
-        expected = merge_all(
-            [extract_case(partition, iid) for iid in requested]
-        )
-        if requested:
-            self.assertEqual(reunion, expected)
-        return plan
+        self.assertEqual(sorted(seen), sorted(iid_set(partition)), "cases lost or duplicated")
+        self.assertEqual(merge_all(plan.segments), partition)
 
     def test_random_partitions(self):
         for trial in range(40):
@@ -135,7 +111,6 @@ class SegmentPlanInvariants(unittest.TestCase):
             partition = make_random_log(
                 self.rng, n_cases, ["p1", "p2"], id_prefix="t%d_" % trial
             )
-            iids = sorted(iid_set(partition))
             full = size_of(partition)
             for seg_size in {
                 EMPTY_LOG_SIZE + 1,
@@ -146,13 +121,13 @@ class SegmentPlanInvariants(unittest.TestCase):
             }:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    self.check_plan(partition, iids, seg_size)
+                    self.check_plan(partition, seg_size)
 
     def test_determinism(self):
+        # The same events, handed over in reverse, make the same plan.
         partition = make_random_log(self.rng, 9, ["p1", "p2"])
-        iids = iid_set(partition)
-        a = segment_event_log(partition, iids, 900)
-        b = segment_event_log(partition, sorted(iids, reverse=True), 900)
+        a = segment_event_log(partition, 900)
+        b = segment_event_log(log_from_events(reversed(partition.events)), 900)
         self.assertEqual(a, b)
 
 
@@ -168,7 +143,7 @@ def test_every_case_lands_exactly_once(seed, n_cases, budget_factor):
     seg_size = max(EMPTY_LOG_SIZE + 1, int(size_of(partition) * budget_factor))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        plan = segment_event_log(partition, iid_set(partition), seg_size)
+        plan = segment_event_log(partition, seg_size)
     landed = {}
     for idx, seg in enumerate(plan.segments):
         for iid in iid_set(seg):
@@ -178,13 +153,13 @@ def test_every_case_lands_exactly_once(seed, n_cases, budget_factor):
     assert sum(len(s) for s in plan.segments) == len(partition)
 
 
-def _greedy(partition, iids, seg_size):
+def _greedy(partition, seg_size):
     """The planning rule, restated over encoded case sizes: in iid order, a
     case joins the open segment when the open cases' summed standalone
     encodings, less one header per case after the first, plus its own
     encoding stay within the budget; otherwise it opens a new segment."""
     groups = []
-    for iid in sorted(set(iids)):
+    for iid in sorted(iid_set(partition)):
         size = len(encode_log(extract_case(partition, iid)))
         if groups and groups[-1][1] + size <= seg_size:
             groups[-1][0].append(iid)
@@ -207,14 +182,16 @@ def test_segments_follow_the_greedy_rule_and_hold_their_cases(
     seed, n_cases, budget_factor, share, exact, multibyte
 ):
     # Fixes each segment's bytes: the canonical log of exactly the cases the
-    # greedy rule assigns it, with unrequested cases left out. A nonzero
-    # ``exact`` sets the budget to the merged size of the first requested
-    # cases, where the rule's boundary lies. Multibyte text makes a field's
-    # character count differ from its encoded length.
+    # greedy rule assigns it. The partition is a sample of a random log's
+    # cases, a ``share`` of them. A nonzero ``exact`` sets the budget to the
+    # merged size of the partition's first cases, where the rule's boundary
+    # lies. Multibyte text makes a field's character count differ from its
+    # encoded length.
     rng = random.Random(seed)
-    partition = make_random_log(rng, n_cases, ["p1", "p2"], multibyte=multibyte)
-    all_iids = sorted(iid_set(partition))
+    log = make_random_log(rng, n_cases, ["p1", "p2"], multibyte=multibyte)
+    all_iids = sorted(iid_set(log))
     iids = sorted(rng.sample(all_iids, max(1, round(share * len(all_iids)))))
+    partition = log_from_events(ev for iid in iids for ev in extract_case(log, iid))
     if exact:
         first = iids[: min(exact, len(iids))]
         seg_size = size_of(merge_all(extract_case(partition, iid) for iid in first))
@@ -223,8 +200,8 @@ def test_segments_follow_the_greedy_rule_and_hold_their_cases(
         seg_size = max(EMPTY_LOG_SIZE + 1, int(size_of(partition) * budget_factor))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        plan = segment_event_log(partition, iids, seg_size)
-    groups = _greedy(partition, iids, seg_size)
+        plan = segment_event_log(partition, seg_size)
+    groups = _greedy(partition, seg_size)
     assert [sorted(iid_set(seg)) for seg in plan.segments] == groups
     for index, (seg, group) in enumerate(zip(plan.segments, groups)):
         expected = log_from_events(ev for iid in group for ev in extract_case(partition, iid))
