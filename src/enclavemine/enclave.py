@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Tuple
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -153,10 +153,6 @@ def compute_measurement(manifest: BuildManifest) -> bytes:
     return _sha256(manifest.canonical())
 
 
-def _raw(public_key) -> bytes:
-    return public_key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-
-
 class OrgIdentity:
     """An Ed25519 signing identity: an organization's, for sender proofs, or
     the hardware root's, for evidence."""
@@ -166,7 +162,7 @@ class OrgIdentity:
         self._key = Ed25519PrivateKey.from_private_bytes(
             os.urandom(32) if seed is None else seed
         )
-        self.public_bytes = _raw(self._key.public_key())
+        self.public_bytes = self._key.public_key().public_bytes_raw()
 
     def sign(self, data: bytes) -> bytes:
         return self._key.sign(data)
@@ -217,7 +213,7 @@ class SessionKeys:
 
     def __init__(self) -> None:
         self._k_priv = X25519PrivateKey.generate()
-        self.k_pub = _raw(self._k_priv.public_key())
+        self.k_pub = self._k_priv.public_key().public_bytes_raw()
 
     def stream_key(self, share: bytes) -> bytes:
         """The stream key that :func:`new_stream_key` made with ``share``."""
@@ -290,7 +286,7 @@ def new_stream_key(k_pub: bytes) -> Tuple[bytes, bytes]:
     """A fresh stream key agreed with the session public key ``k_pub``, and
     the 32-byte share from which its holder derives the same key."""
     eph = X25519PrivateKey.generate()
-    share = _raw(eph.public_key())
+    share = eph.public_key().public_bytes_raw()
     return _stream_key(eph.exchange(X25519PublicKey.from_public_bytes(k_pub)), share, k_pub), share
 
 

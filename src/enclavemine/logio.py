@@ -212,13 +212,14 @@ def split_log(log: EventLog, org_map: Mapping[str, str]) -> Dict[str, EventLog]:
     events that share a timestamp; a partition with a relabeled event is
     sorted again.
     """
-    unmapped = sorted(set(log.activities()) - set(org_map))
-    if unmapped:
-        raise MissingOrg("activities without an org: %s" % ", ".join(unmapped))
     buckets: Dict[str, List[Event]] = {}
     relabeled: Set[str] = set()
     for ev in log:
-        org = org_map[ev.activity]
+        try:
+            org = org_map[ev.activity]
+        except KeyError:
+            unmapped = sorted(log.activity_set().difference(org_map))
+            raise MissingOrg("activities without an org: %s" % ", ".join(unmapped)) from None
         if ev.provisioner_id != org:
             ev = Event(ev.event_id, ev.iid, ev.activity, ev.timestamp, org, ev.extras)
             relabeled.add(org)

@@ -48,13 +48,16 @@ csize holding each one's encoded size. A case is complete when no stream
 still owes its iid. Each case is merged once, by one sort of its
 fragments on their timestamps (``log_from_events``, which re-sorts a run of
 tied events only if it is out of canonical order), and handed to the
-sink's ``on_case`` (the only sink method the protocol calls): in
-incremental mode when it completes, and it is then freed; in batch mode
-all cases once the last stream ends, in ascending iid order, after one
-check over the ids of all cases. A case's merge finds an
-event id it carries twice (``DuplicateEvent``), and the batch check an id
-reused in another case; incremental mode keeps no ids of freed cases and
-misses that one.
+sink's ``on_case`` (the only sink method the protocol calls). In
+incremental mode a case is merged and handed over when it completes, and it
+is then freed. In batch mode nothing is handed over until the last stream
+ends; then one check runs over the ids of all stored fragments, and each
+case, in ascending iid order, is merged just before it is handed over, so
+the sink meets the first case after one merge, not after all of them. A
+case's merge finds an event id it carries twice (``DuplicateEvent``); the
+batch check finds every id carried twice, within a case or across cases,
+before any case is handed over. Incremental mode keeps no ids of freed
+cases and misses an id reused in another case.
 
 The enclave accountant counts wire-encoding bytes without re-encoding
 anything. ``wire.decode_cases`` splits each segment by iid in its one decode
@@ -64,6 +67,9 @@ already stored, because merging logs with disjoint events gives ``size(a) +
 size(b) - EMPTY_LOG_SIZE``. So csize holds the size the merged case will
 encode to. Freeing a case frees its csize entry, and a batch session's n
 cases cost what their merged log would, ``sum(csize) - EMPTY_LOG_SIZE * (n - 1)``.
+Batch mode counts that merged log from before the first hand-over until after
+the last, as the non-incremental strategy that holds every case to the end
+would, although it builds only one case at a time.
 
 A provisioner sends one cases_res per segment and marks its final one with
 ``"last": true``; a provisioner that owes nothing sends the single message
@@ -149,8 +155,8 @@ an :class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
 event of another provisioner: :class:`ForeignEvent`, a refused miner:
 :class:`MinerRefused`), an ``EnclaveError`` (tampered envelope,
 ``EvidenceRejected``, capacity cap), a ``WireError`` or
-``ModelError`` (malformed segment, event id carried twice) or a
-``SegmenterError`` (bad ``seg_size``) aborts the node; ``handle`` returns no
+``ModelError`` (malformed segment, event id carried twice) or an
+``InvalidSegSize`` (bad ``seg_size``) aborts the node; ``handle`` returns no
 sends and the scheduler runs on. An aborted node drops every later message
 and releases its state in its ``_release``: the miner its stored cases and
 its streams' records, a provisioner its plan (the segments not yet sent) and
@@ -190,7 +196,7 @@ from .enclave import (
     verify_evidence,
 )
 from .model import Event, EventLog, ModelError, check_unique_ids, iid_set, log_from_events
-from .segmenter import SegmenterError, gather, segment_event_log
+from .segmenter import InvalidSegSize, gather, segment_event_log
 from .wire import EMPTY_LOG_SIZE, WireError, decode_cases, encode_log
 
 # Ingest decodes, splits and sizes a segment in one pass and merges each case
@@ -287,7 +293,7 @@ _MINER_KINDS = frozenset({KIND_CASES_REF_RES, KIND_CASES_RES})
 _PROVISIONER_KINDS = frozenset({KIND_CASES_REF_REQ, KIND_CASES_REQ, KIND_CASES_GRANT})
 
 # What input from a peer can make a handler raise; see "Failure contract".
-_FAULTS = (ProtocolError, EnclaveError, WireError, ModelError, SegmenterError)
+_FAULTS = (ProtocolError, EnclaveError, WireError, ModelError, InvalidSegSize)
 
 
 @dataclass(frozen=True)
@@ -541,14 +547,15 @@ class SecureMiner:
             labels = set(map(_provisioner_id, chain.from_iterable(fragments))) - {sender}
             if labels:
                 raise ForeignEvent("events of %s from %s" % (", ".join(sorted(labels)), sender))
+            unowed = cases.keys() - s.owed
+            if unowed:
+                raise UnexpectedIid("%s from %s" % (min(unowed), sender))
+            s.owed.difference_update(cases)
             for iid, (events, size) in sorted(cases.items()):
-                if iid not in s.owed:
-                    raise UnexpectedIid("%s from %s" % (iid, sender))
                 delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
                 self.accountant.account(delta)
                 self.cstor.setdefault(iid, []).append(events)
                 self.csize[iid] = self.csize.get(iid, 0) + delta
-                s.owed.discard(iid)
                 if not self.config.do_yield_cases:
                     continue
                 # The case is complete once no stream still owes it.
@@ -563,13 +570,13 @@ class SecureMiner:
     def _finish(self) -> None:
         self.phase_label = "computation"
         if not self.config.do_yield_cases:
-            cases = [log_from_events(chain.from_iterable(self.cstor[i])) for i in sorted(self.cstor)]
-            check_unique_ids([ev for case in cases for ev in case.events])
+            fragments = chain.from_iterable(self.cstor.values())
+            check_unique_ids(list(chain.from_iterable(fragments)))
             final_size = sum(self.csize.values()) - EMPTY_LOG_SIZE * (len(self.csize) - 1)
             self.accountant.account(final_size)
             self.yield_count += 1
-            for case in cases:
-                self.sink.on_case(case)
+            for iid in sorted(self.cstor):
+                self.sink.on_case(log_from_events(chain.from_iterable(self.cstor[iid])))
             self.accountant.account(-final_size)
             self._release()
         self.phase = "done"

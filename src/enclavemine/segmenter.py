@@ -40,7 +40,6 @@ from .wire import EMPTY_LOG_SIZE, size_cases
 from .wire import encode_log  # noqa: F401
 
 __all__ = [
-    "SegmenterError",
     "InvalidSegSize",
     "SegmentPlan",
     "gather",
@@ -49,11 +48,7 @@ __all__ = [
 ]
 
 
-class SegmenterError(Exception):
-    pass
-
-
-class InvalidSegSize(SegmenterError):
+class InvalidSegSize(Exception):
     pass
 
 

@@ -13,6 +13,9 @@ things:
   stream key;
 * no provisioner sent a segment before an appraisal of the miner's
   evidence returned for it.
+
+A batch row also checks that the sink received no case: batch mode runs
+its id check and counts the merged log before it hands over the first.
 """
 
 import dataclasses
@@ -299,8 +302,8 @@ FAULTS = [
     ("share for another session", dict(seal=_ForeignShareSeal), "miner", "AuthFailure"),
     ("duplicate event id across provisioners", dict(partitions=_shared_event_id),
      "miner", "DuplicateEvent"),
-    # Batch mode merges each stored case when the last stream ends, so the
-    # same duplicate surfaces there.
+    # Batch mode checks the ids of all stored fragments when the last
+    # stream ends, so the same duplicate surfaces there.
     ("duplicate event id across provisioners, batch",
      dict(partitions=_shared_event_id, incremental=False),
      "miner", "DuplicateEvent"),
@@ -510,6 +513,8 @@ def test_fault_ends_in_a_typed_abort(three_partitions, kwargs, faulty, reason):
     assert miner.accountant.current_bytes == 0
     assert miner.streams == {}
     assert early == []
+    if kwargs.get("incremental") is False:
+        assert miner.sink.cases == []
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
@@ -545,6 +550,20 @@ def test_a_segment_of_another_orgs_events_is_refused_before_it_is_stored(three_p
     )
     assert all(case.events[0].iid != "312" for case in miner.sink.cases)
     assert miner.accountant.current_bytes == 0
+
+
+def test_a_segment_with_a_case_not_owed_is_refused_before_any_case_is_handed_over(
+    three_partitions,
+):
+    # Hospital alone, its cases 312 and 711 in one segment, its refs naming
+    # 312 only: 312 would complete at once, but the miner checks the
+    # segment whole, so neither case reaches the sink.
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == "unrequested iid"]
+    nodes, _ = _run({"hospital": three_partitions["hospital"]}, **kwargs)
+    miner = nodes["miner"]
+    assert (miner.aborted_reason, miner.aborted_message) == ("UnexpectedIid", "711 from hospital")
+    assert miner.sink.cases == []
+    assert miner.cstor == {} and miner.accountant.current_bytes == 0
 
 
 def test_refs_naming_a_case_the_provisioner_lacks_end_its_stream_owing_it(three_partitions):

@@ -60,6 +60,7 @@ _UNUSED_MODULES = (
     "http.client",
     "email",
     "xml.sax",
+    "cryptography.hazmat.primitives.serialization",
 )
 
 

@@ -247,6 +247,29 @@ def test_batch_session_hands_over_every_case_at_the_end_in_iid_order():
     assert miner.yield_count == 1
 
 
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+def test_a_batch_session_merges_each_case_just_before_it_hands_it_over():
+    # The sink meets the first case after one merge, not after all of them,
+    # and the k-th case after k merges.
+    partitions = _random_partitions(3, n_cases=12)
+    net, miner, sink, _ = _session(partitions, seg_size=120, do_yield=False, seed=3)
+    merges = mock.Mock(wraps=protocol.log_from_events)
+    merged_at = []  # merges done when each case reached the sink
+    hand_over = sink.on_case
+
+    def on_case(case):
+        merged_at.append(merges.call_count)
+        hand_over(case)
+
+    sink.on_case = on_case
+    with mock.patch.object(protocol, "log_from_events", merges):
+        net.bootstrap()
+        net.run()
+    assert miner.phase == "done"
+    assert merged_at == list(range(1, len(sink.cases) + 1))
+    assert len(sink.cases) == 12
+
+
 def test_incremental_and_batch_agree(three_partitions):
     _, _, inc_sink, _ = _run_to_done(three_partitions, do_yield=True)
     _, _, bat_sink, _ = _run_to_done(three_partitions, do_yield=False)
