@@ -35,7 +35,8 @@ in sorted order; a provisioner's id is its identity's ``org_id``, and
 every event it holds carries that id as its ``provisioner_id``: a
 ``Provisioner`` refuses a partition that holds another (``ValueError``), and
 the miner a segment that does, before it stores any fragment of it
-(:class:`ForeignEvent`), in one scan over the segment's events.
+(:class:`ForeignEvent`), from the distinct provisioner ids that decoding the
+segment returns.
 
 The miner keeps one record per stream and one store of cases. streams
 (provisioner -> its stream's record; its keys are the provisioners whose refs
@@ -86,15 +87,17 @@ implied by the case request. Both ends derive it from ``seg_size``, which
 AES-GCM binds into every segment (the provisioner seals with the seg_size it
 received, the miner opens with its own), so a seg_size rewritten in flight
 fails the stream's first segment with ``AuthFailure`` instead of leaving the
-two ends waiting on different credits. A provisioner plans all its cases once
-it has appraised the evidence, in one sizing pass that encodes nothing and
-builds no log per segment. It gathers a segment's events out of its
-partition, encodes and seals them only when it sends that segment, so its
-first window costs the plan and the segments the first credit lets out, not
-the encoding of the whole partition. It sends while the bytes it has sent
-are below its credit. After its last segment it is ``done`` and drops the
-stream key, share and proof; short of it, with its credit used up, it is
-``streaming`` and waits for a grant. The miner keeps, in each open stream's
+two ends waiting on different credits. A provisioner groups its partition by
+case once, when it sends its refs, whose iids are the grouping's keys. Once
+it has appraised the evidence it makes a plan that sizes nothing yet
+(``segment_event_log``): it cuts, gathers, encodes and seals a segment only
+when it sends that segment, sizing by arithmetic the segment's cases and the
+one case after them that closes it. So its first window costs the segments
+the first credit lets out, not the sizing or the encoding of the whole
+partition. It sends while the bytes it has sent are below its credit. After
+its last segment it is ``done`` and drops the plan and the stream key,
+share and proof; short of it, with its credit used up, it is ``streaming``
+and waits for a grant. The miner keeps, in each open stream's
 record, the bytes received and the credit granted. A stream is blocked when
 it has received at least its credit; its provisioner stopped at the segment
 that reached it, so nothing of it is in flight. After each cases_res the
@@ -159,9 +162,10 @@ event of another provisioner: :class:`ForeignEvent`, a refused miner:
 ``InvalidSegSize`` (bad ``seg_size``) aborts the node; ``handle`` returns no
 sends and the scheduler runs on. An aborted node drops every later message
 and releases its state in its ``_release``: the miner its stored cases and
-its streams' records, a provisioner its plan (the segments not yet sent) and
-its stream key. Once no message is pending, the transport calls each node's
-``on_quiet`` (a deployment's timeout): a node still waiting aborts with :class:`Stalled`,
+its streams' records, a provisioner its grouping of cases, its plan (the
+segments not yet sent, and the cases not yet cut) and its stream key. Once
+no message is pending, the transport calls each node's ``on_quiet`` (a
+deployment's timeout): a node still waiting aborts with :class:`Stalled`,
 naming what it waits for (``awaiting cases from clinic``, or a
 ``streaming`` provisioner's ``awaiting a grant from miner``).
 Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
@@ -172,11 +176,10 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
     AttestationEvidence,
@@ -195,8 +198,8 @@ from .enclave import (
     unframe,
     verify_evidence,
 )
-from .model import Event, EventLog, ModelError, check_unique_ids, iid_set, log_from_events
-from .segmenter import InvalidSegSize, gather, segment_event_log
+from .model import Event, EventLog, ModelError, check_unique_ids, log_from_events
+from .segmenter import InvalidSegSize, SegmentPlan, case_positions, gather, segment_event_log
 from .wire import EMPTY_LOG_SIZE, WireError, decode_cases, encode_log
 
 # Ingest decodes, splits and sizes a segment in one pass and merges each case
@@ -283,7 +286,7 @@ CREDIT_SEGMENTS = 10
 # A batch session's grant step: more than any stream sends, so its grant is the last.
 _CREDIT_UNLIMITED = 2**63 - 1
 
-# An event's provisioner id, read in C over a segment or a partition.
+# An event's provisioner id, read in C over a partition.
 _provisioner_id = attrgetter("provisioner_id")
 
 # Bytes of the freshness nonce a provisioner issues for the miner's evidence.
@@ -542,9 +545,8 @@ class SecureMiner:
         s.received += len(plain)
         self.accountant.account(len(plain))
         try:
-            cases = decode_cases(plain)
-            fragments = map(itemgetter(0), cases.values())
-            labels = set(map(_provisioner_id, chain.from_iterable(fragments))) - {sender}
+            cases, provisioners = decode_cases(plain)
+            labels = provisioners - {sender}
             if labels:
                 raise ForeignEvent("events of %s from %s" % (", ".join(sorted(labels)), sender))
             unowed = cases.keys() - s.owed
@@ -607,12 +609,14 @@ class Provisioner:
         self.phase = "idle"
         self.nonce: Optional[bytes] = None
         self.miner_id: Optional[str] = None
-        # The stream, once the evidence is appraised: its segments not yet
-        # sent, as positions in the partition, the seg_size they were cut
-        # to, how many are sealed, its key, share and proof, the plaintext
-        # bytes sent and the credit granted.
-        self.unsent: Deque[array] = deque()
-        self.seg_size = 0
+        # The partition's cases, grouped when the refs are sent, until the
+        # case request hands them to the plan.
+        self.cases: Dict[str, array] = {}
+        # The stream, once the evidence is appraised: its plan, which cuts
+        # each segment when it is sent, how many segments are sealed, its
+        # key, share and proof, the plaintext bytes sent and the credit
+        # granted.
+        self.plan: Optional[SegmentPlan] = None
         self.sealed = 0
         self.stream_key: Tuple[bytes, bytes, bytes] = (b"", b"", b"")
         self.sent = 0
@@ -624,7 +628,8 @@ class Provisioner:
         return Msg(kind, self.node_id, self.config.session, body, blob).encode()
 
     def _release(self) -> None:
-        self.unsent.clear()
+        self.cases = {}
+        self.plan = None
         self.stream_key = (b"", b"", b"")
 
     def handle(self, sender: str, payload: bytes) -> List[Tuple[str, bytes]]:
@@ -646,7 +651,8 @@ class Provisioner:
         self.miner_id = msg.sender
         self.nonce = os.urandom(_NONCE_SIZE)
         self.phase = "refs_sent"
-        body = {"iids": sorted(iid_set(self.config.partition))}
+        self.cases = case_positions(self.config.partition)
+        body = {"iids": list(self.cases)}
         return [(msg.sender, self._msg(KIND_CASES_REF_RES, body, self.nonce))]
 
     def _on_cases_req(self, msg: Msg) -> List[Tuple[str, bytes]]:
@@ -664,16 +670,16 @@ class Provisioner:
             expected_nonce=self.nonce,
             root_public=self.config.root_public,
         )
-        plan = segment_event_log(self.config.partition, seg_size)
-        if not plan.positions:
+        cases, self.cases = self.cases, {}
+        plan = segment_event_log(self.config.partition, seg_size, cases)
+        if not cases:
             # Nothing to seal, so no stream key: the one message is the end mark.
             self.phase = "done"
             return [(msg.sender, self._msg(KIND_CASES_RES, {"last": True}, b""))]
         k_sym, share = new_stream_key(k_pub)
         proof = sign_stream(self.config.identity, self.config.session, share)
         self.stream_key = (k_sym, share, proof)
-        self.unsent = deque(plan.positions)
-        self.seg_size = seg_size
+        self.plan = plan
         self.credit = CREDIT_SEGMENTS * seg_size
         return self._stream()
 
@@ -689,19 +695,21 @@ class Provisioner:
         return self._stream()
 
     def _stream(self) -> List[Tuple[str, bytes]]:
-        """Gather, encode, seal and send segments while the bytes sent are
-        below the credit; the stream is ``done``, its key dropped, after its
-        last, else ``streaming``."""
+        """Cut, gather, encode, seal and send segments while the bytes sent
+        are below the credit; the stream is ``done``, its plan and key
+        dropped, after its last, else ``streaming``."""
         out = []
-        while self.unsent and self.sent < self.credit:
-            plain = encode_log(gather(self.config.partition, self.unsent.popleft()))
-            last = not self.unsent
+        plan = self.plan
+        self.phase = "streaming"
+        while self.sent < self.credit:
+            positions, last = plan.cut(self.sealed)
+            plain = encode_log(gather(self.config.partition, positions))
             blob = seal_segment(
                 plain,
                 *self.stream_key,
                 self.config.session,
                 self.node_id,
-                self.seg_size,
+                plan.seg_size,
                 self.sealed,
                 last,
             )
@@ -709,9 +717,8 @@ class Provisioner:
             out.append((self.miner_id, self._msg(KIND_CASES_RES, end, blob)))
             self.sealed += 1
             self.sent += len(plain)
-        if self.unsent:
-            self.phase = "streaming"
-        else:
-            self.phase = "done"
-            self.stream_key = (b"", b"", b"")
+            if last:
+                self.phase = "done"
+                self._release()
+                break
         return out

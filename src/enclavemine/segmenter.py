@@ -12,28 +12,36 @@ budget check counts that shared header once more, so a planned segment is at
 most ``seg_size - EMPTY_LOG_SIZE`` bytes unless it holds one case that does
 not fit.
 
-Planning makes one pass over the partition, ``wire.size_cases``, which sums
-each case's size and records the positions of its events; the greedy rule
-then gives each segment the positions of the cases it holds. A plan builds
-no log per segment: :func:`gather` picks a segment's events out of the
-partition when the segment is sent, in position order. The partition is in
-canonical order, so any subsequence of it is too, without a sort of the
-events or a check. :attr:`SegmentPlan.segments` views the same cut as one
-:class:`EventLog` per segment, for readers off the session path.
+A plan cuts lazily. :func:`case_positions` groups the partition by case
+once, and creating a plan sizes nothing. :meth:`SegmentPlan.cut` cuts a
+segment only when it is asked for: it sizes each case it takes
+(``wire.encoded_size`` over the case's events) and one case beyond, which
+closes the segment and tells whether it is the last. So a sender whose
+credit lets out the first few segments sizes only their cases.
+:attr:`SegmentPlan.positions` finishes the cut; every segment cut is kept,
+so every reader sees the same cut, made once. A plan builds no log per
+segment: :func:`gather` picks a segment's events out of the partition when
+the segment is sent, in position order. The partition is in canonical
+order, so any subsequence of it is too, without a sort of the events or a
+check. :attr:`SegmentPlan.segments` views the cut as one :class:`EventLog`
+per segment, for readers off the session path.
 
 A single case bigger than the budget still ships, alone, in an over-budget
-segment. One warning per plan counts such cases and names each of them.
+segment. One warning per plan counts such cases and names each of them; it
+fires when the cut takes the partition's last case.
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
-from dataclasses import dataclass
-from typing import List, Tuple
+from collections import defaultdict, deque
+from functools import partial
+from operator import itemgetter
+from typing import DefaultDict, Deque, Dict, List, Optional, Tuple
 
 from .model import Event, EventLog
-from .wire import EMPTY_LOG_SIZE, size_cases
+from .wire import EMPTY_LOG_SIZE, encoded_size
 
 # Planning never encodes; the name stays bound so that the benchmark's traced
 # run (perfbench/spans.py) can wrap segmenter.encode_log and count its calls.
@@ -42,10 +50,14 @@ from .wire import encode_log  # noqa: F401
 __all__ = [
     "InvalidSegSize",
     "SegmentPlan",
+    "case_positions",
     "gather",
     "size_of",
     "segment_event_log",
 ]
+
+# An event's iid, read in C.
+_iid = itemgetter(1)
 
 
 class InvalidSegSize(Exception):
@@ -57,7 +69,20 @@ def size_of(log: EventLog) -> int:
 
     Equals ``len(encode_log(log))`` for every log.
     """
-    return EMPTY_LOG_SIZE + sum(size - EMPTY_LOG_SIZE for _, size in size_cases(log).values())
+    return encoded_size(log.events)
+
+
+def case_positions(partition: EventLog) -> Dict[str, array]:
+    """The positions of each case's events in ``partition.events``,
+    ascending, per iid in ascending iid order.
+
+    Positions are an ``array("L")``: a list would hold an int object per
+    event for as long as a plan keeps them.
+    """
+    grouped: DefaultDict[str, array] = defaultdict(partial(array, "L"))
+    for i, iid in enumerate(map(_iid, partition.events)):
+        grouped[iid].append(i)
+    return {iid: grouped[iid] for iid in sorted(grouped)}
 
 
 def gather(partition: EventLog, positions: array) -> List[Event]:
@@ -66,22 +91,81 @@ def gather(partition: EventLog, positions: array) -> List[Event]:
     return [events[i] for i in sorted(positions)]
 
 
-@dataclass(frozen=True)
 class SegmentPlan:
     """Ordered segments of a partition, each the positions of its events in
-    ``partition.events``, case by case."""
+    ``partition.events``, case by case, cut as they are asked for."""
 
-    partition: EventLog
-    positions: Tuple[array, ...]
+    def __init__(self, partition: EventLog, seg_size: int, cases: Dict[str, array]) -> None:
+        self.partition = partition
+        self.seg_size = seg_size
+        # The cases not yet sized, in ascending iid order; a case's
+        # positions leave the plan once its segment is cut.
+        self._unsized: Deque[Tuple[str, array]] = deque(cases.items())
+        # The sized case that closed the last segment cut: the next one's
+        # first. None before the first cut and after the last.
+        self._ahead: Optional[Tuple[str, array, int]] = None
+        self._cut: List[array] = []
+        self._oversized: List[str] = []
+
+    def _size_next(self) -> Optional[Tuple[str, array, int]]:
+        """The next case, sized, or None when every case is sized."""
+        if not self._unsized:
+            return None
+        iid, positions = self._unsized.popleft()
+        size = encoded_size(map(self.partition.events.__getitem__, positions))
+        if size > self.seg_size:
+            self._oversized.append(iid)
+        return iid, positions, size
+
+    def _cut_next(self) -> bool:
+        """Cut one more segment; False when every case is cut."""
+        case = self._ahead or self._size_next()
+        if case is None:
+            return False
+        segment = array("L")
+        open_size = EMPTY_LOG_SIZE
+        while case is not None and (not segment or open_size + case[2] <= self.seg_size):
+            segment += case[1]
+            # Merging a case into the open segment costs its encoding minus
+            # the shared envelope constant, so the running size stays exact.
+            open_size += case[2] - EMPTY_LOG_SIZE
+            case = self._size_next()
+        self._ahead = case
+        self._cut.append(segment)
+        if case is None and self._oversized:
+            warnings.warn(
+                "%d case(s) exceed seg_size %d and ship alone over budget: %s"
+                % (len(self._oversized), self.seg_size, ", ".join(self._oversized)),
+                stacklevel=3,
+            )
+        return True
+
+    def cut(self, index: int) -> Tuple[array, bool]:
+        """Segment ``index`` (from 0), cutting it first if it is not cut
+        yet, and whether it is the last; raises ``IndexError`` past the last."""
+        while len(self._cut) <= index and self._cut_next():
+            pass
+        return self._cut[index], index == len(self._cut) - 1 and self._ahead is None
+
+    @property
+    def positions(self) -> Tuple[array, ...]:
+        """Every segment, in order; finishes the cut."""
+        while self._cut_next():
+            pass
+        return tuple(self._cut)
 
     @property
     def segments(self) -> Tuple[EventLog, ...]:
-        """Each segment as a log."""
+        """Each segment as a log; finishes the cut."""
         return tuple(EventLog(tuple(gather(self.partition, p))) for p in self.positions)
 
 
-def segment_event_log(partition: EventLog, seg_size: int) -> SegmentPlan:
-    """Plan case-complete segments for every case of the partition.
+def segment_event_log(
+    partition: EventLog, seg_size: int, cases: Optional[Dict[str, array]] = None
+) -> SegmentPlan:
+    """Plan case-complete segments for every case of the partition, and cut
+    none of them yet; ``cases`` is the partition's :func:`case_positions`,
+    when the caller has grouped it already.
 
     Planned segments are nonempty, each case lands in exactly one segment,
     case order inside a segment is canonical, and any segment holding two or
@@ -89,25 +173,4 @@ def segment_event_log(partition: EventLog, seg_size: int) -> SegmentPlan:
     """
     if seg_size <= 0:
         raise InvalidSegSize("seg_size must be positive, got %d" % seg_size)
-    cases = size_cases(partition)
-    order = sorted(cases)
-
-    oversized = [iid for iid in order if cases[iid][1] > seg_size]
-    if oversized:
-        warnings.warn(
-            "%d case(s) exceed seg_size %d and ship alone over budget: %s"
-            % (len(oversized), seg_size, ", ".join(oversized)),
-            stacklevel=2,
-        )
-    segments: List[array] = []
-    open_size = EMPTY_LOG_SIZE
-    for iid in order:
-        positions, case_size = cases[iid]
-        if not segments or open_size + case_size > seg_size:
-            segments.append(array("L"))
-            open_size = EMPTY_LOG_SIZE
-        segments[-1] += positions
-        # Merging a case into the open segment costs its encoding minus the
-        # shared envelope constant, so the running size stays exact.
-        open_size += case_size - EMPTY_LOG_SIZE
-    return SegmentPlan(partition, tuple(segments))
+    return SegmentPlan(partition, seg_size, case_positions(partition) if cases is None else cases)

@@ -2,7 +2,7 @@
 
 This encoding is the unit of size accounting: segment budgets and the
 enclave's byte accounting both count encoded bytes. They get the count by
-arithmetic over the layout below (:func:`size_cases`), never by encoding.
+arithmetic over the layout below (:func:`encoded_size`), never by encoding.
 Layout (all integers big-endian):
 
     u16  version (currently 1)
@@ -17,8 +17,8 @@ encode to equal bytes. An empty log encodes to exactly EMPTY_LOG_SIZE bytes.
 Because a log's size is the header plus its events' sizes, merging two logs
 with disjoint events gives ``size(a) + size(b) - EMPTY_LOG_SIZE``.
 
-The size model is :func:`size_cases`, one pass that sizes every case of a
-log and records where its events are. Text counts its UTF-8 bytes. ASCII
+The size model is :func:`encoded_size`, one pass over some events that sums
+what each adds to their encoding. Text counts its UTF-8 bytes. ASCII
 text is sized by ``len``: a string for which ``str.isascii()`` holds has one
 byte per character, and CPython answers ``isascii`` from a flag, without a
 scan; any other text is encoded to measure it. :func:`encode_log` takes an
@@ -33,7 +33,10 @@ receiver needs no second pass to group or size what it got. Like the
 encoder, it decodes each distinct iid, activity and provisioner id once per
 call, from a memo of raw bytes to text that lives as long as the call: the
 events that carry a value share one string, which is what a receiver keeps
-while it stores them. :func:`decode_log` returns the same events as one log.
+while it stores them. The provisioner ids have a memo of their own, whose
+values are the payload's distinct provisioner ids, so a receiver checks
+who the events belong to without reading every event again.
+:func:`decode_log` returns the same events as one log.
 
 Error contract: :func:`decode_cases` and :func:`decode_log` take bytes from
 outside the program, both run the same checks, and every malformed payload
@@ -52,11 +55,9 @@ re-encodes to its own bytes. Encoding a field over its wire limit raises
 from __future__ import annotations
 
 import struct
-from array import array
 from collections import defaultdict
-from functools import partial
 from itertools import chain
-from typing import DefaultDict, Dict, Iterable, List, Sequence, Tuple
+from typing import DefaultDict, Dict, Iterable, List, Sequence, Set, Tuple
 
 from .model import Event, EventLog, ModelError, check_events, log_from_events
 
@@ -66,7 +67,7 @@ __all__ = [
     "WireError",
     "TruncatedPayload",
     "UnsupportedVersion",
-    "size_cases",
+    "encoded_size",
     "encode_log",
     "decode_cases",
     "decode_log",
@@ -102,28 +103,21 @@ _LEN = struct.Struct(">H")
 _NO_EXTRAS = _LEN.pack(0)
 
 
-def size_cases(events: Iterable[Event]) -> Dict[str, Tuple[array, int]]:
-    """Size every case of a log in one pass, by arithmetic.
+def encoded_size(events: Iterable[Event]) -> int:
+    """``len(encode_log(events))``, by arithmetic, for events in any order.
 
-    Returns, per iid in order of first appearance, the positions of the
-    case's events in ``events``, ascending, and the size of the case's own
-    encoding, ``len(encode_log(case))``. Does not check the wire limits.
-    Positions are an ``array("L")``: a list would hold an int object per
-    event for as long as a plan keeps them.
+    Does not check the wire limits.
     """
-    positions: DefaultDict[str, array] = defaultdict(partial(array, "L"))
-    sizes: DefaultDict[str, int] = defaultdict(int)
-    for i, (event_id, iid, activity, _, provisioner_id, extras) in enumerate(events):
+    size = EMPTY_LOG_SIZE
+    for event_id, iid, activity, _, provisioner_id, extras in events:
         text = event_id + iid + activity + provisioner_id
-        size = EVENT_FIXED_SIZE
+        size += EVENT_FIXED_SIZE
         if extras:
             text += "".join(chain.from_iterable(extras))
             size += EXTRA_FIXED_SIZE * len(extras)
         # One byte per character is exact for ASCII text; see the module doc.
         size += len(text) if text.isascii() else len(text.encode("utf-8"))
-        positions[iid].append(i)
-        sizes[iid] += size
-    return {iid: (pos, EMPTY_LOG_SIZE + sizes[iid]) for iid, pos in positions.items()}
+    return size
 
 
 class _Prefixed(dict):
@@ -160,13 +154,15 @@ def encode_log(events: Sequence[Event]) -> bytes:
     return b"".join(out)
 
 
-def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
+def decode_cases(data: bytes) -> Tuple[Dict[str, Tuple[List[Event], int]], Set[str]]:
     """Decode a log payload straight into its cases, in one pass.
 
-    Returns, per iid in order of first appearance, the case's events in
-    canonical order and the size of the case's own encoding:
-    ``EMPTY_LOG_SIZE`` plus the bytes its events span in ``data``, which is
-    ``len(encode_log(case))`` because decoding never reorders anything.
+    Returns the cases and the distinct provisioner ids of the payload's
+    events. The cases map, per iid in order of first appearance, to the
+    case's events in canonical order and the size of the case's own
+    encoding: ``EMPTY_LOG_SIZE`` plus the bytes its events span in ``data``,
+    which is ``len(encode_log(case))`` because decoding never reorders
+    anything.
 
     Raises :class:`TruncatedPayload` when a field runs past the end,
     :class:`UnsupportedVersion` for another version, :class:`WireError`
@@ -180,12 +176,14 @@ def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
     # Builds an Event from a tuple of its fields in C, without the Python
     # frame of the named tuple's own constructor.
     new_event = tuple.__new__
-    # Raw bytes -> text of the iids, activities and provisioner ids decoded
-    # so far. It is looked up inline: a ``__missing__`` hook, as the encoder
-    # uses, costs a Python call per new value, which segments of a few
-    # cases pay for every case.
+    # Raw bytes -> text of the iids and activities decoded so far, and of
+    # the provisioner ids, whose values are returned. They are looked up
+    # inline: a ``__missing__`` hook, as the encoder uses, costs a Python
+    # call per new value, which segments of a few cases pay for every case.
     text: Dict[bytes, str] = {}
     known = text.get
+    provisioners: Dict[bytes, str] = {}
+    known_provisioner = provisioners.get
     size = len(data)
     pos = end = 0
     events: List[Event] = []
@@ -225,9 +223,9 @@ def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
             pos = end + 2
             end = pos + n
             raw = data[pos:end]
-            provisioner_id = known(raw)
+            provisioner_id = known_provisioner(raw)
             if provisioner_id is None:
-                provisioner_id = text[raw] = raw.decode("utf-8")
+                provisioner_id = provisioners[raw] = raw.decode("utf-8")
             (n_extras,) = unpack_len(data, end)
             pos = end + 2
             if n_extras:
@@ -266,11 +264,12 @@ def decode_cases(data: bytes) -> Dict[str, Tuple[List[Event], int]]:
     if pos != size:
         raise WireError("trailing bytes after log payload")
     check_events(events)
-    return {iid: (evs, EMPTY_LOG_SIZE + spans[iid]) for iid, evs in cases.items()}
+    sized = {iid: (evs, EMPTY_LOG_SIZE + spans[iid]) for iid, evs in cases.items()}
+    return sized, set(provisioners.values())
 
 
 def decode_log(data: bytes) -> EventLog:
     """Inverse of :func:`encode_log`: the events of :func:`decode_cases`, as
     one log; raises what it raises."""
-    cases = decode_cases(data).values()
-    return log_from_events(chain.from_iterable(events for events, _ in cases))
+    cases, _ = decode_cases(data)
+    return log_from_events(chain.from_iterable(events for events, _ in cases.values()))

@@ -395,8 +395,6 @@ def check_segmentation_invariants():
             requested = sorted(iid_set(partition))
             caught.clear()
             plan = segment_event_log(partition, seg_size)
-            assert len(caught) <= 1, "one warning per plan at most"
-            warned = [iid for w in caught for iid in str(w.message).split(": ", 1)[1].split(", ")]
 
             landed = []
             for seg in plan.segments:
@@ -405,6 +403,9 @@ def check_segmentation_invariants():
                 landed.extend(cases)
                 if len(cases) > 1:
                     assert size_of(seg) <= seg_size
+            # The plan cuts its segments, and warns, when they are read.
+            assert len(caught) <= 1, "one warning per plan at most"
+            warned = [iid for w in caught for iid in str(w.message).split(": ", 1)[1].split(", ")]
             assert sorted(landed) == requested
             assert merge_all(plan.segments) == partition
             # A warning names each case that alone passes the budget, once.

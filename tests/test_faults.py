@@ -623,13 +623,14 @@ def test_a_grant_to_a_stream_with_credit_left_aborts_its_provisioner(three_parti
 def test_an_aborted_provisioner_holds_no_stream(three_partitions):
     # Hospital's first segment uses up its first credit, so it is streaming
     # with its second segment unsent when the grant that does not raise the
-    # credit aborts it: it drops the segment and forgets the stream's key.
+    # credit aborts it: it drops its plan, the segments not yet sent, and
+    # forgets the stream's key.
     (kwargs,) = [r[1] for r in FAULTS if r[0] == "cases_grant that does not raise the credit"]
     nodes, _ = _run(three_partitions, **kwargs)
     hospital = nodes["hospital"]
     assert (hospital.phase, hospital.aborted_reason) == ("aborted", "UnexpectedMessage")
     assert hospital.sealed == 1
-    assert list(hospital.unsent) == []
+    assert hospital.plan is None
     assert hospital.stream_key == (b"", b"", b"")
 
 

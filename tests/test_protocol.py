@@ -918,6 +918,40 @@ def test_a_provisioner_encodes_a_segment_only_when_it_sends_it(monkeypatch):
     assert counts["encoded"] == _sealed(net)["hospital"] == len(sizes)
 
 
+def test_a_provisioner_sizes_a_case_only_when_its_segment_is_cut(monkeypatch):
+    # The partition of the test above. Answering the case request sizes the
+    # cases of the segments the first credit lets out, and the one case
+    # after them, which closed the last of those segments; a provisioner
+    # that gets no grant after that never sizes the rest.
+    partition = make_random_log(random.Random(11), 160, ["hospital"])
+    seg_size = size_of(partition) // 33
+    segments = segment_event_log(partition, seg_size).segments
+    credit = protocol.CREDIT_SEGMENTS * seg_size
+    window = next(k for k in range(1, len(segments)) if sum(map(size_of, segments[:k])) >= credit)
+    iids = sorted(iid_set(partition))
+    opened = iids[: sum(len(iid_set(seg)) for seg in segments[:window]) + 1]
+    assert len(opened) < len(iids)
+    sized = []
+    encoded_size = segmenter.encoded_size
+
+    def sizing(events):
+        events = list(events)
+        sized.append(events[0].iid)
+        return encoded_size(events)
+
+    monkeypatch.setattr(segmenter, "encoded_size", sizing)
+    _, miner, _, provisioners = _session({"hospital": partition}, seg_size=seg_size)
+    hospital = provisioners["hospital"]
+    ((_, request),) = miner.bootstrap()
+    ((_, refs),) = hospital.handle("miner", request)
+    ((_, case_request),) = miner.handle("hospital", refs)
+    assert len(hospital.handle("miner", case_request)) == window
+    assert sized == opened
+    hospital.on_quiet()
+    assert (hospital.phase, hospital.aborted_message) == ("aborted", "awaiting a grant from miner")
+    assert sized == opened
+
+
 def _credits(net, receiver):
     """The credit of each grant sent to ``receiver``, in send order."""
     return [

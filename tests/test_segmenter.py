@@ -47,7 +47,7 @@ def test_whole_partition_fits_one_segment(hospital_log):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no case alone passes the budget
         plan = segment_event_log(hospital_log, budget)
-    assert len(plan.segments) == 1
+        assert len(plan.segments) == 1
     assert plan.segments[0] == hospital_log
 
 
@@ -71,13 +71,14 @@ def test_pharma_budget_of_one_case_gives_two_segments(pharma_log):
 
 def test_oversized_case_warns_and_ships(hospital_log):
     tiny = EMPTY_LOG_SIZE + 1
+    plan = segment_event_log(hospital_log, tiny)
+    # The plan cuts its segments when they are read, and warns then.
     with pytest.warns(UserWarning, match="exceed seg_size") as caught:
-        plan = segment_event_log(hospital_log, tiny)
+        assert len(plan.segments) == 2
     # One warning for the plan, naming each over-budget case once.
     assert [str(w.message) for w in caught] == [
         "2 case(s) exceed seg_size %d and ship alone over budget: 312, 711" % tiny
     ]
-    assert len(plan.segments) == 2
 
 
 class SegmentPlanInvariants(unittest.TestCase):
@@ -123,12 +124,52 @@ class SegmentPlanInvariants(unittest.TestCase):
                     warnings.simplefilter("ignore")
                     self.check_plan(partition, seg_size)
 
+    def test_a_cut_taken_segment_by_segment_is_the_whole_plan(self):
+        # Segments cut one at a time, with reads of the whole plan at random
+        # points between them, are the whole plan's segments, only the final
+        # one is marked last, and the cut warns once, naming each over-budget
+        # case once.
+        for trial in range(40):
+            partition = make_random_log(
+                self.rng, self.rng.randint(1, 12), ["p1", "p2"], id_prefix="s%d_" % trial
+            )
+            seg_size = self.rng.randint(EMPTY_LOG_SIZE + 1, size_of(partition) + 50)
+            oversized = [
+                iid
+                for iid in sorted(iid_set(partition))
+                if size_of(extract_case(partition, iid)) > seg_size
+            ]
+            warned = (
+                ["%d case(s) exceed seg_size %d and ship alone over budget: %s"
+                 % (len(oversized), seg_size, ", ".join(oversized))]
+                if oversized
+                else []
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                whole = segment_event_log(partition, seg_size).positions
+                self.assertEqual([str(w.message) for w in caught], warned)
+                caught.clear()
+                plan = segment_event_log(partition, seg_size)
+                cut, last = [], False
+                while not last:
+                    if self.rng.random() < 0.3:
+                        self.assertEqual(plan.positions, whole)
+                    positions, last = plan.cut(len(cut))
+                    cut.append(positions)
+                    self.assertEqual(last, len(cut) == len(whole))
+                self.assertEqual(plan.positions, whole)
+                self.assertEqual([str(w.message) for w in caught], warned)
+            self.assertEqual(tuple(cut), whole)
+            with self.assertRaises(IndexError):
+                plan.cut(len(cut))
+
     def test_determinism(self):
         # The same events, handed over in reverse, make the same plan.
         partition = make_random_log(self.rng, 9, ["p1", "p2"])
         a = segment_event_log(partition, 900)
         b = segment_event_log(log_from_events(reversed(partition.events)), 900)
-        self.assertEqual(a, b)
+        self.assertEqual(a.positions, b.positions)
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,14 +184,14 @@ def test_every_case_lands_exactly_once(seed, n_cases, budget_factor):
     seg_size = max(EMPTY_LOG_SIZE + 1, int(size_of(partition) * budget_factor))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        plan = segment_event_log(partition, seg_size)
+        segments = segment_event_log(partition, seg_size).segments
     landed = {}
-    for idx, seg in enumerate(plan.segments):
+    for idx, seg in enumerate(segments):
         for iid in iid_set(seg):
             assert iid not in landed, "case split across segments"
             landed[iid] = idx
     assert set(landed) == iid_set(partition)
-    assert sum(len(s) for s in plan.segments) == len(partition)
+    assert sum(len(s) for s in segments) == len(partition)
 
 
 def _greedy(partition, seg_size):
@@ -201,9 +242,10 @@ def test_segments_follow_the_greedy_rule_and_hold_their_cases(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plan = segment_event_log(partition, seg_size)
+        segments = plan.segments
     groups = _greedy(partition, seg_size)
-    assert [sorted(iid_set(seg)) for seg in plan.segments] == groups
-    for index, (seg, group) in enumerate(zip(plan.segments, groups)):
+    assert [sorted(iid_set(seg)) for seg in segments] == groups
+    for index, (seg, group) in enumerate(zip(segments, groups)):
         expected = log_from_events(ev for iid in group for ev in extract_case(partition, iid))
         assert seg == expected
         # What the provisioner sends: the events gathered out of the partition.

@@ -12,7 +12,7 @@ from enclavemine import protocol
 from enclavemine.enclave import BuildManifest
 from enclavemine.experiment import build_session
 from enclavemine.model import DuplicateEvent, Event, EventLog, ModelError, group_by_iid, merge
-from enclavemine.segmenter import size_of
+from enclavemine.segmenter import case_positions, size_of
 from enclavemine.wire import (
     EMPTY_LOG_SIZE,
     WIRE_VERSION,
@@ -22,7 +22,7 @@ from enclavemine.wire import (
     decode_cases,
     decode_log,
     encode_log,
-    size_cases,
+    encoded_size,
 )
 
 from doubles import CollectorSink, make_random_log
@@ -275,19 +275,19 @@ def test_size_model_matches_encoding(log):
 @given(_logs())
 @example(EventLog())
 def test_decode_cases_splits_and_sizes_each_case(log):
-    # One pass gives what decoding, grouping and sizing each case gave.
+    # One pass gives what decoding, grouping and sizing each case gave, and
+    # the distinct provisioner ids of its events.
     blob = encode_log(log)
-    cases = decode_cases(blob)
+    cases, provisioners = decode_cases(blob)
     split = {iid: EventLog(tuple(events)) for iid, (events, _) in cases.items()}
     assert split == group_by_iid(decode_log(blob)) == group_by_iid(log)
-    # The arithmetic size model agrees, and finds each case's events.
-    sized = size_cases(log)
-    assert list(sized) == list(cases)
+    assert provisioners == {ev.provisioner_id for ev in log}
+    # The arithmetic size model agrees, and the grouping finds each case's events.
+    positions = case_positions(log)
+    assert list(positions) == sorted(cases)
     for iid, (events, size) in cases.items():
-        assert size == len(encode_log(EventLog(tuple(events))))
-        positions, sized_size = sized[iid]
-        assert size == sized_size
-        assert [log.events[i] for i in positions] == events
+        assert size == len(encode_log(EventLog(tuple(events)))) == encoded_size(events)
+        assert [log.events[i] for i in positions[iid]] == events
 
 
 def test_duplicate_ids_across_cases_of_one_payload_are_rejected():
@@ -310,7 +310,8 @@ def _shared_fields_log():
 
 
 def test_decode_shares_one_string_per_distinct_field_value():
-    events = [ev for evs, _ in decode_cases(encode_log(_shared_fields_log())).values() for ev in evs]
+    cases, _ = decode_cases(encode_log(_shared_fields_log()))
+    events = [ev for evs, _ in cases.values() for ev in evs]
     for field in ("iid", "activity", "provisioner_id"):
         values = [getattr(ev, field) for ev in events]
         for value in set(values):
