@@ -90,6 +90,7 @@ __all__ = [
     "sign_stream",
     "seal_segment",
     "open_segment",
+    "plaintext_length",
     "EnclaveAccountant",
 ]
 
@@ -125,6 +126,8 @@ _STREAM_INFO = b"enclavemine-stream-key-v1"
 _VERSION = struct.Struct(">H")
 _LENGTH = struct.Struct(">I")
 _INDEX = struct.Struct(">Q")
+# What AES-GCM adds to a segment's plaintext: the 12-byte nonce and the 16-byte tag.
+_SEAL_OVERHEAD = 12 + 16
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,8 @@ def frame(*fields: bytes) -> bytes:
 
 
 def unframe(data: bytes, count: int) -> List[bytes]:
-    """The ``count`` fields of ``frame(*fields)``, or ``ValueError``."""
+    """The ``count`` fields of ``frame(*fields)``, or ``ValueError``; views
+    into ``data`` if it is a ``memoryview``."""
     fields, pos = [], _VERSION.size
     if data[:pos] != _VERSION.pack(FRAME_VERSION):
         raise ValueError("not a version %d frame" % FRAME_VERSION)
@@ -366,13 +370,27 @@ def open_segment(
         k_sym = keys.stream_key(share)
     elif share or proof:
         raise AuthFailure("key fields on segment %d of a stream" % index)
-    if len(ct) < 12 + 16:
+    if len(ct) < _SEAL_OVERHEAD:
         raise AuthFailure("ciphertext too short")
     try:
         ad = _segment_ad(session, sender, seg_size, index, last)
         return AESGCM(k_sym).decrypt(ct[:12], ct[12:], ad), k_sym
     except InvalidTag as exc:
         raise AuthFailure("segment ciphertext failed authentication") from exc
+
+
+def plaintext_length(envelope: bytes) -> int:
+    """The bytes of plaintext that :func:`open_segment` would return for
+    ``envelope``, read off its public ciphertext length without opening or
+    copying it. A malformed envelope fails with :class:`AuthFailure` as it
+    would when opened; a well-formed one is authenticated only when opened."""
+    try:
+        sealed = len(unframe(memoryview(envelope), 3)[2])
+    except ValueError as exc:
+        raise AuthFailure("malformed envelope: %s" % exc) from exc
+    if sealed < _SEAL_OVERHEAD:
+        raise AuthFailure("ciphertext too short")
+    return sealed - _SEAL_OVERHEAD
 
 
 class EnclaveAccountant:

@@ -39,26 +39,28 @@ the miner a segment that does, before it stores any fragment of it
 segment returns.
 
 The miner keeps one record per stream and one store of cases. streams
-(provisioner -> its stream's record; its keys are the provisioners whose refs
-arrived and whose stream has not ended) holds in each record the iids the
-provisioner still owes, the nonce its refs carried, the bytes received and
-the credit granted, and the stream key and next index. cstor (iid -> the
-case's fragments received so far, one list of events in canonical order per
+(provisioner -> its stream's record; its keys are the provisioners whose
+refs arrived and whose last segment has not been opened) holds in each
+record the iids the provisioner still owes, both as a set and as a list
+sorted once, newest first, whose last item is the oldest it owes, the nonce
+its refs carried, the bytes received and the credit granted, its inbox
+(below), and the stream key and next index. cstor (iid -> the case's
+fragments received so far, one list of events in canonical order per
 provisioner that sent part of it, unmerged) holds the stored cases, with
 csize holding each one's encoded size. A case is complete when no stream
-still owes its iid. Each case is merged once, by one sort of its
-fragments on their timestamps (``log_from_events``, which re-sorts a run of
-tied events only if it is out of canonical order), and handed to the
-sink's ``on_case`` (the only sink method the protocol calls). In
-incremental mode a case is merged and handed over when it completes, and it
-is then freed. In batch mode nothing is handed over until the last stream
-ends; then one check runs over the ids of all stored fragments, and each
-case, in ascending iid order, is merged just before it is handed over, so
-the sink meets the first case after one merge, not after all of them. A
-case's merge finds an event id it carries twice (``DuplicateEvent``); the
-batch check finds every id carried twice, within a case or across cases,
-before any case is handed over. Incremental mode keeps no ids of freed
-cases and misses an id reused in another case.
+still owes its iid. Each case is merged once, by one sort of its fragments
+on their timestamps (``log_from_events``, which re-sorts a run of tied
+events only if it is out of canonical order), and handed to the sink's
+``on_case`` (the only sink method the protocol calls). In incremental mode a
+case is merged and handed over when it completes, and it is then freed. In
+batch mode nothing is handed over until the last stream ends; then one check
+runs over the ids of all stored fragments, and each case, in ascending iid
+order, is merged just before it is handed over, so the sink meets the first
+case after one merge, not after all of them. A case's merge finds an event
+id it carries twice (``DuplicateEvent``); the batch check finds every id
+carried twice, within a case or across cases, before any case is handed
+over. Incremental mode keeps no ids of freed cases and misses an id reused
+in another case.
 
 The enclave accountant counts wire-encoding bytes without re-encoding
 anything. ``wire.decode_cases`` splits each segment by iid in its one decode
@@ -74,11 +76,31 @@ would, although it builds only one case at a time.
 
 A provisioner sends one cases_res per segment and marks its final one with
 ``"last": true``; a provisioner that owes nothing sends the single message
-with body ``{"last": true}`` and an empty blob, and agrees no stream key. On
-``last`` the miner checks that the sender owes nothing (else
-:class:`IncompleteDelivery`) and deletes its stream's record, so a later
-cases_res from it is an :class:`UnexpectedMessage`. The session finishes
-when every stream has ended.
+with body ``{"last": true}`` and an empty blob, and agrees no stream key.
+Once ``last`` has arrived the stream has ended, and a later cases_res from
+it is an :class:`UnexpectedMessage`. When the miner opens that last entry it
+checks that the sender owes nothing (else :class:`IncompleteDelivery`) and
+deletes its stream's record. The session finishes when every stream's last
+entry is open.
+
+Opening order. On receipt the miner only checks a cases_res (phase, sender,
+ended stream, credit, ``last``), counts its plaintext bytes off the
+envelope's public ciphertext length (``enclave.plaintext_length``, which
+fails a malformed frame at once with ``AuthFailure``) and parks the
+envelope, still sealed, in its stream's inbox. Parked envelopes are host
+memory, as the transport's queues are, and the accountant does not count
+them: an untrusted host may hold them at no cost to secrecy, since AES-GCM
+authenticates each one when it is opened. A stream is due when it has an
+envelope parked and owes the oldest iid any stream still owes, or owes
+nothing. If the receiving stream is due, the enclave opens and ingests its
+inbox head, then the head of the first due stream in ``peers`` order, and so
+on until none is due. So incremental ingest is a k-way merge of the streams
+in case-id order. Only an open moves the oldest owed iid, which the miner
+keeps, so a receipt can make only its own stream due. Each stream's oldest
+owed iid is the last of its sorted list, from which ingest pops what the
+stream delivered, so finding the oldest reads one iid per stream. Batch mode
+holds every case to the end, so case order saves nothing there: every stream
+with an envelope parked is due, and each envelope is opened on receipt.
 
 Flow control. The miner grants each stream credit in plaintext segment
 bytes, in steps of the budget ``B = CREDIT_SEGMENTS * seg_size``, as HTTP/2
@@ -107,41 +129,43 @@ miner grants each blocked stream, in sorted order, the next multiple of
 credit by ``B`` or more, which only a case bigger than ``B``, shipped alone,
 can do. It grants when
 
-(a) nothing is stored;
-(b) the stream owes the smallest stored iid, ``min(cstor)``, the oldest
-    incomplete case (one scan of cstor per round of grants); or
-(c) the session is in batch mode, which holds every case to the end, so
+(a) the stream owes the oldest iid any stream still owes, or nothing is
+    owed at all; or
+(b) the session is in batch mode, which holds every case to the end, so
     withholding credit would save nothing: there the grant is more than
     any stream sends, and a stream is granted at most once.
+
+After the opening round, a stream that owes the oldest owed iid has nothing
+parked (it would be due), so a stream with an envelope parked is never
+granted: its inbox holds at most the window of its last grant, under
+``B`` plus one segment, and a stream whose ``last`` is parked, whose
+provisioner is ``done`` and would abort on a grant, gets none.
 
 A cases_res from a blocked stream is an :class:`UnexpectedMessage`, and so
 is a cases_grant outside ``streaming``, from another node than the miner, or
 one that does not raise the credit. The rule cannot deadlock in incremental
 mode. A grant lifts the credit above the bytes received, so the granted
 stream sends at least one more segment, and its cases_res makes the miner
-grant again. And some stream is always granted while every open stream is
-blocked: if something is stored, the oldest stored case is incomplete,
-since a case is freed as soon as it completes, so a blocked stream owes it;
-if nothing is stored, every blocked stream is granted.
+open and grant again. While some case is owed, let c be the oldest: after
+the opening round no stream that owes c has an envelope parked, so each is
+either sending within its credit, and its next cases_res arrives, or
+blocked, and then granted. Once nothing is owed, every parked envelope
+qualifies and every blocked stream is granted.
 
-The bound, in incremental mode. A grant lifts a stream's credit at most
-``B`` above the bytes it has received, so from each grant, the first credit
-included, a stream sends under ``B`` plus one segment before it is blocked
-again: call that a window. Let ``F_p`` be the most that the cases of one
-window of stream p cost stored: its segments' plaintext plus
-``EMPTY_LOG_SIZE`` per case beyond the first in a segment. Stored bytes
-stay at most ``sum(F_p)``, and the accountant's peak at most that plus the
-largest segment, whose plaintext is held while it is ingested. Neither
-depends on the case count or the delivery order; each ``F_p`` is about
-``B`` plus a segment, so the bound is per provisioner and grows with their
-number. Why: let t be the last grant given under (a), or the start. Nothing
-was stored at t, and a freed case is never stored again, so whatever is
-stored now arrived after t. If stream p's last grant came at or before t,
-what of p's arrived after t belongs to its current window. If it came after
-t, it came under (b): p owed the oldest stored case and ships in ascending
-iid order, so every case it had sent was older still, and none was stored;
-so again whatever of p's is stored belongs to its current window, which
-costs at most ``F_p``.
+The bound, in incremental mode. Let ``F1_p`` be the most that one segment
+of stream p costs stored: its plaintext plus ``EMPTY_LOG_SIZE`` per case
+beyond its first. Stored bytes stay at most ``sum(F1_p)``, and the
+accountant's peak at most that plus the largest segment, whose plaintext is
+held while it is ingested. This depends neither on ``B``, nor on the case
+count, nor on the delivery order. Why: when stream p's inbox head is
+opened, p owes the oldest owed iid c (or owes nothing, and then the head
+holds no case it may store). p ships in ascending iid order, as
+``segment_event_log`` cuts, so every case it delivered before has an iid
+below c; no stream owes such a case, so it is complete and was freed when
+it completed. So p's stored fragments all come from its last opened
+segment, which costs at most ``F1_p`` stored. A provisioner that ships out
+of iid order gets no such bound: what it opens may wait for the other
+streams, and only the capacity cap limits it.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -160,10 +184,13 @@ event of another provisioner: :class:`ForeignEvent`, a refused miner:
 ``EvidenceRejected``, capacity cap), a ``WireError`` or
 ``ModelError`` (malformed segment, event id carried twice) or an
 ``InvalidSegSize`` (bad ``seg_size``) aborts the node; ``handle`` returns no
-sends and the scheduler runs on. An aborted node drops every later message
-and releases its state in its ``_release``: the miner its stored cases and
-its streams' records, a provisioner its grouping of cases, its plan (the
-segments not yet sent, and the cases not yet cut) and its stream key. Once
+sends and the scheduler runs on. A malformed envelope fails when it
+arrives, a tampered one when it is opened, which may be after later
+envelopes have arrived and been parked; either way the miner aborts with
+``AuthFailure``. An aborted node drops every later message and releases its
+state in its ``_release``: the miner its stored cases and its streams'
+records with their inboxes, a provisioner its grouping of cases, its plan
+(the segments not yet sent, and the cases not yet cut) and its stream key. Once
 no message is pending, the transport calls each node's ``on_quiet`` (a
 deployment's timeout): a node still waiting aborts with :class:`Stalled`,
 naming what it waits for (``awaiting cases from clinic``, or a
@@ -176,10 +203,11 @@ from __future__ import annotations
 import json
 import os
 from array import array
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .enclave import (
     AttestationEvidence,
@@ -193,6 +221,7 @@ from .enclave import (
     frame,
     new_stream_key,
     open_segment,
+    plaintext_length,
     seal_segment,
     sign_stream,
     unframe,
@@ -381,9 +410,14 @@ class _Stream:
     """One provisioner's stream at the miner, from its refs to its last segment."""
 
     owed: Set[str]  # iids it still owes
+    pending: List[str]  # the same iids, sorted once, newest first: the oldest it owes is last
     nonce: bytes  # the freshness nonce its refs carried
     credit: int  # plaintext bytes granted, cumulative
-    received: int = 0  # plaintext bytes received
+    received: int = 0  # plaintext bytes received, opened or parked
+    ended: bool = False  # its last cases_res has arrived
+    # The envelopes received and not yet opened, each with its end mark:
+    # host memory, sealed, outside the enclave.
+    inbox: Deque[Tuple[bytes, bool]] = field(default_factory=deque)
     key: Optional[bytes] = None  # the stream key, once its first envelope is open
     index: int = 0  # the index its next segment must carry
 
@@ -419,6 +453,10 @@ class SecureMiner:
         self.cstor: Dict[str, List[List[Event]]] = {}
         self.csize: Dict[str, int] = {}
         self.budget = CREDIT_SEGMENTS * config.seg_size
+        # The oldest iid any stream still owes, once every stream's refs are
+        # in; None once nothing is owed, and always in batch mode, which
+        # opens each envelope on receipt.
+        self.oldest: Optional[str] = None
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
         self.aborted_message = ""
@@ -438,15 +476,53 @@ class SecureMiner:
         self.cstor.clear()
         self.csize.clear()
 
+    def _oldest_owed(self) -> Optional[str]:
+        return min([s.pending[-1] for s in self.streams.values() if s.pending], default=None)
+
+    def _due(self, s: _Stream) -> bool:
+        """Whether ``s``'s inbox head may be opened: there is one, and ``s``
+        owes the oldest owed iid, or nothing."""
+        oldest = self.oldest
+        return bool(s.inbox) and (oldest is None or not s.pending or s.pending[-1] == oldest)
+
+    def _pump(self, p: str, s: _Stream) -> None:
+        """Open the head of stream ``p``'s inbox, which is due, then, while
+        some stream is due, the head of the first due one in ``peers``
+        order. Only an open moves ``oldest``, so after a round no parked
+        envelope is due until the next open."""
+        streams = self.streams
+        incremental = self.config.do_yield_cases
+        while True:
+            envelope, last = s.inbox.popleft()
+            if envelope:
+                self._ingest_segment(p, s, envelope, last)
+            if last:
+                del streams[p]
+                if s.owed:
+                    raise IncompleteDelivery(
+                        "%s ended its stream owing %s" % (p, ", ".join(sorted(s.owed)))
+                    )
+                if not streams:
+                    self._finish()
+            if incremental:
+                self.oldest = self._oldest_owed()
+            for p in self.peers:
+                s = streams.get(p)
+                if s is not None and self._due(s):
+                    break
+            else:
+                return
+
     def _grants(self) -> List[Tuple[str, bytes]]:
         """Grant each blocked stream more credit where the credit rule allows."""
-        incremental = self.config.do_yield_cases
-        oldest = min(self.cstor, default=None) if incremental else None
-        step = self.budget if incremental else _CREDIT_UNLIMITED
+        oldest = self.oldest
+        step = self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
         out = []
-        for p in sorted(self.streams):
-            s = self.streams[p]
-            if s.received >= s.credit and (oldest is None or oldest in s.owed):
+        for p in self.peers:
+            s = self.streams.get(p)
+            if s is not None and s.received >= s.credit and (
+                oldest is None or (s.pending and s.pending[-1] == oldest)
+            ):
                 s.credit = (s.received // step + 1) * step  # the next multiple above received
                 out.append((p, self._msg(KIND_CASES_GRANT, {"credit": s.credit}, b"")))
         return out
@@ -482,11 +558,14 @@ class SecureMiner:
         if len(msg.blob) != _NONCE_SIZE:
             raise UnexpectedMessage("cases_ref_res nonce is not %d bytes" % _NONCE_SIZE)
         # The first credit, B, is implied by the case request.
-        self.streams[msg.sender] = _Stream(set(_iids(msg)), msg.blob, self.budget)
+        owed = set(_iids(msg))
+        self.streams[msg.sender] = _Stream(owed, sorted(owed, reverse=True), msg.blob, self.budget)
         if len(self.streams) != len(self.peers):
             return []
         self.phase = "awaiting_cases"
         self.phase_label = "attestation"
+        if self.config.do_yield_cases:
+            self.oldest = self._oldest_owed()
         out = []
         for p in self.peers:
             s = self.streams[p]
@@ -506,7 +585,7 @@ class SecureMiner:
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
         s = self.streams.get(msg.sender)
-        if s is None:
+        if s is None or s.ended:
             raise UnexpectedMessage("cases_res after completed stream from %s" % msg.sender)
         if s.received >= s.credit:
             raise UnexpectedMessage(
@@ -516,17 +595,13 @@ class SecureMiner:
         if not isinstance(last, bool):
             raise UnexpectedMessage("cases_res last must be a boolean")
         if msg.blob:
-            self._ingest_segment(msg.sender, s, msg.blob, last)
+            s.received += plaintext_length(msg.blob)
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
-        if last:
-            del self.streams[msg.sender]
-            if s.owed:
-                raise IncompleteDelivery(
-                    "%s ended its stream owing %s" % (msg.sender, ", ".join(sorted(s.owed)))
-                )
-            if not self.streams:
-                self._finish()
+        s.ended = last
+        s.inbox.append((msg.blob, last))
+        if self._due(s):
+            self._pump(msg.sender, s)
         return self._grants()
 
     def _ingest_segment(self, sender: str, s: _Stream, envelope: bytes, last: bool) -> None:
@@ -542,7 +617,6 @@ class SecureMiner:
             s.key,
         )
         s.index += 1
-        s.received += len(plain)
         self.accountant.account(len(plain))
         try:
             cases, provisioners = decode_cases(plain)
@@ -553,6 +627,9 @@ class SecureMiner:
             if unowed:
                 raise UnexpectedIid("%s from %s" % (min(unowed), sender))
             s.owed.difference_update(cases)
+            pending = s.pending
+            while pending and pending[-1] not in s.owed:
+                pending.pop()
             for iid, (events, size) in sorted(cases.items()):
                 delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
                 self.accountant.account(delta)

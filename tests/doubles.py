@@ -2,15 +2,18 @@
 
 ``CollectorSink`` stands in for a mining sink; ``LossyNetwork`` breaks the
 link guarantees of ``InProcessNetwork`` on purpose; ``make_random_log``
-draws multi-provisioner logs and ``brute_union`` is an independent merge
-oracle.
+draws multi-provisioner logs, ``brute_union`` is an independent merge
+oracle and ``peak_bound`` computes the incremental peak bound that
+``enclavemine.protocol`` states.
 """
 
 import random
 from typing import List
 
-from enclavemine.model import Event, EventLog, log_from_events
+from enclavemine.model import Event, EventLog, iid_set, log_from_events
+from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.transport import InProcessNetwork
+from enclavemine.wire import EMPTY_LOG_SIZE
 
 
 class CollectorSink:
@@ -102,3 +105,20 @@ def make_random_log(
             )
             counter += 1
     return log_from_events(events)
+
+
+def peak_bound(partitions, seg_size) -> int:
+    """The incremental peak bound of the protocol docstring: per stream the
+    most that one of its segments costs stored (its plaintext plus
+    ``EMPTY_LOG_SIZE`` per case beyond its first), plus the largest
+    segment's plaintext, held while it is ingested."""
+    bound = largest = 0
+    for part in partitions.values():
+        segments = segment_event_log(part, seg_size).segments
+        plain = [size_of(s) for s in segments]
+        bound += max(
+            (n + EMPTY_LOG_SIZE * (len(iid_set(s)) - 1) for n, s in zip(plain, segments)),
+            default=0,
+        )
+        largest = max([largest, *plain])
+    return bound + largest

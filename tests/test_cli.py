@@ -117,7 +117,7 @@ def test_run_writes_model_and_metrics(tmp_path, capsys):
 # files count bytes and messages, which the algorithm does not change.
 RECORD_DIGESTS = {
     "incremental": (
-        "1655c7ad5cfd70470a7ac3ac537649f2775d7665319088a36745ae4838f8da52",
+        "41e907fab68c60ac671a6f3db1509448fa35c7086993e2bed692eba2c25da39e",
         "162cbae5e281ce09f440d8b22b3574870d92519866918a0d17ff7747ec20bf84",
     ),
     "batch": (

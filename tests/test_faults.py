@@ -376,7 +376,7 @@ FAULTS = [
      "hospital", "UnexpectedMessage"),
     # A forged grant behind the case request lets hospital send both its
     # segments. Pharma's and clinic's streams are lost, so case 312 stays
-    # stored and owed by them: hospital does not owe the oldest stored case,
+    # stored and owed by them: hospital does not owe the oldest owed case,
     # the miner grants it nothing, and its second segment arrives past its
     # credit.
     ("provisioner that sends past its credit",

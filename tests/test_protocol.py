@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doubles import CollectorSink, LossyNetwork, make_random_log
+from doubles import CollectorSink, LossyNetwork, make_random_log, peak_bound
 from enclavemine import experiment, model, protocol, segmenter
 from enclavemine.enclave import (
     AttestationEvidence,
@@ -22,7 +22,7 @@ from enclavemine.enclave import (
     seal_segment,
     unframe,
 )
-from enclavemine.model import EventLog, extract_case, iid_set, log_from_events, merge_all
+from enclavemine.model import Event, EventLog, extract_case, iid_set, log_from_events, merge_all
 from enclavemine.protocol import (
     KIND_CASES_GRANT,
     KIND_CASES_REF_REQ,
@@ -43,7 +43,7 @@ from enclavemine.protocol import (
 )
 from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.transport import InProcessNetwork
-from enclavemine.wire import EMPTY_LOG_SIZE, encode_log
+from enclavemine.wire import encode_log
 
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 MINER_PROOF = "org:miner"
@@ -1000,9 +1000,9 @@ def test_a_batch_session_grants_each_stream_once_for_all_it_has_left():
 
 class GrantWatchingNetwork(InProcessNetwork):
     """Records, as the miner sends each cases_grant, its receiver, the
-    smallest stored iid (None when nothing is stored) and the iids the
-    receiver still owes. The miner's handler has returned by then, so this
-    is its state when it granted."""
+    oldest iid any stream still owes (None when nothing is owed) and the
+    iids the receiver still owes. The miner's handler has returned by then,
+    so this is its state when it granted."""
 
     def __init__(self, seed=0):
         super().__init__(seed)
@@ -1012,14 +1012,15 @@ class GrantWatchingNetwork(InProcessNetwork):
         super().send(sender, receiver, payload)
         if Msg.decode(payload).kind == KIND_CASES_GRANT:
             miner = self._nodes[sender]
-            oldest = min(miner.cstor) if miner.cstor else None
+            owed = set().union(*(s.owed for s in miner.streams.values()))
+            oldest = min(owed, default=None)
             self.grants.append((receiver, oldest, set(miner.streams[receiver].owed)))
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(seed):
-    # Credit withheld from a stream that does not owe the oldest stored case
+    # Credit withheld from a stream that does not owe the oldest owed case
     # keeps that stream from running ahead in case order, whatever is stored.
     net, miner, _, _ = _run_to_done(
         _random_partitions(seed, n_cases=60), seg_size=100, network_cls=GrantWatchingNetwork
@@ -1027,6 +1028,95 @@ def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(
     assert miner.phase == "done" and net.grants
     for receiver, oldest, owed in net.grants:
         assert oldest is None or oldest in owed, (receiver, oldest)
+
+
+def _cases(org, iids):
+    """A partition of one event of ``org`` in each case of ``iids``."""
+    return log_from_events(
+        Event("%s-%s" % (org, iid), iid, "A", 10 * int(iid[1:]), org) for iid in iids
+    )
+
+
+def _deliver_all_but_cases(net):
+    """Deliver every pending message, and every one it causes, except the
+    cases_res messages, which stay queued."""
+    while True:
+        links = sorted(
+            link for link, queue in net._queues.items()
+            if queue and Msg.decode(queue[0]).kind != KIND_CASES_RES
+        )
+        if not links:
+            return
+        net.deliver_next(forced_link=links[0])
+
+
+def _one_stream_ahead():
+    """A session of two streams over ten shared cases, two cases to a
+    segment, in which clinic's first segment arrives before any of
+    hospital's."""
+    iids = ["c%02d" % i for i in range(10)]
+    partitions = {org: _cases(org, iids) for org in ("clinic", "hospital")}
+    seg_size = 2 * size_of(extract_case(partitions["clinic"], "c00"))
+    net, miner, sink, _ = _session(partitions, seg_size=seg_size)
+    net.bootstrap()
+    _deliver_all_but_cases(net)
+    net.deliver_next(forced_link=("clinic", "miner"))
+    return net, miner, sink, partitions
+
+
+def test_a_segment_that_does_not_advance_the_oldest_owed_case_stays_sealed():
+    # clinic's first segment holds the oldest owed case, so it is opened;
+    # its second arrives while hospital, which still owes that case, has
+    # sent nothing yet, so it waits sealed: not counted, not opened, and no
+    # case of it stored. It is opened once hospital catches up.
+    net, miner, sink, partitions = _one_stream_ahead()
+    clinic = miner.streams["clinic"]
+    held, stored = miner.accountant.current_bytes, set(miner.cstor)
+    assert clinic.index == 1 and held > 0 and stored
+    net.deliver_next(forced_link=("clinic", "miner"))
+    assert clinic.index == 1 and len(clinic.inbox) == 1
+    assert miner.accountant.current_bytes == held and set(miner.cstor) == stored
+    segments = segment_event_log(partitions["clinic"], miner.config.seg_size).segments
+    assert clinic.received == size_of(segments[0]) + size_of(segments[1])
+    net.run()
+    assert miner.phase == "done" and miner.accountant.current_bytes == 0
+    assert merge_all(sink.cases) == merge_all(partitions.values())
+
+
+def test_an_envelope_tampered_with_in_the_inbox_aborts_when_it_is_opened():
+    net, miner, _, _ = _one_stream_ahead()
+    net.deliver_next(forced_link=("clinic", "miner"))
+    inbox = miner.streams["clinic"].inbox
+    envelope, last = inbox[0]
+    inbox[0] = (envelope[:-1] + bytes([envelope[-1] ^ 1]), last)
+    net.run()
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "AuthFailure")
+    assert miner.aborted_message == "segment ciphertext failed authentication"
+    assert miner.accountant.current_bytes == 0
+    assert miner.streams == {} and miner.cstor == {}
+
+
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+def test_a_stream_whose_last_segment_is_parked_is_never_granted():
+    # At seg_size 1 every case ships alone and passes its credit, so each
+    # stream is blocked after each segment. clinic's one segment, its last,
+    # holds the newest case and waits sealed while hospital is granted,
+    # segment by segment, up to it: a grant to clinic, whose provisioner is
+    # done, would abort it.
+    iids = ["c%02d" % i for i in range(6)]
+    partitions = {"clinic": _cases("clinic", iids[-1:]), "hospital": _cases("hospital", iids)}
+    net, miner, sink, provisioners = _session(
+        partitions, seg_size=1, network_cls=RecordingNetwork
+    )
+    net.bootstrap()
+    _deliver_all_but_cases(net)
+    net.deliver_next(forced_link=("clinic", "miner"))
+    clinic = miner.streams["clinic"]
+    assert clinic.ended and clinic.received >= clinic.credit and len(clinic.inbox) == 1
+    net.run()
+    assert miner.phase == "done" and all(p.phase == "done" for p in provisioners.values())
+    assert _credits(net, "clinic") == [] and len(_credits(net, "hospital")) == 5
+    assert merge_all(sink.cases) == merge_all(partitions.values())
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
@@ -1041,30 +1131,6 @@ def test_a_segment_past_the_credit_by_more_than_b_does_not_stall_the_stream(seg_
     assert (result.miner_phase, result.aborted_message) == ("done", "")
     log = merge_all(experiment._load_inputs(cfg).values())
     assert result.output == experiment.standalone_mining(log, cfg.algorithm)
-
-
-def _peak_bound(partitions, seg_size):
-    """The incremental peak bound of the protocol docstring: per stream the
-    most that the cases of one window cost stored, plus the largest
-    segment's plaintext, held while it is ingested."""
-    budget = protocol.CREDIT_SEGMENTS * seg_size
-    bound = 0
-    largest = 0
-    for part in partitions.values():
-        segments = segment_event_log(part, seg_size).segments
-        plain = [size_of(s) for s in segments]
-        stored = [n + EMPTY_LOG_SIZE * (len(iid_set(s)) - 1) for n, s in zip(plain, segments)]
-        most = 0
-        for start in range(len(segments)):
-            sent = cost = 0
-            for n, c in zip(plain[start:], stored[start:]):
-                if sent >= budget:
-                    break
-                sent, cost = sent + n, cost + c
-            most = max(most, cost)
-        bound += most
-        largest = max([largest, *plain])
-    return bound + largest
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
@@ -1105,4 +1171,4 @@ def test_any_session_under_credit_ends_done_with_the_standalone_output(
     assert all(p.phase == "done" for p in provisioners)
     assert sink.finalize_bytes() == experiment.standalone_mining(log, algorithm)
     if incremental:
-        assert miner.accountant.peak_bytes <= _peak_bound(partitions, seg_size)
+        assert miner.accountant.peak_bytes <= peak_bound(partitions, seg_size)
