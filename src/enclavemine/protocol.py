@@ -41,26 +41,30 @@ segment returns.
 The miner keeps one record per stream and one store of cases. streams
 (provisioner -> its stream's record; its keys are the provisioners whose
 refs arrived and whose last segment has not been opened) holds in each
-record the iids the provisioner still owes, both as a set and as a list
-sorted once, newest first, whose last item is the oldest it owes, the nonce
+record the iids its refs named, as one list sorted once, ascending, and a
+cursor ``done``: the stream owes ``refs[done:]``. It also holds the nonce
 its refs carried, the bytes received and the credit granted, its inbox
-(below), and the stream key and next index. cstor (iid -> the case's
-fragments received so far, one list of events in canonical order per
-provisioner that sent part of it, unmerged) holds the stored cases, with
-csize holding each one's encoded size. A case is complete when no stream
-still owes its iid. Each case is merged once, by one sort of its fragments
-on their timestamps (``log_from_events``, which re-sorts a run of tied
-events only if it is out of canonical order), and handed to the sink's
-``on_case`` (the only sink method the protocol calls). In incremental mode a
-case is merged and handed over when it completes, and it is then freed. In
-batch mode nothing is handed over until the last stream ends; then one check
-runs over the ids of all stored fragments, and each case, in ascending iid
-order, is merged just before it is handed over, so the sink meets the first
-case after one merge, not after all of them. A case's merge finds an event
-id it carries twice (``DuplicateEvent``); the batch check finds every id
-carried twice, within a case or across cases, before any case is handed
-over. Incremental mode keeps no ids of freed cases and misses an id reused
-in another case.
+(below), and the stream key and next index. Before it stores any fragment of
+a segment of k cases, in both modes, the miner checks that the segment's
+sorted iids are ``refs[done:done + k]``, the next k its stream owes, and
+advances ``done`` by k; so a stream delivers its cases in ascending iid
+order, each once. cstor (iid -> the case's fragments received so far, one
+list of events in canonical order per provisioner that sent part of it,
+unmerged) holds the stored cases, with csize holding each one's encoded
+size. A case is complete when no stream still owes its iid, which bisection
+finds in each open stream's ``refs[done:]``. Each case is merged once, by
+one sort of its fragments on their timestamps (``log_from_events``, which
+re-sorts a run of tied events only if it is out of canonical order), and
+handed to the sink's ``on_case`` (the only sink method the protocol calls).
+In incremental mode a case is merged and handed over when it completes, and
+it is then freed. In batch mode nothing is handed over until the last stream
+ends; then one check runs over the ids of all stored fragments, and each
+case, in ascending iid order, is merged just before it is handed over, so
+the sink meets the first case after one merge, not after all of them. A
+case's merge finds an event id it carries twice (``DuplicateEvent``); the
+batch check finds every id carried twice, within a case or across cases,
+before any case is handed over. Incremental mode keeps no ids of freed cases
+and misses an id reused in another case.
 
 The enclave accountant counts wire-encoding bytes without re-encoding
 anything. ``wire.decode_cases`` splits each segment by iid in its one decode
@@ -97,10 +101,10 @@ inbox head, then the head of the first due stream in ``peers`` order, and so
 on until none is due. So incremental ingest is a k-way merge of the streams
 in case-id order. Only an open moves the oldest owed iid, which the miner
 keeps, so a receipt can make only its own stream due. Each stream's oldest
-owed iid is the last of its sorted list, from which ingest pops what the
-stream delivered, so finding the oldest reads one iid per stream. Batch mode
-holds every case to the end, so case order saves nothing there: every stream
-with an envelope parked is due, and each envelope is opened on receipt.
+owed iid is ``refs[done]``, so finding the oldest reads one iid per stream.
+Batch mode holds every case to the end, so case order saves nothing there:
+every stream with an envelope parked is due, and each envelope is opened on
+receipt.
 
 Flow control. The miner grants each stream credit in plaintext segment
 bytes, in steps of the budget ``B = CREDIT_SEGMENTS * seg_size``, as HTTP/2
@@ -159,13 +163,14 @@ accountant's peak at most that plus the largest segment, whose plaintext is
 held while it is ingested. This depends neither on ``B``, nor on the case
 count, nor on the delivery order. Why: when stream p's inbox head is
 opened, p owes the oldest owed iid c (or owes nothing, and then the head
-holds no case it may store). p ships in ascending iid order, as
-``segment_event_log`` cuts, so every case it delivered before has an iid
-below c; no stream owes such a case, so it is complete and was freed when
-it completed. So p's stored fragments all come from its last opened
-segment, which costs at most ``F1_p`` stored. A provisioner that ships out
-of iid order gets no such bound: what it opens may wait for the other
-streams, and only the capacity cap limits it.
+holds no case it may store). p delivers in ascending iid order, which the
+miner enforces, so every case it delivered before has an iid below c; no
+stream owes such a case, so it is complete and was freed when it
+completed. So p's stored fragments all come from its last opened segment,
+which costs at most ``F1_p`` stored, since the miner refuses a segment of
+two or more cases over the segmenter's budget. The bound rests on these
+two checks (see "Failure contract"), so it holds for every provisioner
+that the session does not abort.
 
 Provisioners never ship a byte before appraising the miner's attestation
 evidence against their reference measurement, allow-list, and the nonce they
@@ -177,25 +182,30 @@ Failure contract: a node ends ``done`` or ``aborted``, and only
 class name) and ``aborted_message`` (its text). Both roles handle a message
 in :func:`_serve`, which decodes it, checks its session and sender, and
 calls the role's ``_on_<kind>`` handler (a kind the role does not handle is
-an :class:`UnexpectedMessage`). Handlers only raise. A :class:`ProtocolError`
-(bad or out-of-order control input, a forged sender, an unowed case, an
-event of another provisioner: :class:`ForeignEvent`, a refused miner:
+an :class:`UnexpectedMessage`). Handlers only raise. A
+:class:`ProtocolError` (bad or out-of-order control input, a forged sender,
+a case other than the next its stream owes: :class:`UnexpectedIid`, an event
+of another provisioner: :class:`ForeignEvent`, a refused miner:
 :class:`MinerRefused`), an ``EnclaveError`` (tampered envelope,
-``EvidenceRejected``, capacity cap), a ``WireError`` or
-``ModelError`` (malformed segment, event id carried twice) or an
-``InvalidSegSize`` (bad ``seg_size``) aborts the node; ``handle`` returns no
-sends and the scheduler runs on. A malformed envelope fails when it
-arrives, a tampered one when it is opened, which may be after later
+``EvidenceRejected``, capacity cap), a ``WireError`` or ``ModelError``
+(malformed segment, event id carried twice) or an ``InvalidSegSize`` (bad
+``seg_size``, or a segment of two or more cases cut over it) aborts the
+node; ``handle`` returns no sends and the scheduler runs on. So a
+provisioner that ships its cases out of ascending iid order aborts the
+session with ``UnexpectedIid``, and one that cuts a segment of two or more
+cases above ``seg_size - EMPTY_LOG_SIZE`` bytes with ``InvalidSegSize``,
+before any fragment of that segment is stored. A malformed envelope fails
+when it arrives, a tampered one when it is opened, which may be after later
 envelopes have arrived and been parked; either way the miner aborts with
 ``AuthFailure``. An aborted node drops every later message and releases its
 state in its ``_release``: the miner its stored cases and its streams'
 records with their inboxes, a provisioner its grouping of cases, its plan
-(the segments not yet sent, and the cases not yet cut) and its stream key. Once
-no message is pending, the transport calls each node's ``on_quiet`` (a
+(the segments not yet sent, and the cases not yet cut) and its stream key.
+Once no message is pending, the transport calls each node's ``on_quiet`` (a
 deployment's timeout): a node still waiting aborts with :class:`Stalled`,
-naming what it waits for (``awaiting cases from clinic``, or a
-``streaming`` provisioner's ``awaiting a grant from miner``).
-Program bugs (``UnderflowBug``, the scheduler's ``TransportError``) raise.
+naming what it waits for (``awaiting cases from clinic``, or a ``streaming``
+provisioner's ``awaiting a grant from miner``). Program bugs
+(``UnderflowBug``, the scheduler's ``TransportError``) raise.
 """
 
 from __future__ import annotations
@@ -203,11 +213,12 @@ from __future__ import annotations
 import json
 import os
 from array import array
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import attrgetter
-from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 
 from .enclave import (
     AttestationEvidence,
@@ -281,7 +292,7 @@ class DuplicateResponse(ProtocolError):
 
 
 class UnexpectedIid(ProtocolError):
-    """A segment carried a case the miner was not owed by that sender."""
+    """A segment carried a case other than the next its stream owes."""
 
 
 class ForeignEvent(ProtocolError):
@@ -409,10 +420,10 @@ def _iids(msg: Msg) -> List[str]:
 class _Stream:
     """One provisioner's stream at the miner, from its refs to its last segment."""
 
-    owed: Set[str]  # iids it still owes
-    pending: List[str]  # the same iids, sorted once, newest first: the oldest it owes is last
+    refs: List[str]  # the iids its refs named, ascending: it owes refs[done:]
     nonce: bytes  # the freshness nonce its refs carried
     credit: int  # plaintext bytes granted, cumulative
+    done: int = 0  # how many of refs it has delivered, in order
     received: int = 0  # plaintext bytes received, opened or parked
     ended: bool = False  # its last cases_res has arrived
     # The envelopes received and not yet opened, each with its end mark:
@@ -420,6 +431,12 @@ class _Stream:
     inbox: Deque[Tuple[bytes, bool]] = field(default_factory=deque)
     key: Optional[bytes] = None  # the stream key, once its first envelope is open
     index: int = 0  # the index its next segment must carry
+
+    def owes(self, iid: str) -> bool:
+        """Whether ``iid`` is in ``refs[done:]``, found by bisection."""
+        refs = self.refs
+        i = bisect_left(refs, iid, self.done)
+        return i < len(refs) and refs[i] == iid
 
 
 @dataclass
@@ -477,13 +494,16 @@ class SecureMiner:
         self.csize.clear()
 
     def _oldest_owed(self) -> Optional[str]:
-        return min([s.pending[-1] for s in self.streams.values() if s.pending], default=None)
+        streams = self.streams.values()
+        return min([s.refs[s.done] for s in streams if s.done < len(s.refs)], default=None)
 
     def _due(self, s: _Stream) -> bool:
         """Whether ``s``'s inbox head may be opened: there is one, and ``s``
         owes the oldest owed iid, or nothing."""
         oldest = self.oldest
-        return bool(s.inbox) and (oldest is None or not s.pending or s.pending[-1] == oldest)
+        return bool(s.inbox) and (
+            oldest is None or s.done == len(s.refs) or s.refs[s.done] == oldest
+        )
 
     def _pump(self, p: str, s: _Stream) -> None:
         """Open the head of stream ``p``'s inbox, which is due, then, while
@@ -498,9 +518,9 @@ class SecureMiner:
                 self._ingest_segment(p, s, envelope, last)
             if last:
                 del streams[p]
-                if s.owed:
+                if s.done < len(s.refs):
                     raise IncompleteDelivery(
-                        "%s ended its stream owing %s" % (p, ", ".join(sorted(s.owed)))
+                        "%s ended its stream owing %s" % (p, ", ".join(s.refs[s.done :]))
                     )
                 if not streams:
                     self._finish()
@@ -521,7 +541,7 @@ class SecureMiner:
         for p in self.peers:
             s = self.streams.get(p)
             if s is not None and s.received >= s.credit and (
-                oldest is None or (s.pending and s.pending[-1] == oldest)
+                oldest is None or (s.done < len(s.refs) and s.refs[s.done] == oldest)
             ):
                 s.credit = (s.received // step + 1) * step  # the next multiple above received
                 out.append((p, self._msg(KIND_CASES_GRANT, {"credit": s.credit}, b"")))
@@ -558,8 +578,7 @@ class SecureMiner:
         if len(msg.blob) != _NONCE_SIZE:
             raise UnexpectedMessage("cases_ref_res nonce is not %d bytes" % _NONCE_SIZE)
         # The first credit, B, is implied by the case request.
-        owed = set(_iids(msg))
-        self.streams[msg.sender] = _Stream(owed, sorted(owed, reverse=True), msg.blob, self.budget)
+        self.streams[msg.sender] = _Stream(sorted(set(_iids(msg))), msg.blob, self.budget)
         if len(self.streams) != len(self.peers):
             return []
         self.phase = "awaiting_cases"
@@ -623,14 +642,22 @@ class SecureMiner:
             labels = provisioners - {sender}
             if labels:
                 raise ForeignEvent("events of %s from %s" % (", ".join(sorted(labels)), sender))
-            unowed = cases.keys() - s.owed
-            if unowed:
-                raise UnexpectedIid("%s from %s" % (min(unowed), sender))
-            s.owed.difference_update(cases)
-            pending = s.pending
-            while pending and pending[-1] not in s.owed:
-                pending.pop()
-            for iid, (events, size) in sorted(cases.items()):
+            # The segmenter's own rule: a segment of two or more cases is at
+            # most seg_size - EMPTY_LOG_SIZE bytes.
+            if len(cases) > 1 and len(plain) + EMPTY_LOG_SIZE > self.config.seg_size:
+                raise InvalidSegSize(
+                    "segment %d from %s holds %d cases in %d bytes, over seg_size %d"
+                    % (s.index - 1, sender, len(cases), len(plain), self.config.seg_size)
+                )
+            # The segment must hold exactly the next cases its stream owes.
+            iids = sorted(cases)
+            owed = s.refs[s.done : s.done + len(iids)]
+            if iids != owed:
+                first = next(iid for iid, ref in zip_longest(iids, owed) if iid != ref)
+                raise UnexpectedIid("%s from %s" % (first, sender))
+            s.done += len(iids)
+            for iid in iids:
+                events, size = cases[iid]
                 delta = size - EMPTY_LOG_SIZE if iid in self.cstor else size
                 self.accountant.account(delta)
                 self.cstor.setdefault(iid, []).append(events)
@@ -638,7 +665,7 @@ class SecureMiner:
                 if not self.config.do_yield_cases:
                     continue
                 # The case is complete once no stream still owes it.
-                if not any(iid in other.owed for other in self.streams.values()):
+                if not any(other.owes(iid) for other in self.streams.values()):
                     case = log_from_events(chain.from_iterable(self.cstor.pop(iid)))
                     self.accountant.account(-self.csize.pop(iid))
                     self.yield_count += 1

@@ -2,8 +2,8 @@
 
 Each row runs a whole session over the seeded scheduler with one fault
 injected: a message rewritten, forged or lost in flight, a corrupted
-plaintext, a bad input or a tight capacity. Every row checks the same five
-things:
+plaintext, a plan out of iid order or cut over budget, a bad input or a
+tight capacity. Every row checks the same five things:
 
 * ``net.run()`` returns normally;
 * every node ends ``done`` or ``aborted``;
@@ -68,12 +68,13 @@ class TamperingNetwork(InProcessNetwork):
             super().send(sender, receiver, forged)
 
 
-def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=True,
+def _run(partitions, *, edits=(), seal=None, plan=None, seg_size=1_000_000, incremental=True,
          capacity=None, seed=0):
     """Run one session; ``edits`` are ``(kind, sender, receiver, fn)`` (None
     matches any) with ``fn(msg)`` returning the new ``Msg``, raw bytes, or a
     list of these; the first edit that matches a message applies. A ``seal``
-    that is a class keeps state: one is made per session, given its nodes."""
+    that is a class keeps state: one is made per session, given its nodes.
+    A ``plan`` stands in for ``segment_event_log`` at every provisioner."""
     nodes = {}
     early = []
     appraised = set()  # the nonce of every appraisal that returned
@@ -111,7 +112,7 @@ def _run(partitions, *, edits=(), seal=None, seg_size=1_000_000, incremental=Tru
     net.bootstrap()
     with mock.patch.object(protocol, "seal_segment", seal or _REAL_SEAL), mock.patch.object(
         protocol, "verify_evidence", appraise
-    ):
+    ), mock.patch.object(protocol, "segment_event_log", plan or _REAL_PLAN):
         net.run()
     assert all(node.phase in ("done", "aborted") for node in nodes.values())
     return nodes, early
@@ -189,6 +190,7 @@ def _drop_if_last(msg):
 
 _REAL_SEAL = protocol.seal_segment
 _REAL_VERIFY = protocol.verify_evidence
+_REAL_PLAN = protocol.segment_event_log
 
 
 def _trailing_byte_seal(segment_bytes, *args):
@@ -236,6 +238,24 @@ class _ForeignShareSeal:
             proof = sign_stream(self.nodes[sender].config.identity, session, share)
             self.keys[sender] = (k_sym, share, proof)
         return _REAL_SEAL(segment_bytes, *self.keys[sender], session, sender, *place)
+
+
+def _hospital_reversed_plan(partition, seg_size, cases):
+    """Hospital's plan ships its cases newest first; the others' are honest."""
+    if partition.events[0].provisioner_id == "hospital":
+        cases = dict(reversed(cases.items()))
+    return _REAL_PLAN(partition, seg_size, cases)
+
+
+def _hospital_over_budget_plan(partition, seg_size, cases):
+    """Hospital's plan is cut at 50 times seg_size, in iid order, and then
+    reports the agreed seg_size, which its segments are sealed with."""
+    if partition.events[0].provisioner_id != "hospital":
+        return _REAL_PLAN(partition, seg_size, cases)
+    plan = _REAL_PLAN(partition, 50 * seg_size, cases)
+    plan.positions  # finishes the cut at the larger budget
+    plan.seg_size = seg_size
+    return plan
 
 
 def _held_back_until_last():
@@ -324,6 +344,19 @@ FAULTS = [
     ("refs naming a case the provisioner does not hold",
      dict(edits=[(KIND_CASES_REF_RES, *FROM_HOSPITAL, _body(iids=["312", "711", "999"]))]),
      "miner", "IncompleteDelivery"),
+    # seg_size 300 ships each of hospital's two cases alone. Its first
+    # segment holds 711 where the stream owes 312 first: the peak bound
+    # assumes ascending iid order, so the miner refuses it in either mode.
+    ("hospital's plan reversed",
+     dict(seg_size=300, plan=_hospital_reversed_plan), "miner", "UnexpectedIid"),
+    ("hospital's plan reversed, batch",
+     dict(seg_size=300, plan=_hospital_reversed_plan, incremental=False),
+     "miner", "UnexpectedIid"),
+    # Both of hospital's cases in one segment of about 650 bytes, sealed
+    # under the agreed seg_size of 300, so it opens: the miner refuses a
+    # segment of two or more cases over the segmenter's budget.
+    ("hospital cuts over budget",
+     dict(seg_size=300, plan=_hospital_over_budget_plan), "miner", "InvalidSegSize"),
     ("cases_res after a completed stream",
      dict(edits=[(KIND_CASES_RES, *FROM_HOSPITAL, lambda msg: [msg, msg])]),
      "miner", "UnexpectedMessage"),
@@ -581,6 +614,29 @@ def test_refs_naming_a_case_the_provisioner_lacks_end_its_stream_owing_it(three_
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 @pytest.mark.parametrize(
+    "row,reason,message",
+    [
+        ("hospital's plan reversed", "UnexpectedIid", "711 from hospital"),
+        ("hospital's plan reversed, batch", "UnexpectedIid", "711 from hospital"),
+        ("hospital cuts over budget", "InvalidSegSize",
+         "segment 0 from hospital holds 2 cases in 654 bytes, over seg_size 300"),
+    ],
+)
+def test_a_segment_outside_the_peak_bound_is_refused_before_it_is_stored(
+    three_partitions, row, reason, message
+):
+    # Hospital's first segment is the one refused, so no event of hospital's
+    # reaches the sink, and the miner names what the segment broke.
+    (kwargs,) = [r[1] for r in FAULTS if r[0] == row]
+    nodes, _ = _run(three_partitions, **kwargs)
+    miner = nodes.pop("miner")
+    assert (miner.aborted_reason, miner.aborted_message) == (reason, message)
+    assert all(ev.provisioner_id != "hospital" for case in miner.sink.cases for ev in case)
+    assert all(p.phase == "done" for p in nodes.values())
+
+
+@pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+@pytest.mark.parametrize(
     "row,node,message",
     [
         ("cases_grant before the case request", "hospital", "cases_grant in phase refs_sent"),
@@ -656,6 +712,8 @@ def test_honest_session_passes_the_same_checks(three_partitions):
 # A byte changed in the plaintext can still decode into a valid segment, so
 # such a session may complete; the ones that do not must name one of these.
 # A changed byte of a provisioner id names another provisioner: ForeignEvent.
+# A changed iid byte can split a lone over-budget case into two cases, whose
+# segment is then over seg_size: InvalidSegSize.
 CORRUPTION_REASONS = {
     "AuthFailure",
     "WireError",
@@ -666,6 +724,7 @@ CORRUPTION_REASONS = {
     "UnexpectedIid",
     "IncompleteDelivery",
     "ForeignEvent",
+    "InvalidSegSize",
 }
 
 

@@ -4,6 +4,7 @@ import contextlib
 import random
 import struct
 from collections import Counter
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -205,10 +206,10 @@ def test_case_index_after_refs(three_partitions):
     # Deliver exactly the three ref round-trips.
     for _ in range(6):
         net.deliver_next()
-    assert {p: s.owed for p, s in miner.streams.items()} == {
-        "hospital": {"312", "711"},
-        "pharma": {"312", "711"},
-        "clinic": {"312"},
+    assert {p: s.refs[s.done :] for p, s in miner.streams.items()} == {
+        "hospital": ["312", "711"],
+        "pharma": ["312", "711"],
+        "clinic": ["312"],
     }
     assert miner.phase == "awaiting_cases"
 
@@ -1011,10 +1012,9 @@ class GrantWatchingNetwork(InProcessNetwork):
     def send(self, sender, receiver, payload):
         super().send(sender, receiver, payload)
         if Msg.decode(payload).kind == KIND_CASES_GRANT:
-            miner = self._nodes[sender]
-            owed = set().union(*(s.owed for s in miner.streams.values()))
-            oldest = min(owed, default=None)
-            self.grants.append((receiver, oldest, set(miner.streams[receiver].owed)))
+            owed = {p: s.refs[s.done :] for p, s in self._nodes[sender].streams.items()}
+            oldest = min(chain.from_iterable(owed.values()), default=None)
+            self.grants.append((receiver, oldest, set(owed[receiver])))
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
@@ -1156,7 +1156,7 @@ def test_any_session_under_credit_ends_done_with_the_standalone_output(
     partitions = {
         org: log_from_events(ev for ev in log if ev.provisioner_id == org) for org in ORGS
     }
-    sink = experiment.HeuristicsSink() if algorithm == "heuristics" else experiment.DeclareSink()
+    sink = experiment.ALGORITHMS[algorithm]()
     net, miner, provisioners = experiment.build_session(
         partitions,
         seed=schedule,
