@@ -94,17 +94,17 @@ fails a malformed frame at once with ``AuthFailure``) and parks the
 envelope, still sealed, in its stream's inbox. Parked envelopes are host
 memory, as the transport's queues are, and the accountant does not count
 them: an untrusted host may hold them at no cost to secrecy, since AES-GCM
-authenticates each one when it is opened. A stream is due when it has an
-envelope parked and owes the oldest iid any stream still owes, or owes
-nothing. If the receiving stream is due, the enclave opens and ingests its
-inbox head, then the head of the first due stream in ``peers`` order, and so
-on until none is due. So incremental ingest is a k-way merge of the streams
-in case-id order. Only an open moves the oldest owed iid, which the miner
-keeps, so a receipt can make only its own stream due. Each stream's oldest
-owed iid is ``refs[done]``, so finding the oldest reads one iid per stream.
-Batch mode holds every case to the end, so case order saves nothing there:
-every stream with an envelope parked is due, and each envelope is opened on
-receipt.
+authenticates each one when it is opened. The miner keeps ``oldest``, the
+oldest iid any stream still owes (None only once nothing is owed). A stream
+leads when it owes nothing or its next owed iid, ``refs[done]``, is
+``oldest``, and it is due when it leads and has an envelope parked. If the
+receiving stream is due, the enclave opens and ingests its inbox head, then
+the head of the first due stream in ``peers`` order, and so on until none is
+due. So ingest is a k-way merge of the streams in case-id order, in both
+modes. Only an open moves ``oldest``, so a receipt can make only its own
+stream due, and finding the oldest reads one iid per stream. The modes
+differ only in when a completed case is handed over (above) and in the grant
+step (below).
 
 Flow control. The miner grants each stream credit in plaintext segment
 bytes, in steps of the budget ``B = CREDIT_SEGMENTS * seg_size``, as HTTP/2
@@ -127,34 +127,32 @@ and waits for a grant. The miner keeps, in each open stream's
 record, the bytes received and the credit granted. A stream is blocked when
 it has received at least its credit; its provisioner stopped at the segment
 that reached it, so nothing of it is in flight. After each cases_res the
-miner grants each blocked stream, in sorted order, the next multiple of
-``B`` above the bytes it has received, sent as the new cumulative
-``credit``: ``B`` more than its credit, unless its last segment passed the
-credit by ``B`` or more, which only a case bigger than ``B``, shipped alone,
-can do. It grants when
+miner grants each blocked stream that leads, in sorted order, the next
+multiple of the step above the bytes it has received, sent as the new
+cumulative ``credit``. In incremental mode the step is ``B``: ``B`` more
+than its credit, unless its last segment passed the credit by ``B`` or
+more, which only a case bigger than ``B``, shipped alone, can do. Batch mode
+holds every case to the end, so a window saves no enclave memory there: its
+step is more than any stream sends, and a stream is granted at most once,
+for all it has left.
 
-(a) the stream owes the oldest iid any stream still owes, or nothing is
-    owed at all; or
-(b) the session is in batch mode, which holds every case to the end, so
-    withholding credit would save nothing: there the grant is more than
-    any stream sends, and a stream is granted at most once.
-
-After the opening round, a stream that owes the oldest owed iid has nothing
-parked (it would be due), so a stream with an envelope parked is never
-granted: its inbox holds at most the window of its last grant, under
-``B`` plus one segment, and a stream whose ``last`` is parked, whose
-provisioner is ``done`` and would abort on a grant, gets none.
+After the opening round a stream that leads has nothing parked (it would be
+due), so a stream with an envelope parked is never granted, and a stream
+whose ``last`` is parked, whose provisioner is ``done`` and would abort on a
+grant, gets none. So a stream's inbox holds at most the window of its last
+grant, under ``B`` plus one segment, in incremental mode; in batch mode,
+once its one grant has come, it may hold the rest of the stream.
 
 A cases_res from a blocked stream is an :class:`UnexpectedMessage`, and so
 is a cases_grant outside ``streaming``, from another node than the miner, or
-one that does not raise the credit. The rule cannot deadlock in incremental
+one that does not raise the credit. The rule cannot deadlock, in either
 mode. A grant lifts the credit above the bytes received, so the granted
 stream sends at least one more segment, and its cases_res makes the miner
 open and grant again. While some case is owed, let c be the oldest: after
 the opening round no stream that owes c has an envelope parked, so each is
 either sending within its credit, and its next cases_res arrives, or
-blocked, and then granted. Once nothing is owed, every parked envelope
-qualifies and every blocked stream is granted.
+blocked, and then granted. Once nothing is owed, every stream leads, so
+every parked envelope is opened and every blocked stream is granted.
 
 The bound, in incremental mode. Let ``F1_p`` be the most that one segment
 of stream p costs stored: its plaintext plus ``EMPTY_LOG_SIZE`` per case
@@ -471,8 +469,7 @@ class SecureMiner:
         self.csize: Dict[str, int] = {}
         self.budget = CREDIT_SEGMENTS * config.seg_size
         # The oldest iid any stream still owes, once every stream's refs are
-        # in; None once nothing is owed, and always in batch mode, which
-        # opens each envelope on receipt.
+        # in; None once nothing is owed.
         self.oldest: Optional[str] = None
         self.yield_count = 0
         self.aborted_reason: Optional[str] = None
@@ -497,13 +494,10 @@ class SecureMiner:
         streams = self.streams.values()
         return min([s.refs[s.done] for s in streams if s.done < len(s.refs)], default=None)
 
-    def _due(self, s: _Stream) -> bool:
-        """Whether ``s``'s inbox head may be opened: there is one, and ``s``
-        owes the oldest owed iid, or nothing."""
-        oldest = self.oldest
-        return bool(s.inbox) and (
-            oldest is None or s.done == len(s.refs) or s.refs[s.done] == oldest
-        )
+    def _leads(self, s: _Stream) -> bool:
+        """Whether ``s`` owes nothing, or its next owed iid is the oldest
+        owed: the rule for opening its inbox head and for granting it."""
+        return s.done == len(s.refs) or s.refs[s.done] == self.oldest
 
     def _pump(self, p: str, s: _Stream) -> None:
         """Open the head of stream ``p``'s inbox, which is due, then, while
@@ -511,7 +505,6 @@ class SecureMiner:
         order. Only an open moves ``oldest``, so after a round no parked
         envelope is due until the next open."""
         streams = self.streams
-        incremental = self.config.do_yield_cases
         while True:
             envelope, last = s.inbox.popleft()
             if envelope:
@@ -524,25 +517,21 @@ class SecureMiner:
                     )
                 if not streams:
                     self._finish()
-            if incremental:
-                self.oldest = self._oldest_owed()
+            self.oldest = self._oldest_owed()
             for p in self.peers:
                 s = streams.get(p)
-                if s is not None and self._due(s):
+                if s is not None and s.inbox and self._leads(s):
                     break
             else:
                 return
 
     def _grants(self) -> List[Tuple[str, bytes]]:
         """Grant each blocked stream more credit where the credit rule allows."""
-        oldest = self.oldest
         step = self.budget if self.config.do_yield_cases else _CREDIT_UNLIMITED
         out = []
         for p in self.peers:
             s = self.streams.get(p)
-            if s is not None and s.received >= s.credit and (
-                oldest is None or (s.done < len(s.refs) and s.refs[s.done] == oldest)
-            ):
+            if s is not None and s.received >= s.credit and self._leads(s):
                 s.credit = (s.received // step + 1) * step  # the next multiple above received
                 out.append((p, self._msg(KIND_CASES_GRANT, {"credit": s.credit}, b"")))
         return out
@@ -561,7 +550,9 @@ class SecureMiner:
 
     def on_quiet(self) -> None:
         if self.phase == "awaiting_cases":
-            waiting = "cases from " + ", ".join(sorted(self.streams))
+            waiting = "cases from " + ", ".join(
+                p for p, s in sorted(self.streams.items()) if not s.ended
+            )
         else:  # a miner that never bootstrapped also awaits every peer's refs
             waiting = "refs from " + ", ".join(p for p in self.peers if p not in self.streams)
         _stall(self, waiting)
@@ -569,7 +560,6 @@ class SecureMiner:
     # -- handlers --------------------------------------------------------
 
     def _on_cases_ref_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
-        self.phase_label = "initialization"
         self._require_known(msg.sender)
         if self.phase != "awaiting_refs":
             raise DuplicateResponse("refs from %s after request fan-out" % msg.sender)
@@ -583,8 +573,7 @@ class SecureMiner:
             return []
         self.phase = "awaiting_cases"
         self.phase_label = "attestation"
-        if self.config.do_yield_cases:
-            self.oldest = self._oldest_owed()
+        self.oldest = self._oldest_owed()
         out = []
         for p in self.peers:
             s = self.streams[p]
@@ -599,7 +588,6 @@ class SecureMiner:
         return out
 
     def _on_cases_res(self, msg: Msg) -> List[Tuple[str, bytes]]:
-        self.phase_label = "transmission"
         self._require_known(msg.sender)
         if self.phase != "awaiting_cases":
             raise UnexpectedMessage("cases_res in phase %s" % self.phase)
@@ -617,9 +605,10 @@ class SecureMiner:
             s.received += plaintext_length(msg.blob)
         elif not last:
             raise UnexpectedMessage("cases_res with neither an envelope nor last")
+        self.phase_label = "transmission"
         s.ended = last
         s.inbox.append((msg.blob, last))
-        if self._due(s):
+        if self._leads(s):
             self._pump(msg.sender, s)
         return self._grants()
 

@@ -121,7 +121,7 @@ RECORD_DIGESTS = {
         "162cbae5e281ce09f440d8b22b3574870d92519866918a0d17ff7747ec20bf84",
     ),
     "batch": (
-        "91845054ef9a36dc14686ed3a81ce7b917314f85d6b90b8028704ff35556b421",
+        "bbc452f3cb1657cbc6856c692839072cc600b2e6911bc7f18fac8452ab3888cf",
         "162cbae5e281ce09f440d8b22b3574870d92519866918a0d17ff7747ec20bf84",
     ),
 }
@@ -431,7 +431,7 @@ def test_scale_reports_an_unfinished_session_and_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert capsys.readouterr().out == (
-        "session aborted: CapacityExceeded: 2034 bytes needed, capacity 2000\n"
+        "session aborted: CapacityExceeded: 2030 bytes needed, capacity 2000\n"
     )
     assert not out.exists()
 

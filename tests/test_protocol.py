@@ -46,6 +46,7 @@ from enclavemine.segmenter import segment_event_log, size_of
 from enclavemine.transport import InProcessNetwork
 from enclavemine.wire import encode_log
 
+ORGS = ("clinic", "hospital", "pharma")
 MANIFEST = BuildManifest(component="miner", version="t", algorithm="heuristics")
 MINER_PROOF = "org:miner"
 NONCE = bytes(16)
@@ -766,6 +767,30 @@ def test_capacity_cap_trips_on_batch(three_partitions):
     assert miner2.phase == "done"
 
 
+@pytest.mark.parametrize(
+    "refs_from,late,label",
+    [
+        (("hospital", "pharma"), KIND_CASES_RES, "initialization"),
+        (ORGS, KIND_CASES_REF_RES, "attestation"),
+    ],
+    ids=["cases_res before fan-out", "cases_ref_res after fan-out"],
+)
+def test_a_refused_message_leaves_the_phase_label_as_it_was(
+    three_partitions, refs_from, late, label
+):
+    # Each label is set where its phase begins, after the handler's checks.
+    _, miner, _, _ = _session(three_partitions)
+    miner.bootstrap()
+    for org in refs_from:
+        body = {"iids": sorted(iid_set(three_partitions[org]))}
+        miner.handle(org, Msg(KIND_CASES_REF_RES, org, "s1", body, NONCE).encode())
+    assert miner.phase_label == label
+    body = {"iids": []} if late == KIND_CASES_REF_RES else {"last": True}
+    assert miner.handle("hospital", Msg(late, "hospital", "s1", body, NONCE).encode()) == []
+    assert miner.phase == "aborted"
+    assert miner.phase_label == label
+
+
 def test_phase_labels_follow_the_flow(three_partitions):
     net, miner, _, _ = _session(three_partitions)
     labels = []
@@ -776,9 +801,6 @@ def test_phase_labels_follow_the_flow(three_partitions):
     assert "attestation" in labels
     assert "transmission" in labels
     assert labels[-1] == "computation"
-
-
-ORGS = ("clinic", "hospital", "pharma")
 
 
 def _random_partitions(seed, n_cases=40):
@@ -987,8 +1009,9 @@ def test_a_stream_past_its_first_credit_is_granted_more_in_steps_of_the_budget()
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
 def test_a_batch_session_grants_each_stream_once_for_all_it_has_left():
-    # Batch mode holds every case to the end, so credit is not withheld: a
-    # blocked stream's one grant covers the rest of it.
+    # Batch mode holds every case to the end, so a grant need not be a
+    # window: a blocked stream, once it owes the oldest owed case, is granted
+    # once, for the rest of it.
     partitions = _random_partitions(4, n_cases=60)
     net, miner, sink, provisioners = _run_to_done(
         partitions, seg_size=100, do_yield=False, network_cls=RecordingNetwork, seed=4
@@ -1018,12 +1041,16 @@ class GrantWatchingNetwork(InProcessNetwork):
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
+@pytest.mark.parametrize("do_yield", [True, False], ids=["incremental", "batch"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_an_incremental_grant_goes_only_to_the_stream_that_owes_the_oldest_case(seed):
+def test_a_grant_goes_only_to_the_stream_that_owes_the_oldest_case(seed, do_yield):
     # Credit withheld from a stream that does not owe the oldest owed case
     # keeps that stream from running ahead in case order, whatever is stored.
     net, miner, _, _ = _run_to_done(
-        _random_partitions(seed, n_cases=60), seg_size=100, network_cls=GrantWatchingNetwork
+        _random_partitions(seed, n_cases=60),
+        seg_size=100,
+        do_yield=do_yield,
+        network_cls=GrantWatchingNetwork,
     )
     assert miner.phase == "done" and net.grants
     for receiver, oldest, owed in net.grants:
@@ -1050,26 +1077,27 @@ def _deliver_all_but_cases(net):
         net.deliver_next(forced_link=links[0])
 
 
-def _one_stream_ahead():
+def _one_stream_ahead(do_yield=True):
     """A session of two streams over ten shared cases, two cases to a
     segment, in which clinic's first segment arrives before any of
     hospital's."""
     iids = ["c%02d" % i for i in range(10)]
     partitions = {org: _cases(org, iids) for org in ("clinic", "hospital")}
     seg_size = 2 * size_of(extract_case(partitions["clinic"], "c00"))
-    net, miner, sink, _ = _session(partitions, seg_size=seg_size)
+    net, miner, sink, _ = _session(partitions, seg_size=seg_size, do_yield=do_yield)
     net.bootstrap()
     _deliver_all_but_cases(net)
     net.deliver_next(forced_link=("clinic", "miner"))
     return net, miner, sink, partitions
 
 
-def test_a_segment_that_does_not_advance_the_oldest_owed_case_stays_sealed():
+@pytest.mark.parametrize("do_yield", [True, False], ids=["incremental", "batch"])
+def test_a_segment_that_does_not_advance_the_oldest_owed_case_stays_sealed(do_yield):
     # clinic's first segment holds the oldest owed case, so it is opened;
     # its second arrives while hospital, which still owes that case, has
     # sent nothing yet, so it waits sealed: not counted, not opened, and no
     # case of it stored. It is opened once hospital catches up.
-    net, miner, sink, partitions = _one_stream_ahead()
+    net, miner, sink, partitions = _one_stream_ahead(do_yield)
     clinic = miner.streams["clinic"]
     held, stored = miner.accountant.current_bytes, set(miner.cstor)
     assert clinic.index == 1 and held > 0 and stored
@@ -1094,6 +1122,24 @@ def test_an_envelope_tampered_with_in_the_inbox_aborts_when_it_is_opened():
     assert miner.aborted_message == "segment ciphertext failed authentication"
     assert miner.accountant.current_bytes == 0
     assert miner.streams == {} and miner.cstor == {}
+
+
+def test_a_stall_names_only_the_streams_whose_last_segment_has_not_arrived():
+    # clinic's one segment, its last, holds the newest case and waits sealed
+    # while hospital owes the older ones; hospital's segment is lost, so the
+    # miner waits on hospital alone.
+    iids = ["c%02d" % i for i in range(6)]
+    partitions = {"clinic": _cases("clinic", iids[-1:]), "hospital": _cases("hospital", iids)}
+    net, miner, _, provisioners = _session(partitions)
+    net.bootstrap()
+    _deliver_all_but_cases(net)
+    net.deliver_next(forced_link=("clinic", "miner"))
+    assert miner.streams["clinic"].ended and len(miner.streams["clinic"].inbox) == 1
+    net._queues[("hospital", "miner")].clear()
+    net.run()
+    assert all(p.phase == "done" for p in provisioners.values())
+    assert (miner.phase, miner.aborted_reason) == ("aborted", "Stalled")
+    assert miner.aborted_message == "awaiting cases from hospital"
 
 
 @pytest.mark.filterwarnings("ignore:.* exceed seg_size")
